@@ -210,6 +210,9 @@ class VideoAgent:
         self.cfg = cfg or AgentConfig()
         self.lexicon = lexicon or default_lexicon()
         self.template = load_prompt_template(self.cfg.prompt_template_path)
+        # Frame embeddings of the current session. Only successes are kept,
+        # so a failed embed is tried again; the vectors are never mutated.
+        self._frame_embeddings: dict[int, list[float]] = {}
 
     # -- state evaluation -----------------------------------------------------
 
@@ -246,10 +249,14 @@ class VideoAgent:
     def _frame_embedding(self, frame: int) -> Optional[list[float]]:
         if not self.gateway.has_embedder:
             return None
-        try:
-            return self.gateway.embed(frame, self.bundle)
-        except GatewayError:
-            return None
+        vector = self._frame_embeddings.get(frame)
+        if vector is None:
+            try:
+                vector = self.gateway.embed(frame, self.bundle)
+            except GatewayError:
+                return None
+            self._frame_embeddings[frame] = vector
+        return vector
 
     def _retrieve(self, session: AgentSession, graph: VideoGraph,
                   query: Optional[QueryParse], expanded: bool,
@@ -339,6 +346,7 @@ class VideoAgent:
             options=list(options),
         )
         graph = VideoGraph(config=self.cfg.graph)
+        self._frame_embeddings = {}
         query = parse_question(question, options, self.lexicon)
         query_embedding = None
         if self.gateway.has_embedder:

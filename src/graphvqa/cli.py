@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -98,15 +99,23 @@ def load_config(path: Optional[str]) -> dict:
         raise CliUsageError(f"config file {path} is not valid JSON: {exc}") from exc
 
 
-def agent_config_from(config: dict) -> AgentConfig:
+@contextlib.contextmanager
+def _bad_config():
+    """Report an unknown key or an out-of-range value in a config section
+    as a usage error."""
     try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise CliUsageError(f"bad config: {exc}") from exc
+
+
+def agent_config_from(config: dict) -> AgentConfig:
+    with _bad_config():
         return AgentConfig(
             **config.get("agent", {}),
             selector=SelectorConfig(**config.get("selector", {})),
             graph=GraphConfig(**config.get("graph", {})),
         )
-    except (TypeError, ValueError) as exc:
-        raise CliUsageError(f"bad config: {exc}") from exc
 
 
 def lexicon_from(config: dict) -> Lexicon:
@@ -203,9 +212,10 @@ def _cmd_eval(args) -> int:
     cfg = agent_config_from(config)
     lexicon = lexicon_from(config)
     out_dir = Path(args.out) if args.out else Path("eval_out")
+    gateway = build_gateway(config, args.provider, args.seed)
 
     def gateway_factory(_item):
-        return build_gateway(config, args.provider, args.seed)
+        return gateway.for_session()
 
     report = run_eval(
         args.qa, args.bundle, cfg, gateway_factory, out_dir,
@@ -219,7 +229,8 @@ def _cmd_eval(args) -> int:
 def _cmd_graph(args) -> int:
     config = load_config(args.config)
     lexicon = lexicon_from(config)
-    graph_cfg = GraphConfig(**config.get("graph", {}))
+    with _bad_config():
+        graph_cfg = GraphConfig(**config.get("graph", {}))
     bundle = load_bundle(args.bundle)
 
     graph = VideoGraph(config=graph_cfg)

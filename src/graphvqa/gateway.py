@@ -15,25 +15,31 @@ Provider kinds:
   input expanded to the configured dimension and unit-normalized.
 
 Remote responses are cached by a hash of (provider id, request body); the
-cache can persist to disk so eval reruns cost nothing.
+cache can persist to disk as an append-only JSON-lines file so eval reruns
+cost nothing. Requests go out through the standard library's
+``urllib.request``, which takes proxies from the standard environment
+variables and verifies HTTPS against the default SSL context.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
+import http.client
 import json
 import logging
 import math
 import os
 import threading
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-import requests
-
 from .errors import (
+    DataFormatError,
     GatewayConfigError,
     GatewayError,
     MissingCaptionError,
@@ -184,14 +190,49 @@ def pseudo_embedding(text: str, dim: int, seed: int = 0) -> list[float]:
 
 
 class ResponseCache:
-    """Thread-safe response cache, optionally persisted as a JSON file."""
+    """Thread-safe response cache, optionally persisted as JSON lines.
+
+    Each put appends one line holding a one-entry object ``{key: value}``;
+    earlier lines are never rewritten. The loader merges every line in
+    order, so a file holding one object with many entries on a single line
+    loads as well. A truncated last line (an interrupted append) is cut off
+    the file so the next append starts on a line of its own; any other
+    malformed line raises DataFormatError.
+    """
 
     def __init__(self, path: Optional[Union[str, Path]] = None):
         self.path = Path(path) if path else None
         self._lock = threading.Lock()
         self._data: dict[str, object] = {}
         if self.path and self.path.exists():
-            self._data = json.loads(self.path.read_text(encoding="utf-8"))
+            self._load()
+
+    def _load(self) -> None:
+        raw = self.path.read_bytes()
+        lines = raw.split(b"\n")
+        tail = lines.pop()  # empty when the file ends with a newline
+        for line_no, line in enumerate(lines, start=1):
+            self._merge(line, line_no)
+        if not tail:
+            return
+        try:
+            self._merge(tail, len(lines) + 1)
+        except DataFormatError as exc:
+            logger.warning("dropping truncated last line of %s: %s", self.path, exc)
+            with self.path.open("r+b") as handle:
+                handle.truncate(len(raw) - len(tail))
+        else:
+            with self.path.open("ab") as handle:
+                handle.write(b"\n")
+
+    def _merge(self, line: bytes, line_no: int) -> None:
+        try:
+            record = json.loads(line)
+        except ValueError as exc:  # also covers invalid UTF-8
+            raise DataFormatError(f"{self.path}:{line_no}: malformed cache record: {exc}") from exc
+        if not isinstance(record, dict):
+            raise DataFormatError(f"{self.path}:{line_no}: cache record is not a JSON object")
+        self._data.update(record)
 
     @staticmethod
     def key(provider_id: str, request_body: str) -> str:
@@ -202,14 +243,17 @@ class ResponseCache:
             return self._data.get(key)
 
     def put(self, key: str, value) -> None:
+        """Store `value` unless `key` is already cached (a concurrent miss
+        on the same request), so the file holds one record per key."""
         with self._lock:
+            if key in self._data:
+                return
             self._data[key] = value
             if self.path:
+                line = json.dumps({key: value}, sort_keys=True, ensure_ascii=False) + "\n"
                 self.path.parent.mkdir(parents=True, exist_ok=True)
-                self.path.write_text(
-                    json.dumps(self._data, sort_keys=True, ensure_ascii=False),
-                    encoding="utf-8",
-                )
+                with self.path.open("ab") as handle:
+                    handle.write(line.encode("utf-8"))
 
 
 class ModelGateway:
@@ -217,6 +261,8 @@ class ModelGateway:
 
     Safe for concurrent use across sessions; remote calls are limited by a
     per-provider in-flight semaphore and cache access is synchronized.
+    Scripted chat counts calls per gateway, so concurrent sessions each
+    take their own view from `for_session`.
     """
 
     def __init__(
@@ -236,6 +282,14 @@ class ModelGateway:
             entries = list(chat_script) if chat_script else load_script(chat.script_path)
             self._scripted_chat = ScriptedChat(entries)
         self._semaphores: dict[str, threading.Semaphore] = {}
+
+    def for_session(self) -> "ModelGateway":
+        """A view for one agent session: it shares this gateway's cache and
+        in-flight limits but counts scripted chat calls from 1 again."""
+        view = copy.copy(self)
+        if self._scripted_chat is not None:
+            view._scripted_chat = ScriptedChat(self._scripted_chat.entries)
+        return view
 
     # -- chat -----------------------------------------------------------------
 
@@ -388,6 +442,7 @@ class ModelGateway:
         if key:
             headers["Authorization"] = f"Bearer {key}"
 
+        data = body.encode("utf-8")
         attempts = 0
         last_error = "unknown error"
         last_status = None
@@ -395,17 +450,17 @@ class ModelGateway:
             while attempts <= cfg.max_retries:
                 attempts += 1
                 try:
-                    response = requests.post(
-                        url, data=body.encode("utf-8"), headers=headers, timeout=cfg.timeout
-                    )
-                except requests.RequestException as exc:
+                    status, raw = _post_once(url, data, headers, cfg.timeout)
+                except (OSError, ValueError, http.client.HTTPException) as exc:
+                    # URLError and timeouts are OSErrors; ValueError is a
+                    # malformed URL or header value.
                     last_error = f"transport error: {exc}"
                     logger.warning("gateway attempt %d failed: %s", attempts, last_error)
                 else:
-                    last_status = response.status_code
-                    if response.status_code == 200:
+                    last_status = status
+                    if status == 200:
                         try:
-                            payload = response.json()
+                            payload = json.loads(raw)
                         except ValueError as exc:
                             raise GatewayError(
                                 f"malformed response body (not JSON): {exc}",
@@ -415,13 +470,13 @@ class ModelGateway:
                         if self.cache is not None:
                             self.cache.put(cache_key, payload)
                         return payload
-                    if response.status_code not in _RETRYABLE_STATUS:
+                    if status not in _RETRYABLE_STATUS:
                         raise GatewayError(
-                            f"request rejected with HTTP {response.status_code}",
-                            status=response.status_code,
+                            f"request rejected with HTTP {status}",
+                            status=status,
                             attempts=attempts,
                         )
-                    last_error = f"HTTP {response.status_code}"
+                    last_error = f"HTTP {status}"
                     logger.warning("gateway attempt %d failed: %s", attempts, last_error)
                 if attempts <= cfg.max_retries:
                     time.sleep(cfg.retry_backoff * (2 ** (attempts - 1)))
@@ -430,3 +485,16 @@ class ModelGateway:
             status=last_status,
             attempts=attempts,
         )
+
+
+def _post_once(url: str, data: bytes, headers: dict[str, str],
+               timeout: float) -> tuple[int, bytes]:
+    """POST once and return (status, body); an HTTP error status is returned
+    with an empty body instead of raised."""
+    request = urllib.request.Request(url, data=data, headers=headers, method="POST")
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as response:
+            return response.status, response.read()
+    except urllib.error.HTTPError as exc:
+        exc.close()
+        return exc.code, b""

@@ -38,6 +38,10 @@ class GraphConfig:
             raise ValueError(f"coherence_alpha must be in [0, 1], got {self.coherence_alpha}")
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
+        if not -1.0 <= self.merge_similarity <= 1.0:
+            raise ValueError(
+                f"merge_similarity is a cosine and must be in [-1, 1], got {self.merge_similarity}"
+            )
 
 
 @dataclass

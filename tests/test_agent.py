@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import socket
+from collections import Counter
 
 import pytest
 
@@ -23,7 +24,14 @@ from graphvqa.agent import (
     render_prompt,
     uniform_sample,
 )
-from graphvqa.gateway import ScriptEntry
+from graphvqa.errors import GatewayError
+from graphvqa.gateway import (
+    PRECOMPUTED_CAPTION,
+    SCRIPTED,
+    ModelGateway,
+    ProviderConfig,
+    ScriptEntry,
+)
 from graphvqa.parsing import default_lexicon, parse_question
 from graphvqa.store import VideoBundle, transcript_record
 
@@ -295,8 +303,6 @@ def closed_port_endpoint():
 
 def test_gateway_failure_terminates_with_round_limit():
     bundle = make_bundle(total_frames=60)
-    from graphvqa.gateway import ModelGateway, PRECOMPUTED_CAPTION, ProviderConfig
-
     gateway = ModelGateway(
         chat=remote_chat_config(closed_port_endpoint(), max_retries=0, timeout=0.5),
         caption=ProviderConfig(kind=PRECOMPUTED_CAPTION),
@@ -306,6 +312,66 @@ def test_gateway_failure_terminates_with_round_limit():
     assert session.final_answer == 0
     assert session.rounds
     assert "gateway failure" in session.rounds[-1].missing_info
+
+
+class CountingGateway(ModelGateway):
+    """Scripted gateway that counts frame embeds and can fail chosen ones once."""
+
+    def __init__(self, entries, fail_once=()):
+        super().__init__(
+            chat=ProviderConfig(kind=SCRIPTED),
+            caption=ProviderConfig(kind=PRECOMPUTED_CAPTION),
+            embed=ProviderConfig(kind=SCRIPTED, embed_dim=16),
+            chat_script=entries,
+        )
+        self.frame_embeds = Counter()
+        self.fail_once = set(fail_once)
+
+    def embed(self, text_or_frame, bundle=None):
+        if isinstance(text_or_frame, int):
+            self.frame_embeds[text_or_frame] += 1
+            if text_or_frame in self.fail_once:
+                self.fail_once.discard(text_or_frame)
+                raise GatewayError("transient")
+        return super().embed(text_or_frame, bundle)
+
+
+class UnmemoizedAgent(VideoAgent):
+    """Embeds a frame on every use, as the reference for transcripts."""
+
+    def _frame_embedding(self, frame):
+        try:
+            return self.gateway.embed(frame, self.bundle)
+        except GatewayError:
+            return None
+
+
+def test_frame_embeddings_memoized_per_session():
+    bundle = distinct_caption_bundle()
+    entries = [unsure_entry("B"), unsure_entry("C", confidence=2), confident_entry("D")]
+    plain = CountingGateway(entries)
+    reference, _ = UnmemoizedAgent(bundle, plain).run("what does the boy hold?", OPTIONS)
+    assert max(plain.frame_embeds.values()) > 1  # retrieved frames are embedded twice
+
+    counting = CountingGateway(entries)
+    agent = VideoAgent(bundle, counting)
+    for _ in range(2):  # the memo starts empty for each session
+        counting.frame_embeds.clear()
+        agent.gateway = counting.for_session()  # replays the script from round 1
+        session, _ = agent.run("what does the boy hold?", OPTIONS)
+        assert set(counting.frame_embeds.values()) == {1}
+        assert transcript_record(session) == transcript_record(reference)
+
+
+def test_failed_frame_embedding_tried_again():
+    bundle = distinct_caption_bundle()
+    gateway = CountingGateway([confident_entry()], fail_once={7})
+    agent = VideoAgent(bundle, gateway)
+    assert agent._frame_embedding(7) is None
+    vector = agent._frame_embedding(7)
+    assert vector is not None
+    assert agent._frame_embedding(7) is vector
+    assert gateway.frame_embeds[7] == 2
 
 
 # -- the causal-chain fixture ------------------------------------------------------------

@@ -178,3 +178,89 @@ def test_seed_flag_changes_scripted_embeddings(suite):
     gw1 = build_gateway(config, None, seed=1)
     gw2 = build_gateway(config, None, seed=2)
     assert gw1.embed("dog") != gw2.embed("dog")
+
+
+@pytest.mark.parametrize("graph_section", [{"nope": 1}, {"merge_similarity": 7.0}])
+def test_graph_bad_graph_config_is_usage_error(suite, tmp_path, capsys, graph_section):
+    config_path = tmp_path / "graph.json"
+    config_path.write_text(json.dumps({"graph": graph_section}), encoding="utf-8")
+    code = main(["graph", "--bundle", str(suite["bundle_dir"]), "--config", str(config_path)])
+    assert code == 1
+    assert "bad config" in capsys.readouterr().err
+
+
+def test_run_malformed_cache_line_is_data_error(suite, tmp_path, capsys):
+    cache_path = tmp_path / "cache.json"
+    cache_path.write_text('{"k1": 1}\n{"k2": \n{"k3": 3}\n', encoding="utf-8")
+    config = json.loads(suite["config"].read_text(encoding="utf-8"))
+    config["cache_path"] = str(cache_path)
+    config_path = tmp_path / "cached.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    code = main([
+        "run", "--bundle", str(suite["bundle_dir"]), "--config", str(config_path),
+        "--question", "q?", "--options", "a", "b",
+    ])
+    assert code == 2
+    assert "cache.json:2" in capsys.readouterr().err
+
+
+def test_eval_counts_scripted_rounds_per_item(suite, tmp_path):
+    suite["script"].write_text(
+        '{"round": 1, "reply": "answer: B, confidence: 1, missing: more"}\n'
+        '{"reply": "answer: A, confidence: 3, missing: none"}\n',
+        encoding="utf-8",
+    )
+    out_dir = tmp_path / "rounds"
+    code = main([
+        "eval", "--qa", str(suite["qa"]), "--bundle", str(suite["bundle_root"]),
+        "--config", str(suite["config"]), "--out", str(out_dir), "--parallel", "2",
+    ])
+    assert code == 0
+    records = load_transcripts(out_dir / "transcripts.jsonl")
+    assert [len(r["rounds"]) for r in records] == [2, 2, 2]
+
+
+def test_parallel_eval_shares_one_file_cache(tmp_path, stub_server):
+    import sys
+
+    endpoint, state = stub_server
+    state.echo = True
+    root = tmp_path / "bundles"
+    for index in range(2):
+        save_bundle(make_bundle(video_id=f"v{index}", total_frames=40, seed=index), root / f"v{index}")
+    qa_path = save_qa(
+        [QAItem(f"v{i % 2}", f"what happens {i}?", OPTIONS, answer_index=0) for i in range(8)],
+        tmp_path / "qa",
+    )
+    remote = {"kind": "RemoteChat", "endpoint": endpoint, "model_name": "stub",
+              "retry_backoff": 0.001, "timeout": 5.0}
+    cache_path = tmp_path / "cache.jsonl"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "cache_path": str(cache_path),
+        "providers": {"default": {
+            "chat": remote, "caption": remote,
+            "embed": {"kind": "Scripted", "embed_dim": 8},
+        }},
+    }), encoding="utf-8")
+
+    def evaluate(out):
+        return main(["eval", "--qa", str(qa_path), "--bundle", str(root),
+                     "--config", str(config_path), "--out", str(out), "--parallel", "4"])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        assert evaluate(tmp_path / "first") == 0
+        records = cache_path.read_text(encoding="utf-8").splitlines()
+        assert len(records) == len(set(state.requests))
+        assert all(len(json.loads(line)) == 1 for line in records)
+
+        state.requests.clear()
+        assert evaluate(tmp_path / "second") == 0
+        assert state.request_count == 0
+    finally:
+        sys.setswitchinterval(interval)
+    first = (tmp_path / "first" / "transcripts.jsonl").read_bytes()
+    assert (tmp_path / "second" / "transcripts.jsonl").read_bytes() == first
+    assert len(first.splitlines()) == 8

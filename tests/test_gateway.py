@@ -7,6 +7,7 @@ import pytest
 
 from conftest import make_bundle, remote_chat_config
 from graphvqa.errors import (
+    DataFormatError,
     GatewayConfigError,
     GatewayError,
     MissingCaptionError,
@@ -298,3 +299,117 @@ def test_cache_persists_to_disk(stub_server, tmp_path):
     reloaded = ModelGateway(chat=remote_chat_config(endpoint), cache=ResponseCache(cache_path))
     assert reloaded.chat([("user", "persist me")]) == first
     assert state.request_count == 1  # served from the reloaded cache
+
+
+def _cache_lines(path):
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def test_cache_put_appends_one_record_per_key(tmp_path):
+    path = tmp_path / "cache.json"
+    cache = ResponseCache(path)
+    cache.put("k1", {"v": 1})
+    before = path.read_bytes()
+    cache.put("k2", {"v": "ü"})
+    cache.put("k1", {"v": "ignored"})  # a concurrent miss on a cached key
+    assert path.read_bytes().startswith(before)
+    assert _cache_lines(path) == [{"k1": {"v": 1}}, {"k2": {"v": "ü"}}]
+    assert cache.get("k1") == {"v": 1}
+
+
+@pytest.mark.parametrize("tail", [b'{"k3": {"v": 3', '{"k3": "ü'.encode("utf-8")[:-1]])
+def test_cache_drops_truncated_last_line(tmp_path, tail):
+    path = tmp_path / "cache.json"
+    cache = ResponseCache(path)
+    cache.put("k1", {"v": 1})
+    cache.put("k2", {"v": 2})
+    with path.open("ab") as handle:
+        handle.write(tail)
+
+    reloaded = ResponseCache(path)
+    assert (reloaded.get("k1"), reloaded.get("k2"), reloaded.get("k3")) == ({"v": 1}, {"v": 2}, None)
+    reloaded.put("k4", {"v": 4})
+    again = ResponseCache(path)
+    assert [again.get(k) for k in ("k1", "k2", "k4")] == [{"v": 1}, {"v": 2}, {"v": 4}]
+    assert len(_cache_lines(path)) == 3
+
+
+def test_cache_reads_single_object_file_and_serves_hits(stub_server, tmp_path):
+    endpoint, state = stub_server
+    state.echo = True
+    path = tmp_path / "cache.json"
+    gateway = ModelGateway(chat=remote_chat_config(endpoint), cache=ResponseCache(path))
+    replies = [gateway.chat([("user", p)]) for p in ("alpha", "beta")]
+    merged = {k: v for record in _cache_lines(path) for k, v in record.items()}
+    # one object on one line, no trailing newline
+    path.write_text(json.dumps(merged, sort_keys=True, ensure_ascii=False), encoding="utf-8")
+
+    reloaded = ModelGateway(chat=remote_chat_config(endpoint), cache=ResponseCache(path))
+    assert [reloaded.chat([("user", p)]) for p in ("alpha", "beta")] == replies
+    assert state.request_count == 2
+    reloaded.chat([("user", "gamma")])
+    assert len(_cache_lines(path)) == 2  # the next record starts its own line
+    assert ResponseCache(path).get(next(iter(merged))) is not None
+
+
+def test_cache_malformed_middle_line_raises(tmp_path):
+    path = tmp_path / "cache.json"
+    path.write_text('{"k1": 1}\nnot json\n{"k2": 2}\n', encoding="utf-8")
+    with pytest.raises(DataFormatError, match=":2:"):
+        ResponseCache(path)
+    path.write_text('{"k1": 1}\n[1, 2]\n', encoding="utf-8")
+    with pytest.raises(DataFormatError, match="not a JSON object"):
+        ResponseCache(path)
+
+
+def test_session_views_share_cache_but_count_chat_calls_apart(stub_server):
+    endpoint, state = stub_server
+    state.echo = True
+    shared = ModelGateway(
+        chat=ProviderConfig(kind=SCRIPTED),
+        caption=remote_chat_config(endpoint),
+        cache=ResponseCache(),
+        chat_script=[ScriptEntry(reply="first", round=1), ScriptEntry(reply="later")],
+    )
+    bundle = make_bundle(total_frames=4)
+    one, two = shared.for_session(), shared.for_session()
+    assert [one.chat([("user", "q")]), one.chat([("user", "q")])] == ["first", "later"]
+    assert two.chat([("user", "q")]) == "first"
+    assert one.caption(3, bundle) == two.caption(3, bundle)
+    assert state.request_count == 1
+    assert one.cache is two.cache is shared.cache
+    assert one._semaphore(one.caption_cfg) is two._semaphore(two.caption_cfg)
+
+
+@pytest.mark.parametrize("reply", [None, b"garbage\r\n\r\n"])
+def test_remote_transport_failures_retry(reply):
+    # None: the server accepts nothing, so every read times out;
+    # bytes: it answers with something that is not HTTP.
+    import socket
+    import threading
+
+    server = socket.socket()
+    server.bind(("127.0.0.1", 0))
+    server.listen(4)
+
+    def answer():
+        for _ in range(2):
+            conn, _addr = server.accept()
+            with conn:
+                conn.recv(65536)
+                conn.sendall(reply)
+
+    thread = threading.Thread(target=answer, daemon=True) if reply else None
+    if thread:
+        thread.start()
+    endpoint = f"http://127.0.0.1:{server.getsockname()[1]}"
+    try:
+        gateway = ModelGateway(chat=remote_chat_config(endpoint, max_retries=1, timeout=0.3))
+        with pytest.raises(GatewayError, match="transport error") as info:
+            gateway.chat([("user", "hi")])
+        assert info.value.attempts == 2
+        if thread:
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+    finally:
+        server.close()

@@ -51,6 +51,17 @@ def edge_views(graph):
 
 # -- upsert_entity -------------------------------------------------------------
 
+@pytest.mark.parametrize("value", [-1.0, 1.0])
+def test_merge_similarity_accepts_cosine_range(value):
+    assert GraphConfig(merge_similarity=value).merge_similarity == value
+
+
+@pytest.mark.parametrize("value", [7.0, -1.5])
+def test_merge_similarity_outside_cosine_range_rejected(value):
+    with pytest.raises(ValueError, match="merge_similarity"):
+        GraphConfig(merge_similarity=value)
+
+
 def test_upsert_creates_node():
     graph = VideoGraph()
     node_id = graph.upsert_entity(mention("dog"), 3)
