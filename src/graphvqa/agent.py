@@ -83,6 +83,8 @@ class AgentConfig:
             raise ValueError(
                 f"confidence_threshold must be in 1..3, got {self.confidence_threshold}"
             )
+        if self.prompt_template_path and not Path(self.prompt_template_path).is_file():
+            raise ValueError(f"prompt_template_path {self.prompt_template_path!r} is not a file")
 
 
 @dataclass
@@ -351,7 +353,7 @@ class VideoAgent:
         query_embedding = None
         if self.gateway.has_embedder:
             try:
-                query_embedding = self.gateway.embed(question)
+                query_embedding = self.gateway.embed(question, self.bundle)
             except GatewayError:
                 query_embedding = None
 

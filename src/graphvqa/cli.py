@@ -27,7 +27,7 @@ from .errors import (
     GraphVQAError,
     LexiconError,
 )
-from .gateway import ModelGateway, ProviderConfig, ResponseCache, load_script
+from .gateway import ModelGateway, ProviderConfig, ResponseCache
 from .graph import FrameRecord, GraphConfig, VideoGraph
 from .harness import run_eval
 from .parsing import Lexicon, default_lexicon, load_lexicon, parse_caption
@@ -160,18 +160,11 @@ def build_gateway(config: dict, provider_name: Optional[str],
 
     cache_path = config.get("cache_path")
     cache = ResponseCache(cache_path) if cache_path else None
-    chat_cfg = provider("chat")
-    chat_script = None
-    if chat_cfg is not None and chat_cfg.kind == "Scripted":
-        if not chat_cfg.script_path:
-            raise GatewayConfigError("scripted chat provider needs script_path")
-        chat_script = load_script(chat_cfg.script_path)
     return ModelGateway(
-        chat=chat_cfg,
+        chat=provider("chat"),
         caption=provider("caption"),
         embed=provider("embed"),
         cache=cache,
-        chat_script=chat_script,
     )
 
 

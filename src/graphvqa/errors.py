@@ -30,10 +30,6 @@ class DimensionError(GraphVQAError):
     """Embedding vectors of incompatible dimensions were mixed."""
 
 
-class UnknownEntityError(GraphVQAError):
-    """An entity id was not found in the graph, or was never observed in range."""
-
-
 class GatewayError(GraphVQAError):
     """A model backend call failed after exhausting retries, or returned garbage."""
 

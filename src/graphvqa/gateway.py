@@ -34,7 +34,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -128,8 +128,12 @@ def load_script(path: Union[str, Path]) -> list[ScriptEntry]:
 
     Keys: reply (required), round (int), contains (str), contains_all (list).
     """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise GatewayConfigError(f"cannot read script {path}: {exc.strerror}") from exc
     entries = []
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -279,7 +283,12 @@ class ModelGateway:
         self.cache = cache
         self._scripted_chat: Optional[ScriptedChat] = None
         if chat is not None and chat.kind == SCRIPTED:
-            entries = list(chat_script) if chat_script else load_script(chat.script_path)
+            if chat_script:
+                entries = list(chat_script)
+            elif chat.script_path:
+                entries = load_script(chat.script_path)
+            else:
+                raise GatewayConfigError("scripted chat provider needs script_path")
             self._scripted_chat = ScriptedChat(entries)
         self._semaphores: dict[str, threading.Semaphore] = {}
 
@@ -291,11 +300,7 @@ class ModelGateway:
             view._scripted_chat = ScriptedChat(self._scripted_chat.entries)
         return view
 
-    # -- chat -----------------------------------------------------------------
-
-    @property
-    def has_chat(self) -> bool:
-        return self.chat_cfg is not None
+    # -- chat and captions --------------------------------------------------------
 
     def chat(self, messages: Sequence[Message]) -> str:
         """Return the assistant's reply text for a message list."""
@@ -305,31 +310,7 @@ class ModelGateway:
         if cfg.kind == SCRIPTED:
             prompt = "\n".join(text for _, text in messages)
             return self._scripted_chat.reply(prompt)
-        if cfg.kind != REMOTE_CHAT:
-            raise GatewayConfigError(f"provider kind {cfg.kind} cannot serve chat")
-        body = json.dumps(
-            {
-                "model": cfg.model_name,
-                "messages": [{"role": role, "content": text} for role, text in messages],
-                "temperature": cfg.temperature,
-            },
-            sort_keys=True,
-            ensure_ascii=False,
-        )
-        payload = self._post_with_retries(cfg, f"{cfg.endpoint.rstrip('/')}/v1/chat/completions", body)
-        try:
-            reply = payload["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise GatewayError(f"malformed chat payload: missing {exc!r}") from exc
-        if not isinstance(reply, str):
-            raise GatewayError(f"malformed chat payload: content is {type(reply).__name__}")
-        return reply
-
-    # -- captions ---------------------------------------------------------------
-
-    @property
-    def has_captioner(self) -> bool:
-        return self.caption_cfg is not None
+        return self._complete(cfg, messages, "chat")
 
     def can_caption(self, frame_index: int, bundle: VideoBundle) -> bool:
         if self.caption_cfg is None:
@@ -347,17 +328,20 @@ class ModelGateway:
                     f"no caption for frame {frame_index} of video {bundle.video_id!r}"
                 )
             return bundle.captions[frame_index]
+        prompt = f"Caption frame {frame_index} of video {bundle.video_id}."
+        return self._complete(cfg, [("user", prompt)], "caption")
+
+    def _complete(self, cfg: ProviderConfig, messages: Sequence[Message], lane: str) -> str:
+        """POST one chat completion and return the first choice's text.
+
+        The request body doubles as the cache key, so its rendering is fixed.
+        """
         if cfg.kind != REMOTE_CHAT:
-            raise GatewayConfigError(f"provider kind {cfg.kind} cannot serve captions")
+            raise GatewayConfigError(f"provider kind {cfg.kind} cannot serve {lane}")
         body = json.dumps(
             {
                 "model": cfg.model_name,
-                "messages": [
-                    {
-                        "role": "user",
-                        "content": f"Caption frame {frame_index} of video {bundle.video_id}.",
-                    }
-                ],
+                "messages": [{"role": role, "content": text} for role, text in messages],
                 "temperature": cfg.temperature,
             },
             sort_keys=True,
@@ -365,10 +349,12 @@ class ModelGateway:
         )
         payload = self._post_with_retries(cfg, f"{cfg.endpoint.rstrip('/')}/v1/chat/completions", body)
         try:
-            text = payload["choices"][0]["message"]["content"]
+            content = payload["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
-            raise GatewayError(f"malformed caption payload: missing {exc!r}") from exc
-        return str(text)
+            raise GatewayError(f"malformed {lane} payload: missing {exc!r}") from exc
+        if not isinstance(content, str):
+            raise GatewayError(f"malformed {lane} payload: content is {type(content).__name__}")
+        return content
 
     # -- embeddings ---------------------------------------------------------------
 

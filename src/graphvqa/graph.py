@@ -1,7 +1,7 @@
 """Dynamic entity-relation graph memory.
 
 Nodes track one visual entity each: appearance frames, a running-mean feature
-vector, caption snippets, and a state history. Edges are typed predicates
+vector, and a state history. Edges are typed predicates
 (Spatial / Interaction / Action) between two entities, with the frames at
 which each relation was observed. The graph is append-only: updates add
 frames, nodes, edges, and state events, and bump a monotone version counter.
@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .errors import DimensionError, UnknownEntityError
+from .errors import DimensionError
 from .parsing import CaptionParse, EntityType, Mention, QueryParse, RelationCategory
 
 NEUTRAL_STATE = "neutral"
@@ -27,17 +27,11 @@ NEUTRAL_STATE = "neutral"
 
 @dataclass
 class GraphConfig:
-    """Knobs for coherence scoring and coreference merging."""
+    """Coreference-merge threshold."""
 
-    coherence_alpha: float = 0.5
-    window: int = 5
     merge_similarity: float = 0.85
 
     def __post_init__(self):
-        if not 0.0 <= self.coherence_alpha <= 1.0:
-            raise ValueError(f"coherence_alpha must be in [0, 1], got {self.coherence_alpha}")
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
         if not -1.0 <= self.merge_similarity <= 1.0:
             raise ValueError(
                 f"merge_similarity is a cosine and must be in [-1, 1], got {self.merge_similarity}"
@@ -63,7 +57,6 @@ class EntityNode:
     frame_indices: list[int] = field(default_factory=list)
     feature: Optional[list[float]] = None
     feature_count: int = 0
-    caption_snippets: list[tuple[int, str]] = field(default_factory=list)
     state_history: list[tuple[int, str]] = field(default_factory=list)
     aliases: list[str] = field(default_factory=list)
 
@@ -130,19 +123,6 @@ class VideoGraph:
         node_id = self._lemma_index.get(lemma.lower())
         return self.nodes[node_id] if node_id is not None else None
 
-    def require_node(self, entity_id: int) -> EntityNode:
-        try:
-            return self.nodes[entity_id]
-        except KeyError:
-            raise UnknownEntityError(f"no entity with id {entity_id}") from None
-
-    def appearance_intervals(self, entity_id: int) -> list[int]:
-        """Sorted copy of the entity's appearance frames."""
-        return list(self.require_node(entity_id).frame_indices)
-
-    def incident_edges(self, entity_id: int) -> list[RelationEdge]:
-        return [e for e in self.edges.values() if entity_id in (e.src, e.dst)]
-
     # -- mutation -----------------------------------------------------------
 
     def _embedding_dim(self) -> Optional[int]:
@@ -156,7 +136,6 @@ class VideoGraph:
         mention: Mention,
         frame: int,
         embedding: Optional[Sequence[float]] = None,
-        snippet: Optional[str] = None,
     ) -> int:
         """Insert or merge one mention observation; returns the node id.
 
@@ -192,10 +171,6 @@ class VideoGraph:
             return node.id
 
         bisect.insort(node.frame_indices, frame)
-        if snippet is not None:
-            pair = (frame, snippet)
-            if pair not in node.caption_snippets:
-                node.caption_snippets.append(pair)
         if embedding is not None:
             vector = [float(x) for x in embedding]
             if node.feature is None:
@@ -298,9 +273,7 @@ class VideoGraph:
             self._frame_set.add(frame)
             ids: dict[str, int] = {}
             for mention in parse.mentions:
-                ids[mention.lemma] = self.upsert_entity(
-                    mention, frame, embedding=record.embedding, snippet=record.caption or None
-                )
+                ids[mention.lemma] = self.upsert_entity(mention, frame, embedding=record.embedding)
             for triple in parse.triples:
                 self._record_triple(
                     ids[triple.subject.lemma], triple.predicate,
@@ -310,58 +283,6 @@ class VideoGraph:
                 self._record_state(ids[mention.lemma], frame, label)
         self.version += 1
         return self
-
-    # -- temporal coherence scoring ------------------------------------------
-
-    def _observations_until(self, entity_id: int, frame: int) -> list[int]:
-        node = self.require_node(entity_id)
-        upto = bisect.bisect_right(node.frame_indices, frame)
-        observed = node.frame_indices[:upto]
-        if not observed:
-            raise UnknownEntityError(
-                f"entity {entity_id} has no observation at or before frame {frame}"
-            )
-        return observed
-
-    def state_consistency(self, entity_id: int, frame: int) -> float:
-        """Fraction of the entity's last `window` observations (at or before
-        `frame`) whose effective state matches the effective state at `frame`.
-        Fewer than two observations score 1.0."""
-        observed = self._observations_until(entity_id, frame)
-        if len(observed) < 2:
-            return 1.0
-        node = self.nodes[entity_id]
-        recent = observed[-self.config.window:]
-        target = node.effective_state(frame)
-        matches = sum(1 for f in recent if node.effective_state(f) == target)
-        return matches / len(recent)
-
-    def relation_persistence(self, entity_id: int, frame: int) -> float:
-        """Of the entity's edges observed at `frame`, the fraction also seen
-        in any of the prior `window` processed frames. No edges at the frame
-        scores 0.0."""
-        self._observations_until(entity_id, frame)
-        edges_at_frame = [
-            e for e in self.incident_edges(entity_id) if frame in e.frame_indices
-        ]
-        if not edges_at_frame:
-            return 0.0
-        cutoff = bisect.bisect_left(self.processed_frames, frame)
-        previous = set(self.processed_frames[max(0, cutoff - self.config.window):cutoff])
-        if not previous:
-            return 0.0
-        persisted = sum(
-            1 for e in edges_at_frame if previous.intersection(e.frame_indices)
-        )
-        return persisted / len(edges_at_frame)
-
-    def temporal_coherence(self, entity_id: int, frame: int) -> float:
-        """Convex combination of state consistency and relation persistence."""
-        alpha = self.config.coherence_alpha
-        return (
-            alpha * self.state_consistency(entity_id, frame)
-            + (1.0 - alpha) * self.relation_persistence(entity_id, frame)
-        )
 
     # -- prompt-ready summaries ----------------------------------------------
 

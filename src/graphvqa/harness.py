@@ -20,7 +20,7 @@ from .errors import DataFormatError
 from .gateway import ModelGateway
 from .graph import VideoGraph
 from .parsing import Lexicon
-from .store import QAItem, VideoBundle, load_bundle, load_qa, save_transcript, transcript_record
+from .store import QAItem, VideoBundle, load_bundle, load_qa, save_transcript
 
 logger = logging.getLogger(__name__)
 
@@ -201,25 +201,3 @@ def _aggregate(results: Sequence[_ItemResult]) -> EvalReport:
         failures=failures,
     )
 
-
-def replay_report(transcripts_path: Union[str, Path], qa_path: Union[str, Path]) -> dict:
-    """Recompute headline numbers from stored transcripts (no sessions run)."""
-    from .store import load_transcripts
-
-    records = load_transcripts(transcripts_path)
-    items = load_qa(qa_path)
-    by_key = {(r["video_id"], r["question"]): r for r in records}
-    scored = []
-    frames = []
-    for item in items:
-        record = by_key.get((item.video_id, item.question))
-        if record is None:
-            continue
-        frames.append(record["frames_used"])
-        if item.answer_index is not None:
-            scored.append(record["final_answer"] == item.answer_index)
-    return {
-        "n_transcripts": len(records),
-        "accuracy": sum(scored) / len(scored) if scored else 0.0,
-        "mean_frames_used": sum(frames) / len(frames) if frames else 0.0,
-    }

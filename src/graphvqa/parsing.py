@@ -26,7 +26,7 @@ job (lemma merging).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from importlib import resources
@@ -190,10 +190,9 @@ class CaptionParse:
 
 @dataclass(frozen=True)
 class QueryParse:
-    """Question-side extraction: entities and verb predicates to look for."""
+    """Question-side extraction: the entities to look for."""
 
     entities: tuple[Mention, ...]
-    predicates: tuple[tuple[str, RelationCategory], ...]
     raw_question: str
 
 
@@ -202,8 +201,12 @@ class QueryParse:
 # ---------------------------------------------------------------------------
 
 def _read_lines(path: Path) -> list[str]:
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise LexiconError(f"cannot read lexicon file {path}: {exc.strerror}") from exc
     lines = []
-    for raw in path.read_text(encoding="utf-8").splitlines():
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -557,11 +560,10 @@ def parse_caption(caption: str, frame_index: int, lex: Optional[Lexicon] = None)
 
 
 def parse_question(question: str, options: Sequence[str], lex: Optional[Lexicon] = None) -> QueryParse:
-    """Extract query entities and verb predicates from a question plus options.
+    """Extract query entities from a question plus options.
 
     Entities are the union over question and option texts, deduplicated by
-    lemma (question first). Predicates are interaction/action verbs only;
-    prepositions are too common in questions to be selective.
+    lemma (question first).
     """
     if not question:
         raise ValueError("question must be nonempty")
@@ -571,17 +573,9 @@ def parse_question(question: str, options: Sequence[str], lex: Optional[Lexicon]
 
     entities: list[Mention] = []
     seen: set[str] = set()
-    predicates: list[tuple[str, RelationCategory]] = []
-    seen_preds: set[str] = set()
     for text in [question, *options]:
         for mention in extract_mentions(text, lex):
             if mention.lemma not in seen:
                 seen.add(mention.lemma)
                 entities.append(_classified(mention, lex))
-        for token in _analyze(text, lex):
-            category = lex.predicate_category(token.lemma)
-            if category in (RelationCategory.INTERACTION, RelationCategory.ACTION):
-                if token.lemma not in seen_preds:
-                    seen_preds.add(token.lemma)
-                    predicates.append((token.lemma, category))
-    return QueryParse(tuple(entities), tuple(predicates), question)
+    return QueryParse(tuple(entities), question)

@@ -18,15 +18,12 @@ frame index.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .graph import VideoGraph
+from .graph import VideoGraph, cosine_similarity
 from .parsing import QueryParse
-
-logger = logging.getLogger(__name__)
 
 Candidate = tuple[int, Optional[Sequence[float]]]
 
@@ -83,19 +80,11 @@ def graph_score_raw(frame: int, graph: VideoGraph, query: Optional[QueryParse],
 
 def visual_score_raw(frame_embedding: Optional[Sequence[float]],
                      query_embedding: Optional[Sequence[float]]) -> float:
-    """Cosine similarity mapped to [0, 1]; 0.5 when either side is unusable."""
+    """Cosine similarity mapped to [0, 1]; 0.5 when either side is missing
+    or a zero vector (whose cosine is 0)."""
     if frame_embedding is None or query_embedding is None:
         return 0.5
-    if len(frame_embedding) != len(query_embedding):
-        raise ValueError(
-            f"embedding dims differ: {len(frame_embedding)} vs {len(query_embedding)}"
-        )
-    norm_f = math.sqrt(sum(x * x for x in frame_embedding))
-    norm_q = math.sqrt(sum(x * x for x in query_embedding))
-    if norm_f == 0.0 or norm_q == 0.0:
-        logger.debug("zero-norm embedding encountered; scoring neutral 0.5")
-        return 0.5
-    cos = sum(x * y for x, y in zip(frame_embedding, query_embedding)) / (norm_f * norm_q)
+    cos = cosine_similarity(frame_embedding, query_embedding)
     return (1.0 + max(-1.0, min(1.0, cos))) / 2.0
 
 

@@ -11,10 +11,11 @@ On-disk bundle layout (one directory per video, all files UTF-8):
                  "options", "answer_index"?, "category"?,
                  "entity_count_bucket"?} (optional file)
 
-Graphs serialize to a single JSON document with an explicit schema_version.
-Floats survive exactly: JSON rendering uses repr, which round-trips every
-finite double. Transcripts append one JSON record per session, retrievable
-by (video_id, sha256(question)).
+Graphs serialize to a single JSON document with an explicit schema_version
+(2; version 1 documents still load, and their coherence settings and caption
+snippets are ignored). Floats survive exactly: JSON rendering uses repr,
+which round-trips every finite double. Transcripts append one JSON record
+per session, keyed by video_id and the question's sha256.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from .errors import DataFormatError, DimensionError, SchemaVersionError
 from .graph import EntityNode, GraphConfig, RelationEdge, VideoGraph
 from .parsing import EntityType, RelationCategory
 
-GRAPH_SCHEMA_VERSION = 1
+GRAPH_SCHEMA_VERSION = 2
+READABLE_GRAPH_SCHEMAS = (1, 2)
 TRANSCRIPT_SCHEMA_VERSION = 1
 
 CATEGORIES = ("Causal", "Temporal", "Descriptive")
@@ -264,11 +266,7 @@ def save_graph(graph: VideoGraph) -> bytes:
     """Serialize a graph to a UTF-8 JSON document (exact float round-trip)."""
     payload = {
         "schema_version": GRAPH_SCHEMA_VERSION,
-        "config": {
-            "coherence_alpha": graph.config.coherence_alpha,
-            "window": graph.config.window,
-            "merge_similarity": graph.config.merge_similarity,
-        },
+        "config": {"merge_similarity": graph.config.merge_similarity},
         "version": graph.version,
         "processed_frames": list(graph.processed_frames),
         "nodes": [
@@ -279,7 +277,6 @@ def save_graph(graph: VideoGraph) -> bytes:
                 "frame_indices": list(node.frame_indices),
                 "feature": node.feature,
                 "feature_count": node.feature_count,
-                "caption_snippets": [[frame, text] for frame, text in node.caption_snippets],
                 "state_history": [[frame, label] for frame, label in node.state_history],
                 "aliases": list(node.aliases),
             }
@@ -308,14 +305,10 @@ def load_graph(blob: bytes) -> VideoGraph:
         raise DataFormatError(f"unreadable graph payload: {exc}") from exc
     if not isinstance(payload, dict) or "schema_version" not in payload:
         raise DataFormatError("graph payload missing schema_version")
-    if payload["schema_version"] != GRAPH_SCHEMA_VERSION:
-        raise SchemaVersionError(payload["schema_version"], GRAPH_SCHEMA_VERSION)
+    if payload["schema_version"] not in READABLE_GRAPH_SCHEMAS:
+        raise SchemaVersionError(payload["schema_version"], READABLE_GRAPH_SCHEMAS)
     try:
-        config = GraphConfig(
-            coherence_alpha=payload["config"]["coherence_alpha"],
-            window=payload["config"]["window"],
-            merge_similarity=payload["config"]["merge_similarity"],
-        )
+        config = GraphConfig(merge_similarity=payload["config"]["merge_similarity"])
         nodes = {}
         for obj in payload["nodes"]:
             node = EntityNode(
@@ -325,7 +318,6 @@ def load_graph(blob: bytes) -> VideoGraph:
                 frame_indices=list(obj["frame_indices"]),
                 feature=obj["feature"],
                 feature_count=obj["feature_count"],
-                caption_snippets=[(frame, text) for frame, text in obj["caption_snippets"]],
                 state_history=[(frame, label) for frame, label in obj["state_history"]],
                 aliases=list(obj["aliases"]),
             )
@@ -414,12 +406,3 @@ def load_transcripts(path: Union[str, Path]) -> list[dict]:
         records.append(record)
     return records
 
-
-def find_transcript(path: Union[str, Path], video_id: str, question: str) -> Optional[dict]:
-    """Latest stored record for (video_id, question), or None."""
-    digest = question_digest(question)
-    match = None
-    for record in load_transcripts(path):
-        if record["video_id"] == video_id and record["question_sha256"] == digest:
-            match = record
-    return match

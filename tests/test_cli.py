@@ -180,7 +180,12 @@ def test_seed_flag_changes_scripted_embeddings(suite):
     assert gw1.embed("dog") != gw2.embed("dog")
 
 
-@pytest.mark.parametrize("graph_section", [{"nope": 1}, {"merge_similarity": 7.0}])
+@pytest.mark.parametrize("graph_section", [
+    {"nope": 1},
+    {"merge_similarity": 7.0},
+    {"window": 5},
+    {"coherence_alpha": 0.5},
+])
 def test_graph_bad_graph_config_is_usage_error(suite, tmp_path, capsys, graph_section):
     config_path = tmp_path / "graph.json"
     config_path.write_text(json.dumps({"graph": graph_section}), encoding="utf-8")
@@ -264,3 +269,68 @@ def test_parallel_eval_shares_one_file_cache(tmp_path, stub_server):
     first = (tmp_path / "first" / "transcripts.jsonl").read_bytes()
     assert (tmp_path / "second" / "transcripts.jsonl").read_bytes() == first
     assert len(first.splitlines()) == 8
+
+
+def write_config(tmp_path, suite, **changes):
+    """The suite's config with top-level keys replaced, written to a new file."""
+    config = json.loads(suite["config"].read_text(encoding="utf-8"))
+    config.update(changes)
+    path = tmp_path / "changed.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return path
+
+
+def test_scripted_query_embedding_takes_bundle_dim(tmp_path, suite, capsys):
+    # Frames embed at the bundle's 8 dims; the question must too, although
+    # the scripted embedder is configured for 16.
+    bundle_dir = save_bundle(make_bundle(video_id="v8", total_frames=60, dim=8), tmp_path / "v8")
+    suite["script"].write_text('{"reply": "answer: B, confidence: 1, missing: more"}\n',
+                               encoding="utf-8")
+    code = main([
+        "run", "--bundle", str(bundle_dir), "--config", str(suite["config"]),
+        "--question", "what does the dog hold?", "--options", *OPTIONS,
+        "--out", str(tmp_path / "out"),
+    ])
+    assert code == 0, capsys.readouterr().err
+    record = load_transcripts(tmp_path / "out" / "transcripts.jsonl")[0]
+    assert len(record["rounds"]) == 3
+    assert record["terminated_by"] == "RoundLimit"
+    assert all(r["frames_added"] for r in record["rounds"][:2])
+
+
+def test_missing_script_file_is_config_error(tmp_path, suite, capsys):
+    suite["script"].unlink()
+    code = main([
+        "run", "--bundle", str(suite["bundle_dir"]), "--config", str(suite["config"]),
+        "--question", "q?", "--options", "a", "b",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "script.jsonl" in err
+
+
+def test_missing_lexicon_dir_is_data_error(tmp_path, suite, capsys):
+    config_path = write_config(tmp_path, suite, lexicon_dir=str(tmp_path / "no_lexicon"))
+    code = main([
+        "run", "--bundle", str(suite["bundle_dir"]), "--config", str(config_path),
+        "--question", "q?", "--options", "a", "b",
+    ])
+    assert code == 2
+    assert "no_lexicon" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "eval"])
+def test_missing_prompt_template_is_bad_config(tmp_path, suite, capsys, command):
+    config_path = write_config(tmp_path, suite, agent={
+        "prompt_template_path": str(tmp_path / "no_template.txt"),
+    })
+    out_dir = tmp_path / "out"
+    if command == "run":
+        argv = ["run", "--bundle", str(suite["bundle_dir"]),
+                "--question", "q?", "--options", "a", "b"]
+    else:
+        argv = ["eval", "--qa", str(suite["qa"]), "--bundle", str(suite["bundle_root"])]
+    code = main([*argv, "--config", str(config_path), "--out", str(out_dir)])
+    assert code == 1
+    assert "bad config" in capsys.readouterr().err
+    assert not out_dir.exists()

@@ -262,6 +262,44 @@ def test_remote_caption_uses_frame_reference(stub_server):
     assert "vidX" in body["messages"][0]["content"]
 
 
+def test_remote_chat_and_caption_request_bodies_pinned(stub_server):
+    # Request bodies are the cache keys: any change in their rendering makes
+    # every persisted cache miss.
+    endpoint, state = stub_server
+    state.responses.extend([(200, chat_ok("r1")), (200, chat_ok("r2"))])
+    bundle = make_bundle(video_id="vidX", total_frames=10)
+    config = remote_chat_config(endpoint, temperature=0.25)
+    gateway = ModelGateway(chat=config, caption=config)
+    gateway.chat([("user", "héllo"), ("assistant", "a"), ("user", "b")])
+    gateway.caption(7, bundle)
+    assert state.requests == [
+        '{"messages": [{"content": "héllo", "role": "user"}, '
+        '{"content": "a", "role": "assistant"}, {"content": "b", "role": "user"}], '
+        '"model": "stub-model", "temperature": 0.25}',
+        '{"messages": [{"content": "Caption frame 7 of video vidX.", "role": "user"}], '
+        '"model": "stub-model", "temperature": 0.25}',
+    ]
+
+
+@pytest.mark.parametrize("content", [None, 7, ["a dog"]])
+def test_remote_non_string_content_is_malformed(stub_server, content):
+    endpoint, state = stub_server
+    reply = json.dumps({"choices": [{"message": {"content": content}}]})
+    state.responses.extend([(200, reply), (200, reply)])
+    bundle = make_bundle(total_frames=4)
+    config = remote_chat_config(endpoint)
+    gateway = ModelGateway(chat=config, caption=config)
+    with pytest.raises(GatewayError, match="malformed caption payload"):
+        gateway.caption(1, bundle)
+    with pytest.raises(GatewayError, match="malformed chat payload"):
+        gateway.chat([("user", "hi")])
+
+
+def test_scripted_chat_needs_script_path():
+    with pytest.raises(GatewayConfigError, match="script_path"):
+        ModelGateway(chat=ProviderConfig(kind=SCRIPTED))
+
+
 # -- cache ------------------------------------------------------------------------------------
 
 def test_cache_serves_second_identical_call(stub_server):

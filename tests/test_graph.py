@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from graphvqa.errors import DimensionError, UnknownEntityError
+from graphvqa.errors import DimensionError
 from graphvqa.graph import FrameRecord, GraphConfig, VideoGraph, cosine_similarity
 from graphvqa.parsing import (
     CaptionParse,
@@ -129,9 +129,9 @@ def test_upsert_feature_running_mean():
 
 def test_upsert_idempotent_for_same_lemma_and_frame():
     graph = VideoGraph()
-    graph.upsert_entity(mention("dog"), 4, embedding=[1.0, 0.0], snippet="a dog")
+    graph.upsert_entity(mention("dog"), 4, embedding=[1.0, 0.0])
     before = save_graph(graph)
-    graph.upsert_entity(mention("dog"), 4, embedding=[1.0, 0.0], snippet="a dog")
+    graph.upsert_entity(mention("dog"), 4, embedding=[1.0, 0.0])
     assert save_graph(graph) == before
 
 
@@ -214,111 +214,16 @@ def test_graph_is_append_only():
     assert graph.version == 2
 
 
-# -- temporal coherence ------------------------------------------------------------
+# -- summarize ---------------------------------------------------------------------
 
-def dog_history(window=4, captions=None) -> VideoGraph:
-    graph = VideoGraph(config=GraphConfig(window=window))
-    ingest(graph, captions or {
+def dog_history() -> VideoGraph:
+    return ingest(VideoGraph(), {
         1: "the dog sits",
         2: "the dog sits",
         3: "the dog becomes angry",
         4: "the dog sits",
     })
-    return graph
 
-
-def dog_id(graph):
-    return graph.node_for_lemma("dog").id
-
-
-def test_state_consistency_constant_state_is_one():
-    graph = dog_history(captions={f: "the dog sits" for f in range(5)})
-    assert graph.state_consistency(dog_id(graph), 4) == 1.0
-
-
-def test_state_consistency_windowed_fraction():
-    graph = dog_history(window=4)
-    # effective states at frames 1..4: neutral, neutral, angry, angry
-    assert graph.state_consistency(dog_id(graph), 4) == 0.5
-
-
-def test_state_consistency_single_observation_is_one():
-    graph = dog_history(captions={3: "the dog sits"})
-    assert graph.state_consistency(dog_id(graph), 3) == 1.0
-
-
-def test_state_consistency_unknown_entity_errors():
-    graph = dog_history()
-    with pytest.raises(UnknownEntityError):
-        graph.state_consistency(999, 4)
-    with pytest.raises(UnknownEntityError):
-        graph.state_consistency(dog_id(graph), 0)  # first sighting is frame 1
-
-
-def test_relation_persistence_no_edges_is_zero():
-    graph = dog_history()
-    assert graph.relation_persistence(dog_id(graph), 4) == 0.0
-
-
-def test_relation_persistence_half():
-    graph = VideoGraph(config=GraphConfig(window=5))
-    ingest(graph, {0: "the dog plays with the toy"})
-    ingest(graph, {1: "the dog plays with the toy. the dog barks at the person"})
-    assert graph.relation_persistence(dog_id(graph), 1) == 0.5
-
-
-def test_relation_persistence_all_repeated():
-    graph = VideoGraph()
-    ingest(graph, {0: "the dog plays with the toy"})
-    ingest(graph, {1: "the dog plays with the toy"})
-    assert graph.relation_persistence(dog_id(graph), 1) == 1.0
-
-
-def test_temporal_coherence_is_convex_combination():
-    graph = dog_history(window=4)
-    entity = dog_id(graph)
-    s = graph.state_consistency(entity, 4)
-    r = graph.relation_persistence(entity, 4)
-    for alpha in (0.0, 0.3, 0.5, 1.0):
-        graph.config.coherence_alpha = alpha
-        expected = alpha * s + (1 - alpha) * r
-        assert graph.temporal_coherence(entity, 4) == pytest.approx(expected, abs=1e-12)
-        assert 0.0 <= graph.temporal_coherence(entity, 4) <= 1.0
-    graph.config.coherence_alpha = 1.0
-    assert graph.temporal_coherence(entity, 4) == s
-    graph.config.coherence_alpha = 0.0
-    assert graph.temporal_coherence(entity, 4) == r
-
-
-# -- appearance intervals -------------------------------------------------------------
-
-def test_appearance_intervals_tracks_all_sightings():
-    graph = VideoGraph()
-    for frame in [1, 28, 55, 82, 109]:
-        ingest(graph, {frame: "the boy holds the sword"})
-    boy = graph.node_for_lemma("boy").id
-    assert graph.appearance_intervals(boy) == [1, 28, 55, 82, 109]
-
-
-def test_appearance_intervals_single_and_sorted():
-    graph = VideoGraph()
-    graph.upsert_entity(mention("dog"), 7)
-    graph.upsert_entity(mention("dog"), 3)
-    node = graph.node_for_lemma("dog")
-    assert graph.appearance_intervals(node.id) == [3, 7]
-    with pytest.raises(UnknownEntityError):
-        graph.appearance_intervals(12345)
-
-
-def test_appearance_intervals_returns_copy():
-    graph = VideoGraph()
-    graph.upsert_entity(mention("dog"), 0)
-    node = graph.node_for_lemma("dog")
-    graph.appearance_intervals(node.id).append(99)
-    assert node.frame_indices == [0]
-
-
-# -- summarize ---------------------------------------------------------------------
 
 def test_summarize_empty_graph_placeholders():
     entity, relation, temporal = VideoGraph().summarize(None, 512)
@@ -372,13 +277,6 @@ def test_summarize_deterministic():
 
 
 # -- config validation ----------------------------------------------------------------
-
-def test_graph_config_validation():
-    with pytest.raises(ValueError):
-        GraphConfig(coherence_alpha=1.5)
-    with pytest.raises(ValueError):
-        GraphConfig(window=0)
-
 
 def test_cosine_similarity_basics():
     assert cosine_similarity([1.0, 0.0], [1.0, 0.0]) == pytest.approx(1.0)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphvqa.errors import DimensionError
 from graphvqa.gateway import pseudo_embedding
 from graphvqa.graph import FrameRecord, VideoGraph
 from graphvqa.parsing import default_lexicon, parse_caption, parse_question
@@ -99,7 +100,7 @@ def test_visual_score_missing_vector_neutral():
 
 
 def test_visual_score_dim_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionError):
         visual_score_raw([1.0], [1.0, 0.0])
 
 
