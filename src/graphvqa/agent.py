@@ -19,6 +19,7 @@ import hashlib
 import logging
 import math
 import re
+import string
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
@@ -44,6 +45,12 @@ _CONFIDENCE_RE = re.compile(r"\bconfidence\s*[:=]\s*[\(\[]?\s*(\d+)", re.IGNOREC
 _MISSING_RE = re.compile(
     r"\bmissing(?:[ _-]*info(?:rmation)?)?\s*[:=]\s*(.*)", re.IGNORECASE
 )
+
+# The placeholders render_prompt fills; a template may use no others.
+_TEMPLATE_FIELDS = frozenset({
+    "question", "options", "frame_captions",
+    "entity_summary", "relation_summary", "temporal_summary",
+})
 
 _RETRY_REMINDER = (
     "Your previous reply could not be parsed. Reply again and include the "
@@ -83,8 +90,12 @@ class AgentConfig:
             raise ValueError(
                 f"confidence_threshold must be in 1..3, got {self.confidence_threshold}"
             )
-        if self.prompt_template_path and not Path(self.prompt_template_path).is_file():
-            raise ValueError(f"prompt_template_path {self.prompt_template_path!r} is not a file")
+        if self.prompt_template_path:
+            if not Path(self.prompt_template_path).is_file():
+                raise ValueError(
+                    f"prompt_template_path {self.prompt_template_path!r} is not a file"
+                )
+            load_prompt_template(self.prompt_template_path)  # checks its placeholders
 
 
 @dataclass
@@ -176,11 +187,40 @@ def parse_reply(reply: str, option_count: int) -> Optional[tuple[int, int, str]]
 
 
 def load_prompt_template(path: str = "") -> str:
+    """Read a prompt template, or the shipped one when `path` is empty.
+
+    Raises ValueError when the template has a placeholder render_prompt does
+    not fill, a lone brace, or a bad format spec or conversion; `{{` and `}}`
+    stand for literal braces.
+    """
     if path:
-        return Path(path).read_text(encoding="utf-8")
-    return (resources.files("graphvqa") / "data" / "prompt_default.txt").read_text(
-        encoding="utf-8"
-    )
+        template = Path(path).read_text(encoding="utf-8")
+    else:
+        template = (resources.files("graphvqa") / "data" / "prompt_default.txt").read_text(
+            encoding="utf-8"
+        )
+    try:
+        unknown = sorted(_template_fields(template) - _TEMPLATE_FIELDS)
+        if unknown:
+            raise ValueError(
+                f"unknown placeholders {', '.join('{' + name + '}' for name in unknown)}; "
+                f"allowed: {', '.join(sorted(_TEMPLATE_FIELDS))}"
+            )
+        template.format(**dict.fromkeys(_TEMPLATE_FIELDS, ""))  # a bad format spec
+    except ValueError as exc:
+        raise ValueError(f"prompt template {path or '(default)'}: {exc}") from exc
+    return template
+
+
+def _template_fields(template: str) -> set[str]:
+    """Names of the replacement fields in `template`, including fields nested
+    in a format spec such as `{question:{width}}`."""
+    fields: set[str] = set()
+    for _literal, name, spec, _conversion in string.Formatter().parse(template):
+        if name is not None:
+            fields.add(name)
+            fields |= _template_fields(spec)
+    return fields
 
 
 def render_prompt(template: str, question: str, options: Sequence[str],

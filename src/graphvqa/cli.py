@@ -158,13 +158,11 @@ def build_gateway(config: dict, provider_name: Optional[str],
             cfg.seed = seed
         return cfg
 
-    cache_path = config.get("cache_path")
-    cache = ResponseCache(cache_path) if cache_path else None
     return ModelGateway(
         chat=provider("chat"),
         caption=provider("caption"),
         embed=provider("embed"),
-        cache=cache,
+        cache=ResponseCache(config.get("cache_path")),
     )
 
 

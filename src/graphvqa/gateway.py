@@ -14,9 +14,13 @@ Provider kinds:
   first matching script entry; scripted embeddings are seeded hashes of the
   input expanded to the configured dimension and unit-normalized.
 
-Remote responses are cached by a hash of (provider id, request body); the
-cache can persist to disk as an append-only JSON-lines file so eval reruns
-cost nothing. Requests go out through the standard library's
+Every gateway memoizes remote responses by a hash of (provider id, request
+body) for its whole life, so one `run` or `eval` command sends each distinct
+request at most once, even when parallel sessions ask for it at the same
+moment. The memo answers a repeated identical chat prompt with the first
+reply, also at temperature > 0. A cache path only makes the memo persist,
+as an append-only JSON-lines file, so eval reruns cost nothing. Requests go
+out through the standard library's
 ``urllib.request``, which takes proxies from the standard environment
 variables and verifies HTTPS against the default SSL context.
 """
@@ -36,7 +40,7 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, TypeVar, Union
 
 from .errors import (
     DataFormatError,
@@ -60,6 +64,7 @@ _KINDS = {REMOTE_CHAT, REMOTE_EMBED, PRECOMPUTED_CAPTION, PRECOMPUTED_EMBED, SCR
 _RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
 
 Message = tuple[str, str]
+T = TypeVar("T")
 
 
 @dataclass
@@ -247,8 +252,9 @@ class ResponseCache:
             return self._data.get(key)
 
     def put(self, key: str, value) -> None:
-        """Store `value` unless `key` is already cached (a concurrent miss
-        on the same request), so the file holds one record per key."""
+        """Store `value` unless `key` is already cached (a request that
+        another gateway sharing this cache sent at the same time), so the
+        file holds one record per key."""
         with self._lock:
             if key in self._data:
                 return
@@ -264,9 +270,11 @@ class ModelGateway:
     """One object bundling the chat, caption, and embed lanes.
 
     Safe for concurrent use across sessions; remote calls are limited by a
-    per-provider in-flight semaphore and cache access is synchronized.
-    Scripted chat counts calls per gateway, so concurrent sessions each
-    take their own view from `for_session`.
+    per-provider in-flight semaphore, and concurrent misses on one request
+    are merged so only the first caller sends it. Without a `cache` the
+    gateway keeps its responses in memory. Scripted chat counts calls per
+    gateway, so concurrent sessions each take their own view from
+    `for_session`.
     """
 
     def __init__(
@@ -280,7 +288,7 @@ class ModelGateway:
         self.chat_cfg = chat
         self.caption_cfg = caption
         self.embed_cfg = embed
-        self.cache = cache
+        self.cache = cache if cache is not None else ResponseCache()
         self._scripted_chat: Optional[ScriptedChat] = None
         if chat is not None and chat.kind == SCRIPTED:
             if chat_script:
@@ -291,10 +299,14 @@ class ModelGateway:
                 raise GatewayConfigError("scripted chat provider needs script_path")
             self._scripted_chat = ScriptedChat(entries)
         self._semaphores: dict[str, threading.Semaphore] = {}
+        # Cache key -> event set once its sender has finished, successful or not.
+        self._inflight: dict[str, threading.Event] = {}
+        self._inflight_lock = threading.Lock()
 
     def for_session(self) -> "ModelGateway":
-        """A view for one agent session: it shares this gateway's cache and
-        in-flight limits but counts scripted chat calls from 1 again."""
+        """A view for one agent session: it shares this gateway's cache,
+        in-flight limits and merged misses but counts scripted chat calls
+        from 1 again."""
         view = copy.copy(self)
         if self._scripted_chat is not None:
             view._scripted_chat = ScriptedChat(self._scripted_chat.entries)
@@ -347,14 +359,19 @@ class ModelGateway:
             sort_keys=True,
             ensure_ascii=False,
         )
-        payload = self._post_with_retries(cfg, f"{cfg.endpoint.rstrip('/')}/v1/chat/completions", body)
-        try:
-            content = payload["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise GatewayError(f"malformed {lane} payload: missing {exc!r}") from exc
-        if not isinstance(content, str):
-            raise GatewayError(f"malformed {lane} payload: content is {type(content).__name__}")
-        return content
+
+        def text(payload) -> str:
+            try:
+                content = payload["choices"][0]["message"]["content"]
+            except (KeyError, IndexError, TypeError) as exc:
+                raise GatewayError(f"malformed {lane} payload: missing {exc!r}") from exc
+            if not isinstance(content, str):
+                raise GatewayError(f"malformed {lane} payload: content is {type(content).__name__}")
+            return content
+
+        return self._post_with_retries(
+            cfg, f"{cfg.endpoint.rstrip('/')}/v1/chat/completions", body, text
+        )
 
     # -- embeddings ---------------------------------------------------------------
 
@@ -388,12 +405,16 @@ class ModelGateway:
             sort_keys=True,
             ensure_ascii=False,
         )
-        payload = self._post_with_retries(cfg, f"{cfg.endpoint.rstrip('/')}/v1/embeddings", body)
-        try:
-            vector = payload["data"][0]["embedding"]
-            vector = [float(x) for x in vector]
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise GatewayError(f"malformed embeddings payload: {exc!r}") from exc
+
+        def floats(payload) -> list[float]:
+            try:
+                return [float(x) for x in payload["data"][0]["embedding"]]
+            except (KeyError, IndexError, TypeError, ValueError) as exc:
+                raise GatewayError(f"malformed embeddings payload: {exc!r}") from exc
+
+        vector = self._post_with_retries(
+            cfg, f"{cfg.endpoint.rstrip('/')}/v1/embeddings", body, floats
+        )
         if bundle is not None and bundle.embedding_dim and len(vector) != bundle.embedding_dim:
             raise DimensionError(
                 f"remote embedding dim {len(vector)} does not match bundle dim {bundle.embedding_dim}"
@@ -415,14 +436,36 @@ class ModelGateway:
             )
         return sem
 
-    def _post_with_retries(self, cfg: ProviderConfig, url: str, body: str) -> dict:
-        cache_key = None
-        if self.cache is not None:
-            cache_key = ResponseCache.key(cfg.provider_id, body)
-            cached = self.cache.get(cache_key)
-            if cached is not None:
-                return cached
+    def _post_with_retries(self, cfg: ProviderConfig, url: str, body: str,
+                           decode: Callable[[object], T]) -> T:
+        """Decode the cached payload for `body`, or send it and cache the reply.
 
+        While one caller sends a request, others asking for the same one wait
+        and then read the cache. If sending or `decode` fails nothing is
+        cached, and the next waiter sends the request itself.
+        """
+        cache_key = ResponseCache.key(cfg.provider_id, body)
+        while True:
+            with self._inflight_lock:
+                cached = self.cache.get(cache_key)
+                pending = self._inflight.get(cache_key)
+                if cached is None and pending is None:
+                    done = self._inflight[cache_key] = threading.Event()
+                    break
+            if cached is not None:
+                return decode(cached)
+            pending.wait()
+        try:
+            payload = self._send(cfg, url, body)
+            result = decode(payload)
+            self.cache.put(cache_key, payload)
+            return result
+        finally:
+            with self._inflight_lock:
+                del self._inflight[cache_key]
+            done.set()
+
+    def _send(self, cfg: ProviderConfig, url: str, body: str) -> dict:
         headers = {"Content-Type": "application/json"}
         key = cfg.api_key()  # raises before any network traffic if misconfigured
         if key:
@@ -453,8 +496,6 @@ class ModelGateway:
                                 status=200,
                                 attempts=attempts,
                             ) from exc
-                        if self.cache is not None:
-                            self.cache.put(cache_key, payload)
                         return payload
                     if status not in _RETRYABLE_STATUS:
                         raise GatewayError(

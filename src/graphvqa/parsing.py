@@ -205,6 +205,8 @@ def _read_lines(path: Path) -> list[str]:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise LexiconError(f"cannot read lexicon file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise LexiconError(f"lexicon file {path} is not valid UTF-8: {exc}") from exc
     lines = []
     for raw in text.splitlines():
         line = raw.strip()

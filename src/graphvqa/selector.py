@@ -19,6 +19,7 @@ frame index.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -88,22 +89,23 @@ def visual_score_raw(frame_embedding: Optional[Sequence[float]],
     return (1.0 + max(-1.0, min(1.0, cos))) / 2.0
 
 
-def temporal_score_raw(frame: int, selected: Sequence[int], total_frames: int) -> float:
+def temporal_score_raw(frame: int, ordered: Sequence[int], total_frames: int) -> float:
     """Coverage score for `frame` within its unexplored gap.
 
-    The gap is bounded by the nearest selected frames (or the video edges);
-    the score is gap_length/total_frames scaled by how central the frame sits
-    in the gap. Already-selected frames score 0.
+    `ordered` holds the selected frames in ascending order. The gap is
+    bounded by the nearest selected frames (or the video edges); the score
+    is gap_length/total_frames scaled by how central the frame sits in the
+    gap. Already-selected frames score 0.
     """
     if total_frames < 1:
         raise ValueError(f"total_frames must be >= 1, got {total_frames}")
-    if not selected:
+    if not ordered:
         raise ValueError("selected must be nonempty")
-    ordered = sorted(selected)
-    if frame in ordered:
+    i = bisect_left(ordered, frame)
+    if i < len(ordered) and ordered[i] == frame:
         return 0.0
-    left = max((s for s in ordered if s < frame), default=-1)
-    right = min((s for s in ordered if s > frame), default=total_frames)
+    left = ordered[i - 1] if i else -1
+    right = ordered[i] if i < len(ordered) else total_frames
     gap_length = right - left
     center = (left + right) / 2.0
     centrality = 1.0 - abs(frame - center) / (gap_length / 2.0)
@@ -143,7 +145,8 @@ def score_candidates(candidates: Sequence[Candidate], graph: VideoGraph,
     """Score every candidate with normalized components."""
     raw_graph = [graph_score_raw(f, graph, query, cfg, expanded) for f, _ in candidates]
     raw_visual = [visual_score_raw(emb, query_embedding) for _, emb in candidates]
-    raw_temporal = [temporal_score_raw(f, selected, total_frames) for f, _ in candidates]
+    ordered = sorted(selected)
+    raw_temporal = [temporal_score_raw(f, ordered, total_frames) for f, _ in candidates]
     norm_graph = normalize_scores(raw_graph)
     norm_visual = normalize_scores(raw_visual)
     norm_temporal = normalize_scores(raw_temporal)

@@ -110,6 +110,32 @@ def test_agent_config_validation():
         AgentConfig(initial_frames=0)
 
 
+@pytest.mark.parametrize("template,error", [
+    ("Q: {question} {nope}", r"unknown placeholders \{nope\}"),
+    ("Q: {question} {}", r"unknown placeholders \{\}"),
+    ("Q: {question.upper}", r"unknown placeholders \{question.upper\}"),
+    ("Q: {question:{width}}", r"unknown placeholders \{width\}"),
+    ("Q: {question} }", "Single '}'"),
+    ("Q: {question!z}", "conversion"),
+    ("Q: {question:d}", "format code"),
+])
+def test_prompt_template_placeholders_checked_at_load(tmp_path, template, error):
+    path = tmp_path / "template.txt"
+    path.write_text(template, encoding="utf-8")
+    with pytest.raises(ValueError, match=error):
+        load_prompt_template(str(path))
+    with pytest.raises(ValueError, match=error):
+        AgentConfig(prompt_template_path=str(path))
+
+
+def test_prompt_template_brace_escapes_render(tmp_path):
+    path = tmp_path / "template.txt"
+    path.write_text("{{json}} {question} {options}}}", encoding="utf-8")
+    AgentConfig(prompt_template_path=str(path))
+    template = load_prompt_template(str(path))
+    assert render_prompt(template, "why?", ["x"], {}, ("", "", "")) == "{json} why? A. x}"
+
+
 # -- reply parsing ------------------------------------------------------------------
 
 @pytest.mark.parametrize(

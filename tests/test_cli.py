@@ -225,11 +225,9 @@ def test_eval_counts_scripted_rounds_per_item(suite, tmp_path):
     assert [len(r["rounds"]) for r in records] == [2, 2, 2]
 
 
-def test_parallel_eval_shares_one_file_cache(tmp_path, stub_server):
-    import sys
-
-    endpoint, state = stub_server
-    state.echo = True
+def echo_eval(tmp_path, endpoint, **config):
+    """Eight questions on two bundles with every remote lane on the echo stub;
+    returns a function running `eval --parallel 4` into a given directory."""
     root = tmp_path / "bundles"
     for index in range(2):
         save_bundle(make_bundle(video_id=f"v{index}", total_frames=40, seed=index), root / f"v{index}")
@@ -239,10 +237,9 @@ def test_parallel_eval_shares_one_file_cache(tmp_path, stub_server):
     )
     remote = {"kind": "RemoteChat", "endpoint": endpoint, "model_name": "stub",
               "retry_backoff": 0.001, "timeout": 5.0}
-    cache_path = tmp_path / "cache.jsonl"
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({
-        "cache_path": str(cache_path),
+        **config,
         "providers": {"default": {
             "chat": remote, "caption": remote,
             "embed": {"kind": "Scripted", "embed_dim": 8},
@@ -253,10 +250,22 @@ def test_parallel_eval_shares_one_file_cache(tmp_path, stub_server):
         return main(["eval", "--qa", str(qa_path), "--bundle", str(root),
                      "--config", str(config_path), "--out", str(out), "--parallel", "4"])
 
+    return evaluate
+
+
+def test_parallel_eval_shares_one_file_cache(tmp_path, stub_server):
+    import sys
+
+    endpoint, state = stub_server
+    state.echo = True
+    cache_path = tmp_path / "cache.jsonl"
+    evaluate = echo_eval(tmp_path, endpoint, cache_path=str(cache_path))
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         assert evaluate(tmp_path / "first") == 0
+        assert state.request_count == len(set(state.requests))
         records = cache_path.read_text(encoding="utf-8").splitlines()
         assert len(records) == len(set(state.requests))
         assert all(len(json.loads(line)) == 1 for line in records)
@@ -269,6 +278,23 @@ def test_parallel_eval_shares_one_file_cache(tmp_path, stub_server):
     first = (tmp_path / "first" / "transcripts.jsonl").read_bytes()
     assert (tmp_path / "second" / "transcripts.jsonl").read_bytes() == first
     assert len(first.splitlines()) == 8
+
+
+def test_parallel_eval_without_cache_path_sends_each_request_once(tmp_path, stub_server):
+    import sys
+
+    endpoint, state = stub_server
+    state.echo = True
+    evaluate = echo_eval(tmp_path, endpoint)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        assert evaluate(tmp_path / "out") == 0
+    finally:
+        sys.setswitchinterval(interval)
+    assert state.request_count == len(set(state.requests))
+    assert len(load_transcripts(tmp_path / "out" / "transcripts.jsonl")) == 8
 
 
 def write_config(tmp_path, suite, **changes):
@@ -334,3 +360,39 @@ def test_missing_prompt_template_is_bad_config(tmp_path, suite, capsys, command)
     assert code == 1
     assert "bad config" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "eval"])
+def test_unknown_prompt_placeholder_is_bad_config(tmp_path, suite, capsys, command):
+    template = tmp_path / "template.txt"
+    template.write_text("Q: {question} {nope}", encoding="utf-8")
+    config_path = write_config(tmp_path, suite, agent={"prompt_template_path": str(template)})
+    out_dir = tmp_path / "out"
+    if command == "run":
+        argv = ["run", "--bundle", str(suite["bundle_dir"]),
+                "--question", "q?", "--options", "a", "b"]
+    else:
+        argv = ["eval", "--qa", str(suite["qa"]), "--bundle", str(suite["bundle_root"])]
+    code = main([*argv, "--config", str(config_path), "--out", str(out_dir)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "bad config" in err and "{nope}" in err
+    assert not out_dir.exists()
+
+
+def test_lexicon_not_utf8_is_data_error(tmp_path, suite, capsys):
+    lexicon_dir = tmp_path / "lexicon"
+    lexicon_dir.mkdir()
+    (lexicon_dir / "spatial_preps.txt").write_text("on\n", encoding="utf-8")
+    (lexicon_dir / "interaction_verbs.txt").write_text("talk\n", encoding="utf-8")
+    (lexicon_dir / "action_verbs.txt").write_bytes(b"\xff\xfeh\x00o\x00l\x00d\x00\n\x00")
+    (lexicon_dir / "state_verbs.tsv").write_text("become\t*\n", encoding="utf-8")
+    (lexicon_dir / "type_gazetteer.tsv").write_text("person\tPerson\n", encoding="utf-8")
+    config_path = write_config(tmp_path, suite, lexicon_dir=str(lexicon_dir))
+    code = main([
+        "run", "--bundle", str(suite["bundle_dir"]), "--config", str(config_path),
+        "--question", "q?", "--options", "a", "b",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "action_verbs.txt" in err and "UTF-8" in err

@@ -214,6 +214,31 @@ def test_remote_malformed_payloads_typed_errors(stub_server):
         gateway.chat([("user", "c")])
 
 
+@pytest.mark.parametrize("persist", [False, True])
+def test_malformed_payload_is_not_cached(stub_server, tmp_path, persist):
+    endpoint, state = stub_server
+    state.responses.extend([
+        (200, json.dumps({"choices": []})), (200, chat_ok("fine")),
+        (200, json.dumps({"data": [{"embedding": "x"}]})),
+        (200, json.dumps({"data": [{"embedding": [0.5]}]})),
+    ])
+    path = tmp_path / "cache.jsonl"
+    gateway = ModelGateway(
+        chat=remote_chat_config(endpoint),
+        embed=ProviderConfig(kind="RemoteEmbed", endpoint=endpoint, model_name="embedder"),
+        cache=ResponseCache(path) if persist else None,
+    )
+    with pytest.raises(GatewayError, match="malformed chat payload"):
+        gateway.chat([("user", "hi")])
+    assert gateway.chat([("user", "hi")]) == "fine"
+    with pytest.raises(GatewayError, match="malformed embeddings payload"):
+        gateway.embed("dog")
+    assert gateway.embed("dog") == [0.5]
+    assert state.request_count == 4
+    if persist:
+        assert len(_cache_lines(path)) == 2
+
+
 def test_missing_api_key_fails_before_any_request(stub_server, monkeypatch):
     endpoint, state = stub_server
     monkeypatch.delenv("GRAPHVQA_TEST_KEY", raising=False)
@@ -312,6 +337,72 @@ def test_cache_serves_second_identical_call(stub_server):
     assert state.request_count == 1
 
 
+def test_gateway_without_cache_answers_repeats_from_memory(stub_server):
+    endpoint, state = stub_server
+    state.echo = True
+    gateway = ModelGateway(chat=remote_chat_config(endpoint))
+    first = gateway.chat([("user", "caption frame 41")])
+    assert gateway.chat([("user", "caption frame 41")]) == first
+    assert gateway.for_session().chat([("user", "caption frame 41")]) == first
+    assert state.request_count == 1
+
+
+def test_failed_sender_leaves_waiter_to_send_itself(monkeypatch):
+    import threading
+
+    from graphvqa import gateway as gateway_module
+
+    class CountingCache(ResponseCache):
+        def __init__(self):
+            super().__init__()
+            self.misses = threading.Semaphore(0)
+
+        def get(self, key):
+            value = super().get(key)
+            if value is None:
+                self.misses.release()
+            return value
+
+    sending, release = threading.Event(), threading.Event()
+    sent: list[bool] = []  # per request: had the first one failed already?
+
+    def fake_post_once(url, data, headers, timeout):
+        sent.append(release.is_set())
+        if len(sent) == 1:
+            sending.set()
+            assert release.wait(5)
+            return 404, b""
+        return 200, chat_ok("second try").encode("utf-8")
+
+    monkeypatch.setattr(gateway_module, "_post_once", fake_post_once)
+    cache = CountingCache()
+    gateway = ModelGateway(chat=remote_chat_config("http://127.0.0.1:9"), cache=cache)
+    results: dict[str, object] = {}
+
+    def ask(name):
+        try:
+            results[name] = gateway.for_session().chat([("user", "same prompt")])
+        except GatewayError as exc:
+            results[name] = exc
+
+    first = threading.Thread(target=ask, args=("first",))
+    first.start()
+    assert sending.wait(5)
+    waiter = threading.Thread(target=ask, args=("waiter",))
+    waiter.start()
+    assert cache.misses.acquire(timeout=5) and cache.misses.acquire(timeout=5)
+    release.set()  # the waiter has missed the cache and found the request in flight
+    first.join(5)
+    waiter.join(5)
+    assert not first.is_alive() and not waiter.is_alive()
+    assert isinstance(results["first"], GatewayError) and results["first"].status == 404
+    assert results["waiter"] == "second try"
+    assert sent == [False, True]  # the waiter sent only after the first failed
+    assert gateway.chat([("user", "same prompt")]) == "second try"
+    assert len(sent) == 2
+    assert gateway._inflight == {}
+
+
 def test_cache_transparent(stub_server):
     endpoint, state = stub_server
     state.echo = True
@@ -320,8 +411,11 @@ def test_cache_transparent(stub_server):
     cached_gateway = ModelGateway(chat=remote_chat_config(endpoint), cache=ResponseCache())
     with_cache = [cached_gateway.chat([("user", p)]) for p in prompts]
 
-    plain_gateway = ModelGateway(chat=remote_chat_config(endpoint))
-    without_cache = [plain_gateway.chat([("user", p)]) for p in prompts]
+    # a fresh gateway per call, so every reply comes off the wire
+    without_cache = [
+        ModelGateway(chat=remote_chat_config(endpoint)).chat([("user", p)]) for p in prompts
+    ]
+    assert state.request_count == 3 + len(prompts)
 
     assert with_cache == without_cache
 

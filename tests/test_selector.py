@@ -378,3 +378,37 @@ def test_normalize_range_property(raw):
 def test_temporal_score_nonnegative_property(selected, frame):
     score = temporal_score_raw(frame, sorted(selected), 501)
     assert 0.0 <= score <= 1.0
+
+
+def temporal_score_oracle(frame, selected, total_frames):
+    """The temporal score as first written: sort, then scan for the gap."""
+    ordered = sorted(selected)
+    if frame in ordered:
+        return 0.0
+    left = max((s for s in ordered if s < frame), default=-1)
+    right = min((s for s in ordered if s > frame), default=total_frames)
+    gap_length = right - left
+    center = (left + right) / 2.0
+    centrality = 1.0 - abs(frame - center) / (gap_length / 2.0)
+    return (gap_length / total_frames) * centrality
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=600), min_size=1, max_size=12),
+    st.lists(st.integers(min_value=0, max_value=600), min_size=1, max_size=20),
+    st.integers(min_value=0, max_value=400),
+)
+def test_temporal_score_matches_oracle_property(selected, frames, extra):
+    total = max(selected + frames) + 1 + extra
+    for frame in frames:
+        assert temporal_score_raw(frame, sorted(selected), total) == \
+            temporal_score_oracle(frame, selected, total)
+    # score_candidates takes `selected` in any order and sorts it once
+    candidates = [(f, None) for f in sorted(set(frames) - set(selected))]
+    if candidates:
+        scores = score_candidates(candidates, VideoGraph(), None, selected, total, CFG)
+        expected = normalize_scores(
+            [temporal_score_oracle(f, selected, total) for f, _ in candidates]
+        )
+        assert [s.s_temporal for s in scores] == expected
