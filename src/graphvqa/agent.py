@@ -90,6 +90,8 @@ class AgentConfig:
             raise ValueError(
                 f"confidence_threshold must be in 1..3, got {self.confidence_threshold}"
             )
+        if self.prompt_char_budget < 256:
+            raise ValueError(f"prompt_char_budget must be >= 256, got {self.prompt_char_budget}")
         if self.prompt_template_path:
             if not Path(self.prompt_template_path).is_file():
                 raise ValueError(
@@ -320,7 +322,7 @@ class VideoAgent:
         for frame in frames:
             text = self.gateway.caption(frame, self.bundle)
             captions[frame] = text
-            records.append(FrameRecord(frame, text, self._frame_embedding(frame)))
+            records.append(FrameRecord(frame, self._frame_embedding(frame)))
             parses.append(parse_caption(text, frame, self.lexicon))
         graph.update_graph(records, parses)
 

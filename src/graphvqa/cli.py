@@ -226,9 +226,8 @@ def _cmd_graph(args) -> int:
 
     graph = VideoGraph(config=graph_cfg)
     records, parses = [], []
-    for frame in sorted(bundle.captions):
-        text = bundle.captions[frame]
-        records.append(FrameRecord(frame, text, bundle.embeddings.get(frame)))
+    for frame, text in sorted(bundle.captions.items()):
+        records.append(FrameRecord(frame, bundle.embeddings.get(frame)))
         parses.append(parse_caption(text, frame, lexicon))
     if records:
         graph.update_graph(records, parses)

@@ -32,7 +32,6 @@ import hashlib
 import http.client
 import json
 import logging
-import math
 import os
 import threading
 import time
@@ -50,6 +49,7 @@ from .errors import (
     MissingEmbeddingError,
     DimensionError,
 )
+from .graph import vector_norm
 from .store import VideoBundle
 
 logger = logging.getLogger(__name__)
@@ -89,6 +89,16 @@ class ProviderConfig:
             raise GatewayConfigError(f"unknown provider kind {self.kind!r}")
         if self.kind in (REMOTE_CHAT, REMOTE_EMBED) and not (self.endpoint and self.model_name):
             raise GatewayConfigError(f"{self.kind} requires endpoint and model_name")
+        if not self.timeout > 0:
+            raise GatewayConfigError(f"timeout must be > 0, got {self.timeout}")
+        if self.max_retries < 0:
+            raise GatewayConfigError(f"max_retries must be >= 0, got {self.max_retries}")
+        if not self.retry_backoff >= 0:
+            raise GatewayConfigError(f"retry_backoff must be >= 0, got {self.retry_backoff}")
+        if self.embed_dim < 1:
+            raise GatewayConfigError(f"embed_dim must be >= 1, got {self.embed_dim}")
+        if self.max_inflight < 1:
+            raise GatewayConfigError(f"max_inflight must be >= 1, got {self.max_inflight}")
 
     @property
     def provider_id(self) -> str:
@@ -191,7 +201,7 @@ def pseudo_embedding(text: str, dim: int, seed: int = 0) -> list[float]:
             values.append(int.from_bytes(digest[i:i + 4], "big") / 2**31 - 1.0)
         block += 1
     values = values[:dim]
-    norm = math.sqrt(sum(v * v for v in values))
+    norm = vector_norm(values)
     if norm == 0.0:
         values[0] = 1.0
         norm = 1.0
@@ -431,9 +441,7 @@ class ModelGateway:
     def _semaphore(self, cfg: ProviderConfig) -> threading.Semaphore:
         sem = self._semaphores.get(cfg.provider_id)
         if sem is None:
-            sem = self._semaphores.setdefault(
-                cfg.provider_id, threading.Semaphore(max(1, cfg.max_inflight))
-            )
+            sem = self._semaphores.setdefault(cfg.provider_id, threading.Semaphore(cfg.max_inflight))
         return sem
 
     def _post_with_retries(self, cfg: ProviderConfig, url: str, body: str,

@@ -40,10 +40,9 @@ class GraphConfig:
 
 @dataclass
 class FrameRecord:
-    """One ingested frame: index, caption text, optional embedding."""
+    """One ingested frame: index and optional embedding."""
 
     frame_index: int
-    caption: str = ""
     embedding: Optional[list[float]] = None
 
 
@@ -82,12 +81,17 @@ class RelationEdge:
     frame_indices: list[int] = field(default_factory=list)
 
 
+def vector_norm(v: Sequence[float]) -> float:
+    """Euclidean norm, summed in index order."""
+    return math.sqrt(sum(x * x for x in v))
+
+
 def cosine_similarity(a: Sequence[float], b: Sequence[float]) -> float:
     if len(a) != len(b):
         raise DimensionError(f"cannot compare vectors of dims {len(a)} and {len(b)}")
     dot = sum(x * y for x, y in zip(a, b))
-    norm_a = math.sqrt(sum(x * x for x in a))
-    norm_b = math.sqrt(sum(x * x for x in b))
+    norm_a = vector_norm(a)
+    norm_b = vector_norm(b)
     if norm_a == 0.0 or norm_b == 0.0:
         return 0.0
     return dot / (norm_a * norm_b)

@@ -3,18 +3,22 @@
 The pipeline is deliberately model-free so extraction is deterministic and
 auditable: every decision traces back to a lexicon file or a rule below.
 
-1. Tokenize on word boundaries, keeping character offsets.
-2. Lemmatize with a small suffix table (-ies, -es, -s, -ing, -ed), preferring
-   candidates that land on a known lexicon word.
-3. Mentions = tokens found in the type gazetteer, plus tokens that are neither
-   stopwords nor members of any verb/preposition lexicon. Duplicate lemmas in
-   one caption collapse to the first occurrence.
-4. Triples = (subject, predicate, object) where the predicate token sits
-   strictly between the two nearest mention occurrences in the same sentence.
+One pass over the text tokenizes on word boundaries, keeping character
+offsets; lemmatizes each token with a small suffix table (-ies, -es, -s,
+-ing, -ed), preferring candidates that land on a known lexicon word; and
+decides once whether the token is a noun: listed in the type gazetteer, or
+neither a stopword nor in any verb/preposition lexicon. Every step below
+reads that one token list.
+
+1. Mentions = the noun tokens, typed from the gazetteer when they are made
+   (a lemma it does not list is an Object). Duplicate lemmas in one text
+   collapse to the first occurrence.
+2. Triples = (subject, predicate, object) where the predicate token sits
+   strictly between the two nearest noun occurrences in the same sentence.
    A spatial preposition whose nearest preceding content token is an
    interaction/action verb is treated as that verb's particle ("plays with",
    "barks at") and emits no triple of its own.
-5. State events = (clause subject, state label) for each state-verb token.
+3. State events = (clause subject, state label) for each state-verb token.
    Complement-valued state verbs ("become", "get", ...) take the following
    content word as the label; fixed-label verbs ("smile" -> "happy") carry
    their label from the lexicon.
@@ -274,6 +278,7 @@ def default_lexicon() -> Lexicon:
         return load_lexicon(path)
 
 
+
 # ---------------------------------------------------------------------------
 # Tokenization and lemmatization
 # ---------------------------------------------------------------------------
@@ -286,7 +291,8 @@ class _Token:
     start: int
     end: int
     sentence: int
-    comma_before: bool = False
+    comma_before: bool
+    is_noun: bool
 
 
 def lemmatize(token: str, vocabulary: Iterable[str] = ()) -> str:
@@ -329,7 +335,9 @@ def lemmatize(token: str, vocabulary: Iterable[str] = ()) -> str:
     return candidates[0] if candidates else token
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _analyze(text: str, lex: Lexicon) -> list[_Token]:
+    """The one pass over a text that every extraction step reads."""
+    vocab = lex.vocabulary
     breaks = [m.start() for m in _SENTENCE_BREAK_RE.finditer(text)]
     tokens = []
     sentence = 0
@@ -339,94 +347,49 @@ def _tokenize(text: str) -> list[_Token]:
             sentence += 1
         word = match.group()
         lower = word.lower()
-        # strip possessive 's / ' suffixes
+        # a match ends in a letter, so the only suffix to strip is a possessive 's
         if lower.endswith(("'s", "’s")):
-            word = word[:-2]
-            lower = lower[:-2]
-        elif lower.endswith(("'", "’")):
-            word = word[:-1]
-            lower = lower[:-1]
-        if not word:
-            continue
-        tokens.append(
-            _Token(
-                text=word,
-                lower=lower,
-                lemma="",  # filled per-lexicon in _analyze
-                start=match.start(),
-                end=match.start() + len(word),
-                sentence=sentence,
-                comma_before="," in text[previous_end:match.start()],
-            )
+            word, lower = word[:-2], lower[:-2]
+        lemma = lemmatize(lower, vocab)
+        # a noun: listed in the gazetteer, or neither a stopword nor a predicate word
+        is_noun = lemma in lex.type_gazetteer or not (
+            lower in STOPWORDS or lemma in STOPWORDS or lex.is_predicate_word(lemma)
         )
+        tokens.append(_Token(
+            word, lower, lemma, match.start(), match.start() + len(word), sentence,
+            "," in text[previous_end:match.start()], is_noun,
+        ))
         previous_end = match.end()
     return tokens
-
-
-def _analyze(caption: str, lex: Lexicon) -> list[_Token]:
-    vocab = lex.vocabulary
-    tokens = _tokenize(caption)
-    return [
-        _Token(t.text, t.lower, lemmatize(t.lower, vocab), t.start, t.end, t.sentence, t.comma_before)
-        for t in tokens
-    ]
-
-
-def _is_noun(token: _Token, lex: Lexicon) -> bool:
-    if token.lemma in lex.type_gazetteer:
-        return True
-    if token.lower in STOPWORDS or token.lemma in STOPWORDS:
-        return False
-    return not lex.is_predicate_word(token.lemma)
 
 
 # ---------------------------------------------------------------------------
 # Extraction operations
 # ---------------------------------------------------------------------------
 
+def _mentions(tokens: Sequence[_Token], lex: Lexicon) -> dict[str, Mention]:
+    """One typed mention per noun lemma, at its first occurrence."""
+    by_lemma: dict[str, Mention] = {}
+    for token in tokens:
+        if token.is_noun and token.lemma not in by_lemma:
+            by_lemma[token.lemma] = Mention(
+                surface=token.text,
+                lemma=token.lemma,
+                entity_type=lex.type_gazetteer.get(token.lemma, EntityType.OBJECT),
+                char_span=(token.start, token.end),
+            )
+    return by_lemma
+
+
 def extract_mentions(caption: str, lex: Optional[Lexicon] = None) -> list[Mention]:
     """Extract entity mentions from a caption.
 
     Deterministic: duplicate lemmas collapse to one mention keeping the first
-    span. Empty caption yields an empty list. Mentions come out typed UNKNOWN;
-    classify_entity (or parse_caption) assigns the final type.
+    span. Empty caption yields an empty list. Each mention is typed from the
+    gazetteer; a lemma the gazetteer does not list is an Object.
     """
-    if not caption:
-        return []
     lex = lex or default_lexicon()
-    mentions: list[Mention] = []
-    seen: set[str] = set()
-    for token in _analyze(caption, lex):
-        if not _is_noun(token, lex):
-            continue
-        if token.lemma in seen:
-            continue
-        seen.add(token.lemma)
-        mentions.append(
-            Mention(
-                surface=token.text,
-                lemma=token.lemma,
-                entity_type=EntityType.UNKNOWN,
-                char_span=(token.start, token.end),
-            )
-        )
-    return mentions
-
-
-def classify_entity(mention: Mention, lex: Lexicon) -> EntityType:
-    """Resolve a mention's entity type from the gazetteer; default is Object."""
-    return lex.type_gazetteer.get(mention.lemma.lower(), EntityType.OBJECT)
-
-
-def _classified(mention: Mention, lex: Lexicon) -> Mention:
-    return Mention(mention.surface, mention.lemma, classify_entity(mention, lex), mention.char_span)
-
-
-def _noun_occurrences(tokens: Sequence[_Token], by_lemma: Mapping[str, Mention], lex: Lexicon):
-    return [
-        (i, tok) for i, tok in enumerate(tokens)
-        if tok.lemma in by_lemma and _is_noun(tok, lex)
-    ]
+    return list(_mentions(_analyze(caption, lex), lex).values())
 
 
 def _absorbed_by_verb(tokens: Sequence[_Token], index: int, lex: Lexicon) -> bool:
@@ -447,19 +410,25 @@ def _absorbed_by_verb(tokens: Sequence[_Token], index: int, lex: Lexicon) -> boo
     return False
 
 
-def extract_triples(caption: str, mentions: Sequence[Mention], lex: Lexicon) -> list[ExtractedTriple]:
-    """Extract relation triples linking mention pairs through lexicon predicates.
+def _nearest_noun(tokens: Sequence[_Token], index: int, step: int) -> Optional[_Token]:
+    """The first noun from `index` in direction `step` (-1 or 1), within its sentence."""
+    sentence = tokens[index].sentence
+    j = index + step
+    while 0 <= j < len(tokens) and tokens[j].sentence == sentence:
+        if tokens[j].is_noun:
+            return tokens[j]
+        j += step
+    return None
 
-    Subject is the nearest mention occurrence left of the predicate, object
-    the nearest on the right, both within the predicate's sentence. Output is
-    ordered by predicate position; exact duplicates are collapsed.
+
+def _triples(tokens: Sequence[_Token], by_lemma: Mapping[str, Mention],
+             lex: Lexicon) -> list[ExtractedTriple]:
+    """Relation triples linking mention pairs through lexicon predicates.
+
+    Subject is the nearest noun left of the predicate, object the nearest on
+    the right, both within the predicate's sentence. Output is ordered by
+    predicate position; exact duplicates are collapsed.
     """
-    if not caption or len(mentions) < 2:
-        return []
-    by_lemma = {m.lemma: m for m in mentions}
-    tokens = _analyze(caption, lex)
-    nouns = _noun_occurrences(tokens, by_lemma, lex)
-
     triples: list[ExtractedTriple] = []
     emitted: set[tuple[str, str, str]] = set()
     for i, tok in enumerate(tokens):
@@ -468,23 +437,19 @@ def extract_triples(caption: str, mentions: Sequence[Mention], lex: Lexicon) -> 
             continue
         if category is RelationCategory.SPATIAL and _absorbed_by_verb(tokens, i, lex):
             continue
-        left = [(j, t) for j, t in nouns if j < i and t.sentence == tok.sentence]
-        right = [(j, t) for j, t in nouns if j > i and t.sentence == tok.sentence]
-        if not left or not right:
+        left = _nearest_noun(tokens, i, -1)
+        right = _nearest_noun(tokens, i, 1)
+        if left is None or right is None or left.lemma == right.lemma:
             continue
-        subject = by_lemma[left[-1][1].lemma]
-        obj = by_lemma[right[0][1].lemma]
-        if subject.lemma == obj.lemma:
-            continue
-        key = (subject.lemma, tok.lemma, obj.lemma)
+        key = (left.lemma, tok.lemma, right.lemma)
         if key in emitted:
             continue
         emitted.add(key)
-        triples.append(ExtractedTriple(subject, tok.lemma, category, obj))
+        triples.append(ExtractedTriple(by_lemma[left.lemma], tok.lemma, category, by_lemma[right.lemma]))
     return triples
 
 
-def _state_label(tokens: Sequence[_Token], index: int, lex: Lexicon, by_lemma) -> Optional[str]:
+def _state_label(tokens: Sequence[_Token], index: int, lex: Lexicon) -> Optional[str]:
     """Resolve the label for the state verb at `index`, or None to skip."""
     mapped = lex.state_verbs[tokens[index].lemma]
     if mapped != COMPLEMENT_LABEL:
@@ -496,13 +461,13 @@ def _state_label(tokens: Sequence[_Token], index: int, lex: Lexicon, by_lemma) -
         if tok.lower in _COMPLEMENT_SKIP:
             continue
         # a noun complement ("gets the toy") is an object, not a state
-        if tok.lemma in by_lemma and _is_noun(tok, lex):
+        if tok.is_noun:
             return None
         return tok.lower
     return None
 
 
-def _extract_state_events(
+def _state_events(
     tokens: Sequence[_Token], by_lemma: Mapping[str, Mention], lex: Lexicon
 ) -> list[tuple[Mention, str]]:
     """Clause-subject tracking: the first mention before any verb owns the
@@ -527,7 +492,7 @@ def _extract_state_events(
             if nxt is not None and not lex.is_verb(nxt.lemma):
                 subject, seen_verb = None, False
             continue
-        if tok.lemma in by_lemma and _is_noun(tok, lex):
+        if tok.is_noun:
             if not seen_verb:
                 subject = by_lemma[tok.lemma]
             continue
@@ -535,7 +500,7 @@ def _extract_state_events(
             seen_verb = True
             if subject is None:
                 continue
-            label = _state_label(tokens, i, lex, by_lemma)
+            label = _state_label(tokens, i, lex)
             if label and (subject.lemma, label) not in seen:
                 seen.add((subject.lemma, label))
                 events.append((subject, label))
@@ -549,15 +514,13 @@ def parse_caption(caption: str, frame_index: int, lex: Optional[Lexicon] = None)
     if frame_index < 0:
         raise ValueError(f"frame_index must be >= 0, got {frame_index}")
     lex = lex or default_lexicon()
-    mentions = [_classified(m, lex) for m in extract_mentions(caption, lex)]
-    triples = extract_triples(caption, mentions, lex)
-    by_lemma = {m.lemma: m for m in mentions}
-    events = _extract_state_events(_analyze(caption, lex), by_lemma, lex) if caption else []
+    tokens = _analyze(caption, lex)
+    by_lemma = _mentions(tokens, lex)
     return CaptionParse(
         frame_index=frame_index,
-        mentions=tuple(mentions),
-        triples=tuple(triples),
-        state_events=tuple(events),
+        mentions=tuple(by_lemma.values()),
+        triples=tuple(_triples(tokens, by_lemma, lex)),
+        state_events=tuple(_state_events(tokens, by_lemma, lex)),
     )
 
 
@@ -573,11 +536,8 @@ def parse_question(question: str, options: Sequence[str], lex: Optional[Lexicon]
         raise ValueError(f"at most 5 options supported, got {len(options)}")
     lex = lex or default_lexicon()
 
-    entities: list[Mention] = []
-    seen: set[str] = set()
+    entities: dict[str, Mention] = {}
     for text in [question, *options]:
-        for mention in extract_mentions(text, lex):
-            if mention.lemma not in seen:
-                seen.add(mention.lemma)
-                entities.append(_classified(mention, lex))
-    return QueryParse(tuple(entities), question)
+        for lemma, mention in _mentions(_analyze(text, lex), lex).items():
+            entities.setdefault(lemma, mention)
+    return QueryParse(tuple(entities.values()), question)

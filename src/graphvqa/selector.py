@@ -50,6 +50,10 @@ class SelectorConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.decay_len < 1:
             raise ValueError(f"decay_len must be >= 1, got {self.decay_len}")
+        if not self.expanded_decay_multiplier > 0:
+            raise ValueError(
+                f"expanded_decay_multiplier must be > 0, got {self.expanded_decay_multiplier}"
+            )
 
 
 @dataclass(frozen=True)

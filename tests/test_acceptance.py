@@ -133,7 +133,7 @@ def test_criterion_3_selection_matches_oracle():
                     graph.upsert_entity(parse_caption(caption, frame, LEX).mentions[0], frame)
                 else:
                     graph.update_graph(
-                        [FrameRecord(frame, caption)],
+                        [FrameRecord(frame)],
                         [parse_caption(caption, frame, LEX)],
                     )
         query = parse_question("what about the dog and the person and the toy?", [], LEX)
@@ -169,7 +169,7 @@ def test_criterion_5_extraction_fixture():
     ]
     graph = VideoGraph()
     graph.update_graph(
-        [FrameRecord(i, c) for i, c in enumerate(captions)],
+        [FrameRecord(i) for i in range(len(captions))],
         [parse_caption(c, i, LEX) for i, c in enumerate(captions)],
     )
     nodes = sorted(n.canonical_lemma for n in graph.nodes.values())
@@ -326,7 +326,7 @@ def test_criterion_8_round_trips(tmp_path):
 
         graph = VideoGraph()
         graph.update_graph(
-            [FrameRecord(f, captions[f], embeddings[f]) for f in captioned],
+            [FrameRecord(f, embeddings[f]) for f in captioned],
             [parse_caption(captions[f], f, LEX) for f in captioned],
         )
         loaded = load_graph(save_graph(graph))

@@ -345,11 +345,9 @@ def test_missing_lexicon_dir_is_data_error(tmp_path, suite, capsys):
     assert "no_lexicon" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["run", "eval"])
-def test_missing_prompt_template_is_bad_config(tmp_path, suite, capsys, command):
-    config_path = write_config(tmp_path, suite, agent={
-        "prompt_template_path": str(tmp_path / "no_template.txt"),
-    })
+def rejected_before_any_item(tmp_path, suite, capsys, command, config_path):
+    """Run `command` (run or eval) on the suite; check that it exits 1 without
+    writing output, and return what it printed to stderr."""
     out_dir = tmp_path / "out"
     if command == "run":
         argv = ["run", "--bundle", str(suite["bundle_dir"]),
@@ -358,8 +356,17 @@ def test_missing_prompt_template_is_bad_config(tmp_path, suite, capsys, command)
         argv = ["eval", "--qa", str(suite["qa"]), "--bundle", str(suite["bundle_root"])]
     code = main([*argv, "--config", str(config_path), "--out", str(out_dir)])
     assert code == 1
-    assert "bad config" in capsys.readouterr().err
     assert not out_dir.exists()
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "eval"])
+def test_missing_prompt_template_is_bad_config(tmp_path, suite, capsys, command):
+    config_path = write_config(tmp_path, suite, agent={
+        "prompt_template_path": str(tmp_path / "no_template.txt"),
+    })
+    err = rejected_before_any_item(tmp_path, suite, capsys, command, config_path)
+    assert "bad config" in err
 
 
 @pytest.mark.parametrize("command", ["run", "eval"])
@@ -367,17 +374,32 @@ def test_unknown_prompt_placeholder_is_bad_config(tmp_path, suite, capsys, comma
     template = tmp_path / "template.txt"
     template.write_text("Q: {question} {nope}", encoding="utf-8")
     config_path = write_config(tmp_path, suite, agent={"prompt_template_path": str(template)})
-    out_dir = tmp_path / "out"
-    if command == "run":
-        argv = ["run", "--bundle", str(suite["bundle_dir"]),
-                "--question", "q?", "--options", "a", "b"]
-    else:
-        argv = ["eval", "--qa", str(suite["qa"]), "--bundle", str(suite["bundle_root"])]
-    code = main([*argv, "--config", str(config_path), "--out", str(out_dir)])
-    assert code == 1
-    err = capsys.readouterr().err
+    err = rejected_before_any_item(tmp_path, suite, capsys, command, config_path)
     assert "bad config" in err and "{nope}" in err
-    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "eval"])
+@pytest.mark.parametrize("path,value", [
+    (("agent", "prompt_char_budget"), 100),
+    (("selector", "expanded_decay_multiplier"), 0),
+    (("selector", "expanded_decay_multiplier"), -2.0),
+    (("providers", "default", "embed", "max_retries"), -1),
+    (("providers", "default", "embed", "timeout"), 0),
+    (("providers", "default", "embed", "retry_backoff"), -0.5),
+    (("providers", "default", "embed", "embed_dim"), 0),
+    (("providers", "default", "embed", "max_inflight"), 0),
+], ids=lambda p: "-".join(p) if isinstance(p, tuple) else str(p))
+def test_out_of_range_setting_is_config_error(tmp_path, suite, capsys, command, path, value):
+    config = json.loads(suite["config"].read_text(encoding="utf-8"))
+    *sections, key = path
+    node = config
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[key] = value
+    config_path = tmp_path / "changed.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    err = rejected_before_any_item(tmp_path, suite, capsys, command, config_path)
+    assert f"{key} must be" in err
 
 
 def test_lexicon_not_utf8_is_data_error(tmp_path, suite, capsys):

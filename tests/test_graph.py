@@ -27,7 +27,7 @@ def mention(lemma, entity_type=EntityType.OBJECT):
 def ingest(graph: VideoGraph, captions: dict[int, str], embeddings=None) -> VideoGraph:
     frames = sorted(captions)
     records = [
-        FrameRecord(f, captions[f], (embeddings or {}).get(f)) for f in frames
+        FrameRecord(f, (embeddings or {}).get(f)) for f in frames
     ]
     parses = [parse_caption(captions[f], f, LEX) for f in frames]
     return graph.update_graph(records, parses)
@@ -163,17 +163,17 @@ def test_update_duplicate_frame_rejected_graph_unchanged():
     snapshot = save_graph(graph)
     parse = parse_caption("the cat sits", 2, LEX)
     with pytest.raises(ValueError):
-        graph.update_graph([FrameRecord(2, "the cat sits")], [parse])
+        graph.update_graph([FrameRecord(2)], [parse])
     assert save_graph(graph) == snapshot
 
 
 def test_update_mismatched_lists_rejected():
     graph = VideoGraph()
     with pytest.raises(ValueError):
-        graph.update_graph([FrameRecord(0, "x")], [])
+        graph.update_graph([FrameRecord(0)], [])
     with pytest.raises(ValueError):
         graph.update_graph(
-            [FrameRecord(0, "the dog sits")],
+            [FrameRecord(0)],
             [parse_caption("the dog sits", 1, LEX)],
         )
 
@@ -185,7 +185,7 @@ def test_update_replay_yields_equal_graphs():
 def test_update_batch_order_independent():
     captions = {0: "the dog plays with the toy", 5: "the person takes the toy", 9: "the dog barks at the person"}
     frames = list(captions)
-    records = [FrameRecord(f, captions[f]) for f in frames]
+    records = [FrameRecord(f) for f in frames]
     parses = [parse_caption(captions[f], f, LEX) for f in frames]
 
     forward = VideoGraph().update_graph(records, parses)
@@ -296,7 +296,7 @@ def test_randomized_batches_order_independent():
         for frame in rng.sample(range(200), 24)
     }
     frames = list(captions)
-    records = [FrameRecord(f, captions[f]) for f in frames]
+    records = [FrameRecord(f) for f in frames]
     parses = [parse_caption(captions[f], f, LEX) for f in frames]
     pairs = list(zip(records, parses))
 

@@ -6,13 +6,12 @@ from hypothesis import strategies as st
 
 from graphvqa.errors import LexiconError
 from graphvqa.parsing import (
+    STOPWORDS,
     EntityType,
     Lexicon,
-    Mention,
     RelationCategory,
-    classify_entity,
+    default_lexicon,
     extract_mentions,
-    extract_triples,
     lemmatize,
     load_lexicon,
     parse_caption,
@@ -65,22 +64,23 @@ def test_mention_spans_slice_to_surface(lex):
         assert caption[start:end] == mention.surface
 
 
-# -- classify_entity ----------------------------------------------------------
+# -- entity typing ----------------------------------------------------------------
+
+def types(mentions):
+    return [(m.lemma, m.entity_type) for m in mentions]
+
 
 def test_classify_gazetteer_hit(lex):
-    mention = Mention("person", "person", EntityType.UNKNOWN, (0, 6))
-    assert classify_entity(mention, lex) is EntityType.PERSON
+    assert types(extract_mentions("the person", lex)) == [("person", EntityType.PERSON)]
 
 
 def test_classify_unlisted_defaults_to_object(lex):
-    mention = Mention("zxqv", "zxqv", EntityType.UNKNOWN, (0, 4))
-    assert classify_entity(mention, lex) is EntityType.OBJECT
+    assert types(extract_mentions("the zxqv", lex)) == [("zxqv", EntityType.OBJECT)]
 
 
 def test_classify_irregular_plural_person_nouns_are_groups(lex):
     for word in ("children", "people", "men", "women"):
-        mention = Mention(word, word, EntityType.UNKNOWN, (0, len(word)))
-        assert classify_entity(mention, lex) is EntityType.GROUP
+        assert types(extract_mentions(f"the {word}", lex)) == [(word, EntityType.GROUP)]
 
 
 def test_parse_never_leaves_unknown_types(lex):
@@ -89,16 +89,15 @@ def test_parse_never_leaves_unknown_types(lex):
     assert all(m.entity_type is not EntityType.UNKNOWN for m in parse.mentions)
 
 
-# -- extract_triples ----------------------------------------------------------
+# -- triples --------------------------------------------------------------------
 
 def test_triples_action_take(lex):
-    caption = "the person takes the toy"
-    mentions = [
-        Mention(m.surface, m.lemma, classify_entity(m, lex), m.char_span)
-        for m in extract_mentions(caption, lex)
+    parse = parse_caption("the person takes the toy", 0, lex)
+    assert triple_tuples(parse.triples) == [("person", "take", RelationCategory.ACTION, "toy")]
+    triple = parse.triples[0]
+    assert types([triple.subject, triple.object]) == [
+        ("person", EntityType.PERSON), ("toy", EntityType.OBJECT),
     ]
-    triples = extract_triples(caption, mentions, lex)
-    assert triple_tuples(triples) == [("person", "take", RelationCategory.ACTION, "toy")]
 
 
 def test_triples_interaction_bark_and_shipped_lexicon(lex):
@@ -110,9 +109,8 @@ def test_triples_interaction_bark_and_shipped_lexicon(lex):
 
 
 def test_triples_require_two_mentions(lex):
-    caption = "a dog"
-    triples = extract_triples(caption, extract_mentions(caption, lex), lex)
-    assert triples == []
+    assert parse_caption("a dog", 0, lex).triples == ()
+    assert parse_caption("the dog chases the other dog", 0, lex).triples == ()
 
 
 def test_preposition_absorbed_after_verb(lex):
@@ -294,10 +292,8 @@ def test_lemmatize_suffix_rules(lex, word, expected):
 
 # -- invariants / properties -------------------------------------------------------
 
-@settings(max_examples=120, deadline=None)
-@given(st.text(max_size=80))
-def test_parse_deterministic_and_spans_sound(text):
-    lex = __import__("graphvqa.parsing", fromlist=["default_lexicon"]).default_lexicon()
+def check_deterministic_and_spans_sound(text):
+    lex = default_lexicon()
     first = parse_caption(text, 0, lex)
     second = parse_caption(text, 0, lex)
     assert first == second
@@ -305,6 +301,47 @@ def test_parse_deterministic_and_spans_sound(text):
         start, end = mention.char_span
         assert 0 <= start < end <= len(text)
         assert mention.surface in text[start:end]
+    return first
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.text(max_size=80))
+def test_parse_deterministic_and_spans_sound(text):
+    check_deterministic_and_spans_sound(text)
+
+
+# Captions built from the words the parser acts on: every lexicon lemma and
+# stopword, with and without an inflection or possessive, joined by spaces,
+# coordinators, commas and sentence breaks.
+_WORDS = st.tuples(
+    st.sampled_from(sorted(default_lexicon().vocabulary | STOPWORDS)),
+    st.sampled_from(["", "", "", "s", "es", "ing", "ed", "'s"]),
+).map("".join)
+_JOINS = st.sampled_from(
+    [" ", " ", " ", " and ", " but ", " then ", " or ", " while ", ", ", ". ", "! ", "? ", "; "]
+)
+lexicon_captions = st.lists(st.tuples(_WORDS, _JOINS), max_size=16).map(
+    lambda parts: "".join(word + join for word, join in parts)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lexicon_captions)
+def test_lexicon_caption_properties(caption):
+    lex = default_lexicon()
+    parse = check_deterministic_and_spans_sound(caption)
+    assert all(m.entity_type is not EntityType.UNKNOWN for m in parse.mentions)
+    sets = {
+        RelationCategory.SPATIAL: lex.spatial_preps,
+        RelationCategory.INTERACTION: lex.interaction_verbs,
+        RelationCategory.ACTION: lex.action_verbs,
+    }
+    for triple in parse.triples:
+        assert triple.subject in parse.mentions
+        assert triple.object in parse.mentions
+        assert triple.subject.lemma != triple.object.lemma
+        membership = [c for c, tokens in sets.items() if triple.predicate in tokens]
+        assert membership == [triple.category]
 
 
 def test_triple_closure_predicates_in_exactly_one_set(lex):

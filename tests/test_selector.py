@@ -34,7 +34,7 @@ def graph_with(entity_frames: dict[str, list[int]]) -> VideoGraph:
         for frame in frames:
             if frame not in graph.processed_frames:
                 graph.update_graph(
-                    [FrameRecord(frame, f"the {lemma} sits")],
+                    [FrameRecord(frame)],
                     [parse_caption(f"the {lemma} sits", frame, LEX)],
                 )
             else:

@@ -177,7 +177,7 @@ def test_empty_graph_round_trip():
 def ingest(graph, captions, embeddings=None):
     frames = sorted(captions)
     graph.update_graph(
-        [FrameRecord(f, captions[f], (embeddings or {}).get(f)) for f in frames],
+        [FrameRecord(f, (embeddings or {}).get(f)) for f in frames],
         [parse_caption(captions[f], f, LEX) for f in frames],
     )
     return graph
