@@ -290,17 +290,22 @@ class VideoAgent:
 
     # -- retrieval --------------------------------------------------------------
 
-    def _frame_embedding(self, frame: int) -> Optional[list[float]]:
+    def _unembedded(self, frames: Sequence[int]) -> list[int]:
+        """The frames among `frames` whose embedding is not memoized yet."""
         if not self.gateway.has_embedder:
-            return None
-        vector = self._frame_embeddings.get(frame)
-        if vector is None:
-            try:
-                vector = self.gateway.embed(frame, self.bundle)
-            except GatewayError:
-                return None
-            self._frame_embeddings[frame] = vector
-        return vector
+            return []
+        return [f for f in frames if f not in self._frame_embeddings]
+
+    def _memoize(self, frames: Sequence[int], vectors: Sequence) -> None:
+        """Keep the embeddings that arrived; a failure is tried again later."""
+        for frame, vector in zip(frames, vectors):
+            if not isinstance(vector, GatewayError):
+                self._frame_embeddings[frame] = vector
+
+    def _embed_frames(self, frames: Sequence[int]) -> None:
+        """Fetch the embeddings of `frames` not memoized yet, in one fan-out."""
+        missing = self._unembedded(frames)
+        self._memoize(missing, self.gateway.gather([("embed", f) for f in missing], self.bundle))
 
     def _retrieve(self, session: AgentSession, graph: VideoGraph,
                   query: Optional[QueryParse], expanded: bool,
@@ -310,21 +315,41 @@ class VideoAgent:
         )
         pool = candidate_frames(windows, session.selected_frames)
         pool = [f for f in pool if self.gateway.can_caption(f, self.bundle)]
-        candidates = [(f, self._frame_embedding(f)) for f in pool]
+        self._embed_frames(pool)
+        candidates = [(f, self._frame_embeddings.get(f)) for f in pool]
         return select_frames(
             candidates, graph, query, session.selected_frames,
             self.bundle.total_frames, self.cfg.selector, expanded, query_embedding,
         )
 
-    def _ingest(self, graph: VideoGraph, frames: Sequence[int],
-                captions: dict[int, str]) -> None:
+    def _ingest(self, graph: VideoGraph, frames: Sequence[int], captions: dict[int, str],
+                question: Optional[str] = None) -> Optional[list[float]]:
+        """Caption `frames` and embed those not memoized yet, in one fan-out;
+        then parse them and update the graph in frame order. A `question`
+        is embedded in the same fan-out, and its vector returned (None on
+        failure). The first caption failure, in frame order, is raised
+        after the captions and embeddings of the frames before it are kept.
+        """
+        embed = self._unembedded(frames)
+        with_question = question is not None and self.gateway.has_embedder
+        requests = [("embed", question)] if with_question else []
+        requests += [("caption", f) for f in frames] + [("embed", f) for f in embed]
+        results = self.gateway.gather(requests, self.bundle)
+        query_embedding = results.pop(0) if with_question else None
+        if isinstance(query_embedding, GatewayError):
+            query_embedding = None
+        vectors = dict(zip(embed, results[len(frames):]))
         records, parses = [], []
-        for frame in frames:
-            text = self.gateway.caption(frame, self.bundle)
+        for frame, text in zip(frames, results):
+            if isinstance(text, GatewayError):
+                raise text
             captions[frame] = text
-            records.append(FrameRecord(frame, self._frame_embedding(frame)))
+            if frame in vectors:
+                self._memoize([frame], [vectors[frame]])
+            records.append(FrameRecord(frame, self._frame_embeddings.get(frame)))
             parses.append(parse_caption(text, frame, self.lexicon))
         graph.update_graph(records, parses)
+        return query_embedding
 
     # -- the loop ----------------------------------------------------------------
 
@@ -392,13 +417,6 @@ class VideoAgent:
         graph = VideoGraph(config=self.cfg.graph)
         self._frame_embeddings = {}
         query = parse_question(question, options, self.lexicon)
-        query_embedding = None
-        if self.gateway.has_embedder:
-            try:
-                query_embedding = self.gateway.embed(question, self.bundle)
-            except GatewayError:
-                query_embedding = None
-
         initial = uniform_sample(self.bundle.total_frames, self.cfg.initial_frames)
         initial = [f for f in initial if self.gateway.can_caption(f, self.bundle)]
         if not initial:
@@ -411,7 +429,7 @@ class VideoAgent:
                 f"bundle {self.bundle.video_id!r} has no captionable frames"
             )
         captions: dict[int, str] = {}
-        self._ingest(graph, initial, captions)
+        query_embedding = self._ingest(graph, initial, captions, question)
         session.add_frames(initial)
         session.final_graph_version = graph.version
 

@@ -175,9 +175,8 @@ def _cmd_run(args) -> int:
     cfg = agent_config_from(config)
     lexicon = lexicon_from(config)
     bundle = load_bundle(args.bundle)
-    gateway = build_gateway(config, args.provider, args.seed)
-    agent = VideoAgent(bundle, gateway, cfg, lexicon)
-    session, graph = agent.run(args.question, args.options)
+    with build_gateway(config, args.provider, args.seed) as gateway:
+        session, graph = VideoAgent(bundle, gateway, cfg, lexicon).run(args.question, args.options)
 
     letter = chr(ord("A") + session.final_answer) if session.options else str(session.final_answer)
     chosen = session.options[session.final_answer] if session.options else "(no options)"
@@ -203,15 +202,11 @@ def _cmd_eval(args) -> int:
     cfg = agent_config_from(config)
     lexicon = lexicon_from(config)
     out_dir = Path(args.out) if args.out else Path("eval_out")
-    gateway = build_gateway(config, args.provider, args.seed)
-
-    def gateway_factory(_item):
-        return gateway.for_session()
-
-    report = run_eval(
-        args.qa, args.bundle, cfg, gateway_factory, out_dir,
-        parallel=args.parallel, lexicon=lexicon,
-    )
+    with build_gateway(config, args.provider, args.seed) as gateway:
+        report = run_eval(
+            args.qa, args.bundle, cfg, lambda _item: gateway.for_session(), out_dir,
+            parallel=args.parallel, lexicon=lexicon,
+        )
     print(report.render_text())
     print(f"report written to {out_dir / 'report.json'}")
     return EXIT_OK

@@ -23,6 +23,18 @@ as an append-only JSON-lines file, so eval reruns cost nothing. Requests go
 out through the standard library's
 ``urllib.request``, which takes proxies from the standard environment
 variables and verifies HTTPS against the default SSL context.
+
+`ModelGateway.gather` serves one round's caption and embedding requests.
+Cache hits and local lanes are answered on the calling thread; two or more
+misses go out concurrently on a thread pool, at most `max_inflight` at a
+time. The pool has as many threads as the largest `max_inflight` of the
+caption and embed lanes, and a gateway shares it with its session views,
+so `eval --parallel N` keeps at most pool size + N requests in flight. A
+pool per session would be simpler, but a server with Python's default
+listen backlog of 5 stalled new connections for 1 s (SYN retries) at 8
+concurrent connections and reset them at 16. Results come back in request
+order. When a caption fails, the later requests of the same call may
+already have been sent and cached.
 """
 
 from __future__ import annotations
@@ -37,9 +49,10 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence, TypeVar, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .errors import (
     DataFormatError,
@@ -64,7 +77,7 @@ _KINDS = {REMOTE_CHAT, REMOTE_EMBED, PRECOMPUTED_CAPTION, PRECOMPUTED_EMBED, SCR
 _RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
 
 Message = tuple[str, str]
-T = TypeVar("T")
+Lane = str  # "caption" or "embed"
 
 
 @dataclass
@@ -276,6 +289,26 @@ class ResponseCache:
                     handle.write(line.encode("utf-8"))
 
 
+@dataclass(frozen=True)
+class _Request:
+    """One remote request: where it goes, its body, its cache key and how its
+    reply decodes. The body doubles as the cache key, so its rendering is
+    fixed."""
+
+    cfg: ProviderConfig
+    url: str
+    body: str
+    key: str
+    decode: Callable[[object], object]
+
+    @classmethod
+    def build(cls, cfg: ProviderConfig, path: str, body: dict,
+              decode: Callable[[object], object]) -> "_Request":
+        text = json.dumps(body, sort_keys=True, ensure_ascii=False)
+        return cls(cfg, f"{cfg.endpoint.rstrip('/')}{path}", text,
+                   ResponseCache.key(cfg.provider_id, text), decode)
+
+
 class ModelGateway:
     """One object bundling the chat, caption, and embed lanes.
 
@@ -284,7 +317,7 @@ class ModelGateway:
     are merged so only the first caller sends it. Without a `cache` the
     gateway keeps its responses in memory. Scripted chat counts calls per
     gateway, so concurrent sessions each take their own view from
-    `for_session`.
+    `for_session`. `close` stops the threads that `gather` started.
     """
 
     def __init__(
@@ -312,15 +345,37 @@ class ModelGateway:
         # Cache key -> event set once its sender has finished, successful or not.
         self._inflight: dict[str, threading.Event] = {}
         self._inflight_lock = threading.Lock()
+        # The fan-out pool of `gather`, shared with the session views. Its
+        # threads start on the first fan-out and mark themselves, because a
+        # pool thread that waited on the pool could deadlock it.
+        fanned_out = [
+            cfg.max_inflight for cfg in (caption, embed)
+            if cfg is not None and cfg.kind in (REMOTE_CHAT, REMOTE_EMBED)
+        ]
+        self._pool_thread = threading.local()
+        self._pool = ThreadPoolExecutor(
+            max(fanned_out, default=1), thread_name_prefix="graphvqa-gateway",
+            initializer=setattr, initargs=(self._pool_thread, "member", True),
+        )
 
     def for_session(self) -> "ModelGateway":
         """A view for one agent session: it shares this gateway's cache,
-        in-flight limits and merged misses but counts scripted chat calls
-        from 1 again."""
+        in-flight limits, merged misses and fan-out pool but counts scripted
+        chat calls from 1 again."""
         view = copy.copy(self)
         if self._scripted_chat is not None:
             view._scripted_chat = ScriptedChat(self._scripted_chat.entries)
         return view
+
+    def close(self) -> None:
+        """Stop the fan-out pool's threads, after the requests they run."""
+        self._pool.shutdown()
+
+    def __enter__(self) -> "ModelGateway":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- chat and captions --------------------------------------------------------
 
@@ -332,7 +387,7 @@ class ModelGateway:
         if cfg.kind == SCRIPTED:
             prompt = "\n".join(text for _, text in messages)
             return self._scripted_chat.reply(prompt)
-        return self._complete(cfg, messages, "chat")
+        return self._post_with_retries(self._completion_request(cfg, messages, "chat"))
 
     def can_caption(self, frame_index: int, bundle: VideoBundle) -> bool:
         if self.caption_cfg is None:
@@ -350,25 +405,23 @@ class ModelGateway:
                     f"no caption for frame {frame_index} of video {bundle.video_id!r}"
                 )
             return bundle.captions[frame_index]
+        return self._post_with_retries(self._caption_request(cfg, frame_index, bundle))
+
+    def _caption_request(self, cfg: ProviderConfig, frame_index: int,
+                         bundle: VideoBundle) -> _Request:
         prompt = f"Caption frame {frame_index} of video {bundle.video_id}."
-        return self._complete(cfg, [("user", prompt)], "caption")
+        return self._completion_request(cfg, [("user", prompt)], "caption")
 
-    def _complete(self, cfg: ProviderConfig, messages: Sequence[Message], lane: str) -> str:
-        """POST one chat completion and return the first choice's text.
-
-        The request body doubles as the cache key, so its rendering is fixed.
-        """
+    def _completion_request(self, cfg: ProviderConfig, messages: Sequence[Message],
+                            lane: str) -> _Request:
+        """A chat completion whose reply decodes to the first choice's text."""
         if cfg.kind != REMOTE_CHAT:
             raise GatewayConfigError(f"provider kind {cfg.kind} cannot serve {lane}")
-        body = json.dumps(
-            {
-                "model": cfg.model_name,
-                "messages": [{"role": role, "content": text} for role, text in messages],
-                "temperature": cfg.temperature,
-            },
-            sort_keys=True,
-            ensure_ascii=False,
-        )
+        body = {
+            "model": cfg.model_name,
+            "messages": [{"role": role, "content": text} for role, text in messages],
+            "temperature": cfg.temperature,
+        }
 
         def text(payload) -> str:
             try:
@@ -379,9 +432,7 @@ class ModelGateway:
                 raise GatewayError(f"malformed {lane} payload: content is {type(content).__name__}")
             return content
 
-        return self._post_with_retries(
-            cfg, f"{cfg.endpoint.rstrip('/')}/v1/chat/completions", body, text
-        )
+        return _Request.build(cfg, "/v1/chat/completions", body, text)
 
     # -- embeddings ---------------------------------------------------------------
 
@@ -410,26 +461,82 @@ class ModelGateway:
             return pseudo_embedding(token, dim, cfg.seed)
         if cfg.kind != REMOTE_EMBED:
             raise GatewayConfigError(f"provider kind {cfg.kind} cannot serve embeddings")
-        body = json.dumps(
-            {"model": cfg.model_name, "input": str(text_or_frame)},
-            sort_keys=True,
-            ensure_ascii=False,
-        )
+        return self._post_with_retries(self._embed_request(cfg, text_or_frame, bundle))
+
+    def _embed_request(self, cfg: ProviderConfig, text_or_frame: Union[str, int],
+                       bundle: Optional[VideoBundle]) -> _Request:
+        """An embedding whose reply must match the bundle's dimension."""
+        dim = bundle.embedding_dim if bundle is not None else None
 
         def floats(payload) -> list[float]:
             try:
-                return [float(x) for x in payload["data"][0]["embedding"]]
+                vector = [float(x) for x in payload["data"][0]["embedding"]]
             except (KeyError, IndexError, TypeError, ValueError) as exc:
                 raise GatewayError(f"malformed embeddings payload: {exc!r}") from exc
+            if dim and len(vector) != dim:
+                raise DimensionError(
+                    f"remote embedding dim {len(vector)} does not match bundle dim {dim}"
+                )
+            return vector
 
-        vector = self._post_with_retries(
-            cfg, f"{cfg.endpoint.rstrip('/')}/v1/embeddings", body, floats
-        )
-        if bundle is not None and bundle.embedding_dim and len(vector) != bundle.embedding_dim:
-            raise DimensionError(
-                f"remote embedding dim {len(vector)} does not match bundle dim {bundle.embedding_dim}"
-            )
-        return vector
+        body = {"model": cfg.model_name, "input": str(text_or_frame)}
+        return _Request.build(cfg, "/v1/embeddings", body, floats)
+
+    # -- one round's requests -----------------------------------------------------
+
+    def gather(self, requests: Sequence[tuple[Lane, Union[str, int]]],
+               bundle: VideoBundle) -> list:
+        """Serve each `(lane, item)` request ("caption" a frame, "embed" a
+        frame or a text) for one bundle; results come back in request order.
+
+        Cache hits and local lanes are served on the calling thread, and so
+        is a single miss. Two or more misses go out concurrently on the
+        shared pool, each through `caption` or `embed`. A GatewayError is
+        returned as that request's result. Any other exception is raised
+        once every request has finished, the first in request order.
+        """
+        serve = {"caption": self.caption, "embed": self.embed}
+        results: list = [None] * len(requests)
+        misses: list[int] = []
+        for i, (lane, item) in enumerate(requests):
+            try:
+                request = self._request(lane, item, bundle)
+                if request is None:
+                    results[i] = serve[lane](item, bundle)
+                    continue
+                cached = self.cache.get(request.key)
+                if cached is None:
+                    misses.append(i)
+                else:
+                    results[i] = request.decode(cached)
+            except Exception as exc:  # noqa: BLE001 - sorted out below
+                results[i] = exc
+
+        def send(i: int):
+            lane, item = requests[i]
+            try:
+                return serve[lane](item, bundle)
+            except Exception as exc:  # noqa: BLE001 - sorted out below
+                return exc
+
+        fan_out = len(misses) > 1 and not getattr(self._pool_thread, "member", False)
+        for i, outcome in zip(misses, (self._pool.map if fan_out else map)(send, misses)):
+            results[i] = outcome
+        for result in results:
+            if isinstance(result, Exception) and not isinstance(result, GatewayError):
+                raise result
+        return results
+
+    def _request(self, lane: Lane, item: Union[str, int],
+                 bundle: VideoBundle) -> Optional[_Request]:
+        """The remote request for `(lane, item)`; None when a local lane serves it."""
+        if lane == "caption":
+            cfg = self._require(self.caption_cfg, "caption")
+            return self._caption_request(cfg, item, bundle) if cfg.kind == REMOTE_CHAT else None
+        if lane == "embed":
+            cfg = self._require(self.embed_cfg, "embed")
+            return self._embed_request(cfg, item, bundle) if cfg.kind == REMOTE_EMBED else None
+        raise ValueError(f"unknown lane {lane!r}")
 
     # -- wire plumbing ---------------------------------------------------------
 
@@ -444,33 +551,31 @@ class ModelGateway:
             sem = self._semaphores.setdefault(cfg.provider_id, threading.Semaphore(cfg.max_inflight))
         return sem
 
-    def _post_with_retries(self, cfg: ProviderConfig, url: str, body: str,
-                           decode: Callable[[object], T]) -> T:
-        """Decode the cached payload for `body`, or send it and cache the reply.
+    def _post_with_retries(self, request: _Request):
+        """Decode the cached payload of `request`, or send it and cache the reply.
 
         While one caller sends a request, others asking for the same one wait
-        and then read the cache. If sending or `decode` fails nothing is
+        and then read the cache. If sending or decoding fails nothing is
         cached, and the next waiter sends the request itself.
         """
-        cache_key = ResponseCache.key(cfg.provider_id, body)
         while True:
             with self._inflight_lock:
-                cached = self.cache.get(cache_key)
-                pending = self._inflight.get(cache_key)
+                cached = self.cache.get(request.key)
+                pending = self._inflight.get(request.key)
                 if cached is None and pending is None:
-                    done = self._inflight[cache_key] = threading.Event()
+                    done = self._inflight[request.key] = threading.Event()
                     break
             if cached is not None:
-                return decode(cached)
+                return request.decode(cached)
             pending.wait()
         try:
-            payload = self._send(cfg, url, body)
-            result = decode(payload)
-            self.cache.put(cache_key, payload)
+            payload = self._send(request.cfg, request.url, request.body)
+            result = request.decode(payload)
+            self.cache.put(request.key, payload)
             return result
         finally:
             with self._inflight_lock:
-                del self._inflight[cache_key]
+                del self._inflight[request.key]
             done.set()
 
     def _send(self, cfg: ProviderConfig, url: str, body: str) -> dict:

@@ -86,12 +86,16 @@ def vector_norm(v: Sequence[float]) -> float:
     return math.sqrt(sum(x * x for x in v))
 
 
-def cosine_similarity(a: Sequence[float], b: Sequence[float]) -> float:
+def cosine_similarity(a: Sequence[float], b: Sequence[float],
+                      norm_b: Optional[float] = None) -> float:
+    """Cosine of two vectors; 0 when either is a zero vector. A caller that
+    compares many vectors with one `b` passes its `vector_norm` as `norm_b`."""
     if len(a) != len(b):
         raise DimensionError(f"cannot compare vectors of dims {len(a)} and {len(b)}")
     dot = sum(x * y for x, y in zip(a, b))
     norm_a = vector_norm(a)
-    norm_b = vector_norm(b)
+    if norm_b is None:
+        norm_b = vector_norm(b)
     if norm_a == 0.0 or norm_b == 0.0:
         return 0.0
     return dot / (norm_a * norm_b)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -151,12 +152,22 @@ def run_eval(qa_path: Union[str, Path], bundle_root: Union[str, Path],
             save_transcript(result.session, transcript_path)
 
     report = _aggregate(results)
-    report_path = out_dir / "report.json"
-    report_path.write_text(
+    _replace_text(
+        out_dir / "report.json",
         json.dumps(report.to_dict(), sort_keys=True, indent=2, ensure_ascii=False) + "\n",
-        encoding="utf-8",
     )
     return report
+
+
+def _replace_text(path: Path, text: str) -> None:
+    """Write `path` through a temporary file beside it and `os.replace`, so
+    a failed write leaves the previous file whole."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _accuracy(pairs: Sequence[tuple[bool, str]], key: Optional[str] = None) -> float:

@@ -23,7 +23,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .graph import VideoGraph, cosine_similarity
+from .graph import VideoGraph, cosine_similarity, vector_norm
 from .parsing import QueryParse
 
 Candidate = tuple[int, Optional[Sequence[float]]]
@@ -84,12 +84,14 @@ def graph_score_raw(frame: int, graph: VideoGraph, query: Optional[QueryParse],
 
 
 def visual_score_raw(frame_embedding: Optional[Sequence[float]],
-                     query_embedding: Optional[Sequence[float]]) -> float:
+                     query_embedding: Optional[Sequence[float]],
+                     query_norm: Optional[float] = None) -> float:
     """Cosine similarity mapped to [0, 1]; 0.5 when either side is missing
-    or a zero vector (whose cosine is 0)."""
+    or a zero vector (whose cosine is 0). `query_norm`, if given, is the
+    query embedding's `vector_norm`."""
     if frame_embedding is None or query_embedding is None:
         return 0.5
-    cos = cosine_similarity(frame_embedding, query_embedding)
+    cos = cosine_similarity(frame_embedding, query_embedding, query_norm)
     return (1.0 + max(-1.0, min(1.0, cos))) / 2.0
 
 
@@ -148,7 +150,8 @@ def score_candidates(candidates: Sequence[Candidate], graph: VideoGraph,
                      query_embedding: Optional[Sequence[float]] = None) -> list[FrameScore]:
     """Score every candidate with normalized components."""
     raw_graph = [graph_score_raw(f, graph, query, cfg, expanded) for f, _ in candidates]
-    raw_visual = [visual_score_raw(emb, query_embedding) for _, emb in candidates]
+    query_norm = vector_norm(query_embedding) if query_embedding is not None else None
+    raw_visual = [visual_score_raw(emb, query_embedding, query_norm) for _, emb in candidates]
     ordered = sorted(selected)
     raw_temporal = [temporal_score_raw(f, ordered, total_frames) for f, _ in candidates]
     norm_graph = normalize_scores(raw_graph)

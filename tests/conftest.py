@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import time
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
 
 from graphvqa.gateway import (
     PRECOMPUTED_CAPTION,
-    PRECOMPUTED_EMBED,
     SCRIPTED,
     ModelGateway,
     ProviderConfig,
@@ -106,8 +107,6 @@ class _StubHandler(BaseHTTPRequestHandler):
         with self.state.lock:
             self.state.requests.append(body)
             if self.state.echo:
-                import hashlib
-
                 tag = hashlib.sha256(body.encode()).hexdigest()[:12]
                 status, reply = 200, json.dumps(
                     {"choices": [{"message": {"content": f"echo:{tag}"}}]}
@@ -155,3 +154,96 @@ def remote_chat_config(endpoint, **overrides) -> ProviderConfig:
     )
     defaults.update(overrides)
     return ProviderConfig(**defaults)
+
+
+class ModelStubState:
+    """What a `model_stub` saw, and how it answers."""
+
+    def __init__(self):
+        self.delay_s = 0.005
+        self.embed_dim = 8
+        self.reject: set[str] = set()  # body substrings answered with HTTP 400
+        self.requests: list[str] = []
+        self.active = 0
+        self.peak = 0  # most requests being answered at once
+        self.fan_out_threads: set[threading.Thread] = set()  # gateway pool threads seen
+        self.lock = threading.Lock()
+
+
+class _ModelStubHandler(BaseHTTPRequestHandler):
+    state: ModelStubState = None
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers.get("Content-Length", 0))).decode("utf-8")
+        state = self.state
+        with state.lock:
+            state.requests.append(body)
+            state.active += 1
+            state.peak = max(state.peak, state.active)
+            state.fan_out_threads.update(
+                t for t in threading.enumerate() if t.name.startswith("graphvqa-gateway")
+            )
+        try:
+            time.sleep(state.delay_s)
+            digest = hashlib.sha256(body.encode("utf-8")).digest()
+            status = 400 if any(s in body for s in state.reject) else 200
+            if self.path.endswith("/v1/embeddings"):
+                vector = [(b - 127.5) / 127.5 for b in digest[: state.embed_dim]]
+                reply = {"data": [{"embedding": vector}]}
+            else:
+                reply = {"choices": [{"message": {"content": f"echo:{digest.hex()[:12]}"}}]}
+            payload = json.dumps(reply).encode("utf-8")
+        finally:
+            with state.lock:
+                state.active -= 1
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def model_stub():
+    """A threaded OpenAI-compatible stub for chat, captions and embeddings:
+    each request sleeps `delay_s`, then gets a reply derived from its body."""
+    state = ModelStubState()
+    handler = type("Handler", (_ModelStubHandler,), {"state": state})
+    # A listen backlog that is never the limit being measured.
+    server = type("Server", (ThreadingHTTPServer,), {"request_queue_size": 64})(
+        ("127.0.0.1", 0), handler
+    )
+    thread = threading.Thread(
+        target=lambda: server.serve_forever(poll_interval=0.02), daemon=True
+    )
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_address[1]}", state
+    server.shutdown()
+    server.server_close()
+
+
+def remote_lanes(endpoint, **overrides) -> dict:
+    """Provider config blocks with all three lanes on `endpoint`."""
+    remote = dict(endpoint=endpoint, model_name="stub-model", retry_backoff=0.001,
+                  timeout=5.0, **overrides)
+    return {
+        "chat": {"kind": "RemoteChat", **remote},
+        "caption": {"kind": "RemoteChat", **remote},
+        "embed": {"kind": "RemoteEmbed", **remote},
+    }
+
+
+def count_pool_submits(gateway):
+    """Record every task handed to the gateway's fan-out pool."""
+    submitted = []
+    submit = gateway._pool.submit
+
+    def counting(*args, **kwargs):
+        submitted.append(args)
+        return submit(*args, **kwargs)
+
+    gateway._pool.submit = counting
+    return submitted

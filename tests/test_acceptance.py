@@ -7,7 +7,6 @@ lines alongside pytest's own pass/fail output.
 from __future__ import annotations
 
 import json
-import math
 import random
 import time
 

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import (
     confident_entry,
+    count_pool_submits,
     make_bundle,
     remote_chat_config,
     scripted_gateway,
@@ -24,7 +25,7 @@ from graphvqa.agent import (
     render_prompt,
     uniform_sample,
 )
-from graphvqa.errors import GatewayError
+from graphvqa.errors import DimensionError, GatewayError
 from graphvqa.gateway import (
     PRECOMPUTED_CAPTION,
     SCRIPTED,
@@ -365,11 +366,9 @@ class CountingGateway(ModelGateway):
 class UnmemoizedAgent(VideoAgent):
     """Embeds a frame on every use, as the reference for transcripts."""
 
-    def _frame_embedding(self, frame):
-        try:
-            return self.gateway.embed(frame, self.bundle)
-        except GatewayError:
-            return None
+    def _unembedded(self, frames):
+        self._frame_embeddings.clear()
+        return super()._unembedded(frames)
 
 
 def test_frame_embeddings_memoized_per_session():
@@ -393,11 +392,73 @@ def test_failed_frame_embedding_tried_again():
     bundle = distinct_caption_bundle()
     gateway = CountingGateway([confident_entry()], fail_once={7})
     agent = VideoAgent(bundle, gateway)
-    assert agent._frame_embedding(7) is None
-    vector = agent._frame_embedding(7)
+    agent._embed_frames([7])
+    assert agent._frame_embeddings.get(7) is None
+    agent._embed_frames([7])
+    vector = agent._frame_embeddings.get(7)
     assert vector is not None
-    assert agent._frame_embedding(7) is vector
+    agent._embed_frames([7])
+    assert agent._frame_embeddings.get(7) is vector
     assert gateway.frame_embeds[7] == 2
+
+
+def fanned_out_gateway(endpoint, **overrides):
+    """Scripted chat that asks for one retrieval round, then answers;
+    captions and embeddings from the remote stub."""
+    return ModelGateway(
+        chat=ProviderConfig(kind=SCRIPTED),
+        caption=remote_chat_config(endpoint, **overrides),
+        embed=remote_chat_config(endpoint, kind="RemoteEmbed", **overrides),
+        chat_script=[
+            ScriptEntry(reply="answer: B, confidence: 1, missing: more frames", round=1),
+            confident_entry("C"),
+        ],
+    )
+
+
+def test_caption_failure_in_fan_out_ends_the_round(model_stub):
+    endpoint, state = model_stub
+    bundle = make_bundle(total_frames=120)
+    with fanned_out_gateway(endpoint) as gateway:
+        clean, _ = VideoAgent(bundle, gateway).run("what does the dog hold?", OPTIONS)
+    retrieved = clean.rounds[0].frames_added
+    assert len(retrieved) == 3
+
+    state.reject = {f"Caption frame {retrieved[1]} of"}  # the 2nd of the round's 3 frames
+    with fanned_out_gateway(endpoint, max_retries=0) as gateway:
+        session, graph = VideoAgent(bundle, gateway).run("what does the dog hold?", OPTIONS)
+    [entry] = session.rounds
+    assert entry.missing_info == "gateway failure: request rejected with HTTP 400"
+    assert entry.frames_added == []
+    assert session.terminated_by.value == "RoundLimit"
+    initial = uniform_sample(bundle.total_frames, AgentConfig().initial_frames)
+    assert session.selected_frames == initial
+    assert sorted(graph.processed_frames) == initial
+
+
+def test_remote_embedding_of_wrong_dimension_raises(model_stub):
+    endpoint, state = model_stub
+    state.embed_dim = 4
+    with fanned_out_gateway(endpoint) as gateway:
+        with pytest.raises(DimensionError):
+            VideoAgent(make_bundle(total_frames=60, dim=8), gateway).run("what?", OPTIONS)
+
+
+def test_all_hit_rerun_submits_nothing_to_the_pool(model_stub):
+    endpoint, state = model_stub
+    bundle = make_bundle(total_frames=120)
+    with fanned_out_gateway(endpoint) as cold_gateway:
+        submitted = count_pool_submits(cold_gateway)
+        cold, _ = VideoAgent(bundle, cold_gateway).run("what does the dog hold?", OPTIONS)
+        assert submitted  # the cold run fans out
+    sent = len(state.requests)
+    with fanned_out_gateway(endpoint) as warm_gateway:
+        warm_gateway.cache = cold_gateway.cache
+        submitted = count_pool_submits(warm_gateway)
+        warm, _ = VideoAgent(bundle, warm_gateway).run("what does the dog hold?", OPTIONS)
+    assert submitted == []
+    assert len(state.requests) == sent
+    assert transcript_record(warm) == transcript_record(cold)
 
 
 # -- the causal-chain fixture ------------------------------------------------------------

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
-from conftest import make_bundle
+from conftest import make_bundle, remote_lanes
 from graphvqa.cli import main
 from graphvqa.store import QAItem, load_graph, load_transcripts, save_bundle, save_qa
 
@@ -227,7 +228,8 @@ def test_eval_counts_scripted_rounds_per_item(suite, tmp_path):
 
 def echo_eval(tmp_path, endpoint, **config):
     """Eight questions on two bundles with every remote lane on the echo stub;
-    returns a function running `eval --parallel 4` into a given directory."""
+    returns a function running `eval --parallel N` (4 by default) into a given
+    directory."""
     root = tmp_path / "bundles"
     for index in range(2):
         save_bundle(make_bundle(video_id=f"v{index}", total_frames=40, seed=index), root / f"v{index}")
@@ -246,9 +248,9 @@ def echo_eval(tmp_path, endpoint, **config):
         }},
     }), encoding="utf-8")
 
-    def evaluate(out):
+    def evaluate(out, parallel=4):
         return main(["eval", "--qa", str(qa_path), "--bundle", str(root),
-                     "--config", str(config_path), "--out", str(out), "--parallel", "4"])
+                     "--config", str(config_path), "--out", str(out), "--parallel", str(parallel)])
 
     return evaluate
 
@@ -295,6 +297,58 @@ def test_parallel_eval_without_cache_path_sends_each_request_once(tmp_path, stub
         sys.setswitchinterval(interval)
     assert state.request_count == len(set(state.requests))
     assert len(load_transcripts(tmp_path / "out" / "transcripts.jsonl")) == 8
+
+
+def test_parallel_eval_with_fan_out_matches_serial_eval(tmp_path, stub_server):
+    endpoint, state = stub_server
+    state.echo = True
+    evaluate = echo_eval(tmp_path, endpoint)
+    outputs = []
+    for parallel in (1, 4):
+        state.requests.clear()
+        assert evaluate(tmp_path / f"out{parallel}", parallel) == 0
+        assert state.request_count == len(set(state.requests))
+        outputs.append([(tmp_path / f"out{parallel}" / name).read_bytes()
+                        for name in ("report.json", "transcripts.jsonl")])
+    assert outputs[0] == outputs[1]
+
+
+def remote_eval(tmp_path, endpoint, parallel, **provider):
+    """`eval --parallel N` of eight questions on three bundles, every lane
+    remote. The bundles differ in length, so few frame embeddings coincide."""
+    root = tmp_path / "bundles"
+    for index in range(3):
+        save_bundle(make_bundle(video_id=f"v{index}", total_frames=120 + 11 * index, seed=index),
+                    root / f"v{index}")
+    qa_path = save_qa(
+        [QAItem(f"v{i % 3}", f"what does the dog hold {i}?", OPTIONS, answer_index=0)
+         for i in range(8)],
+        tmp_path / "qa",
+    )
+    config_path = tmp_path / "remote.json"
+    config_path.write_text(json.dumps({
+        "providers": {"default": remote_lanes(endpoint, **provider)},
+    }), encoding="utf-8")
+    return main(["eval", "--qa", str(qa_path), "--bundle", str(root), "--config",
+                 str(config_path), "--out", str(tmp_path / "out"), "--parallel", str(parallel)])
+
+
+def test_requests_in_flight_stay_within_pool_size_plus_parallel(tmp_path, model_stub):
+    # The per-provider limits alone would allow 6 + 6 requests in flight.
+    endpoint, state = model_stub
+    state.delay_s = 0.03  # long enough for the sessions' rounds to overlap
+    assert remote_eval(tmp_path, endpoint, parallel=2, max_inflight=6) == 0
+    assert len(state.requests) == len(set(state.requests))
+    assert 1 < state.peak <= 6 + 2
+
+
+def test_eval_leaves_no_fan_out_thread_running(tmp_path, model_stub):
+    endpoint, state = model_stub
+    before = set(threading.enumerate())
+    assert remote_eval(tmp_path, endpoint, parallel=2) == 0
+    started = state.fan_out_threads - before
+    assert started  # the eval fanned out
+    assert not any(thread.is_alive() for thread in started)
 
 
 def write_config(tmp_path, suite, **changes):

@@ -5,9 +5,10 @@ import math
 
 import pytest
 
-from conftest import make_bundle, remote_chat_config
+from conftest import count_pool_submits, make_bundle, remote_chat_config
 from graphvqa.errors import (
     DataFormatError,
+    DimensionError,
     GatewayConfigError,
     GatewayError,
     MissingCaptionError,
@@ -545,3 +546,86 @@ def test_remote_transport_failures_retry(reply):
             assert not thread.is_alive()
     finally:
         server.close()
+
+
+# -- one round's requests through gather -----------------------------------------------
+
+def remote_gateway(endpoint, **overrides):
+    return ModelGateway(
+        caption=remote_chat_config(endpoint, **overrides),
+        embed=remote_chat_config(endpoint, kind="RemoteEmbed", **overrides),
+    )
+
+
+ROUND = [("embed", "a question"), ("caption", 3), ("embed", 3), ("caption", 9), ("embed", 9)]
+
+
+def test_gather_matches_one_call_per_request_in_order(model_stub):
+    endpoint, state = model_stub
+    bundle = make_bundle(total_frames=20, dim=8)
+    with remote_gateway(endpoint) as serial:
+        expected = [
+            serial.caption(item, bundle) if lane == "caption" else serial.embed(item, bundle)
+            for lane, item in ROUND
+        ]
+    with remote_gateway(endpoint) as gateway:
+        submitted = count_pool_submits(gateway)
+        assert gateway.gather(ROUND, bundle) == expected
+    assert len(submitted) == len(ROUND)
+    assert len(state.requests) == 2 * len(ROUND)  # each gateway sent each body once
+    assert len(set(state.requests)) == len(ROUND)
+
+
+def test_gather_serves_hits_local_lanes_and_a_single_miss_inline(model_stub):
+    endpoint, state = model_stub
+    bundle = make_bundle(total_frames=20, dim=8)
+    with remote_gateway(endpoint) as gateway:
+        warm = gateway.gather(ROUND, bundle)
+        sent = len(state.requests)
+        submitted = count_pool_submits(gateway)
+        view = gateway.for_session()
+        assert view.gather(ROUND, bundle) == warm  # all cache hits
+        assert view.gather(ROUND + [("caption", 4)], bundle)[-1].startswith("echo:")
+        assert submitted == []
+        assert len(state.requests) == sent + 1
+    local = ModelGateway(caption=ProviderConfig(kind=PRECOMPUTED_CAPTION),
+                         embed=ProviderConfig(kind=SCRIPTED, embed_dim=8))
+    submitted = count_pool_submits(local)
+    assert local.gather(ROUND, bundle) == [
+        local.embed("a question", bundle), bundle.captions[3], local.embed(3, bundle),
+        bundle.captions[9], local.embed(9, bundle),
+    ]
+    assert submitted == []
+
+
+def test_gather_returns_gateway_errors_and_raises_others_in_order(model_stub):
+    endpoint, state = model_stub
+    state.reject = {"Caption frame 9 of"}
+    bundle = make_bundle(total_frames=20, dim=8)
+    with remote_gateway(endpoint, max_retries=0) as gateway:
+        results = gateway.gather(ROUND, bundle)
+    assert isinstance(results[3], GatewayError) and results[3].status == 400
+    assert not any(isinstance(r, Exception) for i, r in enumerate(results) if i != 3)
+
+    state.embed_dim = 4  # the bundle's vectors have 8 dimensions
+    with remote_gateway(endpoint, max_retries=0) as gateway:
+        with pytest.raises(DimensionError, match="remote embedding dim 4"):
+            gateway.gather([("caption", 9), ("embed", 5), ("embed", 6)], bundle)
+        sent = len(state.requests)
+        with pytest.raises(DimensionError):
+            gateway.embed(5, bundle)
+        assert len(state.requests) == sent + 1  # a reply that failed to decode was not cached
+
+
+def test_gather_on_a_pool_thread_never_waits_for_the_pool(model_stub):
+    endpoint, _ = model_stub
+    bundle = make_bundle(total_frames=20)
+    with remote_gateway(endpoint, max_inflight=1) as gateway:  # a pool of one thread
+        future = gateway._pool.submit(gateway.gather, ROUND, bundle)
+        assert len(future.result(timeout=30)) == len(ROUND)
+
+
+def test_gather_rejects_an_unknown_lane():
+    gateway = ModelGateway(caption=ProviderConfig(kind=PRECOMPUTED_CAPTION))
+    with pytest.raises(ValueError, match="unknown lane"):
+        gateway.gather([("chat", "hi")], make_bundle(total_frames=5))

@@ -8,7 +8,6 @@ import pytest
 from graphvqa.errors import DimensionError
 from graphvqa.graph import FrameRecord, GraphConfig, VideoGraph, cosine_similarity
 from graphvqa.parsing import (
-    CaptionParse,
     EntityType,
     Mention,
     default_lexicon,

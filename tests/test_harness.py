@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import errno
 import json
+import pathlib
 
 import pytest
 
@@ -124,6 +126,29 @@ def test_eval_writes_report_and_transcripts(tmp_path):
     on_disk = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert on_disk["accuracy"] == report.accuracy
     assert on_disk["n_items"] == 3
+
+
+def test_failed_report_write_keeps_previous_report(tmp_path, monkeypatch):
+    bundle = make_bundle(video_id="v0", total_frames=40)
+    items = [QAItem("v0", f"q {i}?", OPTIONS, answer_index=0) for i in range(2)]
+    qa_path, root = write_suite(tmp_path, items, [bundle])
+    out = tmp_path / "out"
+    run_eval(qa_path, root, AgentConfig(),
+             scripted_factory(lambda item: "answer: A, confidence: 3"), out)
+    previous = (out / "report.json").read_bytes()
+
+    def disk_full(path, text, *args, **kwargs):
+        with open(path, "w", encoding="utf-8") as handle:  # half the text, then the disk is full
+            handle.write(text[: len(text) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(pathlib.Path, "write_text", disk_full)
+    with pytest.raises(OSError):
+        run_eval(qa_path, root, AgentConfig(),
+                 scripted_factory(lambda item: "answer: B, confidence: 3"), out)
+    monkeypatch.undo()
+    assert (out / "report.json").read_bytes() == previous
+    assert sorted(p.name for p in out.iterdir()) == ["report.json", "transcripts.jsonl"]
 
 
 def test_eval_parallel_matches_serial(tmp_path):

@@ -412,3 +412,31 @@ def test_temporal_score_matches_oracle_property(selected, frames, extra):
             [temporal_score_oracle(f, selected, total) for f, _ in candidates]
         )
         assert [s.s_temporal for s in scores] == expected
+
+
+def visual_score_oracle(frame_embedding, query_embedding):
+    """The visual score with both norms computed per call."""
+    if frame_embedding is None or query_embedding is None:
+        return 0.5
+    dot = sum(x * y for x, y in zip(frame_embedding, query_embedding))
+    norm_f = math.sqrt(sum(x * x for x in frame_embedding))
+    norm_q = math.sqrt(sum(x * x for x in query_embedding))
+    cos = 0.0 if norm_f == 0.0 or norm_q == 0.0 else dot / (norm_f * norm_q)
+    return (1.0 + max(-1.0, min(1.0, cos))) / 2.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=16).flatmap(lambda dim: st.tuples(
+    st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=dim, max_size=dim),
+    st.lists(st.one_of(
+        st.none(), st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=dim, max_size=dim),
+    ), min_size=1, max_size=12),
+)))
+def test_visual_scores_with_query_norm_once_match_oracle_property(vectors):
+    # score_candidates takes the query's norm once per call; scores stay bit-identical
+    query_embedding, embeddings = vectors
+    candidates = [(frame, emb) for frame, emb in enumerate(embeddings, start=1)]
+    scores = score_candidates(candidates, VideoGraph(), None, [0], 100, CFG,
+                              query_embedding=query_embedding)
+    expected = normalize_scores([visual_score_oracle(e, query_embedding) for e in embeddings])
+    assert [s.s_visual for s in scores] == expected
