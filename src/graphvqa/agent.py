@@ -9,8 +9,12 @@ new frames from graph-derived segments (the second-to-last permitted round
 widens to the whole video with a doubled decay length). The loop is bounded
 by max_rounds, at which point the latest prediction is forced out.
 
-With a deterministic gateway the whole transcript is reproducible
-byte-for-byte.
+Sessions on one video may share a `FrameTable` (`eval` does): each frame's
+caption, parse, embedding and embedding norm are then computed once, and a
+session asks the gateway only for what the table lacks. What a frame turned
+out to be does not depend on which session asked first, so sharing changes
+no transcript. With a deterministic gateway the whole transcript is
+reproducible byte-for-byte.
 """
 
 from __future__ import annotations
@@ -28,8 +32,15 @@ from typing import Optional, Sequence
 
 from .errors import GatewayError
 from .gateway import ModelGateway
-from .graph import FrameRecord, GraphConfig, VideoGraph
-from .parsing import Lexicon, QueryParse, default_lexicon, parse_caption, parse_question
+from .graph import FrameRecord, GraphConfig, VideoGraph, vector_norm
+from .parsing import (
+    CaptionParse,
+    Lexicon,
+    QueryParse,
+    default_lexicon,
+    parse_caption,
+    parse_question,
+)
 from .selector import (
     SelectorConfig,
     candidate_frames,
@@ -132,6 +143,30 @@ class AgentSession:
 
     def latest_prediction(self) -> int:
         return self.rounds[-1].prediction if self.rounds else 0
+
+
+@dataclass
+class FrameTable:
+    """What one video's frames turned out to be: each frame's caption with
+    its parse, and its embedding with that embedding's `vector_norm`.
+
+    `eval` shares one table among all sessions on a video, so a session
+    asks the gateway only for the frames no earlier session touched, and
+    parses only their captions. Only successes are stored, so a failed
+    caption or embedding is tried again. Entries are written once (the
+    first writer wins) and never changed, so parallel sessions may fill one
+    table at the same time. A table is only valid for sessions whose
+    gateways caption and embed alike and that share a lexicon.
+    """
+
+    captions: dict[int, tuple[str, CaptionParse]] = field(default_factory=dict)
+    embeddings: dict[int, tuple[list[float], float]] = field(default_factory=dict)
+
+    def add_embedding(self, frame: int, vector: list[float]) -> None:
+        self.embeddings.setdefault(frame, (vector, vector_norm(vector)))
+
+
+_NO_EMBEDDING = (None, None)  # (vector, norm) of a frame the table lacks
 
 
 def uniform_sample(total_frames: int, n: int) -> list[int]:
@@ -245,18 +280,19 @@ def render_prompt(template: str, question: str, options: Sequence[str],
 
 class VideoAgent:
     """Runs sessions over one bundle. One session at a time per instance;
-    distinct instances may run in parallel against a shared gateway."""
+    distinct instances may run in parallel against a shared gateway and a
+    shared `FrameTable`. Without a table, each session starts a fresh one."""
 
     def __init__(self, bundle: VideoBundle, gateway: ModelGateway,
-                 cfg: Optional[AgentConfig] = None, lexicon: Optional[Lexicon] = None):
+                 cfg: Optional[AgentConfig] = None, lexicon: Optional[Lexicon] = None,
+                 frames: Optional[FrameTable] = None):
         self.bundle = bundle
         self.gateway = gateway
         self.cfg = cfg or AgentConfig()
         self.lexicon = lexicon or default_lexicon()
         self.template = load_prompt_template(self.cfg.prompt_template_path)
-        # Frame embeddings of the current session. Only successes are kept,
-        # so a failed embed is tried again; the vectors are never mutated.
-        self._frame_embeddings: dict[int, list[float]] = {}
+        self._shared_frames = frames
+        self.frames = frames if frames is not None else FrameTable()
 
     # -- state evaluation -----------------------------------------------------
 
@@ -291,21 +327,19 @@ class VideoAgent:
     # -- retrieval --------------------------------------------------------------
 
     def _unembedded(self, frames: Sequence[int]) -> list[int]:
-        """The frames among `frames` whose embedding is not memoized yet."""
+        """The frames among `frames` whose embedding the table lacks."""
         if not self.gateway.has_embedder:
             return []
-        return [f for f in frames if f not in self._frame_embeddings]
-
-    def _memoize(self, frames: Sequence[int], vectors: Sequence) -> None:
-        """Keep the embeddings that arrived; a failure is tried again later."""
-        for frame, vector in zip(frames, vectors):
-            if not isinstance(vector, GatewayError):
-                self._frame_embeddings[frame] = vector
+        return [f for f in frames if f not in self.frames.embeddings]
 
     def _embed_frames(self, frames: Sequence[int]) -> None:
-        """Fetch the embeddings of `frames` not memoized yet, in one fan-out."""
+        """Fetch the embeddings of `frames` the table lacks, in one fan-out,
+        and store those that arrive."""
         missing = self._unembedded(frames)
-        self._memoize(missing, self.gateway.gather([("embed", f) for f in missing], self.bundle))
+        vectors = self.gateway.gather([("embed", f) for f in missing], self.bundle)
+        for frame, vector in zip(missing, vectors):
+            if not isinstance(vector, GatewayError):
+                self.frames.add_embedding(frame, vector)
 
     def _retrieve(self, session: AgentSession, graph: VideoGraph,
                   query: Optional[QueryParse], expanded: bool,
@@ -316,38 +350,51 @@ class VideoAgent:
         pool = candidate_frames(windows, session.selected_frames)
         pool = [f for f in pool if self.gateway.can_caption(f, self.bundle)]
         self._embed_frames(pool)
-        candidates = [(f, self._frame_embeddings.get(f)) for f in pool]
+        embeddings = [self.frames.embeddings.get(f, _NO_EMBEDDING) for f in pool]
         return select_frames(
-            candidates, graph, query, session.selected_frames,
+            [(f, vector) for f, (vector, _) in zip(pool, embeddings)],
+            graph, query, session.selected_frames,
             self.bundle.total_frames, self.cfg.selector, expanded, query_embedding,
+            [norm for _, norm in embeddings],
         )
 
     def _ingest(self, graph: VideoGraph, frames: Sequence[int], captions: dict[int, str],
                 question: Optional[str] = None) -> Optional[list[float]]:
-        """Caption `frames` and embed those not memoized yet, in one fan-out;
-        then parse them and update the graph in frame order. A `question`
-        is embedded in the same fan-out, and its vector returned (None on
-        failure). The first caption failure, in frame order, is raised
-        after the captions and embeddings of the frames before it are kept.
+        """Caption and embed the `frames` the table lacks, in one fan-out;
+        then parse the new captions and update the graph in frame order. A
+        `question` is embedded in the same fan-out, and its vector returned
+        (None on failure). The first caption failure, in frame order, is
+        raised after the captions and embeddings of the frames before it
+        are stored.
         """
+        table = self.frames
+        caption = [f for f in frames if f not in table.captions]
         embed = self._unembedded(frames)
         with_question = question is not None and self.gateway.has_embedder
         requests = [("embed", question)] if with_question else []
-        requests += [("caption", f) for f in frames] + [("embed", f) for f in embed]
+        requests += [("caption", f) for f in caption] + [("embed", f) for f in embed]
         results = self.gateway.gather(requests, self.bundle)
         query_embedding = results.pop(0) if with_question else None
         if isinstance(query_embedding, GatewayError):
             query_embedding = None
-        vectors = dict(zip(embed, results[len(frames):]))
+        texts = dict(zip(caption, results))
+        vectors = dict(zip(embed, results[len(caption):]))
         records, parses = [], []
-        for frame, text in zip(frames, results):
-            if isinstance(text, GatewayError):
-                raise text
-            captions[frame] = text
-            if frame in vectors:
-                self._memoize([frame], [vectors[frame]])
-            records.append(FrameRecord(frame, self._frame_embeddings.get(frame)))
-            parses.append(parse_caption(text, frame, self.lexicon))
+        for frame in frames:
+            entry = table.captions.get(frame)
+            if entry is None:
+                text = texts[frame]
+                if isinstance(text, GatewayError):
+                    raise text
+                entry = table.captions.setdefault(
+                    frame, (text, parse_caption(text, frame, self.lexicon))
+                )
+            vector = vectors.get(frame)
+            if vector is not None and not isinstance(vector, GatewayError):
+                table.add_embedding(frame, vector)
+            captions[frame] = entry[0]
+            records.append(FrameRecord(frame, table.embeddings.get(frame, _NO_EMBEDDING)[0]))
+            parses.append(entry[1])
         graph.update_graph(records, parses)
         return query_embedding
 
@@ -415,7 +462,8 @@ class VideoAgent:
             options=list(options),
         )
         graph = VideoGraph(config=self.cfg.graph)
-        self._frame_embeddings = {}
+        if self._shared_frames is None:
+            self.frames = FrameTable()
         query = parse_question(question, options, self.lexicon)
         initial = uniform_sample(self.bundle.total_frames, self.cfg.initial_frames)
         initial = [f for f in initial if self.gateway.can_caption(f, self.bundle)]

@@ -24,16 +24,19 @@ out through the standard library's
 ``urllib.request``, which takes proxies from the standard environment
 variables and verifies HTTPS against the default SSL context.
 
+Each lane (chat, caption, embed) has its own in-flight bound, its
+`max_inflight`, even when two lanes name one endpoint and model.
+
 `ModelGateway.gather` serves one round's caption and embedding requests.
 Cache hits and local lanes are answered on the calling thread; two or more
-misses go out concurrently on a thread pool, at most `max_inflight` at a
-time. The pool has as many threads as the largest `max_inflight` of the
-caption and embed lanes, and a gateway shares it with its session views,
-so `eval --parallel N` keeps at most pool size + N requests in flight. A
-pool per session would be simpler, but a server with Python's default
-listen backlog of 5 stalled new connections for 1 s (SYN retries) at 8
-concurrent connections and reset them at 16. Results come back in request
-order. When a caption fails, the later requests of the same call may
+misses go out concurrently on a thread pool, at most `max_inflight` per
+lane at a time. The pool has as many threads as the largest `max_inflight`
+of the caption and embed lanes, and a gateway shares it with its session
+views, so `eval --parallel N` keeps at most pool size + N requests in
+flight. A pool per session would be simpler, but a server with Python's
+default listen backlog of 5 stalled new connections for 1 s (SYN retries)
+at 8 concurrent connections and reset them at 16. Results come back in
+request order. When a caption fails, the later requests of the same call may
 already have been sent and cached.
 """
 
@@ -291,21 +294,22 @@ class ResponseCache:
 
 @dataclass(frozen=True)
 class _Request:
-    """One remote request: where it goes, its body, its cache key and how its
-    reply decodes. The body doubles as the cache key, so its rendering is
-    fixed."""
+    """One remote request: its lane, where it goes, its body, its cache key
+    and how its reply decodes. The body doubles as the cache key, so its
+    rendering is fixed."""
 
     cfg: ProviderConfig
+    lane: str
     url: str
     body: str
     key: str
     decode: Callable[[object], object]
 
     @classmethod
-    def build(cls, cfg: ProviderConfig, path: str, body: dict,
+    def build(cls, cfg: ProviderConfig, lane: str, path: str, body: dict,
               decode: Callable[[object], object]) -> "_Request":
         text = json.dumps(body, sort_keys=True, ensure_ascii=False)
-        return cls(cfg, f"{cfg.endpoint.rstrip('/')}{path}", text,
+        return cls(cfg, lane, f"{cfg.endpoint.rstrip('/')}{path}", text,
                    ResponseCache.key(cfg.provider_id, text), decode)
 
 
@@ -313,7 +317,7 @@ class ModelGateway:
     """One object bundling the chat, caption, and embed lanes.
 
     Safe for concurrent use across sessions; remote calls are limited by a
-    per-provider in-flight semaphore, and concurrent misses on one request
+    per-lane in-flight semaphore, and concurrent misses on one request
     are merged so only the first caller sends it. Without a `cache` the
     gateway keeps its responses in memory. Scripted chat counts calls per
     gateway, so concurrent sessions each take their own view from
@@ -341,7 +345,12 @@ class ModelGateway:
             else:
                 raise GatewayConfigError("scripted chat provider needs script_path")
             self._scripted_chat = ScriptedChat(entries)
-        self._semaphores: dict[str, threading.Semaphore] = {}
+        # Lane -> its own in-flight bound, even when lanes share an endpoint.
+        self._semaphores = {
+            lane: threading.Semaphore(cfg.max_inflight)
+            for lane, cfg in (("chat", chat), ("caption", caption), ("embed", embed))
+            if cfg is not None
+        }
         # Cache key -> event set once its sender has finished, successful or not.
         self._inflight: dict[str, threading.Event] = {}
         self._inflight_lock = threading.Lock()
@@ -432,7 +441,7 @@ class ModelGateway:
                 raise GatewayError(f"malformed {lane} payload: content is {type(content).__name__}")
             return content
 
-        return _Request.build(cfg, "/v1/chat/completions", body, text)
+        return _Request.build(cfg, lane, "/v1/chat/completions", body, text)
 
     # -- embeddings ---------------------------------------------------------------
 
@@ -470,7 +479,7 @@ class ModelGateway:
 
         def floats(payload) -> list[float]:
             try:
-                vector = [float(x) for x in payload["data"][0]["embedding"]]
+                vector = list(map(float, payload["data"][0]["embedding"]))
             except (KeyError, IndexError, TypeError, ValueError) as exc:
                 raise GatewayError(f"malformed embeddings payload: {exc!r}") from exc
             if dim and len(vector) != dim:
@@ -480,7 +489,7 @@ class ModelGateway:
             return vector
 
         body = {"model": cfg.model_name, "input": str(text_or_frame)}
-        return _Request.build(cfg, "/v1/embeddings", body, floats)
+        return _Request.build(cfg, "embed", "/v1/embeddings", body, floats)
 
     # -- one round's requests -----------------------------------------------------
 
@@ -545,12 +554,6 @@ class ModelGateway:
             raise GatewayConfigError(f"no {lane} provider configured")
         return cfg
 
-    def _semaphore(self, cfg: ProviderConfig) -> threading.Semaphore:
-        sem = self._semaphores.get(cfg.provider_id)
-        if sem is None:
-            sem = self._semaphores.setdefault(cfg.provider_id, threading.Semaphore(cfg.max_inflight))
-        return sem
-
     def _post_with_retries(self, request: _Request):
         """Decode the cached payload of `request`, or send it and cache the reply.
 
@@ -569,7 +572,7 @@ class ModelGateway:
                 return request.decode(cached)
             pending.wait()
         try:
-            payload = self._send(request.cfg, request.url, request.body)
+            payload = self._send(request)
             result = request.decode(payload)
             self.cache.put(request.key, payload)
             return result
@@ -578,21 +581,22 @@ class ModelGateway:
                 del self._inflight[request.key]
             done.set()
 
-    def _send(self, cfg: ProviderConfig, url: str, body: str) -> dict:
+    def _send(self, request: _Request) -> dict:
+        cfg = request.cfg
         headers = {"Content-Type": "application/json"}
         key = cfg.api_key()  # raises before any network traffic if misconfigured
         if key:
             headers["Authorization"] = f"Bearer {key}"
 
-        data = body.encode("utf-8")
+        data = request.body.encode("utf-8")
         attempts = 0
         last_error = "unknown error"
         last_status = None
-        with self._semaphore(cfg):
+        with self._semaphores[request.lane]:
             while attempts <= cfg.max_retries:
                 attempts += 1
                 try:
-                    status, raw = _post_once(url, data, headers, cfg.timeout)
+                    status, raw = _post_once(request.url, data, headers, cfg.timeout)
                 except (OSError, ValueError, http.client.HTTPException) as exc:
                     # URLError and timeouts are OSErrors; ValueError is a
                     # malformed URL or header value.

@@ -9,7 +9,7 @@ frames, nodes, edges, and state events, and bump a monotone version counter.
 Entity identity across frames is resolved lemma-first (exact canonical lemma
 or previously merged alias), then by embedding similarity: a new lemma whose
 embedding has cosine similarity >= merge_similarity with an existing node of
-a compatible type merges into the most similar such node.
+the same type merges into the most similar such node.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import add, mul, truediv
 from typing import Optional, Sequence
 
 from .errors import DimensionError
@@ -81,19 +83,28 @@ class RelationEdge:
     frame_indices: list[int] = field(default_factory=list)
 
 
+def _holds(ordered: Sequence[int], x: int) -> bool:
+    """Whether the ascending list `ordered` contains `x`."""
+    i = bisect.bisect_left(ordered, x)
+    return i < len(ordered) and ordered[i] == x
+
+
 def vector_norm(v: Sequence[float]) -> float:
     """Euclidean norm, summed in index order."""
-    return math.sqrt(sum(x * x for x in v))
+    return math.sqrt(sum(map(mul, v, v)))
 
 
-def cosine_similarity(a: Sequence[float], b: Sequence[float],
+def cosine_similarity(a: Sequence[float], b: Sequence[float], *,
+                      norm_a: Optional[float] = None,
                       norm_b: Optional[float] = None) -> float:
     """Cosine of two vectors; 0 when either is a zero vector. A caller that
-    compares many vectors with one `b` passes its `vector_norm` as `norm_b`."""
+    already knows a vector's `vector_norm` passes it as `norm_a`/`norm_b`,
+    so each product is computed once and the result stays bit-identical."""
     if len(a) != len(b):
         raise DimensionError(f"cannot compare vectors of dims {len(a)} and {len(b)}")
-    dot = sum(x * y for x, y in zip(a, b))
-    norm_a = vector_norm(a)
+    dot = sum(map(mul, a, b))
+    if norm_a is None:
+        norm_a = vector_norm(a)
     if norm_b is None:
         norm_b = vector_norm(b)
     if norm_a == 0.0 or norm_b == 0.0:
@@ -148,7 +159,7 @@ class VideoGraph:
         """Insert or merge one mention observation; returns the node id.
 
         Lemma match merges first; otherwise a sufficiently similar embedding
-        merges into the closest type-compatible node; otherwise a new node is
+        merges into the closest node of the same type; otherwise a new node is
         created. Re-upserting an already-recorded (lemma, frame) pair is a
         no-op, so replays cannot skew the feature mean.
         """
@@ -172,24 +183,28 @@ class VideoGraph:
                 id=self._next_node_id(),
                 canonical_lemma=lemma,
                 entity_type=mention.entity_type,
-                )
+            )
             self.nodes[node.id] = node
             self._lemma_index[lemma] = node.id
-        elif frame in node.frame_indices:
+        elif _holds(node.frame_indices, frame):
             return node.id
 
         bisect.insort(node.frame_indices, frame)
         if embedding is not None:
-            vector = [float(x) for x in embedding]
+            vector = list(map(float, embedding))
             if node.feature is None:
                 node.feature = vector
                 node.feature_count = 1
             else:
+                # (old * count + new) / (count + 1), elementwise. Python
+                # turns an int operand into the same float, so passing the
+                # counts as floats is exact, and faster.
                 count = node.feature_count
-                node.feature = [
-                    (old * count + new) / (count + 1)
-                    for old, new in zip(node.feature, vector)
-                ]
+                node.feature = list(map(
+                    truediv,
+                    map(add, map(mul, node.feature, repeat(float(count))), vector),
+                    repeat(float(count + 1)),
+                ))
                 node.feature_count = count + 1
         return node.id
 
@@ -202,16 +217,12 @@ class VideoGraph:
         """
         best: Optional[EntityNode] = None
         best_sim = -1.0
+        norm = vector_norm(embedding)
         for node in self.nodes.values():
-            if node.feature is None or frame in node.frame_indices:
+            if (node.feature is None or node.entity_type != entity_type
+                    or _holds(node.frame_indices, frame)):
                 continue
-            compatible = (
-                node.entity_type == entity_type
-                or EntityType.UNKNOWN in (node.entity_type, entity_type)
-            )
-            if not compatible:
-                continue
-            sim = cosine_similarity(embedding, node.feature)
+            sim = cosine_similarity(embedding, node.feature, norm_a=norm)
             if sim >= self.config.merge_similarity and sim > best_sim:
                 best, best_sim = node, sim
         return best
@@ -238,9 +249,9 @@ class VideoGraph:
             self.edges[edge.id] = edge
             self._edge_index[key] = edge.id
         else:
-            edge = self.edges[edge_id]
-            if frame not in edge.frame_indices:
-                bisect.insort(edge.frame_indices, frame)
+            frames = self.edges[edge_id].frame_indices
+            if not _holds(frames, frame):
+                bisect.insort(frames, frame)
 
     def _record_state(self, node_id: int, frame: int, label: str):
         node = self.nodes[node_id]

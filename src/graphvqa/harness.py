@@ -1,9 +1,10 @@
 """Batch evaluation over QA sets: accuracy, frame usage, and breakdowns.
 
-Sessions run with item-level parallelism behind a bounded worker pool;
-aggregation and all file writes happen single-threaded afterwards, in input
-order, so two runs over the same inputs produce byte-identical transcripts
-and reports.
+Sessions run with item-level parallelism behind a bounded worker pool; the
+sessions on one video share a `FrameTable`, so a frame another session
+already captioned, parsed and embedded is not done again. Aggregation and
+all file writes happen single-threaded afterwards, in input order, so two
+runs over the same inputs produce byte-identical transcripts and reports.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
-from .agent import AgentConfig, AgentSession, VideoAgent
+from .agent import AgentConfig, AgentSession, FrameTable, VideoAgent
 from .errors import DataFormatError
 from .gateway import ModelGateway
 from .graph import VideoGraph
@@ -98,11 +99,11 @@ class _ItemResult:
 
 def _run_item(index: int, item: QAItem, bundle: VideoBundle,
               gateway_factory: GatewayFactory, cfg: AgentConfig,
-              lexicon: Optional[Lexicon]) -> _ItemResult:
+              lexicon: Optional[Lexicon], frames: FrameTable) -> _ItemResult:
     item_id = f"{item.video_id}#{index}"
     result = _ItemResult(item=item, item_id=item_id)
     try:
-        agent = VideoAgent(bundle, gateway_factory(item), cfg, lexicon)
+        agent = VideoAgent(bundle, gateway_factory(item), cfg, lexicon, frames)
         result.session, result.graph = agent.run(item.question, item.options)
     except Exception as exc:  # noqa: BLE001 - any per-item failure is reportable
         logger.error("item %s failed: %s", item_id, exc)
@@ -118,7 +119,9 @@ def run_eval(qa_path: Union[str, Path], bundle_root: Union[str, Path],
 
     Items whose sessions raise are counted as failures: included in n_items,
     excluded from accuracy. The QA file and every referenced bundle must be
-    resolvable up front, otherwise nothing runs.
+    resolvable up front, otherwise nothing runs. The sessions on one video
+    share a `FrameTable`, so every gateway the factory returns must caption
+    and embed alike.
     """
     items = load_qa(qa_path)
     bundle_root = Path(bundle_root)
@@ -134,10 +137,12 @@ def run_eval(qa_path: Union[str, Path], bundle_root: Union[str, Path],
                     f"bundle directory for video {item.video_id!r} not found under {bundle_root}"
                 )
             bundles[item.video_id] = load_bundle(bundle_dir)
+    tables = {video_id: FrameTable() for video_id in bundles}
 
     def runner(pair):
         index, item = pair
-        return _run_item(index, item, bundles[item.video_id], gateway_factory, cfg, lexicon)
+        return _run_item(index, item, bundles[item.video_id], gateway_factory, cfg, lexicon,
+                         tables[item.video_id])
 
     if parallel > 1:
         with ThreadPoolExecutor(max_workers=parallel) as pool:

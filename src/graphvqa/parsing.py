@@ -45,7 +45,6 @@ class EntityType(str, Enum):
     LOCATION = "Location"
     OBJECT = "Object"
     GROUP = "Group"
-    UNKNOWN = "Unknown"
 
 
 class RelationCategory(str, Enum):
@@ -241,7 +240,7 @@ def _load_state_verbs(path: Path) -> dict[str, str]:
 
 def _load_gazetteer(path: Path) -> dict[str, EntityType]:
     mapping: dict[str, EntityType] = {}
-    valid = {t.value: t for t in EntityType if t is not EntityType.UNKNOWN}
+    valid = {t.value: t for t in EntityType}
     for line in _read_lines(path):
         parts = line.split("\t")
         if len(parts) != 2:

@@ -78,20 +78,25 @@ def graph_score_raw(frame: int, graph: VideoGraph, query: Optional[QueryParse],
         node = graph.node_for_lemma(mention.lemma)
         if node is None or not node.frame_indices:
             continue
-        distance = min(abs(frame - f) for f in node.frame_indices)
+        # frame_indices ascend, so the nearest appearance is beside `frame`
+        frames = node.frame_indices
+        i = bisect_left(frames, frame)
+        distance = min(abs(frame - f) for f in frames[max(0, i - 1):i + 1])
         score += math.exp(-distance / decay)
     return score
 
 
 def visual_score_raw(frame_embedding: Optional[Sequence[float]],
                      query_embedding: Optional[Sequence[float]],
-                     query_norm: Optional[float] = None) -> float:
+                     query_norm: Optional[float] = None,
+                     frame_norm: Optional[float] = None) -> float:
     """Cosine similarity mapped to [0, 1]; 0.5 when either side is missing
-    or a zero vector (whose cosine is 0). `query_norm`, if given, is the
-    query embedding's `vector_norm`."""
+    or a zero vector (whose cosine is 0). `query_norm` and `frame_norm`, if
+    given, are the embeddings' `vector_norm`s."""
     if frame_embedding is None or query_embedding is None:
         return 0.5
-    cos = cosine_similarity(frame_embedding, query_embedding, query_norm)
+    cos = cosine_similarity(frame_embedding, query_embedding,
+                            norm_a=frame_norm, norm_b=query_norm)
     return (1.0 + max(-1.0, min(1.0, cos))) / 2.0
 
 
@@ -147,11 +152,18 @@ def combined_score(components: tuple[float, float, float], cfg: SelectorConfig) 
 def score_candidates(candidates: Sequence[Candidate], graph: VideoGraph,
                      query: Optional[QueryParse], selected: Sequence[int],
                      total_frames: int, cfg: SelectorConfig, expanded: bool = False,
-                     query_embedding: Optional[Sequence[float]] = None) -> list[FrameScore]:
-    """Score every candidate with normalized components."""
+                     query_embedding: Optional[Sequence[float]] = None,
+                     frame_norms: Optional[Sequence[Optional[float]]] = None) -> list[FrameScore]:
+    """Score every candidate with normalized components. `frame_norms`, if
+    given, holds each candidate embedding's `vector_norm`, in candidate order."""
     raw_graph = [graph_score_raw(f, graph, query, cfg, expanded) for f, _ in candidates]
     query_norm = vector_norm(query_embedding) if query_embedding is not None else None
-    raw_visual = [visual_score_raw(emb, query_embedding, query_norm) for _, emb in candidates]
+    if frame_norms is None:
+        frame_norms = [None] * len(candidates)
+    raw_visual = [
+        visual_score_raw(emb, query_embedding, query_norm, norm)
+        for (_, emb), norm in zip(candidates, frame_norms)
+    ]
     ordered = sorted(selected)
     raw_temporal = [temporal_score_raw(f, ordered, total_frames) for f, _ in candidates]
     norm_graph = normalize_scores(raw_graph)
@@ -172,7 +184,8 @@ def score_candidates(candidates: Sequence[Candidate], graph: VideoGraph,
 def select_frames(candidates: Sequence[Candidate], graph: VideoGraph,
                   query: Optional[QueryParse], selected: Sequence[int],
                   total_frames: int, cfg: SelectorConfig, expanded: bool = False,
-                  query_embedding: Optional[Sequence[float]] = None) -> list[int]:
+                  query_embedding: Optional[Sequence[float]] = None,
+                  frame_norms: Optional[Sequence[Optional[float]]] = None) -> list[int]:
     """Pick the top-k candidate frames; ties prefer the lower index.
 
     Candidates must be disjoint from `selected`. Returns ascending frame
@@ -185,7 +198,8 @@ def select_frames(candidates: Sequence[Candidate], graph: VideoGraph,
     if overlap:
         raise ValueError(f"candidates overlap already-selected frames: {sorted(overlap)}")
     scores = score_candidates(
-        candidates, graph, query, selected, total_frames, cfg, expanded, query_embedding
+        candidates, graph, query, selected, total_frames, cfg, expanded, query_embedding,
+        frame_norms,
     )
     ranked = sorted(scores, key=lambda s: (-s.combined, s.frame_index))
     return sorted(s.frame_index for s in ranked[: cfg.k])

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -29,6 +30,8 @@ from typing import Optional, Sequence, Union
 from .errors import DataFormatError, DimensionError, SchemaVersionError
 from .graph import EntityNode, GraphConfig, RelationEdge, VideoGraph
 from .parsing import EntityType, RelationCategory
+
+logger = logging.getLogger(__name__)
 
 GRAPH_SCHEMA_VERSION = 2
 READABLE_GRAPH_SCHEMAS = (1, 2)
@@ -297,6 +300,15 @@ def save_graph(graph: VideoGraph) -> bytes:
     return (json.dumps(payload, sort_keys=True, ensure_ascii=False) + "\n").encode("utf-8")
 
 
+def _ascending(frames: list) -> list[int]:
+    """`frames` as a list, which must ascend strictly: the graph searches
+    its frame lists by bisection."""
+    frames = list(frames)
+    if any(a >= b for a, b in zip(frames, frames[1:])):
+        raise ValueError(f"frame indices not strictly ascending: {frames}")
+    return frames
+
+
 def load_graph(blob: bytes) -> VideoGraph:
     """Parse bytes produced by save_graph back into a structurally equal graph."""
     try:
@@ -315,7 +327,7 @@ def load_graph(blob: bytes) -> VideoGraph:
                 id=obj["id"],
                 canonical_lemma=obj["canonical_lemma"],
                 entity_type=EntityType(obj["entity_type"]),
-                frame_indices=list(obj["frame_indices"]),
+                frame_indices=_ascending(obj["frame_indices"]),
                 feature=obj["feature"],
                 feature_count=obj["feature_count"],
                 state_history=[(frame, label) for frame, label in obj["state_history"]],
@@ -330,14 +342,14 @@ def load_graph(blob: bytes) -> VideoGraph:
                 dst=obj["dst"],
                 category=RelationCategory(obj["category"]),
                 predicate=obj["predicate"],
-                frame_indices=list(obj["frame_indices"]),
+                frame_indices=_ascending(obj["frame_indices"]),
             )
             edges[edge.id] = edge
         return VideoGraph(
             config=config,
             nodes=nodes,
             edges=edges,
-            processed_frames=list(payload["processed_frames"]),
+            processed_frames=_ascending(payload["processed_frames"]),
             version=payload["version"],
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -392,17 +404,27 @@ def save_transcript(session, path: Union[str, Path]) -> Path:
 
 
 def load_transcripts(path: Union[str, Path]) -> list[dict]:
+    """Read a transcript file's records. A truncated last line (no newline
+    after it and not valid JSON), as an interrupted append leaves, is
+    dropped with a warning; any other malformed line raises DataFormatError."""
     path = Path(path)
     if not path.is_file():
         raise DataFormatError(f"transcript file not found: {path}")
     records = []
-    for line_no, line in _data_lines(path):
+    lines = path.read_bytes().split(b"\n")  # the last item follows the last newline
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip() or line.startswith(b"#"):
+            continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also covers invalid UTF-8
+            if line_no == len(lines):
+                logger.warning("dropping truncated last line of %s: %s", path, exc)
+                break
             raise DataFormatError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
-        if record.get("schema_version") != TRANSCRIPT_SCHEMA_VERSION:
-            raise SchemaVersionError(record.get("schema_version"), TRANSCRIPT_SCHEMA_VERSION)
+        version = record.get("schema_version") if isinstance(record, dict) else None
+        if version != TRANSCRIPT_SCHEMA_VERSION:
+            raise SchemaVersionError(version, TRANSCRIPT_SCHEMA_VERSION)
         records.append(record)
     return records
 

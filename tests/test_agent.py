@@ -15,9 +15,11 @@ from conftest import (
     scripted_gateway,
     unsure_entry,
 )
+from graphvqa import agent as agent_module
 from graphvqa.agent import (
     AgentAction,
     AgentConfig,
+    FrameTable,
     VideoAgent,
     decide_action,
     load_prompt_template,
@@ -33,6 +35,7 @@ from graphvqa.gateway import (
     ProviderConfig,
     ScriptEntry,
 )
+from graphvqa.graph import vector_norm
 from graphvqa.parsing import default_lexicon, parse_question
 from graphvqa.store import VideoBundle, transcript_record
 
@@ -342,9 +345,10 @@ def test_gateway_failure_terminates_with_round_limit():
 
 
 class CountingGateway(ModelGateway):
-    """Scripted gateway that counts frame embeds and can fail chosen ones once."""
+    """Scripted gateway that counts frame embeds and captions and can fail
+    chosen ones once."""
 
-    def __init__(self, entries, fail_once=()):
+    def __init__(self, entries, fail_once=(), fail_caption_once=()):
         super().__init__(
             chat=ProviderConfig(kind=SCRIPTED),
             caption=ProviderConfig(kind=PRECOMPUTED_CAPTION),
@@ -352,7 +356,16 @@ class CountingGateway(ModelGateway):
             chat_script=entries,
         )
         self.frame_embeds = Counter()
+        self.frame_captions = Counter()
         self.fail_once = set(fail_once)
+        self.fail_caption_once = set(fail_caption_once)
+
+    def caption(self, frame_index, bundle):
+        self.frame_captions[frame_index] += 1
+        if frame_index in self.fail_caption_once:
+            self.fail_caption_once.discard(frame_index)
+            raise GatewayError("transient")
+        return super().caption(frame_index, bundle)
 
     def embed(self, text_or_frame, bundle=None):
         if isinstance(text_or_frame, int):
@@ -367,8 +380,7 @@ class UnmemoizedAgent(VideoAgent):
     """Embeds a frame on every use, as the reference for transcripts."""
 
     def _unembedded(self, frames):
-        self._frame_embeddings.clear()
-        return super()._unembedded(frames)
+        return list(frames) if self.gateway.has_embedder else []
 
 
 def test_frame_embeddings_memoized_per_session():
@@ -393,13 +405,59 @@ def test_failed_frame_embedding_tried_again():
     gateway = CountingGateway([confident_entry()], fail_once={7})
     agent = VideoAgent(bundle, gateway)
     agent._embed_frames([7])
-    assert agent._frame_embeddings.get(7) is None
+    assert agent.frames.embeddings.get(7) is None
     agent._embed_frames([7])
-    vector = agent._frame_embeddings.get(7)
+    vector = agent.frames.embeddings.get(7)
     assert vector is not None
     agent._embed_frames([7])
-    assert agent._frame_embeddings.get(7) is vector
+    assert agent.frames.embeddings.get(7) is vector
     assert gateway.frame_embeds[7] == 2
+
+
+def test_sessions_sharing_a_frame_table_do_each_frame_once(monkeypatch):
+    bundle = distinct_caption_bundle()
+    entries = [unsure_entry("B"), unsure_entry("C", confidence=2), confident_entry("D")]
+    questions = ["what does the boy hold?", "what is the toy050?", "what does the boy hold?"]
+    # the reference: each session with a table of its own
+    references = [VideoAgent(bundle, CountingGateway(entries)).run(q, OPTIONS)[0]
+                  for q in questions]
+    parsed = Counter()
+    parse = agent_module.parse_caption
+
+    def counting_parse(text, frame, lexicon):
+        parsed[frame] += 1
+        return parse(text, frame, lexicon)
+
+    monkeypatch.setattr(agent_module, "parse_caption", counting_parse)
+    gateway = CountingGateway(entries)
+    table = FrameTable()
+    for question, reference in zip(questions, references):
+        session, _ = VideoAgent(bundle, gateway.for_session(), frames=table).run(question, OPTIONS)
+        assert transcript_record(session) == transcript_record(reference)
+    assert set(gateway.frame_captions.values()) == {1}
+    assert set(gateway.frame_embeds.values()) == {1}
+    assert set(parsed.values()) == {1}
+    assert set(parsed) == set(table.captions) == set(gateway.frame_captions)
+    assert sum(len(s.selected_frames) for s in references) > 2 * len(table.captions)
+    for frame, (vector, norm) in table.embeddings.items():
+        assert norm == vector_norm(vector)
+
+
+def test_failed_caption_is_not_stored_and_tried_again():
+    bundle = distinct_caption_bundle()
+    initial = uniform_sample(bundle.total_frames, AgentConfig().initial_frames)
+    reference, _ = VideoAgent(bundle, CountingGateway([confident_entry()])).run("what?", OPTIONS)
+    gateway = CountingGateway([confident_entry()], fail_caption_once={initial[1]})
+    table = FrameTable()
+    with pytest.raises(GatewayError):  # the initial ingest has no round to end
+        VideoAgent(bundle, gateway.for_session(), frames=table).run("what?", OPTIONS)
+    assert set(table.captions) == {initial[0]}
+    assert set(table.embeddings) == {initial[0]}
+    session, _ = VideoAgent(bundle, gateway.for_session(), frames=table).run("what?", OPTIONS)
+    assert transcript_record(session) == transcript_record(reference)
+    # the table keeps the frames before the failed one; the rest are asked again
+    assert gateway.frame_captions == Counter({initial[0]: 1, **{f: 2 for f in initial[1:]}})
+    assert gateway.frame_embeds == gateway.frame_captions
 
 
 def fanned_out_gateway(endpoint, **overrides):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -511,7 +512,7 @@ def test_session_views_share_cache_but_count_chat_calls_apart(stub_server):
     assert one.caption(3, bundle) == two.caption(3, bundle)
     assert state.request_count == 1
     assert one.cache is two.cache is shared.cache
-    assert one._semaphore(one.caption_cfg) is two._semaphore(two.caption_cfg)
+    assert one._semaphores["caption"] is two._semaphores["caption"]
 
 
 @pytest.mark.parametrize("reply", [None, b"garbage\r\n\r\n"])
@@ -629,3 +630,23 @@ def test_gather_rejects_an_unknown_lane():
     gateway = ModelGateway(caption=ProviderConfig(kind=PRECOMPUTED_CAPTION))
     with pytest.raises(ValueError, match="unknown lane"):
         gateway.gather([("chat", "hi")], make_bundle(total_frames=5))
+
+
+def test_each_lane_keeps_its_own_inflight_bound(model_stub):
+    # chat and captions on one endpoint and model: a caption must not size
+    # the chat lane's bound, nor the chat lane the caption lane's
+    endpoint, state = model_stub
+    state.delay_s = 0.05
+    gateway = ModelGateway(
+        chat=remote_chat_config(endpoint, max_inflight=1),
+        caption=remote_chat_config(endpoint, max_inflight=4),
+    )
+    bundle = make_bundle(total_frames=8)
+    with gateway:
+        gateway.caption(0, bundle)
+        with ThreadPoolExecutor(4) as pool:
+            list(pool.map(lambda i: gateway.chat([("user", f"prompt {i}")]), range(4)))
+        assert state.peak == 1
+        state.peak = 0
+        assert len(gateway.gather([("caption", f) for f in range(1, 5)], bundle)) == 4
+        assert state.peak > 1

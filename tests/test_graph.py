@@ -4,9 +4,17 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphvqa.errors import DimensionError
-from graphvqa.graph import FrameRecord, GraphConfig, VideoGraph, cosine_similarity
+from graphvqa.graph import (
+    FrameRecord,
+    GraphConfig,
+    VideoGraph,
+    cosine_similarity,
+    vector_norm,
+)
 from graphvqa.parsing import (
     EntityType,
     Mention,
@@ -304,3 +312,93 @@ def test_randomized_batches_order_independent():
         rng.shuffle(pairs)
         shuffled = VideoGraph().update_graph([r for r, _ in pairs], [p for _, p in pairs])
         assert shuffled == baseline
+
+
+# -- vector maths: the same products, in the same order, as the generator forms ---------
+
+def reference_norm(v):
+    return math.sqrt(sum(x * x for x in v))
+
+
+def reference_cosine(a, b):
+    dot = sum(x * y for x, y in zip(a, b))
+    norm_a, norm_b = reference_norm(a), reference_norm(b)
+    if norm_a == 0.0 or norm_b == 0.0:
+        return 0.0
+    return dot / (norm_a * norm_b)
+
+
+def reference_mean(vectors):
+    feature, count = [float(x) for x in vectors[0]], 1
+    for v in vectors[1:]:
+        feature = [(old * count + new) / (count + 1)
+                   for old, new in zip(feature, [float(x) for x in v])]
+        count += 1
+    return feature
+
+
+def same_float(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+components = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=64),
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.integers(min_value=-1000, max_value=1000),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=12).flatmap(
+    lambda dim: st.lists(st.lists(components, min_size=dim, max_size=dim), min_size=2, max_size=5)
+))
+def test_vector_maths_bit_identical_to_generator_forms_property(vectors):
+    a, b = vectors[0], vectors[1]
+    assert same_float(vector_norm(a), reference_norm(a))
+    expected = reference_cosine(a, b)
+    assert same_float(cosine_similarity(a, b), expected)
+    assert same_float(cosine_similarity(b, a), expected)  # swapping the arguments is exact
+    assert same_float(cosine_similarity(a, b, norm_a=vector_norm(a)), expected)
+    assert same_float(cosine_similarity(a, b, norm_b=vector_norm(b)), expected)
+    assert same_float(
+        cosine_similarity(a, b, norm_a=vector_norm(a), norm_b=vector_norm(b)), expected
+    )
+    graph = VideoGraph()
+    for frame, v in enumerate(vectors):
+        node_id = graph.upsert_entity(mention("dog"), frame, embedding=v)
+    node = graph.nodes[node_id]
+    assert node.feature_count == len(vectors)
+    assert all(isinstance(x, float) for x in node.feature)
+    assert all(map(same_float, node.feature, reference_mean(vectors)))
+
+
+NOUNS = ["boy", "girl", "dog", "toy", "ball", "cup", "person", "kitchen"]
+VERBS = ["holds", "takes", "watches", "chases", "becomes happy near"]
+
+frame_batches = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=400),
+        st.sampled_from(NOUNS), st.sampled_from(VERBS), st.sampled_from(NOUNS),
+        st.sampled_from([None, 0, 1, 2]),  # embedding: none, or one of three directions
+    ),
+    min_size=1, max_size=20, unique_by=lambda t: t[0],
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(frame_batches, st.randoms(use_true_random=False))
+def test_update_graph_ignores_input_order_property(batch, rng):
+    directions = [[1.0, 0.2, 0.0], [0.9, 0.3, 0.1], [0.0, 0.1, 1.0]]
+    records = [FrameRecord(f, None if e is None else directions[e]) for f, _, _, _, e in batch]
+    parses = [parse_caption(f"the {s} {v} the {o}", f, LEX) for f, s, v, o, _ in batch]
+    pairs = list(zip(records, parses))
+    baseline = save_graph(VideoGraph().update_graph(records, parses))
+    rng.shuffle(pairs)
+    shuffled = VideoGraph().update_graph([r for r, _ in pairs], [p for _, p in pairs])
+    assert save_graph(shuffled) == baseline
+    # one batch or one frame at a time: the same graph but for the version
+    stepwise = VideoGraph()
+    for record, parse in sorted(pairs, key=lambda rp: rp[0].frame_index):
+        stepwise.update_graph([record], [parse])
+    stepwise.version = 1
+    assert save_graph(stepwise) == baseline

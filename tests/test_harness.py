@@ -168,6 +168,25 @@ def test_eval_parallel_matches_serial(tmp_path):
         (tmp_path / "parallel" / "transcripts.jsonl").read_bytes()
 
 
+def test_eval_parses_each_frame_of_a_video_once(tmp_path, monkeypatch):
+    # serial, so that no two sessions miss the same frame at the same moment
+    from graphvqa import agent
+
+    bundles = [make_bundle(video_id=v, total_frames=60, seed=s) for v, s in (("v0", 1), ("v1", 2))]
+    items = [QAItem(b.video_id, f"q {i}?", OPTIONS, answer_index=0)
+             for b in bundles for i in range(3)]
+    qa_path, root = write_suite(tmp_path, items, bundles)
+    parses = []
+    parse = agent.parse_caption
+    monkeypatch.setattr(agent, "parse_caption",
+                        lambda *args: parses.append(args[1]) or parse(*args))
+    run_eval(qa_path, root, AgentConfig(),
+             scripted_factory(lambda item: "answer: A, confidence: 3"), tmp_path / "out")
+    records = load_transcripts(tmp_path / "out" / "transcripts.jsonl")
+    touched = {(r["video_id"], f) for r in records for f in r["selected_frames"]}
+    assert len(parses) == len(touched) < sum(len(r["selected_frames"]) for r in records)
+
+
 # -- buckets ---------------------------------------------------------------------
 
 def test_bucket_boundaries():

@@ -84,9 +84,10 @@ def test_classify_irregular_plural_person_nouns_are_groups(lex):
 
 
 def test_parse_never_leaves_unknown_types(lex):
+    # there is no Unknown type: unlisted nouns are typed Object
     parse = parse_caption("the zxqv meets the wibble near the fnord", 0, lex)
     assert parse.mentions
-    assert all(m.entity_type is not EntityType.UNKNOWN for m in parse.mentions)
+    assert all(m.entity_type is EntityType.OBJECT for m in parse.mentions)
 
 
 # -- triples --------------------------------------------------------------------
@@ -330,7 +331,7 @@ lexicon_captions = st.lists(st.tuples(_WORDS, _JOINS), max_size=16).map(
 def test_lexicon_caption_properties(caption):
     lex = default_lexicon()
     parse = check_deterministic_and_spans_sound(caption)
-    assert all(m.entity_type is not EntityType.UNKNOWN for m in parse.mentions)
+    assert all(isinstance(m.entity_type, EntityType) for m in parse.mentions)
     sets = {
         RelationCategory.SPATIAL: lex.spatial_preps,
         RelationCategory.INTERACTION: lex.interaction_verbs,

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from graphvqa.errors import DimensionError
 from graphvqa.gateway import pseudo_embedding
-from graphvqa.graph import FrameRecord, VideoGraph
-from graphvqa.parsing import default_lexicon, parse_caption, parse_question
+from graphvqa.graph import EntityNode, FrameRecord, VideoGraph, vector_norm
+from graphvqa.parsing import EntityType, default_lexicon, parse_caption, parse_question
 from graphvqa.selector import (
     SelectorConfig,
     candidate_frames,
@@ -414,6 +414,25 @@ def test_temporal_score_matches_oracle_property(selected, frames, extra):
         assert [s.s_temporal for s in scores] == expected
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=5000), min_size=1, max_size=40, unique=True),
+    st.lists(st.integers(min_value=-10, max_value=5010), min_size=1, max_size=10),
+    st.booleans(),
+)
+def test_graph_score_nearest_appearance_matches_linear_min_property(appearances, frames,
+                                                                    expanded):
+    graph = VideoGraph(nodes={0: EntityNode(0, "dog", EntityType.OBJECT,
+                                            frame_indices=sorted(appearances))})
+    query = query_for("dog")
+    assert [m.lemma for m in query.entities] == ["dog"]
+    decay = CFG.decay_len * (CFG.expanded_decay_multiplier if expanded else 1.0)
+    for frame in frames:
+        distance = min(abs(frame - f) for f in appearances)
+        assert graph_score_raw(frame, graph, query, CFG, expanded) == \
+            math.exp(-distance / decay)
+
+
 def visual_score_oracle(frame_embedding, query_embedding):
     """The visual score with both norms computed per call."""
     if frame_embedding is None or query_embedding is None:
@@ -439,4 +458,9 @@ def test_visual_scores_with_query_norm_once_match_oracle_property(vectors):
     scores = score_candidates(candidates, VideoGraph(), None, [0], 100, CFG,
                               query_embedding=query_embedding)
     expected = normalize_scores([visual_score_oracle(e, query_embedding) for e in embeddings])
+    assert [s.s_visual for s in scores] == expected
+    # and with each frame's norm handed in, as the agent's frame table does
+    norms = [None if e is None else vector_norm(e) for e in embeddings]
+    scores = score_candidates(candidates, VideoGraph(), None, [0], 100, CFG,
+                              query_embedding=query_embedding, frame_norms=norms)
     assert [s.s_visual for s in scores] == expected

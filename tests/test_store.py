@@ -258,6 +258,32 @@ def test_graph_truncated_payload():
         load_graph(b"{}")
 
 
+def test_graph_naming_unknown_entity_type_rejected():
+    # there is no Unknown entity type; a payload naming one is bad data
+    payload = json.loads(save_graph(ingest(VideoGraph(), {0: "the dog sits"})))
+    payload["nodes"][0]["entity_type"] = "Unknown"
+    with pytest.raises(DataFormatError, match="Unknown"):
+        load_graph(json.dumps(payload).encode("utf-8"))
+
+
+@pytest.mark.parametrize("where", ["node", "edge", "processed"])
+def test_graph_with_unordered_frames_rejected(where):
+    payload = json.loads(save_graph(ingest(VideoGraph(), {
+        0: "the dog plays with the toy", 4: "the dog plays with the toy",
+    })))
+    listing = {
+        "node": payload["nodes"][0], "edge": payload["edges"][0], "processed": payload,
+    }[where]
+    key = "processed_frames" if where == "processed" else "frame_indices"
+    assert listing[key] == [0, 4]
+    listing[key] = [4, 0]
+    with pytest.raises(DataFormatError, match="ascending"):
+        load_graph(json.dumps(payload).encode("utf-8"))
+    listing[key] = [0, 0]
+    with pytest.raises(DataFormatError, match="ascending"):
+        load_graph(json.dumps(payload).encode("utf-8"))
+
+
 def test_loaded_graph_remains_usable():
     graph = ingest(VideoGraph(), {0: "the dog plays with the toy"})
     loaded = load_graph(save_graph(graph))
@@ -304,6 +330,42 @@ def test_transcripts_append_and_find(tmp_path):
     records = load_transcripts(path)
     assert [r["video_id"] for r in records] == ["v1", "v2"]
     assert records[1]["final_answer"] == 3
+
+
+def test_transcripts_drop_a_truncated_last_line(tmp_path, caplog):
+    path = tmp_path / "transcripts.jsonl"
+    save_transcript(one_round_session("v1", "why?"), path)
+    save_transcript(one_round_session("v2", "pourquoi l'élan?"), path)
+    whole = path.read_bytes()
+    first = whole[: whole.index(b"\n") + 1]
+    cut = whole.index("é".encode("utf-8")) + 1  # mid character, as a torn append can be
+    for torn in (whole[:-1][:len(first) + 40], whole[:cut]):
+        path.write_bytes(torn)
+        with caplog.at_level("WARNING", logger="graphvqa.store"):
+            records = load_transcripts(path)
+        assert [r["video_id"] for r in records] == ["v1"]
+        assert "truncated last line" in caplog.text
+        caplog.clear()
+    path.write_bytes(whole[:-1])  # a whole last line needs no newline
+    assert [r["video_id"] for r in load_transcripts(path)] == ["v1", "v2"]
+    # only "\n" ends a line: JSON leaves U+2028 (a line separator) unescaped
+    path.write_bytes(whole)
+    save_transcript(one_round_session("v3", "why\u2028now?"), path)
+    assert load_transcripts(path)[-1]["question"] == "why\u2028now?"
+
+
+@pytest.mark.parametrize("text", [
+    "not json\n",  # a last line that ends in a newline was written whole
+    "not json\n{}",
+    "\n{broken\n\n",
+])
+def test_transcripts_other_bad_lines_rejected(tmp_path, text):
+    path = tmp_path / "transcripts.jsonl"
+    save_transcript(one_round_session(), path)
+    with path.open("a", encoding="utf-8") as handle:
+        handle.write(text)
+    with pytest.raises(DataFormatError, match="invalid JSON"):
+        load_transcripts(path)
 
 
 def test_transcript_requires_terminated_session(tmp_path):
