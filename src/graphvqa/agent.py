@@ -11,9 +11,13 @@ by max_rounds, at which point the latest prediction is forced out.
 
 Sessions on one video may share a `FrameTable` (`eval` does): each frame's
 caption, parse, embedding and embedding norm are then computed once, and a
-session asks the gateway only for what the table lacks. What a frame turned
-out to be does not depend on which session asked first, so sharing changes
-no transcript. With a deterministic gateway the whole transcript is
+session asks the gateway only for what the table lacks. The table also keeps
+the graph built from a session's starting frames, so a later session with
+the same starting frames starts from a copy of it instead of building it
+again. What a frame turned out to be does not depend on which session asked
+first, so sharing changes no transcript; a table is valid only for sessions
+that share a lexicon and a `GraphConfig` and whose gateways caption and
+embed alike. With a deterministic gateway the whole transcript is
 reproducible byte-for-byte.
 """
 
@@ -91,6 +95,9 @@ class AgentConfig:
     graph: GraphConfig = field(default_factory=GraphConfig)
     prompt_char_budget: int = 6000
     prompt_template_path: str = ""
+    # the checked text of the template at prompt_template_path (or of the
+    # shipped one), read once when the config is made
+    prompt_template: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.initial_frames < 1:
@@ -103,12 +110,11 @@ class AgentConfig:
             )
         if self.prompt_char_budget < 256:
             raise ValueError(f"prompt_char_budget must be >= 256, got {self.prompt_char_budget}")
-        if self.prompt_template_path:
-            if not Path(self.prompt_template_path).is_file():
-                raise ValueError(
-                    f"prompt_template_path {self.prompt_template_path!r} is not a file"
-                )
-            load_prompt_template(self.prompt_template_path)  # checks its placeholders
+        if self.prompt_template_path and not Path(self.prompt_template_path).is_file():
+            raise ValueError(
+                f"prompt_template_path {self.prompt_template_path!r} is not a file"
+            )
+        self.prompt_template = load_prompt_template(self.prompt_template_path)
 
 
 @dataclass
@@ -148,19 +154,24 @@ class AgentSession:
 @dataclass
 class FrameTable:
     """What one video's frames turned out to be: each frame's caption with
-    its parse, and its embedding with that embedding's `vector_norm`.
+    its parse, and its embedding with that embedding's `vector_norm`; and
+    the graph built from a session's starting frames, keyed by those frames.
 
     `eval` shares one table among all sessions on a video, so a session
     asks the gateway only for the frames no earlier session touched, and
-    parses only their captions. Only successes are stored, so a failed
-    caption or embedding is tried again. Entries are written once (the
-    first writer wins) and never changed, so parallel sessions may fill one
-    table at the same time. A table is only valid for sessions whose
-    gateways caption and embed alike and that share a lexicon.
+    parses only their captions; a session whose starting frames match a
+    stored start begins from a copy of that graph. Only successes are
+    stored: a failed caption or embedding is tried again, and a start is
+    stored only when every one of its frames had its caption and embedding.
+    Entries are written once (the first writer wins) and never changed, so
+    parallel sessions may fill one table at the same time. A table is only
+    valid for sessions whose gateways caption and embed alike and that
+    share a lexicon and a `GraphConfig`.
     """
 
     captions: dict[int, tuple[str, CaptionParse]] = field(default_factory=dict)
     embeddings: dict[int, tuple[list[float], float]] = field(default_factory=dict)
+    starts: dict[tuple[int, ...], VideoGraph] = field(default_factory=dict)
 
     def add_embedding(self, frame: int, vector: list[float]) -> None:
         self.embeddings.setdefault(frame, (vector, vector_norm(vector)))
@@ -290,7 +301,6 @@ class VideoAgent:
         self.gateway = gateway
         self.cfg = cfg or AgentConfig()
         self.lexicon = lexicon or default_lexicon()
-        self.template = load_prompt_template(self.cfg.prompt_template_path)
         self._shared_frames = frames
         self.frames = frames if frames is not None else FrameTable()
 
@@ -306,7 +316,7 @@ class VideoAgent:
         reply") so the loop can keep moving.
         """
         summaries = graph.summarize(query, self.cfg.prompt_char_budget)
-        prompt = render_prompt(self.template, session.question, session.options,
+        prompt = render_prompt(self.cfg.prompt_template, session.question, session.options,
                                captions, summaries)
         digest = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
@@ -358,14 +368,15 @@ class VideoAgent:
             [norm for _, norm in embeddings],
         )
 
-    def _ingest(self, graph: VideoGraph, frames: Sequence[int], captions: dict[int, str],
-                question: Optional[str] = None) -> Optional[list[float]]:
-        """Caption and embed the `frames` the table lacks, in one fan-out;
-        then parse the new captions and update the graph in frame order. A
-        `question` is embedded in the same fan-out, and its vector returned
-        (None on failure). The first caption failure, in frame order, is
-        raised after the captions and embeddings of the frames before it
-        are stored.
+    def _ingest(self, frames: Sequence[int], captions: dict[int, str],
+                question: Optional[str] = None,
+                ) -> tuple[Optional[list[float]], list[FrameRecord], list[CaptionParse]]:
+        """Caption and embed the `frames` the table lacks, in one fan-out,
+        and parse the new captions. Returns the frames' records and parses,
+        in the order of `frames`, for the graph. A `question` is embedded in
+        the same fan-out, and its vector returned first (None on failure).
+        The first caption failure, in frame order, is raised after the
+        captions and embeddings of the frames before it are stored.
         """
         table = self.frames
         caption = [f for f in frames if f not in table.captions]
@@ -395,8 +406,26 @@ class VideoAgent:
             captions[frame] = entry[0]
             records.append(FrameRecord(frame, table.embeddings.get(frame, _NO_EMBEDDING)[0]))
             parses.append(entry[1])
+        return query_embedding, records, parses
+
+    def _start_graph(self, initial: Sequence[int], captions: dict[int, str],
+                     question: str) -> tuple[VideoGraph, Optional[list[float]]]:
+        """The graph of the `initial` frames and the question's embedding.
+        The graph is a copy of the table's stored start for these frames if
+        there is one; otherwise it is built, and a copy stored when every
+        frame had its caption and embedding. (The records decide that, not
+        the table: another session may have filled in a frame this session
+        failed to embed.)"""
+        query_embedding, records, parses = self._ingest(initial, captions, question)
+        key = tuple(initial)
+        start = self.frames.starts.get(key)
+        if start is not None:
+            return start.copy(), query_embedding
+        graph = VideoGraph(config=self.cfg.graph)
         graph.update_graph(records, parses)
-        return query_embedding
+        if not self.gateway.has_embedder or all(r.embedding is not None for r in records):
+            self.frames.starts.setdefault(key, graph.copy())
+        return graph, query_embedding
 
     # -- the loop ----------------------------------------------------------------
 
@@ -420,7 +449,8 @@ class VideoAgent:
                     query_embedding,
                 )
                 if frames_added:
-                    self._ingest(graph, frames_added, captions)
+                    _, records, parses = self._ingest(frames_added, captions)
+                    graph.update_graph(records, parses)
                     session.add_frames(frames_added)
             session.rounds.append(RoundLog(
                 round=round_number,
@@ -461,7 +491,6 @@ class VideoAgent:
             question=question,
             options=list(options),
         )
-        graph = VideoGraph(config=self.cfg.graph)
         if self._shared_frames is None:
             self.frames = FrameTable()
         query = parse_question(question, options, self.lexicon)
@@ -477,7 +506,7 @@ class VideoAgent:
                 f"bundle {self.bundle.video_id!r} has no captionable frames"
             )
         captions: dict[int, str] = {}
-        query_embedding = self._ingest(graph, initial, captions, question)
+        graph, query_embedding = self._start_graph(initial, captions, question)
         session.add_frames(initial)
         session.final_graph_version = graph.version
 

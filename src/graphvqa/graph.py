@@ -17,6 +17,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat
 from operator import add, mul, truediv
 from typing import Optional, Sequence
@@ -83,6 +84,20 @@ class RelationEdge:
     frame_indices: list[int] = field(default_factory=list)
 
 
+class _FrameEmbedding:
+    """One frame's embedding as given, its float copy and (on first use) its
+    `vector_norm`, made once for all the frame's mentions. Nodes may share
+    the copy as their feature: a feature is replaced, never changed in place."""
+
+    def __init__(self, raw: Sequence[float]):
+        self.raw = raw
+        self.vector = list(map(float, raw))
+
+    @cached_property
+    def norm(self) -> float:
+        return vector_norm(self.raw)
+
+
 def _holds(ordered: Sequence[int], x: int) -> bool:
     """Whether the ascending list `ordered` contains `x`."""
     i = bisect.bisect_left(ordered, x)
@@ -136,6 +151,40 @@ class VideoGraph:
         }
         self._frame_set = set(self.processed_frames)
 
+    def copy(self) -> "VideoGraph":
+        """An independent copy: every list and dict is duplicated, and only
+        immutable values (ints, floats, strings, enums) and the config are
+        shared. Changing either graph afterwards leaves the other as it was."""
+        return VideoGraph(
+            config=self.config,
+            nodes={
+                node_id: EntityNode(
+                    id=node.id,
+                    canonical_lemma=node.canonical_lemma,
+                    entity_type=node.entity_type,
+                    frame_indices=list(node.frame_indices),
+                    feature=None if node.feature is None else list(node.feature),
+                    feature_count=node.feature_count,
+                    state_history=list(node.state_history),
+                    aliases=list(node.aliases),
+                )
+                for node_id, node in self.nodes.items()
+            },
+            edges={
+                edge_id: RelationEdge(
+                    id=edge.id,
+                    src=edge.src,
+                    dst=edge.dst,
+                    category=edge.category,
+                    predicate=edge.predicate,
+                    frame_indices=list(edge.frame_indices),
+                )
+                for edge_id, edge in self.edges.items()
+            },
+            processed_frames=list(self.processed_frames),
+            version=self.version,
+        )
+
     # -- lookups ------------------------------------------------------------
 
     def node_for_lemma(self, lemma: str) -> Optional[EntityNode]:
@@ -144,11 +193,16 @@ class VideoGraph:
 
     # -- mutation -----------------------------------------------------------
 
-    def _embedding_dim(self) -> Optional[int]:
+    def _check_dim(self, embedding: Sequence[float]) -> None:
+        """Raise DimensionError unless `embedding` has the graph's feature dim."""
         for node in self.nodes.values():
             if node.feature is not None:
-                return len(node.feature)
-        return None
+                if len(embedding) != len(node.feature):
+                    raise DimensionError(
+                        f"embedding dim {len(embedding)} does not match graph dim "
+                        f"{len(node.feature)}"
+                    )
+                return
 
     def upsert_entity(
         self,
@@ -163,13 +217,13 @@ class VideoGraph:
         created. Re-upserting an already-recorded (lemma, frame) pair is a
         no-op, so replays cannot skew the feature mean.
         """
-        if embedding is not None:
-            known_dim = self._embedding_dim()
-            if known_dim is not None and len(embedding) != known_dim:
-                raise DimensionError(
-                    f"embedding dim {len(embedding)} does not match graph dim {known_dim}"
-                )
+        if embedding is None:
+            return self._upsert(mention, frame, None)
+        self._check_dim(embedding)
+        return self._upsert(mention, frame, _FrameEmbedding(embedding))
 
+    def _upsert(self, mention: Mention, frame: int,
+                embedding: Optional[_FrameEmbedding]) -> int:
         lemma = mention.lemma.lower()
         node = self.node_for_lemma(lemma)
         if node is None and embedding is not None:
@@ -191,7 +245,7 @@ class VideoGraph:
 
         bisect.insort(node.frame_indices, frame)
         if embedding is not None:
-            vector = list(map(float, embedding))
+            vector = embedding.vector
             if node.feature is None:
                 node.feature = vector
                 node.feature_count = 1
@@ -208,7 +262,8 @@ class VideoGraph:
                 node.feature_count = count + 1
         return node.id
 
-    def _most_similar_node(self, embedding, entity_type, frame) -> Optional[EntityNode]:
+    def _most_similar_node(self, embedding: _FrameEmbedding, entity_type: EntityType,
+                           frame: int) -> Optional[EntityNode]:
         """Best merge target at or above the similarity threshold.
 
         Nodes already observed at `frame` are never candidates: mentions that
@@ -217,12 +272,11 @@ class VideoGraph:
         """
         best: Optional[EntityNode] = None
         best_sim = -1.0
-        norm = vector_norm(embedding)
         for node in self.nodes.values():
             if (node.feature is None or node.entity_type != entity_type
                     or _holds(node.frame_indices, frame)):
                 continue
-            sim = cosine_similarity(embedding, node.feature, norm_a=norm)
+            sim = cosine_similarity(embedding.raw, node.feature, norm_a=embedding.norm)
             if sim >= self.config.merge_similarity and sim > best_sim:
                 best, best_sim = node, sim
         return best
@@ -291,8 +345,12 @@ class VideoGraph:
             bisect.insort(self.processed_frames, frame)
             self._frame_set.add(frame)
             ids: dict[str, int] = {}
+            embedding = None
+            if record.embedding is not None and parse.mentions:
+                self._check_dim(record.embedding)
+                embedding = _FrameEmbedding(record.embedding)
             for mention in parse.mentions:
-                ids[mention.lemma] = self.upsert_entity(mention, frame, embedding=record.embedding)
+                ids[mention.lemma] = self._upsert(mention, frame, embedding)
             for triple in parse.triples:
                 self._record_triple(
                     ids[triple.subject.lemma], triple.predicate,
@@ -310,7 +368,10 @@ class VideoGraph:
 
         Entities sort by query overlap, then appearance count, then lemma.
         Total length stays within char_budget by dropping the lowest-ranked
-        lines first, never cutting mid-line.
+        lines first, never cutting mid-line. A line that could not fit even
+        beside the other two sections' placeholders shows only the first two
+        and the last of its frames, with their count; if it still cannot
+        fit, it alone is dropped.
         """
         if char_budget < 256:
             raise ValueError(f"char_budget must be >= 256, got {char_budget}")
@@ -321,6 +382,15 @@ class VideoGraph:
         )
         if not self.nodes:
             return placeholders
+        spare = char_budget - sum(map(len, placeholders))
+        caps = [spare + len(placeholder) for placeholder in placeholders]
+
+        def fit(head: str, frames: list[int], tail: str, cap: int) -> str:
+            line = f"{head}{frames}{tail}"
+            if len(line) > cap and len(frames) > 3:
+                line = (f"{head}[{frames[0]}, {frames[1]}, …, {frames[-1]}] "
+                        f"({len(frames)} sightings){tail}")
+            return line
 
         query_lemmas = {m.lemma for m in query.entities} if query else set()
 
@@ -335,10 +405,11 @@ class VideoGraph:
         entity_lines = []
         for node in ranked_nodes:
             state = node.effective_state(self.processed_frames[-1]) if self.processed_frames else NEUTRAL_STATE
-            entity_lines.append(
-                f"{node.canonical_lemma} ({node.entity_type.value}) frames {node.frame_indices}"
-                + (f", state: {state}" if state != NEUTRAL_STATE else "")
-            )
+            suffix = f", state: {state}" if state != NEUTRAL_STATE else ""
+            entity_lines.append(fit(
+                f"{node.canonical_lemma} ({node.entity_type.value}) frames ",
+                node.frame_indices, suffix, caps[0],
+            ))
 
         def edge_overlap(edge: RelationEdge) -> int:
             return max(node_overlap(self.nodes[edge.src]), node_overlap(self.nodes[edge.dst]))
@@ -354,8 +425,11 @@ class VideoGraph:
             ),
         )
         relation_lines = [
-            f"{self.nodes[e.src].canonical_lemma} —{e.predicate}→ "
-            f"{self.nodes[e.dst].canonical_lemma} @ frames {e.frame_indices}"
+            fit(
+                f"{self.nodes[e.src].canonical_lemma} —{e.predicate}→ "
+                f"{self.nodes[e.dst].canonical_lemma} @ frames ",
+                e.frame_indices, "", caps[1],
+            )
             for e in ranked_edges
         ]
 
@@ -369,21 +443,21 @@ class VideoGraph:
             steps = " → ".join(f"{label}@{frame}" for frame, label in trail)
             temporal_lines.append(f"{node.canonical_lemma}: {steps}")
 
-        sections = [entity_lines, relation_lines, temporal_lines]
+        sections = [
+            [line for line in lines if len(line) <= cap]
+            for lines, cap in zip((entity_lines, relation_lines, temporal_lines), caps)
+        ]
+        total = sum(len(self._render_section(lines, placeholder))
+                    for lines, placeholder in zip(sections, placeholders))
         # Global rank interleaves sections so each keeps its top lines; the
-        # worst-ranked line goes first when the budget is tight.
-        def total_length() -> int:
-            return sum(len(self._render_section(lines, placeholder))
-                       for lines, placeholder in zip(sections, placeholders))
-
-        while total_length() > char_budget:
-            worst = max(
-                ((len(lines) - 1, si) for si, lines in enumerate(sections) if lines),
-                default=None,
-            )
-            if worst is None:
-                break
-            sections[worst[1]].pop()
+        # worst-ranked line goes first when the budget is tight. Every line
+        # fits beside two placeholders, so some line remains to drop while
+        # the total is over budget.
+        while total > char_budget:
+            _, si = max((len(lines) - 1, si) for si, lines in enumerate(sections) if lines)
+            lines = sections[si]
+            line = lines.pop()
+            total -= len(line) + 1 if lines else len(line) - len(placeholders[si])
 
         return tuple(
             self._render_section(lines, placeholder)

@@ -2,7 +2,8 @@
 
 Sessions run with item-level parallelism behind a bounded worker pool; the
 sessions on one video share a `FrameTable`, so a frame another session
-already captioned, parsed and embedded is not done again. Aggregation and
+already captioned, parsed and embedded is not done again, and the graph of
+the starting frames is built once per video. Aggregation and
 all file writes happen single-threaded afterwards, in input order, so two
 runs over the same inputs produce byte-identical transcripts and reports.
 """

@@ -67,23 +67,39 @@ class FrameScore:
     combined: float
 
 
+def _decay(cfg: SelectorConfig, expanded: bool) -> float:
+    return cfg.decay_len * (cfg.expanded_decay_multiplier if expanded else 1.0)
+
+
+def _appearances(graph: VideoGraph, query: Optional[QueryParse]) -> list[list[int]]:
+    """The appearance frames of each query entity the graph has seen, in
+    query order (an entity named twice counts twice)."""
+    if query is None:
+        return []
+    lists = []
+    for mention in query.entities:
+        node = graph.node_for_lemma(mention.lemma)
+        if node is not None and node.frame_indices:
+            lists.append(node.frame_indices)
+    return lists
+
+
+def _proximity(frame: int, appearances: Sequence[Sequence[int]], decay: float) -> float:
+    score = 0.0
+    for frames in appearances:
+        # frames ascend, so the nearest appearance is one of the (one or
+        # two) frames beside `frame`
+        i = bisect_left(frames, frame)
+        beside = frames[max(0, i - 1):i + 1]
+        distance = min(abs(frame - beside[0]), abs(frame - beside[-1]))
+        score += math.exp(-distance / decay)
+    return score
+
+
 def graph_score_raw(frame: int, graph: VideoGraph, query: Optional[QueryParse],
                     cfg: SelectorConfig, expanded: bool = False) -> float:
     """Appearance-proximity relevance of `frame` to the query entities."""
-    if query is None:
-        return 0.0
-    decay = cfg.decay_len * (cfg.expanded_decay_multiplier if expanded else 1.0)
-    score = 0.0
-    for mention in query.entities:
-        node = graph.node_for_lemma(mention.lemma)
-        if node is None or not node.frame_indices:
-            continue
-        # frame_indices ascend, so the nearest appearance is beside `frame`
-        frames = node.frame_indices
-        i = bisect_left(frames, frame)
-        distance = min(abs(frame - f) for f in frames[max(0, i - 1):i + 1])
-        score += math.exp(-distance / decay)
-    return score
+    return _proximity(frame, _appearances(graph, query), _decay(cfg, expanded))
 
 
 def visual_score_raw(frame_embedding: Optional[Sequence[float]],
@@ -127,7 +143,7 @@ def normalize_scores(raw: Sequence[float]) -> list[float]:
     """Min-max normalize into [0, 1]; an all-equal list maps to 0.5s."""
     if not raw:
         raise ValueError("cannot normalize an empty list")
-    if any(math.isnan(x) or math.isinf(x) for x in raw):
+    if not all(map(math.isfinite, raw)):
         raise ValueError("raw scores must be finite")
     low, high = min(raw), max(raw)
     if high == low:
@@ -149,14 +165,17 @@ def combined_score(components: tuple[float, float, float], cfg: SelectorConfig) 
     )
 
 
-def score_candidates(candidates: Sequence[Candidate], graph: VideoGraph,
-                     query: Optional[QueryParse], selected: Sequence[int],
-                     total_frames: int, cfg: SelectorConfig, expanded: bool = False,
-                     query_embedding: Optional[Sequence[float]] = None,
-                     frame_norms: Optional[Sequence[Optional[float]]] = None) -> list[FrameScore]:
-    """Score every candidate with normalized components. `frame_norms`, if
-    given, holds each candidate embedding's `vector_norm`, in candidate order."""
-    raw_graph = [graph_score_raw(f, graph, query, cfg, expanded) for f, _ in candidates]
+def _normalized_components(candidates: Sequence[Candidate], graph: VideoGraph,
+                           query: Optional[QueryParse], selected: Sequence[int],
+                           total_frames: int, cfg: SelectorConfig, expanded: bool,
+                           query_embedding: Optional[Sequence[float]],
+                           frame_norms: Optional[Sequence[Optional[float]]],
+                           ) -> tuple[list[float], list[float], list[float]]:
+    """The normalized graph, visual and temporal components of every
+    candidate, in candidate order."""
+    appearances = _appearances(graph, query)
+    decay = _decay(cfg, expanded)
+    raw_graph = [_proximity(f, appearances, decay) for f, _ in candidates]
     query_norm = vector_norm(query_embedding) if query_embedding is not None else None
     if frame_norms is None:
         frame_norms = [None] * len(candidates)
@@ -166,18 +185,29 @@ def score_candidates(candidates: Sequence[Candidate], graph: VideoGraph,
     ]
     ordered = sorted(selected)
     raw_temporal = [temporal_score_raw(f, ordered, total_frames) for f, _ in candidates]
-    norm_graph = normalize_scores(raw_graph)
-    norm_visual = normalize_scores(raw_visual)
-    norm_temporal = normalize_scores(raw_temporal)
+    return normalize_scores(raw_graph), normalize_scores(raw_visual), normalize_scores(raw_temporal)
+
+
+def score_candidates(candidates: Sequence[Candidate], graph: VideoGraph,
+                     query: Optional[QueryParse], selected: Sequence[int],
+                     total_frames: int, cfg: SelectorConfig, expanded: bool = False,
+                     query_embedding: Optional[Sequence[float]] = None,
+                     frame_norms: Optional[Sequence[Optional[float]]] = None) -> list[FrameScore]:
+    """Score every candidate with normalized components. `frame_norms`, if
+    given, holds each candidate embedding's `vector_norm`, in candidate order."""
+    components = _normalized_components(
+        candidates, graph, query, selected, total_frames, cfg, expanded, query_embedding,
+        frame_norms,
+    )
     return [
         FrameScore(
-            frame_index=candidates[i][0],
-            s_graph=norm_graph[i],
-            s_visual=norm_visual[i],
-            s_temporal=norm_temporal[i],
-            combined=combined_score((norm_graph[i], norm_visual[i], norm_temporal[i]), cfg),
+            frame_index=frame,
+            s_graph=s_graph,
+            s_visual=s_visual,
+            s_temporal=s_temporal,
+            combined=combined_score((s_graph, s_visual, s_temporal), cfg),
         )
-        for i in range(len(candidates))
+        for (frame, _), s_graph, s_visual, s_temporal in zip(candidates, *components)
     ]
 
 
@@ -186,7 +216,8 @@ def select_frames(candidates: Sequence[Candidate], graph: VideoGraph,
                   total_frames: int, cfg: SelectorConfig, expanded: bool = False,
                   query_embedding: Optional[Sequence[float]] = None,
                   frame_norms: Optional[Sequence[Optional[float]]] = None) -> list[int]:
-    """Pick the top-k candidate frames; ties prefer the lower index.
+    """Pick the top-k candidate frames by combined score (as `score_candidates`
+    computes it); ties prefer the lower index.
 
     Candidates must be disjoint from `selected`. Returns ascending frame
     indices; an empty candidate set returns [] (the caller treats that as an
@@ -197,12 +228,18 @@ def select_frames(candidates: Sequence[Candidate], graph: VideoGraph,
     overlap = {f for f, _ in candidates}.intersection(selected)
     if overlap:
         raise ValueError(f"candidates overlap already-selected frames: {sorted(overlap)}")
-    scores = score_candidates(
+    components = _normalized_components(
         candidates, graph, query, selected, total_frames, cfg, expanded, query_embedding,
         frame_norms,
     )
-    ranked = sorted(scores, key=lambda s: (-s.combined, s.frame_index))
-    return sorted(s.frame_index for s in ranked[: cfg.k])
+    # normalized components lie in [0, 1], so combined_score's range check
+    # cannot fail; the sum keeps its order
+    wg, wv, wt = cfg.weight_graph, cfg.weight_visual, cfg.weight_temporal
+    ranked = sorted(
+        (-(wg * g + wv * v + wt * t), frame)
+        for (frame, _), g, v, t in zip(candidates, *components)
+    )
+    return sorted(frame for _, frame in ranked[: cfg.k])
 
 
 def identify_segments(graph: VideoGraph, query: Optional[QueryParse], total_frames: int,

@@ -125,16 +125,27 @@ def load_bundle(directory: Union[str, Path]) -> VideoBundle:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{manifest_path}: invalid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DataFormatError(f"{manifest_path}: expected a JSON object")
     for key in ("video_id", "total_frames"):
         if key not in manifest:
             raise DataFormatError(f"{manifest_path}: missing required field {key!r}")
 
+    def number(key: str, kind: type):
+        try:
+            return kind(manifest[key])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DataFormatError(
+                f"{manifest_path}: field {key!r} is not a valid {kind.__name__}: "
+                f"{manifest[key]!r}"
+            ) from exc
+
     bundle = VideoBundle(
         video_id=str(manifest["video_id"]),
-        total_frames=int(manifest["total_frames"]),
-        fps=float(manifest["fps"]) if manifest.get("fps") is not None else None,
+        total_frames=number("total_frames", int),
+        fps=number("fps", float) if manifest.get("fps") is not None else None,
         embedding_dim=(
-            int(manifest["embedding_dim"]) if manifest.get("embedding_dim") is not None else None
+            number("embedding_dim", int) if manifest.get("embedding_dim") is not None else None
         ),
     )
 
@@ -206,7 +217,10 @@ def save_bundle(bundle: VideoBundle, directory: Union[str, Path]) -> Path:
 
 
 def _data_lines(path: Path):
-    for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    """(line number, line) for each line that is neither blank nor a comment.
+    Lines end at "\n" only (reading turns "\r\n" and "\r" into "\n"):
+    U+2028, U+2029 and U+0085, which JSON leaves unescaped, stay in the text."""
+    for line_no, raw in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
         if not raw.strip() or raw.startswith("#"):
             continue
         yield line_no, raw

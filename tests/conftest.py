@@ -18,6 +18,7 @@ from graphvqa.gateway import (
     ProviderConfig,
     ScriptEntry,
 )
+from graphvqa.graph import VideoGraph
 from graphvqa.parsing import default_lexicon
 from graphvqa.store import VideoBundle
 
@@ -247,3 +248,16 @@ def count_pool_submits(gateway):
 
     gateway._pool.submit = counting
     return submitted
+
+
+def record_update_batches(monkeypatch):
+    """The frames of every `update_graph` call, one tuple per call."""
+    batches = []
+    update = VideoGraph.update_graph
+
+    def recording(graph, new_records, parses):
+        batches.append(tuple(r.frame_index for r in new_records))
+        return update(graph, new_records, parses)
+
+    monkeypatch.setattr(VideoGraph, "update_graph", recording)
+    return batches

@@ -3,7 +3,9 @@ from __future__ import annotations
 import hashlib
 import json
 import socket
+import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -11,6 +13,7 @@ from conftest import (
     confident_entry,
     count_pool_submits,
     make_bundle,
+    record_update_batches,
     remote_chat_config,
     scripted_gateway,
     unsure_entry,
@@ -35,9 +38,9 @@ from graphvqa.gateway import (
     ProviderConfig,
     ScriptEntry,
 )
-from graphvqa.graph import vector_norm
-from graphvqa.parsing import default_lexicon, parse_question
-from graphvqa.store import VideoBundle, transcript_record
+from graphvqa.graph import FrameRecord, vector_norm
+from graphvqa.parsing import default_lexicon, parse_caption, parse_question
+from graphvqa.store import VideoBundle, save_graph, transcript_record
 
 LEX = default_lexicon()
 OPTIONS = ["red", "green", "blue", "white", "black"]
@@ -458,6 +461,122 @@ def test_failed_caption_is_not_stored_and_tried_again():
     # the table keeps the frames before the failed one; the rest are asked again
     assert gateway.frame_captions == Counter({initial[0]: 1, **{f: 2 for f in initial[1:]}})
     assert gateway.frame_embeds == gateway.frame_captions
+
+
+def test_sessions_start_from_the_stored_start_graph(monkeypatch):
+    bundle = distinct_caption_bundle()
+    entries = [unsure_entry("B"), unsure_entry("C", confidence=2), confident_entry("D")]
+    questions = ["what does the boy hold?", "what is the toy050?", "what does the boy hold?"]
+    fresh = [VideoAgent(bundle, CountingGateway(entries)).run(q, OPTIONS) for q in questions]
+    fresh_start = save_graph(
+        VideoAgent(bundle, CountingGateway([confident_entry()])).run("what?", OPTIONS)[1]
+    )
+    initial = tuple(uniform_sample(bundle.total_frames, AgentConfig().initial_frames))
+    batches = record_update_batches(monkeypatch)
+    gateway = CountingGateway(entries)
+    table = FrameTable()
+    for question, (reference, reference_graph) in zip(questions, fresh):
+        session, graph = VideoAgent(bundle, gateway.for_session(), frames=table).run(
+            question, OPTIONS
+        )
+        assert transcript_record(session) == transcript_record(reference)
+        assert save_graph(graph) == save_graph(reference_graph)
+    assert batches.count(initial) == 1
+    assert list(table.starts) == [initial]
+    assert save_graph(table.starts[initial]) == fresh_start
+    # a session answering at once leaves the start as it found it
+    _, graph = VideoAgent(bundle, CountingGateway([confident_entry()]), frames=table).run(
+        "what?", OPTIONS
+    )
+    assert save_graph(graph) == fresh_start
+    assert batches.count(initial) == 1
+
+
+def test_changing_a_session_graph_leaves_the_start_and_other_sessions_alone():
+    bundle = distinct_caption_bundle()
+    table = FrameTable()
+
+    def run():
+        return VideoAgent(bundle, CountingGateway([confident_entry()]), frames=table).run(
+            "what does the boy hold?", OPTIONS
+        )[1]
+
+    first = run()
+    [start] = table.starts.values()
+    stored = save_graph(start)
+    second, third = run(), run()
+    assert save_graph(second) == stored
+    assert len({id(start), id(first), id(second), id(third)}) == 4
+    ingest = [FrameRecord(3, [0.5] * 16)], [parse_caption("the girl takes the ball", 3, LEX)]
+    second.update_graph(*ingest)
+    for node in second.nodes.values():
+        node.frame_indices.append(99)
+        node.aliases.append("alias")
+        node.state_history.append((99, "gone"))
+        if node.feature is not None:
+            node.feature[0] = 123.0
+    for edge in second.edges.values():
+        edge.frame_indices.append(99)
+    second.processed_frames.append(99)
+    assert save_graph(start) == save_graph(first) == save_graph(third) == stored
+    assert save_graph(run()) == stored
+
+
+def test_parallel_sessions_on_one_table_match_serial_ones():
+    bundle = distinct_caption_bundle()
+    entries = [unsure_entry("B"), unsure_entry("C", confidence=2), confident_entry("D")]
+    questions = ["what does the boy hold?", "what is the toy050?", "where is the toy?"] * 8
+    references = {
+        q: VideoAgent(bundle, CountingGateway(entries)).run(q, OPTIONS) for q in set(questions)
+    }
+    gateway = CountingGateway(entries)
+    table = FrameTable()
+
+    def run(question):
+        return VideoAgent(bundle, gateway.for_session(), frames=table).run(question, OPTIONS)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(run, q) for q in questions]
+            results = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for question, (session, graph) in zip(questions, results):
+        reference, reference_graph = references[question]
+        assert transcript_record(session) == transcript_record(reference)
+        assert save_graph(graph) == save_graph(reference_graph)
+    [start] = table.starts.values()
+    assert start.version == 1 and len(start.processed_frames) == AgentConfig().initial_frames
+    assert len({id(graph) for _, graph in results} | {id(start)}) == len(results) + 1
+
+
+def test_no_start_stored_when_a_starting_frame_embedding_failed(monkeypatch):
+    bundle = distinct_caption_bundle()
+    initial = tuple(uniform_sample(bundle.total_frames, AgentConfig().initial_frames))
+    _, clean = VideoAgent(bundle, CountingGateway([confident_entry()])).run("what?", OPTIONS)
+    batches = record_update_batches(monkeypatch)
+    gateway = CountingGateway([confident_entry()], fail_once={initial[2]})
+    table = FrameTable()
+    _, degraded = VideoAgent(bundle, gateway.for_session(), frames=table).run("what?", OPTIONS)
+    assert table.starts == {}
+    assert save_graph(degraded) != save_graph(clean)
+    # the next session embeds the frame again, builds the start and stores it
+    _, graph = VideoAgent(bundle, gateway.for_session(), frames=table).run("what?", OPTIONS)
+    assert save_graph(graph) == save_graph(table.starts[initial]) == save_graph(clean)
+    assert batches == [initial, initial]
+    assert gateway.frame_embeds[initial[2]] == 2
+
+
+def test_no_start_stored_when_a_starting_caption_failed():
+    bundle = distinct_caption_bundle()
+    initial = uniform_sample(bundle.total_frames, AgentConfig().initial_frames)
+    gateway = CountingGateway([confident_entry()], fail_caption_once={initial[0]})
+    table = FrameTable()
+    with pytest.raises(GatewayError):
+        VideoAgent(bundle, gateway.for_session(), frames=table).run("what?", OPTIONS)
+    assert table.starts == {}
 
 
 def fanned_out_gateway(endpoint, **overrides):

@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from conftest import make_bundle, remote_lanes
+from conftest import make_bundle, record_update_batches, remote_lanes
 from graphvqa.cli import main
 from graphvqa.store import QAItem, load_graph, load_transcripts, save_bundle, save_qa
 
@@ -472,3 +472,51 @@ def test_lexicon_not_utf8_is_data_error(tmp_path, suite, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "data error" in err and "action_verbs.txt" in err and "UTF-8" in err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("total_frames", "abc"),
+    ("fps", "fast"),
+    ("embedding_dim", "wide"),
+    ("total_frames", None),
+])
+def test_manifest_field_that_does_not_convert_is_data_error(suite, capsys, field, value):
+    manifest_path = suite["bundle_dir"] / "manifest"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest[field] = value
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    code = main(["graph", "--bundle", str(suite["bundle_dir"])])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and str(manifest_path) in err and repr(field) in err
+
+
+def test_eval_reads_the_template_once_and_builds_each_start_once(suite, tmp_path, monkeypatch):
+    from graphvqa import agent as agent_module
+
+    save_bundle(make_bundle(video_id="v1", total_frames=90, seed=3), suite["bundle_root"] / "v1")
+    items = [QAItem(video, f"q {i}?", OPTIONS, answer_index=0)
+             for i in range(4) for video in ("v0", "v1")]
+    qa_path = save_qa(items, tmp_path / "qa2")
+    template = tmp_path / "template.txt"
+    template.write_text("{question}\n{options}\n{frame_captions}\n{entity_summary}\n",
+                        encoding="utf-8")
+    config_path = write_config(tmp_path, suite, agent={"prompt_template_path": str(template)})
+    reads = []
+    load = agent_module.load_prompt_template
+
+    def counting_load(path=""):
+        reads.append(path)
+        return load(path)
+
+    monkeypatch.setattr(agent_module, "load_prompt_template", counting_load)
+    builds = record_update_batches(monkeypatch)
+    code = main([
+        "eval", "--qa", str(qa_path), "--bundle", str(suite["bundle_root"]),
+        "--config", str(config_path), "--out", str(tmp_path / "out"), "--parallel", "2",
+    ])
+    assert code == 0
+    assert reads == [str(template)]
+    # the scripted chat answers at once, so every update builds a start
+    assert sorted(builds) == [(6, 18, 30, 42, 54), (9, 27, 45, 63, 81)]
+    assert len(load_transcripts(tmp_path / "out" / "transcripts.jsonl")) == 8

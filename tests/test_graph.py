@@ -221,6 +221,47 @@ def test_graph_is_append_only():
     assert graph.version == 2
 
 
+def test_frame_embedding_copied_and_normed_once_per_frame(monkeypatch):
+    from graphvqa import graph as graph_module
+    normed = []
+    norm = graph_module.vector_norm
+
+    def counting_norm(v):
+        normed.append(v)
+        return norm(v)
+
+    monkeypatch.setattr(graph_module, "vector_norm", counting_norm)
+    embedding = [1.0, 0.2, 0.0]
+    graph = VideoGraph()
+    graph.update_graph([FrameRecord(0, [0.0, 0.1, 1.0])],
+                       [parse_caption("the cup falls", 0, LEX)])
+    graph.update_graph([FrameRecord(1, embedding)],
+                       [parse_caption("the boy and the girl hold the toy and the ball", 1, LEX)])
+    assert sum(v is embedding for v in normed) == 1
+    features = [node.feature for node in graph.nodes.values() if node.canonical_lemma != "cup"]
+    assert len(features) == 4 and all(f is features[0] and f == embedding for f in features)
+
+
+def test_copy_is_equal_and_independent():
+    graph = dog_history()
+    ingest(graph, {7: "the dog chases the ball", 9: "the boy holds the ball"},
+           {7: [1.0, 0.0], 9: [0.5, 0.5]})
+    blob = save_graph(graph)
+    copy = graph.copy()
+    assert save_graph(copy) == blob
+    assert copy.summarize(None, 1024) == graph.summarize(None, 1024)
+    ingest(copy, {11: "the dog holds the ball", 12: "the cat becomes angry"},
+           {11: [0.0, 1.0], 12: [1.0, 1.0]})
+    copy.node_for_lemma("dog").aliases.append("hound")
+    assert save_graph(graph) == blob
+    assert graph.node_for_lemma("cat") is None and graph.node_for_lemma("hound") is None
+    # and the original, updated alike, becomes the same graph
+    ingest(graph, {11: "the dog holds the ball", 12: "the cat becomes angry"},
+           {11: [0.0, 1.0], 12: [1.0, 1.0]})
+    graph.node_for_lemma("dog").aliases.append("hound")
+    assert save_graph(graph) == save_graph(copy)
+
+
 # -- summarize ---------------------------------------------------------------------
 
 def dog_history() -> VideoGraph:
@@ -270,6 +311,124 @@ def test_summarize_budget_truncates_whole_lines():
     for section in sections:
         for line in section.splitlines():
             assert line in full_lines or line.startswith("(no ")
+
+
+def reference_summarize(graph, query, char_budget):
+    """`VideoGraph.summarize` as it was before long lines were elided, which
+    re-rendered every section after each dropped line. Graphs whose lines
+    all fit must still render exactly like this."""
+    placeholders = (
+        "(no entities tracked yet)",
+        "(no relations observed yet)",
+        "(no state changes recorded yet)",
+    )
+    if not graph.nodes:
+        return placeholders
+    query_lemmas = {m.lemma for m in query.entities} if query else set()
+
+    def node_overlap(node):
+        return 1 if {node.canonical_lemma, *node.aliases} & query_lemmas else 0
+
+    ranked_nodes = sorted(
+        graph.nodes.values(),
+        key=lambda n: (-node_overlap(n), -len(n.frame_indices), n.canonical_lemma),
+    )
+    entity_lines = []
+    for node in ranked_nodes:
+        state = (node.effective_state(graph.processed_frames[-1])
+                 if graph.processed_frames else "neutral")
+        entity_lines.append(
+            f"{node.canonical_lemma} ({node.entity_type.value}) frames {node.frame_indices}"
+            + (f", state: {state}" if state != "neutral" else "")
+        )
+
+    def edge_overlap(edge):
+        return max(node_overlap(graph.nodes[edge.src]), node_overlap(graph.nodes[edge.dst]))
+
+    ranked_edges = sorted(
+        graph.edges.values(),
+        key=lambda e: (
+            -edge_overlap(e), -len(e.frame_indices), graph.nodes[e.src].canonical_lemma,
+            e.predicate, graph.nodes[e.dst].canonical_lemma,
+        ),
+    )
+    relation_lines = [
+        f"{graph.nodes[e.src].canonical_lemma} —{e.predicate}→ "
+        f"{graph.nodes[e.dst].canonical_lemma} @ frames {e.frame_indices}"
+        for e in ranked_edges
+    ]
+    temporal_lines = []
+    for node in ranked_nodes:
+        if not node.state_history:
+            continue
+        first_frame = node.frame_indices[0]
+        trail = [(first_frame, "neutral")] if node.state_history[0][0] > first_frame else []
+        trail.extend(node.state_history)
+        steps = " → ".join(f"{label}@{frame}" for frame, label in trail)
+        temporal_lines.append(f"{node.canonical_lemma}: {steps}")
+
+    sections = [entity_lines, relation_lines, temporal_lines]
+
+    def render(lines, placeholder):
+        return "\n".join(lines) if lines else placeholder
+
+    def total_length():
+        return sum(len(render(lines, p)) for lines, p in zip(sections, placeholders))
+
+    while total_length() > char_budget:
+        worst = max(
+            ((len(lines) - 1, si) for si, lines in enumerate(sections) if lines),
+            default=None,
+        )
+        if worst is None:
+            break
+        sections[worst[1]].pop()
+    return tuple(render(lines, p) for lines, p in zip(sections, placeholders))
+
+
+def long_sighting_graph(sightings=2500, stride=8):
+    """A person seen `sightings` times, and a cup seen twice, held once."""
+    graph = VideoGraph()
+    frames = [i * stride for i in range(sightings)]
+    captions = {f: "the person walks" for f in frames}
+    captions[frames[1] + 1] = "the cup falls"
+    captions[frames[2] + 1] = "the person holds the cup"
+    return ingest(graph, captions)
+
+
+def test_summarize_elides_a_line_too_long_for_the_budget():
+    graph = long_sighting_graph()
+    assert reference_summarize(graph, None, 4096) == (  # every line was dropped
+        "(no entities tracked yet)",
+        "(no relations observed yet)",
+        "(no state changes recorded yet)",
+    )
+    sections = graph.summarize(None, 4096)
+    assert sum(map(len, sections)) <= 4096
+    entities, relations, _ = sections
+    assert entities.splitlines() == [
+        "person (Person) frames [0, 8, …, 19992] (2501 sightings)",
+        "cup (Object) frames [9, 17]",
+    ]
+    assert relations.splitlines() == ["person —hold→ cup @ frames [17]"]
+
+
+@pytest.mark.parametrize("budget", [256, 300, 1024, 4096])
+def test_summarize_keeps_long_lines_within_every_budget(budget):
+    graph = long_sighting_graph(sightings=300, stride=3)
+    sections = graph.summarize(None, budget)
+    assert sum(map(len, sections)) <= budget
+    assert "person (Person)" in sections[0]
+
+
+def test_summarize_drops_only_a_line_that_cannot_fit_even_elided():
+    graph = long_sighting_graph(sightings=40)
+    person = graph.node_for_lemma("person")
+    person.canonical_lemma = "p" * 300  # no frame list can make this line fit
+    graph._rebuild_indexes()
+    entities, relations, _ = graph.summarize(None, 256)
+    assert entities == "cup (Object) frames [9, 17]"
+    assert relations == "(no relations observed yet)"  # its line names the long lemma too
 
 
 def test_summarize_rejects_tiny_budget():
@@ -402,3 +561,18 @@ def test_update_graph_ignores_input_order_property(batch, rng):
         stepwise.update_graph([record], [parse])
     stepwise.version = 1
     assert save_graph(stepwise) == baseline
+
+
+@settings(max_examples=100, deadline=None)
+@given(frame_batches, st.integers(min_value=256, max_value=3000),
+       st.sampled_from([None, *NOUNS]))
+def test_summarize_of_small_graphs_matches_reference_property(batch, budget, asked):
+    directions = [[1.0, 0.2, 0.0], [0.9, 0.3, 0.1], [0.0, 0.1, 1.0]]
+    records = [FrameRecord(f, None if e is None else directions[e]) for f, _, _, _, e in batch]
+    parses = [parse_caption(f"the {s} {v} the {o}", f, LEX) for f, s, v, o, _ in batch]
+    graph = VideoGraph().update_graph(records, parses)
+    query = parse_question(f"where is the {asked}?", [], LEX) if asked else None
+    # every line of these graphs fits beside two placeholders
+    full = graph.summarize(query, 100_000)
+    assert max(len(line) for section in full for line in section.splitlines()) <= 256 - 83
+    assert graph.summarize(query, budget) == reference_summarize(graph, query, budget)

@@ -464,3 +464,52 @@ def test_visual_scores_with_query_norm_once_match_oracle_property(vectors):
     scores = score_candidates(candidates, VideoGraph(), None, [0], 100, CFG,
                               query_embedding=query_embedding, frame_norms=norms)
     assert [s.s_visual for s in scores] == expected
+
+
+def reference_selection(candidates, graph, query, selected, total, cfg, expanded,
+                        query_embedding, frame_norms):
+    """What select_frames returned before it ranked bare floats: the top k of
+    score_candidates' FrameScores by (-combined, frame_index), ascending."""
+    scores = score_candidates(candidates, graph, query, selected, total, cfg, expanded,
+                              query_embedding, frame_norms)
+    ranked = sorted(scores, key=lambda s: (-s.combined, s.frame_index))
+    return sorted(s.frame_index for s in ranked[: cfg.k])
+
+
+WEIGHTS = [(0.5, 0.3, 0.2), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.2, 0.3, 0.5),
+           (1 / 3, 1 / 3, 1 / 3)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_select_frames_matches_score_candidates_ranking_property(data):
+    total = data.draw(st.integers(min_value=2, max_value=120))
+    frames = st.integers(min_value=0, max_value=total - 1)
+    entity_frames = {
+        lemma: data.draw(st.lists(frames, min_size=1, max_size=6, unique=True))
+        for lemma in data.draw(st.lists(st.sampled_from(["dog", "person", "ball"]),
+                                        max_size=3, unique=True))
+    }
+    graph = graph_with(entity_frames)
+    asked = data.draw(st.lists(st.sampled_from(["dog", "person", "ball", "cup"]), max_size=3))
+    query = query_for(*asked) if asked else data.draw(st.sampled_from([None, query_for("cup")]))
+    selected = sorted(data.draw(st.lists(frames, min_size=1, max_size=5, unique=True)))
+    pool = [f for f in range(total) if f not in selected]
+    if not pool:
+        return
+    picks = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40, unique=True))
+    # few distinct embeddings, so combined scores often tie
+    embedding = st.one_of(st.none(), st.sampled_from(
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.6, 0.8, 0.0], [0.0, 0.0, 0.0]]))
+    candidates = [(f, data.draw(embedding)) for f in picks]
+    norms = None
+    if data.draw(st.booleans()):
+        norms = [None if e is None else vector_norm(e) for _, e in candidates]
+    wg, wv, wt = data.draw(st.sampled_from(WEIGHTS))
+    cfg = SelectorConfig(weight_graph=wg, weight_visual=wv, weight_temporal=wt,
+                         k=data.draw(st.integers(min_value=1, max_value=6)),
+                         decay_len=data.draw(st.integers(min_value=1, max_value=40)))
+    expanded = data.draw(st.booleans())
+    query_embedding = data.draw(embedding)
+    args = (candidates, graph, query, selected, total, cfg, expanded, query_embedding, norms)
+    assert select_frames(*args) == reference_selection(*args)

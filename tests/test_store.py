@@ -63,6 +63,13 @@ def test_malformed_manifest(tmp_path):
     (directory / "manifest").write_text('{"video_id": "v"}', encoding="utf-8")
     with pytest.raises(DataFormatError, match="total_frames"):
         load_bundle(directory)
+    (directory / "manifest").write_text('["v", 10]', encoding="utf-8")
+    with pytest.raises(DataFormatError, match="expected a JSON object"):
+        load_bundle(directory)
+    (directory / "manifest").write_text('{"video_id": "v", "total_frames": Infinity}',
+                                        encoding="utf-8")
+    with pytest.raises(DataFormatError, match="'total_frames' is not a valid int"):
+        load_bundle(directory)
 
 
 def test_caption_line_out_of_range_names_line(tmp_path):
@@ -118,6 +125,30 @@ def test_bundle_round_trip_with_unicode(tmp_path):
     assert loaded == bundle
 
 
+LINE_SEPARATORS = ["\u2028", "\u2029", "\u0085", "\x0c", "\x1e"]
+
+
+@pytest.mark.parametrize("separator", LINE_SEPARATORS)
+def test_bundle_round_trip_keeps_unicode_line_separators(tmp_path, separator):
+    bundle = VideoBundle(
+        video_id="v", total_frames=4,
+        captions={0: f"the boy{separator}holds a toy", 2: f"{separator}edge{separator}"},
+    ).validate()
+    loaded = load_bundle(save_bundle(bundle, tmp_path / "out"))
+    assert loaded == bundle
+
+
+def test_bundle_crlf_files_load(tmp_path):
+    directory = write_bundle_files(
+        tmp_path, {"video_id": "v", "total_frames": 4},
+        captions="0\tthe boy runs\r\n# note\r\n\r\n2\tthe dog sits\r\n",
+        embeddings="0\t0.5 1.0\r\n2\t1.0 0.5\r\n",
+    )
+    bundle = load_bundle(directory)
+    assert bundle.captions == {0: "the boy runs", 2: "the dog sits"}
+    assert bundle.embeddings == {0: [0.5, 1.0], 2: [1.0, 0.5]}
+
+
 def test_bundle_rejects_multiline_caption(tmp_path):
     bundle = VideoBundle(video_id="v", total_frames=2, captions={0: "line\nbreak"})
     with pytest.raises(DataFormatError):
@@ -141,6 +172,26 @@ def test_qa_round_trip(tmp_path):
     ]
     path = save_qa(items, tmp_path / "qa")
     assert load_qa(path) == items
+
+
+@pytest.mark.parametrize("separator", LINE_SEPARATORS)
+def test_qa_round_trip_keeps_unicode_line_separators(tmp_path, separator):
+    items = [
+        QAItem("v1", f"why{separator}now?", [f"a{separator}", "b"], answer_index=0),
+        QAItem("v2", "when?", ["a", "b"]),
+    ]
+    path = save_qa(items, tmp_path / "qa")
+    assert load_qa(path) == items
+
+
+def test_qa_crlf_file_names_lines(tmp_path):
+    path = tmp_path / "qa"
+    good = '{"video_id": "v", "question": "q?", "options": ["a", "b"]}'
+    path.write_bytes(f"{good}\r\n{good}\r\nnot json\r\n".encode("utf-8"))
+    with pytest.raises(DataFormatError, match=":3: invalid JSON"):
+        load_qa(path)
+    path.write_bytes(f"{good}\r\n\r\n{good}\r\n".encode("utf-8"))
+    assert len(load_qa(path)) == 2
 
 
 def test_qa_validation(tmp_path):
