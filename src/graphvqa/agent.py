@@ -100,6 +100,9 @@ class AgentConfig:
     prompt_template: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("initial_frames", "max_rounds", "confidence_threshold", "prompt_char_budget"):
+            if not isinstance(getattr(self, name), int):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.initial_frames < 1:
             raise ValueError(f"initial_frames must be >= 1, got {self.initial_frames}")
         if self.max_rounds < 1:

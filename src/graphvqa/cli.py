@@ -94,9 +94,18 @@ def load_config(path: Optional[str]) -> dict:
     if not config_path.is_file():
         raise CliUsageError(f"config file not found: {path}")
     try:
-        return json.loads(config_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CliUsageError(f"config file {path} is not valid JSON: {exc}") from exc
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # also invalid UTF-8
+        raise CliUsageError(f"bad config: {path} is not valid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise CliUsageError(f"bad config: {path} holds a {type(config).__name__}, not an object")
+    providers = config.get("providers", {})
+    if not isinstance(providers, dict) or not all(isinstance(b, dict) for b in providers.values()):
+        raise CliUsageError("bad config: providers must map each name to an object")
+    for key in ("lexicon_dir", "cache_path"):
+        if not isinstance(config.get(key), (str, type(None))):
+            raise CliUsageError(f"bad config: {key} must be a path, got {config[key]!r}")
+    return config
 
 
 @contextlib.contextmanager
@@ -171,6 +180,10 @@ def build_gateway(config: dict, provider_name: Optional[str],
 # ---------------------------------------------------------------------------
 
 def _cmd_run(args) -> int:
+    if not args.question:
+        raise CliUsageError("--question must be nonempty")
+    if len(args.options) > 5:
+        raise CliUsageError(f"--options takes at most 5 options, got {len(args.options)}")
     config = load_config(args.config)
     cfg = agent_config_from(config)
     lexicon = lexicon_from(config)
@@ -198,6 +211,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.parallel < 1:
+        raise CliUsageError(f"--parallel must be >= 1, got {args.parallel}")
     config = load_config(args.config)
     cfg = agent_config_from(config)
     lexicon = lexicon_from(config)
@@ -300,7 +315,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CliUsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (GatewayConfigError, ValueError) as exc:
+    except GatewayConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DataFormatError, LexiconError) as exc:

@@ -77,6 +77,12 @@ PRECOMPUTED_EMBED = "PrecomputedEmbed"
 SCRIPTED = "Scripted"
 
 _KINDS = {REMOTE_CHAT, REMOTE_EMBED, PRECOMPUTED_CAPTION, PRECOMPUTED_EMBED, SCRIPTED}
+# The provider kinds that can serve each lane.
+_LANE_KINDS = {
+    "chat": (REMOTE_CHAT, SCRIPTED),
+    "caption": (REMOTE_CHAT, PRECOMPUTED_CAPTION),
+    "embed": (REMOTE_EMBED, PRECOMPUTED_EMBED, SCRIPTED),
+}
 _RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
 
 Message = tuple[str, str]
@@ -163,6 +169,8 @@ def load_script(path: Union[str, Path]) -> list[ScriptEntry]:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise GatewayConfigError(f"cannot read script {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise GatewayConfigError(f"script {path} is not valid UTF-8: {exc}") from exc
     entries = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -170,7 +178,7 @@ def load_script(path: Union[str, Path]) -> list[ScriptEntry]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer too long for int()
             raise GatewayConfigError(f"{path}:{line_no}: invalid script entry: {exc}") from exc
         if not isinstance(obj, dict) or "reply" not in obj:
             raise GatewayConfigError(f"{path}:{line_no}: script entry needs a 'reply' field")
@@ -321,7 +329,8 @@ class ModelGateway:
     are merged so only the first caller sends it. Without a `cache` the
     gateway keeps its responses in memory. Scripted chat counts calls per
     gateway, so concurrent sessions each take their own view from
-    `for_session`. `close` stops the threads that `gather` started.
+    `for_session`. `close` stops the threads that `gather` started. A lane
+    given a provider kind that cannot serve it raises GatewayConfigError here.
     """
 
     def __init__(
@@ -332,6 +341,10 @@ class ModelGateway:
         cache: Optional[ResponseCache] = None,
         chat_script: Optional[Sequence[ScriptEntry]] = None,
     ):
+        lanes = {"chat": chat, "caption": caption, "embed": embed}
+        for lane, cfg in lanes.items():
+            if cfg is not None and cfg.kind not in _LANE_KINDS[lane]:
+                raise GatewayConfigError(f"provider kind {cfg.kind} cannot serve {lane}")
         self.chat_cfg = chat
         self.caption_cfg = caption
         self.embed_cfg = embed
@@ -348,8 +361,7 @@ class ModelGateway:
         # Lane -> its own in-flight bound, even when lanes share an endpoint.
         self._semaphores = {
             lane: threading.Semaphore(cfg.max_inflight)
-            for lane, cfg in (("chat", chat), ("caption", caption), ("embed", embed))
-            if cfg is not None
+            for lane, cfg in lanes.items() if cfg is not None
         }
         # Cache key -> event set once its sender has finished, successful or not.
         self._inflight: dict[str, threading.Event] = {}
@@ -424,8 +436,6 @@ class ModelGateway:
     def _completion_request(self, cfg: ProviderConfig, messages: Sequence[Message],
                             lane: str) -> _Request:
         """A chat completion whose reply decodes to the first choice's text."""
-        if cfg.kind != REMOTE_CHAT:
-            raise GatewayConfigError(f"provider kind {cfg.kind} cannot serve {lane}")
         body = {
             "model": cfg.model_name,
             "messages": [{"role": role, "content": text} for role, text in messages],
@@ -468,8 +478,6 @@ class ModelGateway:
             if bundle is not None and bundle.embedding_dim:
                 dim = bundle.embedding_dim
             return pseudo_embedding(token, dim, cfg.seed)
-        if cfg.kind != REMOTE_EMBED:
-            raise GatewayConfigError(f"provider kind {cfg.kind} cannot serve embeddings")
         return self._post_with_retries(self._embed_request(cfg, text_or_frame, bundle))
 
     def _embed_request(self, cfg: ProviderConfig, text_or_frame: Union[str, int],

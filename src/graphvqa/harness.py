@@ -1,11 +1,12 @@
 """Batch evaluation over QA sets: accuracy, frame usage, and breakdowns.
 
-Sessions run with item-level parallelism behind a bounded worker pool; the
-sessions on one video share a `FrameTable`, so a frame another session
-already captioned, parsed and embedded is not done again, and the graph of
-the starting frames is built once per video. Aggregation and
-all file writes happen single-threaded afterwards, in input order, so two
-runs over the same inputs produce byte-identical transcripts and reports.
+Sessions run on a bounded worker pool (at `parallel` 1, on the calling
+thread). The sessions on one video share a `FrameTable`, so a frame another
+session already captioned, parsed and embedded is not done again, and the
+graph of the starting frames is built once per video. Each transcript is
+appended as soon as every earlier item is done, so two runs over the same
+inputs write byte-identical transcripts and reports, and an interrupted run
+leaves its finished prefix's transcripts and the previous report.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from typing import Callable, Optional, Sequence, Union
 from .agent import AgentConfig, AgentSession, FrameTable, VideoAgent
 from .errors import DataFormatError
 from .gateway import ModelGateway
-from .graph import VideoGraph
 from .parsing import Lexicon
 from .store import QAItem, VideoBundle, load_bundle, load_qa, save_transcript
 
@@ -94,7 +94,7 @@ class _ItemResult:
     item: QAItem
     item_id: str
     session: Optional[AgentSession] = None
-    graph: Optional[VideoGraph] = None
+    node_count: int = 0
     error: Optional[str] = None
 
 
@@ -105,7 +105,8 @@ def _run_item(index: int, item: QAItem, bundle: VideoBundle,
     result = _ItemResult(item=item, item_id=item_id)
     try:
         agent = VideoAgent(bundle, gateway_factory(item), cfg, lexicon, frames)
-        result.session, result.graph = agent.run(item.question, item.options)
+        result.session, graph = agent.run(item.question, item.options)
+        result.node_count = len(graph.nodes)
     except Exception as exc:  # noqa: BLE001 - any per-item failure is reportable
         logger.error("item %s failed: %s", item_id, exc)
         result.error = f"{type(exc).__name__}: {exc}"
@@ -145,17 +146,15 @@ def run_eval(qa_path: Union[str, Path], bundle_root: Union[str, Path],
         return _run_item(index, item, bundles[item.video_id], gateway_factory, cfg, lexicon,
                          tables[item.video_id])
 
-    if parallel > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            results = list(pool.map(runner, enumerate(items)))
-    else:
-        results = [runner(pair) for pair in enumerate(items)]
-
     transcript_path = out_dir / "transcripts.jsonl"
-    transcript_path.unlink(missing_ok=True)
-    for result in results:
-        if result.session is not None:
-            save_transcript(result.session, transcript_path)
+    transcript_path.write_bytes(b"")
+    results = []
+    with ThreadPoolExecutor(max_workers=parallel) as pool:
+        # pool.map yields in input order, so transcripts are appended in order
+        for result in (pool.map if parallel > 1 else map)(runner, enumerate(items)):
+            if result.session is not None:
+                save_transcript(result.session, transcript_path)
+            results.append(result)
 
     report = _aggregate(results)
     _replace_text(
@@ -192,10 +191,7 @@ def _aggregate(results: Sequence[_ItemResult]) -> EvalReport:
         if r.item.answer_index is None:
             continue
         correct = r.session.final_answer == r.item.answer_index
-        bucket = bucket_by_entity_count(
-            len(r.graph.nodes) if r.graph is not None else 0,
-            r.item.entity_count_bucket,
-        )
+        bucket = bucket_by_entity_count(r.node_count, r.item.entity_count_bucket)
         scored.append((correct, r.item.category or "", bucket))
 
     categories = sorted({c for _, c, _ in scored if c})

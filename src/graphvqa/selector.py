@@ -41,6 +41,9 @@ class SelectorConfig:
     expanded_decay_multiplier: float = 2.0
 
     def __post_init__(self):
+        for name in ("k", "decay_len"):
+            if not isinstance(getattr(self, name), int):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         weights = (self.weight_graph, self.weight_visual, self.weight_temporal)
         if any(w < 0 for w in weights):
             raise ValueError(f"weights must be nonnegative, got {weights}")
@@ -254,13 +257,9 @@ def identify_segments(graph: VideoGraph, query: Optional[QueryParse], total_fram
     if total_frames < 1:
         raise ValueError(f"total_frames must be >= 1, got {total_frames}")
     whole = [(0, total_frames - 1)]
-    if expanded or query is None:
+    if expanded:
         return whole
-    appearance_frames: set[int] = set()
-    for mention in query.entities:
-        node = graph.node_for_lemma(mention.lemma)
-        if node is not None:
-            appearance_frames.update(node.frame_indices)
+    appearance_frames = set().union(*_appearances(graph, query))
     if not appearance_frames:
         return whole
 

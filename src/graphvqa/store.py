@@ -100,6 +100,8 @@ class QAItem:
             raise DataFormatError(
                 f"expected 2..5 options, got {len(self.options)} for {self.question!r}"
             )
+        if self.answer_index is not None and type(self.answer_index) is not int:
+            raise DataFormatError(f"answer_index must be an integer, got {self.answer_index!r}")
         if self.answer_index is not None and not 0 <= self.answer_index < len(self.options):
             raise DataFormatError(
                 f"answer_index {self.answer_index} out of range for {len(self.options)} options"
@@ -123,7 +125,7 @@ def load_bundle(directory: Union[str, Path]) -> VideoBundle:
         raise DataFormatError(f"missing manifest file in {directory}")
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also invalid UTF-8 and integers too long for int()
         raise DataFormatError(f"{manifest_path}: invalid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise DataFormatError(f"{manifest_path}: expected a JSON object")
@@ -131,50 +133,41 @@ def load_bundle(directory: Union[str, Path]) -> VideoBundle:
         if key not in manifest:
             raise DataFormatError(f"{manifest_path}: missing required field {key!r}")
 
-    def number(key: str, kind: type):
+    def number(key: str, kind: type, minimum=None):
         try:
-            return kind(manifest[key])
+            value = kind(manifest[key])
         except (TypeError, ValueError, OverflowError) as exc:
             raise DataFormatError(
                 f"{manifest_path}: field {key!r} is not a valid {kind.__name__}: "
                 f"{manifest[key]!r}"
             ) from exc
+        if minimum is not None and value < minimum:
+            raise DataFormatError(
+                f"{manifest_path}: field {key!r} must be >= {minimum}, got {value}"
+            )
+        return value
 
     bundle = VideoBundle(
         video_id=str(manifest["video_id"]),
-        total_frames=number("total_frames", int),
+        total_frames=number("total_frames", int, 1),
         fps=number("fps", float) if manifest.get("fps") is not None else None,
         embedding_dim=(
-            number("embedding_dim", int) if manifest.get("embedding_dim") is not None else None
+            number("embedding_dim", int, 1) if manifest.get("embedding_dim") is not None else None
         ),
     )
 
     captions_path = directory / "captions"
     if captions_path.is_file():
         for line_no, line in _data_lines(captions_path):
-            parts = line.split("\t", 1)
-            if len(parts) != 2 or not parts[0].strip().isdigit():
-                raise DataFormatError(
-                    f"{captions_path}:{line_no}: expected frame_index<TAB>caption"
-                )
-            frame = int(parts[0])
-            if frame >= bundle.total_frames:
-                raise DataFormatError(
-                    f"{captions_path}:{line_no}: frame {frame} >= total_frames {bundle.total_frames}"
-                )
-            bundle.captions[frame] = parts[1]
+            frame, text = _frame_line(captions_path, line_no, line, bundle.total_frames, "caption")
+            bundle.captions[frame] = text
 
     embeddings_path = directory / "embeddings"
     if embeddings_path.is_file():
         for line_no, line in _data_lines(embeddings_path):
-            parts = line.split("\t", 1)
-            if len(parts) != 2 or not parts[0].strip().isdigit():
-                raise DataFormatError(
-                    f"{embeddings_path}:{line_no}: expected frame_index<TAB>floats"
-                )
-            frame = int(parts[0])
+            frame, text = _frame_line(embeddings_path, line_no, line, bundle.total_frames, "floats")
             try:
-                vector = [float(x) for x in parts[1].split()]
+                vector = [float(x) for x in text.split()]
             except ValueError as exc:
                 raise DataFormatError(
                     f"{embeddings_path}:{line_no}: bad float: {exc}"
@@ -216,11 +209,32 @@ def save_bundle(bundle: VideoBundle, directory: Union[str, Path]) -> Path:
     return directory
 
 
+def _frame_line(path: Path, line_no: int, line: str, total_frames: int,
+                expected: str) -> tuple[int, str]:
+    """Split a `frame_index<TAB>rest` line. The index must be decimal digits
+    ("²" is a digit that `int` rejects) naming a frame below `total_frames`."""
+    head, tab, text = line.partition("\t")
+    head = head.strip()
+    try:
+        frame = int(head) if tab and head.isdecimal() else -1
+    except ValueError:  # more digits than int() converts
+        frame = -1
+    if frame < 0:
+        raise DataFormatError(f"{path}:{line_no}: expected frame_index<TAB>{expected}")
+    if frame >= total_frames:
+        raise DataFormatError(f"{path}:{line_no}: frame {frame} >= total_frames {total_frames}")
+    return frame, text
+
+
 def _data_lines(path: Path):
     """(line number, line) for each line that is neither blank nor a comment.
     Lines end at "\n" only (reading turns "\r\n" and "\r" into "\n"):
     U+2028, U+2029 and U+0085, which JSON leaves unescaped, stay in the text."""
-    for line_no, raw in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not valid UTF-8: {exc}") from exc
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         if not raw.strip() or raw.startswith("#"):
             continue
         yield line_no, raw
@@ -235,9 +249,13 @@ def load_qa(path: Union[str, Path]) -> list[QAItem]:
     for line_no, line in _data_lines(path):
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer too long for int()
             raise DataFormatError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise DataFormatError(f"{path}:{line_no}: expected a JSON object")
         try:
+            if not isinstance(obj["options"], list):
+                raise DataFormatError(f"options must be a list, got {obj['options']!r}")
             item = QAItem(
                 video_id=str(obj["video_id"]),
                 question=str(obj["question"]),
@@ -327,7 +345,7 @@ def load_graph(blob: bytes) -> VideoGraph:
     """Parse bytes produced by save_graph back into a structurally equal graph."""
     try:
         payload = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # also invalid UTF-8
         raise DataFormatError(f"unreadable graph payload: {exc}") from exc
     if not isinstance(payload, dict) or "schema_version" not in payload:
         raise DataFormatError("graph payload missing schema_version")

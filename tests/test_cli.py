@@ -128,12 +128,20 @@ def test_missing_bundle_is_data_error(suite, tmp_path, capsys):
 
 def test_bad_qa_file_is_data_error(suite, tmp_path, capsys):
     bad_qa = tmp_path / "bad_qa"
-    bad_qa.write_text("not json\n", encoding="utf-8")
-    code = main([
-        "eval", "--qa", str(bad_qa), "--bundle", str(suite["bundle_root"]),
-        "--config", str(suite["config"]),
-    ])
-    assert code == 2
+    record = '{"video_id": "v0", "question": "q?", "options": ["a", "b"]'
+    for line in [b"not json", b"[1]", record.encode() + b', "answer_index": "1"}',
+                 record.encode() + b', "answer_index": true}',
+                 b'{"video_id": "v0", "question": "q?", "options": 5}',
+                 b'{"video_id": "v0", "question": "q?", "options": "ab"}',
+                 record.encode() + b', "answer_index": ' + b"9" * 5000 + b"}",
+                 record.encode() + b', "category": "\xff"}']:
+        bad_qa.write_bytes(line + b"\n")
+        code = main([
+            "eval", "--qa", str(bad_qa), "--bundle", str(suite["bundle_root"]),
+            "--config", str(suite["config"]),
+        ])
+        assert code == 2, line
+        assert f"{bad_qa}:" in capsys.readouterr().err
 
 
 def test_gateway_exhaustion_exit_code(suite, tmp_path, capsys):
@@ -399,16 +407,17 @@ def test_missing_lexicon_dir_is_data_error(tmp_path, suite, capsys):
     assert "no_lexicon" in capsys.readouterr().err
 
 
-def rejected_before_any_item(tmp_path, suite, capsys, command, config_path):
-    """Run `command` (run or eval) on the suite; check that it exits 1 without
-    writing output, and return what it printed to stderr."""
+def rejected_before_any_item(tmp_path, suite, capsys, command, config_path, *extra):
+    """Run `command` (run or eval) on the suite, with `extra` arguments
+    overriding the suite's; check that it exits 1 without writing output,
+    and return what it printed to stderr."""
     out_dir = tmp_path / "out"
     if command == "run":
         argv = ["run", "--bundle", str(suite["bundle_dir"]),
                 "--question", "q?", "--options", "a", "b"]
     else:
         argv = ["eval", "--qa", str(suite["qa"]), "--bundle", str(suite["bundle_root"])]
-    code = main([*argv, "--config", str(config_path), "--out", str(out_dir)])
+    code = main([*argv, *extra, "--config", str(config_path), "--out", str(out_dir)])
     assert code == 1
     assert not out_dir.exists()
     return capsys.readouterr().err
@@ -435,6 +444,8 @@ def test_unknown_prompt_placeholder_is_bad_config(tmp_path, suite, capsys, comma
 @pytest.mark.parametrize("command", ["run", "eval"])
 @pytest.mark.parametrize("path,value", [
     (("agent", "prompt_char_budget"), 100),
+    (("agent", "max_rounds"), 2.5),
+    (("selector", "k"), 2.5),
     (("selector", "expanded_decay_multiplier"), 0),
     (("selector", "expanded_decay_multiplier"), -2.0),
     (("providers", "default", "embed", "max_retries"), -1),
@@ -456,6 +467,51 @@ def test_out_of_range_setting_is_config_error(tmp_path, suite, capsys, command, 
     assert f"{key} must be" in err
 
 
+@pytest.mark.parametrize("command", ["run", "eval"])
+@pytest.mark.parametrize("lane,kind", [("caption", "PrecomputedEmbed"),
+                                       ("embed", "PrecomputedCaption")])
+def test_lane_kind_that_cannot_serve_the_lane_is_config_error(tmp_path, suite, capsys,
+                                                              command, lane, kind):
+    config = json.loads(suite["config"].read_text(encoding="utf-8"))
+    config["providers"]["default"][lane] = {"kind": kind}
+    config_path = write_config(tmp_path, suite, providers=config["providers"])
+    err = rejected_before_any_item(tmp_path, suite, capsys, command, config_path)
+    assert f"configuration error: provider kind {kind} cannot serve {lane}" in err
+
+
+@pytest.mark.parametrize("changes", [
+    b"[1, 2]",
+    b'"text"',
+    b'{"lexicon_dir": "caf\xe9"}',
+    {"providers": 5},
+    {"providers": {"default": 5}},
+    {"lexicon_dir": 5},
+    {"cache_path": 5},
+], ids=["list", "string", "not-utf8", "providers", "provider-block", "lexicon_dir",
+        "cache_path"])
+def test_config_of_the_wrong_shape_is_bad_config(tmp_path, suite, capsys, changes):
+    """`changes` is a whole config file's bytes or keys to set in the suite's."""
+    if isinstance(changes, dict):
+        config_path = write_config(tmp_path, suite, **changes)
+    else:
+        config_path = tmp_path / "shape.json"
+        config_path.write_bytes(changes)
+    err = rejected_before_any_item(tmp_path, suite, capsys, "run", config_path)
+    assert "usage error: bad config" in err
+
+
+# argparse keeps the last value given, so these override the suite's arguments
+@pytest.mark.parametrize("command,extra", [
+    ("run", ["--question", ""]),
+    ("run", ["--options", *"abcdef"]),
+    ("eval", ["--parallel", "0"]),
+    ("eval", ["--parallel", "-3"]),
+], ids=["empty-question", "six-options", "parallel-0", "parallel-negative"])
+def test_bad_command_line_is_usage_error(tmp_path, suite, capsys, command, extra):
+    err = rejected_before_any_item(tmp_path, suite, capsys, command, suite["config"], *extra)
+    assert "usage error" in err
+
+
 def test_lexicon_not_utf8_is_data_error(tmp_path, suite, capsys):
     lexicon_dir = tmp_path / "lexicon"
     lexicon_dir.mkdir()
@@ -472,6 +528,34 @@ def test_lexicon_not_utf8_is_data_error(tmp_path, suite, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "data error" in err and "action_verbs.txt" in err and "UTF-8" in err
+
+
+@pytest.mark.parametrize("file,line", [
+    ("captions", "\u00b2\tthe dog runs"),
+    ("embeddings", "\u00b2\t0.5 0.5"),
+    ("captions", "9" * 5000 + "\tthe dog runs"),
+], ids=["caption-superscript", "embedding-superscript", "caption-5000-digits"])
+def test_frame_field_that_is_not_a_frame_index_is_data_error(suite, capsys, file, line):
+    path = suite["bundle_dir"] / file
+    path.write_text(line + "\n", encoding="utf-8")
+    code = main(["graph", "--bundle", str(suite["bundle_dir"])])
+    assert code == 2
+    assert f"data error: {path}:1: expected frame_index" in capsys.readouterr().err
+
+
+def test_manifest_embedding_dim_below_one_is_data_error(suite, capsys):
+    # the suite's scripted embedder would embed at the manifest's dimension
+    manifest_path = suite["bundle_dir"] / "manifest"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest["embedding_dim"] = -3
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    code = main([
+        "run", "--bundle", str(suite["bundle_dir"]), "--config", str(suite["config"]),
+        "--question", "q?", "--options", "a", "b",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and str(manifest_path) in err and "'embedding_dim'" in err
 
 
 @pytest.mark.parametrize("field,value", [

@@ -151,6 +151,17 @@ def test_no_lane_configured_errors():
         gateway.embed("x")
 
 
+@pytest.mark.parametrize("lane,kind", [
+    ("chat", "RemoteEmbed"), ("chat", PRECOMPUTED_CAPTION), ("chat", PRECOMPUTED_EMBED),
+    ("caption", "RemoteEmbed"), ("caption", PRECOMPUTED_EMBED), ("caption", SCRIPTED),
+    ("embed", "RemoteChat"), ("embed", PRECOMPUTED_CAPTION),
+])
+def test_lane_kind_that_cannot_serve_the_lane_rejected_when_built(lane, kind):
+    cfg = ProviderConfig(kind=kind, endpoint="http://127.0.0.1:9", model_name="m")
+    with pytest.raises(GatewayConfigError, match=f"{kind} cannot serve {lane}"):
+        ModelGateway(**{lane: cfg})
+
+
 def test_empty_messages_rejected():
     gateway = ModelGateway(
         chat=ProviderConfig(kind=SCRIPTED),

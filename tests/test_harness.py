@@ -168,6 +168,28 @@ def test_eval_parallel_matches_serial(tmp_path):
         (tmp_path / "parallel" / "transcripts.jsonl").read_bytes()
 
 
+@pytest.mark.parametrize("parallel", [1, 3])
+def test_interrupted_eval_keeps_the_finished_prefix(tmp_path, parallel):
+    bundle = make_bundle(video_id="v0", total_frames=60)
+    items = [QAItem("v0", f"q {i}?", OPTIONS, answer_index=0) for i in range(8)]
+    qa_path, root = write_suite(tmp_path, items, [bundle])
+    out = tmp_path / "out"
+    confident = scripted_factory(lambda item: "answer: A, confidence: 3")
+    run_eval(qa_path, root, AgentConfig(), confident, out, parallel=parallel)
+    previous_report = (out / "report.json").read_bytes()
+
+    def interrupted_on_item_4(item):
+        if item.question == "q 4?":
+            raise KeyboardInterrupt
+        return confident(item)
+
+    with pytest.raises(KeyboardInterrupt):
+        run_eval(qa_path, root, AgentConfig(), interrupted_on_item_4, out, parallel=parallel)
+    records = load_transcripts(out / "transcripts.jsonl")
+    assert [r["question"] for r in records] == [f"q {i}?" for i in range(4)]
+    assert (out / "report.json").read_bytes() == previous_report
+
+
 def test_eval_parses_each_frame_of_a_video_once(tmp_path, monkeypatch):
     # serial, so that no two sessions miss the same frame at the same moment
     from graphvqa import agent
