@@ -18,6 +18,7 @@ from .agent import (
 )
 from .gateway import ModelGateway, ProviderConfig, ResponseCache, ScriptEntry
 from .graph import (
+    Embedding,
     EntityNode,
     FrameRecord,
     GraphConfig,

@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 
 from .errors import GatewayError
 from .gateway import ModelGateway
-from .graph import FrameRecord, GraphConfig, VideoGraph, vector_norm
+from .graph import Embedding, FrameRecord, GraphConfig, VideoGraph
 from .parsing import (
     CaptionParse,
     Lexicon,
@@ -157,8 +157,10 @@ class AgentSession:
 @dataclass
 class FrameTable:
     """What one video's frames turned out to be: each frame's caption with
-    its parse, and its embedding with that embedding's `vector_norm`; and
+    its parse, and its `Embedding` (which keeps its norm once computed); and
     the graph built from a session's starting frames, keyed by those frames.
+    The selector scores, and the graph merges and stores as node features,
+    the table's `Embedding` objects themselves.
 
     `eval` shares one table among all sessions on a video, so a session
     asks the gateway only for the frames no earlier session touched, and
@@ -173,14 +175,8 @@ class FrameTable:
     """
 
     captions: dict[int, tuple[str, CaptionParse]] = field(default_factory=dict)
-    embeddings: dict[int, tuple[list[float], float]] = field(default_factory=dict)
+    embeddings: dict[int, Embedding] = field(default_factory=dict)
     starts: dict[tuple[int, ...], VideoGraph] = field(default_factory=dict)
-
-    def add_embedding(self, frame: int, vector: list[float]) -> None:
-        self.embeddings.setdefault(frame, (vector, vector_norm(vector)))
-
-
-_NO_EMBEDDING = (None, None)  # (vector, norm) of a frame the table lacks
 
 
 def uniform_sample(total_frames: int, n: int) -> list[int]:
@@ -310,15 +306,16 @@ class VideoAgent:
     # -- state evaluation -----------------------------------------------------
 
     def evaluate_state(self, session: AgentSession, graph: VideoGraph,
-                       query: Optional[QueryParse],
-                       captions: dict[int, str]) -> tuple[int, int, str, str]:
-        """One model call (plus at most one formatting retry).
+                       query: Optional[QueryParse]) -> tuple[int, int, str, str]:
+        """One model call (plus at most one formatting retry) on a prompt
+        holding the captions of the session's selected frames.
 
         Returns (prediction, confidence, missing_info, prompt_digest). An
         unparseable reply after the retry degrades to (0, 1, "unparseable
         reply") so the loop can keep moving.
         """
         summaries = graph.summarize(query, self.cfg.prompt_char_budget)
+        captions = {f: self.frames.captions[f][0] for f in session.selected_frames}
         prompt = render_prompt(self.cfg.prompt_template, session.question, session.options,
                                captions, summaries)
         digest = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
@@ -352,28 +349,25 @@ class VideoAgent:
         vectors = self.gateway.gather([("embed", f) for f in missing], self.bundle)
         for frame, vector in zip(missing, vectors):
             if not isinstance(vector, GatewayError):
-                self.frames.add_embedding(frame, vector)
+                self.frames.embeddings.setdefault(frame, Embedding(vector))
 
     def _retrieve(self, session: AgentSession, graph: VideoGraph,
                   query: Optional[QueryParse], expanded: bool,
-                  query_embedding: Optional[list[float]]) -> list[int]:
+                  query_embedding: Optional[Embedding]) -> list[int]:
         windows = identify_segments(
             graph, query, self.bundle.total_frames, self.cfg.selector, expanded
         )
         pool = candidate_frames(windows, session.selected_frames)
         pool = [f for f in pool if self.gateway.can_caption(f, self.bundle)]
         self._embed_frames(pool)
-        embeddings = [self.frames.embeddings.get(f, _NO_EMBEDDING) for f in pool]
         return select_frames(
-            [(f, vector) for f, (vector, _) in zip(pool, embeddings)],
+            [(f, self.frames.embeddings.get(f)) for f in pool],
             graph, query, session.selected_frames,
             self.bundle.total_frames, self.cfg.selector, expanded, query_embedding,
-            [norm for _, norm in embeddings],
         )
 
-    def _ingest(self, frames: Sequence[int], captions: dict[int, str],
-                question: Optional[str] = None,
-                ) -> tuple[Optional[list[float]], list[FrameRecord], list[CaptionParse]]:
+    def _ingest(self, frames: Sequence[int], question: Optional[str] = None,
+                ) -> tuple[Optional[Embedding], list[FrameRecord], list[CaptionParse]]:
         """Caption and embed the `frames` the table lacks, in one fan-out,
         and parse the new captions. Returns the frames' records and parses,
         in the order of `frames`, for the graph. A `question` is embedded in
@@ -388,9 +382,11 @@ class VideoAgent:
         requests = [("embed", question)] if with_question else []
         requests += [("caption", f) for f in caption] + [("embed", f) for f in embed]
         results = self.gateway.gather(requests, self.bundle)
-        query_embedding = results.pop(0) if with_question else None
-        if isinstance(query_embedding, GatewayError):
-            query_embedding = None
+        query_embedding = None
+        if with_question:
+            vector = results.pop(0)
+            if not isinstance(vector, GatewayError):
+                query_embedding = Embedding(vector)
         texts = dict(zip(caption, results))
         vectors = dict(zip(embed, results[len(caption):]))
         records, parses = [], []
@@ -405,21 +401,20 @@ class VideoAgent:
                 )
             vector = vectors.get(frame)
             if vector is not None and not isinstance(vector, GatewayError):
-                table.add_embedding(frame, vector)
-            captions[frame] = entry[0]
-            records.append(FrameRecord(frame, table.embeddings.get(frame, _NO_EMBEDDING)[0]))
+                table.embeddings.setdefault(frame, Embedding(vector))
+            records.append(FrameRecord(frame, table.embeddings.get(frame)))
             parses.append(entry[1])
         return query_embedding, records, parses
 
-    def _start_graph(self, initial: Sequence[int], captions: dict[int, str],
-                     question: str) -> tuple[VideoGraph, Optional[list[float]]]:
+    def _start_graph(self, initial: Sequence[int],
+                     question: str) -> tuple[VideoGraph, Optional[Embedding]]:
         """The graph of the `initial` frames and the question's embedding.
         The graph is a copy of the table's stored start for these frames if
         there is one; otherwise it is built, and a copy stored when every
         frame had its caption and embedding. (The records decide that, not
         the table: another session may have filled in a frame this session
         failed to embed.)"""
-        query_embedding, records, parses = self._ingest(initial, captions, question)
+        query_embedding, records, parses = self._ingest(initial, question)
         key = tuple(initial)
         start = self.frames.starts.get(key)
         if start is not None:
@@ -433,17 +428,14 @@ class VideoAgent:
     # -- the loop ----------------------------------------------------------------
 
     def run_round(self, session: AgentSession, graph: VideoGraph,
-                  query: Optional[QueryParse], captions: dict[int, str],
-                  query_embedding: Optional[list[float]]) -> None:
+                  query: Optional[QueryParse], query_embedding: Optional[Embedding]) -> None:
         """Evaluate, gate, and either answer or retrieve-and-update."""
         if session.terminated:
             raise ValueError("session already terminated")
         round_number = len(session.rounds) + 1
         digest = ""
         try:
-            prediction, confidence, missing, digest = self.evaluate_state(
-                session, graph, query, captions
-            )
+            prediction, confidence, missing, digest = self.evaluate_state(session, graph, query)
             action = decide_action(confidence, round_number, self.cfg)
             frames_added: list[int] = []
             if action is not AgentAction.ANSWER:
@@ -452,7 +444,7 @@ class VideoAgent:
                     query_embedding,
                 )
                 if frames_added:
-                    _, records, parses = self._ingest(frames_added, captions)
+                    _, records, parses = self._ingest(frames_added)
                     graph.update_graph(records, parses)
                     session.add_frames(frames_added)
             session.rounds.append(RoundLog(
@@ -508,11 +500,10 @@ class VideoAgent:
             raise GatewayError(
                 f"bundle {self.bundle.video_id!r} has no captionable frames"
             )
-        captions: dict[int, str] = {}
-        graph, query_embedding = self._start_graph(initial, captions, question)
+        graph, query_embedding = self._start_graph(initial, question)
         session.add_frames(initial)
         session.final_graph_version = graph.version
 
         while not session.terminated:
-            self.run_round(session, graph, query, captions, query_embedding)
+            self.run_round(session, graph, query, query_embedding)
         return session, graph

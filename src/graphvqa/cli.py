@@ -28,7 +28,7 @@ from .errors import (
     LexiconError,
 )
 from .gateway import ModelGateway, ProviderConfig, ResponseCache
-from .graph import FrameRecord, GraphConfig, VideoGraph
+from .graph import Embedding, FrameRecord, GraphConfig, VideoGraph
 from .harness import run_eval
 from .parsing import Lexicon, default_lexicon, load_lexicon, parse_caption
 from .selector import SelectorConfig
@@ -179,7 +179,21 @@ def build_gateway(config: dict, provider_name: Optional[str],
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _out_dir(path: Optional[str]) -> Optional[Path]:
+    """The --out directory, if given, checked before any work is done: it
+    may not exist yet, but neither it nor its nearest existing parent is a
+    file."""
+    if not path:
+        return None
+    out = Path(path)
+    existing = next((p for p in (out, *out.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise CliUsageError(f"--out {path}: {existing} is not a directory")
+    return out
+
+
 def _cmd_run(args) -> int:
+    out = _out_dir(args.out)
     if not args.question:
         raise CliUsageError("--question must be nonempty")
     if len(args.options) > 5:
@@ -201,8 +215,7 @@ def _cmd_run(args) -> int:
             f"  round {entry.round}: prediction={entry.prediction} "
             f"confidence={entry.confidence} frames_added={entry.frames_added}"
         )
-    if args.out:
-        out = Path(args.out)
+    if out:
         out.mkdir(parents=True, exist_ok=True)
         save_transcript(session, out / "transcripts.jsonl")
         (out / "graph.json").write_bytes(save_graph(graph))
@@ -211,12 +224,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    out_dir = _out_dir(args.out or "eval_out")
     if args.parallel < 1:
         raise CliUsageError(f"--parallel must be >= 1, got {args.parallel}")
     config = load_config(args.config)
     cfg = agent_config_from(config)
     lexicon = lexicon_from(config)
-    out_dir = Path(args.out) if args.out else Path("eval_out")
     with build_gateway(config, args.provider, args.seed) as gateway:
         report = run_eval(
             args.qa, args.bundle, cfg, lambda _item: gateway.for_session(), out_dir,
@@ -228,6 +241,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_graph(args) -> int:
+    out = _out_dir(args.out)
     config = load_config(args.config)
     lexicon = lexicon_from(config)
     with _bad_config():
@@ -237,7 +251,8 @@ def _cmd_graph(args) -> int:
     graph = VideoGraph(config=graph_cfg)
     records, parses = [], []
     for frame, text in sorted(bundle.captions.items()):
-        records.append(FrameRecord(frame, bundle.embeddings.get(frame)))
+        vector = bundle.embeddings.get(frame)
+        records.append(FrameRecord(frame, None if vector is None else Embedding(vector)))
         parses.append(parse_caption(text, frame, lexicon))
     if records:
         graph.update_graph(records, parses)
@@ -254,8 +269,7 @@ def _cmd_graph(args) -> int:
     print("  " + relation_summary.replace("\n", "\n  "))
     print("state changes:")
     print("  " + temporal_summary.replace("\n", "\n  "))
-    if args.out:
-        out = Path(args.out)
+    if out:
         out.mkdir(parents=True, exist_ok=True)
         (out / "graph.json").write_bytes(save_graph(graph))
         print(f"graph written to {out / 'graph.json'}")

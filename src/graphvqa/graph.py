@@ -10,13 +10,16 @@ Entity identity across frames is resolved lemma-first (exact canonical lemma
 or previously merged alias), then by embedding similarity: a new lemma whose
 embedding has cosine similarity >= merge_similarity with an existing node of
 the same type merges into the most similar such node.
+
+Every vector is an `Embedding`, made once where it enters the program and
+shared from then on: it never changes, and it computes its norm at most once.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import repeat
 from operator import add, mul, truediv
@@ -41,12 +44,23 @@ class GraphConfig:
             )
 
 
+class Embedding(tuple):
+    """An embedding vector: an immutable tuple of floats whose `norm` (its
+    `vector_norm`) is computed on first use and then kept. Since it never
+    changes, frame tables, frame records and graph nodes share one."""
+
+    @cached_property
+    def norm(self) -> float:
+        return vector_norm(self)
+
+
 @dataclass
 class FrameRecord:
-    """One ingested frame: index and optional embedding."""
+    """One ingested frame: index and optional embedding, shared with the
+    nodes it becomes the feature of."""
 
     frame_index: int
-    embedding: Optional[list[float]] = None
+    embedding: Optional[Embedding] = None
 
 
 @dataclass
@@ -57,7 +71,9 @@ class EntityNode:
     canonical_lemma: str
     entity_type: EntityType
     frame_indices: list[int] = field(default_factory=list)
-    feature: Optional[list[float]] = None
+    # running mean of the embeddings of the frames the entity appears in; an
+    # update replaces it, so nodes, frames and graph copies may share one
+    feature: Optional[Embedding] = None
     feature_count: int = 0
     state_history: list[tuple[int, str]] = field(default_factory=list)
     aliases: list[str] = field(default_factory=list)
@@ -84,20 +100,6 @@ class RelationEdge:
     frame_indices: list[int] = field(default_factory=list)
 
 
-class _FrameEmbedding:
-    """One frame's embedding as given, its float copy and (on first use) its
-    `vector_norm`, made once for all the frame's mentions. Nodes may share
-    the copy as their feature: a feature is replaced, never changed in place."""
-
-    def __init__(self, raw: Sequence[float]):
-        self.raw = raw
-        self.vector = list(map(float, raw))
-
-    @cached_property
-    def norm(self) -> float:
-        return vector_norm(self.raw)
-
-
 def _holds(ordered: Sequence[int], x: int) -> bool:
     """Whether the ascending list `ordered` contains `x`."""
     i = bisect.bisect_left(ordered, x)
@@ -109,22 +111,14 @@ def vector_norm(v: Sequence[float]) -> float:
     return math.sqrt(sum(map(mul, v, v)))
 
 
-def cosine_similarity(a: Sequence[float], b: Sequence[float], *,
-                      norm_a: Optional[float] = None,
-                      norm_b: Optional[float] = None) -> float:
-    """Cosine of two vectors; 0 when either is a zero vector. A caller that
-    already knows a vector's `vector_norm` passes it as `norm_a`/`norm_b`,
-    so each product is computed once and the result stays bit-identical."""
+def cosine_similarity(a: Embedding, b: Embedding) -> float:
+    """Cosine of two vectors; 0 when either is a zero vector."""
     if len(a) != len(b):
         raise DimensionError(f"cannot compare vectors of dims {len(a)} and {len(b)}")
     dot = sum(map(mul, a, b))
-    if norm_a is None:
-        norm_a = vector_norm(a)
-    if norm_b is None:
-        norm_b = vector_norm(b)
-    if norm_a == 0.0 or norm_b == 0.0:
+    if a.norm == 0.0 or b.norm == 0.0:
         return 0.0
-    return dot / (norm_a * norm_b)
+    return dot / (a.norm * b.norm)
 
 
 @dataclass
@@ -153,32 +147,19 @@ class VideoGraph:
 
     def copy(self) -> "VideoGraph":
         """An independent copy: every list and dict is duplicated, and only
-        immutable values (ints, floats, strings, enums) and the config are
-        shared. Changing either graph afterwards leaves the other as it was."""
+        immutable values (ints, floats, strings, enums, features) and the
+        config are shared. Changing either graph afterwards leaves the other
+        as it was."""
         return VideoGraph(
             config=self.config,
             nodes={
-                node_id: EntityNode(
-                    id=node.id,
-                    canonical_lemma=node.canonical_lemma,
-                    entity_type=node.entity_type,
-                    frame_indices=list(node.frame_indices),
-                    feature=None if node.feature is None else list(node.feature),
-                    feature_count=node.feature_count,
-                    state_history=list(node.state_history),
-                    aliases=list(node.aliases),
-                )
+                node_id: replace(node, frame_indices=list(node.frame_indices),
+                                 state_history=list(node.state_history),
+                                 aliases=list(node.aliases))
                 for node_id, node in self.nodes.items()
             },
             edges={
-                edge_id: RelationEdge(
-                    id=edge.id,
-                    src=edge.src,
-                    dst=edge.dst,
-                    category=edge.category,
-                    predicate=edge.predicate,
-                    frame_indices=list(edge.frame_indices),
-                )
+                edge_id: replace(edge, frame_indices=list(edge.frame_indices))
                 for edge_id, edge in self.edges.items()
             },
             processed_frames=list(self.processed_frames),
@@ -193,7 +174,7 @@ class VideoGraph:
 
     # -- mutation -----------------------------------------------------------
 
-    def _check_dim(self, embedding: Sequence[float]) -> None:
+    def _check_dim(self, embedding: Embedding) -> None:
         """Raise DimensionError unless `embedding` has the graph's feature dim."""
         for node in self.nodes.values():
             if node.feature is not None:
@@ -208,7 +189,7 @@ class VideoGraph:
         self,
         mention: Mention,
         frame: int,
-        embedding: Optional[Sequence[float]] = None,
+        embedding: Optional[Embedding] = None,
     ) -> int:
         """Insert or merge one mention observation; returns the node id.
 
@@ -217,13 +198,8 @@ class VideoGraph:
         created. Re-upserting an already-recorded (lemma, frame) pair is a
         no-op, so replays cannot skew the feature mean.
         """
-        if embedding is None:
-            return self._upsert(mention, frame, None)
-        self._check_dim(embedding)
-        return self._upsert(mention, frame, _FrameEmbedding(embedding))
-
-    def _upsert(self, mention: Mention, frame: int,
-                embedding: Optional[_FrameEmbedding]) -> int:
+        if embedding is not None:
+            self._check_dim(embedding)
         lemma = mention.lemma.lower()
         node = self.node_for_lemma(lemma)
         if node is None and embedding is not None:
@@ -245,24 +221,23 @@ class VideoGraph:
 
         bisect.insort(node.frame_indices, frame)
         if embedding is not None:
-            vector = embedding.vector
             if node.feature is None:
-                node.feature = vector
+                node.feature = embedding
                 node.feature_count = 1
             else:
                 # (old * count + new) / (count + 1), elementwise. Python
                 # turns an int operand into the same float, so passing the
                 # counts as floats is exact, and faster.
                 count = node.feature_count
-                node.feature = list(map(
+                node.feature = Embedding(map(
                     truediv,
-                    map(add, map(mul, node.feature, repeat(float(count))), vector),
+                    map(add, map(mul, node.feature, repeat(float(count))), embedding),
                     repeat(float(count + 1)),
                 ))
                 node.feature_count = count + 1
         return node.id
 
-    def _most_similar_node(self, embedding: _FrameEmbedding, entity_type: EntityType,
+    def _most_similar_node(self, embedding: Embedding, entity_type: EntityType,
                            frame: int) -> Optional[EntityNode]:
         """Best merge target at or above the similarity threshold.
 
@@ -276,7 +251,7 @@ class VideoGraph:
             if (node.feature is None or node.entity_type != entity_type
                     or _holds(node.frame_indices, frame)):
                 continue
-            sim = cosine_similarity(embedding.raw, node.feature, norm_a=embedding.norm)
+            sim = cosine_similarity(embedding, node.feature)
             if sim >= self.config.merge_similarity and sim > best_sim:
                 best, best_sim = node, sim
         return best
@@ -345,12 +320,8 @@ class VideoGraph:
             bisect.insort(self.processed_frames, frame)
             self._frame_set.add(frame)
             ids: dict[str, int] = {}
-            embedding = None
-            if record.embedding is not None and parse.mentions:
-                self._check_dim(record.embedding)
-                embedding = _FrameEmbedding(record.embedding)
             for mention in parse.mentions:
-                ids[mention.lemma] = self._upsert(mention, frame, embedding)
+                ids[mention.lemma] = self.upsert_entity(mention, frame, record.embedding)
             for triple in parse.triples:
                 self._record_triple(
                     ids[triple.subject.lemma], triple.predicate,

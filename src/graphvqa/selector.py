@@ -7,7 +7,8 @@ Each candidate frame gets three raw signals:
   (doubled in expanded mode). Entities absent from the graph contribute 0.
 - visual score: cosine similarity between the frame embedding and the query
   embedding, mapped to [0, 1] via (1 + cos) / 2; degenerate vectors score a
-  neutral 0.5.
+  neutral 0.5. Both are `graph.Embedding`s, so each vector's norm is
+  computed once however many rounds and sessions score it.
 - temporal score: coverage of unexplored gaps between already-selected
   frames, peaking at gap centers.
 
@@ -23,10 +24,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .graph import VideoGraph, cosine_similarity, vector_norm
+from .graph import Embedding, VideoGraph, cosine_similarity
 from .parsing import QueryParse
 
-Candidate = tuple[int, Optional[Sequence[float]]]
+Candidate = tuple[int, Optional[Embedding]]
 
 
 @dataclass
@@ -105,17 +106,13 @@ def graph_score_raw(frame: int, graph: VideoGraph, query: Optional[QueryParse],
     return _proximity(frame, _appearances(graph, query), _decay(cfg, expanded))
 
 
-def visual_score_raw(frame_embedding: Optional[Sequence[float]],
-                     query_embedding: Optional[Sequence[float]],
-                     query_norm: Optional[float] = None,
-                     frame_norm: Optional[float] = None) -> float:
+def visual_score_raw(frame_embedding: Optional[Embedding],
+                     query_embedding: Optional[Embedding]) -> float:
     """Cosine similarity mapped to [0, 1]; 0.5 when either side is missing
-    or a zero vector (whose cosine is 0). `query_norm` and `frame_norm`, if
-    given, are the embeddings' `vector_norm`s."""
+    or a zero vector (whose cosine is 0)."""
     if frame_embedding is None or query_embedding is None:
         return 0.5
-    cos = cosine_similarity(frame_embedding, query_embedding,
-                            norm_a=frame_norm, norm_b=query_norm)
+    cos = cosine_similarity(frame_embedding, query_embedding)
     return (1.0 + max(-1.0, min(1.0, cos))) / 2.0
 
 
@@ -171,21 +168,14 @@ def combined_score(components: tuple[float, float, float], cfg: SelectorConfig) 
 def _normalized_components(candidates: Sequence[Candidate], graph: VideoGraph,
                            query: Optional[QueryParse], selected: Sequence[int],
                            total_frames: int, cfg: SelectorConfig, expanded: bool,
-                           query_embedding: Optional[Sequence[float]],
-                           frame_norms: Optional[Sequence[Optional[float]]],
+                           query_embedding: Optional[Embedding],
                            ) -> tuple[list[float], list[float], list[float]]:
     """The normalized graph, visual and temporal components of every
     candidate, in candidate order."""
     appearances = _appearances(graph, query)
     decay = _decay(cfg, expanded)
     raw_graph = [_proximity(f, appearances, decay) for f, _ in candidates]
-    query_norm = vector_norm(query_embedding) if query_embedding is not None else None
-    if frame_norms is None:
-        frame_norms = [None] * len(candidates)
-    raw_visual = [
-        visual_score_raw(emb, query_embedding, query_norm, norm)
-        for (_, emb), norm in zip(candidates, frame_norms)
-    ]
+    raw_visual = [visual_score_raw(emb, query_embedding) for _, emb in candidates]
     ordered = sorted(selected)
     raw_temporal = [temporal_score_raw(f, ordered, total_frames) for f, _ in candidates]
     return normalize_scores(raw_graph), normalize_scores(raw_visual), normalize_scores(raw_temporal)
@@ -194,13 +184,10 @@ def _normalized_components(candidates: Sequence[Candidate], graph: VideoGraph,
 def score_candidates(candidates: Sequence[Candidate], graph: VideoGraph,
                      query: Optional[QueryParse], selected: Sequence[int],
                      total_frames: int, cfg: SelectorConfig, expanded: bool = False,
-                     query_embedding: Optional[Sequence[float]] = None,
-                     frame_norms: Optional[Sequence[Optional[float]]] = None) -> list[FrameScore]:
-    """Score every candidate with normalized components. `frame_norms`, if
-    given, holds each candidate embedding's `vector_norm`, in candidate order."""
+                     query_embedding: Optional[Embedding] = None) -> list[FrameScore]:
+    """Score every candidate with normalized components."""
     components = _normalized_components(
         candidates, graph, query, selected, total_frames, cfg, expanded, query_embedding,
-        frame_norms,
     )
     return [
         FrameScore(
@@ -217,8 +204,7 @@ def score_candidates(candidates: Sequence[Candidate], graph: VideoGraph,
 def select_frames(candidates: Sequence[Candidate], graph: VideoGraph,
                   query: Optional[QueryParse], selected: Sequence[int],
                   total_frames: int, cfg: SelectorConfig, expanded: bool = False,
-                  query_embedding: Optional[Sequence[float]] = None,
-                  frame_norms: Optional[Sequence[Optional[float]]] = None) -> list[int]:
+                  query_embedding: Optional[Embedding] = None) -> list[int]:
     """Pick the top-k candidate frames by combined score (as `score_candidates`
     computes it); ties prefer the lower index.
 
@@ -233,7 +219,6 @@ def select_frames(candidates: Sequence[Candidate], graph: VideoGraph,
         raise ValueError(f"candidates overlap already-selected frames: {sorted(overlap)}")
     components = _normalized_components(
         candidates, graph, query, selected, total_frames, cfg, expanded, query_embedding,
-        frame_norms,
     )
     # normalized components lie in [0, 1], so combined_score's range check
     # cannot fail; the sum keeps its order

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .errors import DataFormatError, DimensionError, SchemaVersionError
-from .graph import EntityNode, GraphConfig, RelationEdge, VideoGraph
+from .graph import Embedding, EntityNode, GraphConfig, RelationEdge, VideoGraph
 from .parsing import EntityType, RelationCategory
 
 logger = logging.getLogger(__name__)
@@ -360,7 +360,7 @@ def load_graph(blob: bytes) -> VideoGraph:
                 canonical_lemma=obj["canonical_lemma"],
                 entity_type=EntityType(obj["entity_type"]),
                 frame_indices=_ascending(obj["frame_indices"]),
-                feature=obj["feature"],
+                feature=None if obj["feature"] is None else Embedding(obj["feature"]),
                 feature_count=obj["feature_count"],
                 state_history=[(frame, label) for frame, label in obj["state_history"]],
                 aliases=list(obj["aliases"]),

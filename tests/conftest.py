@@ -11,6 +11,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
 
+from graphvqa import graph as graph_module
 from graphvqa.gateway import (
     PRECOMPUTED_CAPTION,
     SCRIPTED,
@@ -261,3 +262,18 @@ def record_update_batches(monkeypatch):
 
     monkeypatch.setattr(VideoGraph, "update_graph", recording)
     return batches
+
+
+def record_norms(monkeypatch):
+    """Every vector `graph.vector_norm` is called on, one entry per call;
+    the entries keep the vectors alive, so their ids stay distinct. Every
+    `Embedding` computes its norm there."""
+    normed = []
+    norm = graph_module.vector_norm
+
+    def recording(vector):
+        normed.append(vector)
+        return norm(vector)
+
+    monkeypatch.setattr(graph_module, "vector_norm", recording)
+    return normed

@@ -22,7 +22,7 @@ from graphvqa.gateway import (
     ScriptEntry,
     pseudo_embedding,
 )
-from graphvqa.graph import FrameRecord, VideoGraph
+from graphvqa.graph import Embedding, FrameRecord, VideoGraph
 from graphvqa.harness import run_eval
 from graphvqa.parsing import (
     Lexicon,
@@ -140,12 +140,12 @@ def test_criterion_3_selection_matches_oracle():
         pool = [f for f in range(total) if f not in selected]
         count = rng.randint(2, 200)
         candidates = [
-            (f, pseudo_embedding(f"frame:{f}", 16) if rng.random() > 0.15 else None)
+            (f, Embedding(pseudo_embedding(f"frame:{f}", 16)) if rng.random() > 0.15 else None)
             for f in rng.sample(pool, count)
         ]
         cfg = SelectorConfig(k=rng.randint(1, 6))
         expanded = rng.random() < 0.3
-        query_embedding = pseudo_embedding("query", 16)
+        query_embedding = Embedding(pseudo_embedding("query", 16))
         expected = brute_force_oracle(
             candidates, graph, query, selected, total, cfg, expanded, query_embedding
         )
@@ -325,7 +325,7 @@ def test_criterion_8_round_trips(tmp_path):
 
         graph = VideoGraph()
         graph.update_graph(
-            [FrameRecord(f, embeddings[f]) for f in captioned],
+            [FrameRecord(f, Embedding(embeddings[f])) for f in captioned],
             [parse_caption(captions[f], f, LEX) for f in captioned],
         )
         loaded = load_graph(save_graph(graph))

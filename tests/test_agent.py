@@ -13,6 +13,7 @@ from conftest import (
     confident_entry,
     count_pool_submits,
     make_bundle,
+    record_norms,
     record_update_batches,
     remote_chat_config,
     scripted_gateway,
@@ -38,7 +39,7 @@ from graphvqa.gateway import (
     ProviderConfig,
     ScriptEntry,
 )
-from graphvqa.graph import FrameRecord, vector_norm
+from graphvqa.graph import Embedding, FrameRecord, vector_norm
 from graphvqa.parsing import default_lexicon, parse_caption, parse_question
 from graphvqa.store import VideoBundle, save_graph, transcript_record
 
@@ -442,8 +443,35 @@ def test_sessions_sharing_a_frame_table_do_each_frame_once(monkeypatch):
     assert set(parsed.values()) == {1}
     assert set(parsed) == set(table.captions) == set(gateway.frame_captions)
     assert sum(len(s.selected_frames) for s in references) > 2 * len(table.captions)
-    for frame, (vector, norm) in table.embeddings.items():
-        assert norm == vector_norm(vector)
+    for frame, embedding in table.embeddings.items():
+        assert type(embedding) is Embedding and embedding.norm == vector_norm(embedding)
+
+
+def test_each_vector_normed_once_in_sessions_sharing_a_table(monkeypatch):
+    """Frame 6 is the only candidate: it is scored against the question,
+    then its child merges into the boy by similarity. Its norm, like every
+    other vector's, is computed once across both sessions."""
+    captions = {5: "the boy holds the cup", 6: "the child takes the ball",
+                15: "the girl opens the book"}
+    embeddings = {5: [1.0, 0.1, 0.0, 0.0], 6: [0.95, 0.15, 0.05, 0.0],
+                  15: [0.0, 0.0, 1.0, 0.2]}
+    bundle = VideoBundle(video_id="vid", total_frames=20, captions=captions,
+                         embeddings=embeddings).validate()
+    cfg = AgentConfig(initial_frames=2)
+    gateway = scripted_gateway([unsure_entry(), confident_entry()])
+    reference, _ = VideoAgent(bundle, gateway.for_session(), cfg).run("what does the boy hold?",
+                                                                     OPTIONS)
+    normed = record_norms(monkeypatch)
+    table = FrameTable()
+    for _ in range(2):
+        session, graph = VideoAgent(bundle, gateway.for_session(), cfg, frames=table).run(
+            "what does the boy hold?", OPTIONS
+        )
+        assert transcript_record(session) == transcript_record(reference)
+        assert session.rounds[0].frames_added == [6]
+        assert graph.node_for_lemma("child") is graph.node_for_lemma("boy")
+    assert sum(v is table.embeddings[6] for v in normed) == 1
+    assert max(Counter(map(id, normed)).values()) == 1
 
 
 def test_failed_caption_is_not_stored_and_tried_again():
@@ -507,14 +535,15 @@ def test_changing_a_session_graph_leaves_the_start_and_other_sessions_alone():
     second, third = run(), run()
     assert save_graph(second) == stored
     assert len({id(start), id(first), id(second), id(third)}) == 4
-    ingest = [FrameRecord(3, [0.5] * 16)], [parse_caption("the girl takes the ball", 3, LEX)]
+    ingest = ([FrameRecord(3, Embedding([0.5] * 16))],
+              [parse_caption("the girl takes the ball", 3, LEX)])
     second.update_graph(*ingest)
     for node in second.nodes.values():
         node.frame_indices.append(99)
         node.aliases.append("alias")
         node.state_history.append((99, "gone"))
         if node.feature is not None:
-            node.feature[0] = 123.0
+            node.feature = Embedding([123.0] * len(node.feature))
     for edge in second.edges.values():
         edge.frame_indices.append(99)
     second.processed_frames.append(99)

@@ -453,6 +453,12 @@ def test_unknown_prompt_placeholder_is_bad_config(tmp_path, suite, capsys, comma
     (("providers", "default", "embed", "retry_backoff"), -0.5),
     (("providers", "default", "embed", "embed_dim"), 0),
     (("providers", "default", "embed", "max_inflight"), 0),
+    (("providers", "default", "embed", "max_inflight"), 1.5),
+    (("providers", "default", "embed", "embed_dim"), 2.5),
+    (("providers", "default", "embed", "seed"), True),
+    (("providers", "default", "embed", "timeout"), "5"),
+    (("providers", "default", "caption", "endpoint"), 5),
+    (("providers", "default", "chat", "script_path"), 5),
 ], ids=lambda p: "-".join(p) if isinstance(p, tuple) else str(p))
 def test_out_of_range_setting_is_config_error(tmp_path, suite, capsys, command, path, value):
     config = json.loads(suite["config"].read_text(encoding="utf-8"))
@@ -604,3 +610,32 @@ def test_eval_reads_the_template_once_and_builds_each_start_once(suite, tmp_path
     # the scripted chat answers at once, so every update builds a start
     assert sorted(builds) == [(6, 18, 30, 42, 54), (9, 27, 45, 63, 81)]
     assert len(load_transcripts(tmp_path / "out" / "transcripts.jsonl")) == 8
+
+
+@pytest.mark.parametrize("command", ["run", "graph", "eval"])
+def test_out_naming_a_file_is_usage_error(suite, tmp_path, capsys, command):
+    argv = {
+        "run": ["run", "--bundle", str(suite["bundle_dir"]), "--question", "q?",
+                "--options", "a", "b"],
+        "graph": ["graph", "--bundle", str(suite["bundle_dir"])],
+        "eval": ["eval", "--qa", str(suite["qa"]), "--bundle", str(suite["bundle_root"])],
+    }[command]
+    existing = tmp_path / "notes.txt"
+    existing.write_bytes(b"keep me\n")
+    for out in (existing, existing / "sub"):
+        assert main([*argv, "--config", str(suite["config"]), "--out", str(out)]) == 1
+        assert f"usage error: --out {out}: {existing} is not a directory" in capsys.readouterr().err
+        assert existing.read_bytes() == b"keep me\n"
+
+
+@pytest.mark.parametrize("command", ["run", "eval"])
+@pytest.mark.parametrize("key,value", [
+    ("round", "1"), ("round", True), ("contains", 5), ("contains_all", "ab"),
+    ("contains_all", [5]),
+])
+def test_mistyped_script_entry_is_config_error(tmp_path, suite, capsys, command, key, value):
+    entry = {"reply": "answer: A, confidence: 3", key: value}
+    suite["script"].write_text(json.dumps(entry) + '\n{"reply": "answer: B"}\n',
+                               encoding="utf-8")
+    err = rejected_before_any_item(tmp_path, suite, capsys, command, suite["config"])
+    assert f"configuration error: {suite['script']}:1: " in err and f"{key} must be" in err

@@ -89,6 +89,15 @@ def test_load_script_rejects_garbage(tmp_path):
         load_script(path)
 
 
+def test_load_script_keeps_line_separators_inside_an_entry(tmp_path):
+    # json.dumps(..., ensure_ascii=False) leaves U+2028 and U+0085 unescaped
+    reply = "answer: A\u2028confidence: 3\u0085missing: none"
+    path = tmp_path / "script.jsonl"
+    path.write_text(json.dumps({"reply": reply}, ensure_ascii=False) + "\n", encoding="utf-8")
+    [entry] = load_script(path)
+    assert entry.reply == reply
+
+
 # -- pseudo embeddings --------------------------------------------------------------
 
 def test_pseudo_embedding_deterministic_unit_norm():

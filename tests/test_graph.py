@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import record_norms
 from graphvqa.errors import DimensionError
 from graphvqa.graph import (
+    Embedding,
     FrameRecord,
     GraphConfig,
     VideoGraph,
@@ -33,8 +36,9 @@ def mention(lemma, entity_type=EntityType.OBJECT):
 
 def ingest(graph: VideoGraph, captions: dict[int, str], embeddings=None) -> VideoGraph:
     frames = sorted(captions)
+    embeddings = embeddings or {}
     records = [
-        FrameRecord(f, (embeddings or {}).get(f)) for f in frames
+        FrameRecord(f, Embedding(embeddings[f]) if f in embeddings else None) for f in frames
     ]
     parses = [parse_caption(captions[f], f, LEX) for f in frames]
     return graph.update_graph(records, parses)
@@ -90,7 +94,7 @@ def vectors_with_cosine(target: float, dim: int = 8):
     """Two unit vectors whose cosine similarity is exactly-ish `target`."""
     a = [1.0] + [0.0] * (dim - 1)
     b = [target, math.sqrt(1 - target**2)] + [0.0] * (dim - 2)
-    return a, b
+    return Embedding(a), Embedding(b)
 
 
 def test_upsert_merges_by_embedding_similarity():
@@ -121,24 +125,24 @@ def test_upsert_no_merge_below_threshold_or_incompatible_type():
 
 def test_upsert_dimension_mismatch_rejected():
     graph = VideoGraph()
-    graph.upsert_entity(mention("dog"), 0, embedding=[1.0, 0.0, 0.0])
+    graph.upsert_entity(mention("dog"), 0, embedding=Embedding([1.0, 0.0, 0.0]))
     with pytest.raises(DimensionError):
-        graph.upsert_entity(mention("cat"), 1, embedding=[1.0, 0.0])
+        graph.upsert_entity(mention("cat"), 1, embedding=Embedding([1.0, 0.0]))
 
 
 def test_upsert_feature_running_mean():
     graph = VideoGraph()
-    node_id = graph.upsert_entity(mention("dog"), 0, embedding=[1.0, 0.0])
-    graph.upsert_entity(mention("dog"), 1, embedding=[0.0, 1.0])
-    assert graph.nodes[node_id].feature == [0.5, 0.5]
+    node_id = graph.upsert_entity(mention("dog"), 0, embedding=Embedding([1.0, 0.0]))
+    graph.upsert_entity(mention("dog"), 1, embedding=Embedding([0.0, 1.0]))
+    assert graph.nodes[node_id].feature == Embedding([0.5, 0.5])
     assert graph.nodes[node_id].feature_count == 2
 
 
 def test_upsert_idempotent_for_same_lemma_and_frame():
     graph = VideoGraph()
-    graph.upsert_entity(mention("dog"), 4, embedding=[1.0, 0.0])
+    graph.upsert_entity(mention("dog"), 4, embedding=Embedding([1.0, 0.0]))
     before = save_graph(graph)
-    graph.upsert_entity(mention("dog"), 4, embedding=[1.0, 0.0])
+    graph.upsert_entity(mention("dog"), 4, embedding=Embedding([1.0, 0.0]))
     assert save_graph(graph) == before
 
 
@@ -231,15 +235,32 @@ def test_frame_embedding_copied_and_normed_once_per_frame(monkeypatch):
         return norm(v)
 
     monkeypatch.setattr(graph_module, "vector_norm", counting_norm)
-    embedding = [1.0, 0.2, 0.0]
+    embedding = Embedding([1.0, 0.2, 0.0])
     graph = VideoGraph()
-    graph.update_graph([FrameRecord(0, [0.0, 0.1, 1.0])],
+    graph.update_graph([FrameRecord(0, Embedding([0.0, 0.1, 1.0]))],
                        [parse_caption("the cup falls", 0, LEX)])
     graph.update_graph([FrameRecord(1, embedding)],
                        [parse_caption("the boy and the girl hold the toy and the ball", 1, LEX)])
     assert sum(v is embedding for v in normed) == 1
     features = [node.feature for node in graph.nodes.values() if node.canonical_lemma != "cup"]
-    assert len(features) == 4 and all(f is features[0] and f == embedding for f in features)
+    assert len(features) == 4 and all(f is embedding for f in features)
+
+
+def test_unchanged_node_normed_once_across_comparisons(monkeypatch):
+    normed = record_norms(monkeypatch)
+    graph = VideoGraph()
+    graph.update_graph([FrameRecord(0, Embedding([1.0, 0.0, 0.0]))],
+                       [parse_caption("the boy sits", 0, LEX)])
+    boy = graph.node_for_lemma("boy").feature
+    # two new lemmas of the boy's type, neither like him: his feature is
+    # compared with both, and the child's with the kid's
+    graph.update_graph(
+        [FrameRecord(1, Embedding([0.0, 1.0, 0.0])), FrameRecord(2, Embedding([0.0, 0.0, 1.0]))],
+        [parse_caption("the child sits", 1, LEX), parse_caption("the kid sits", 2, LEX)],
+    )
+    assert len(graph.nodes) == 3 and graph.node_for_lemma("boy").feature is boy
+    assert sum(v is boy for v in normed) == 1
+    assert max(Counter(map(id, normed)).values()) == 1
 
 
 def test_copy_is_equal_and_independent():
@@ -445,10 +466,11 @@ def test_summarize_deterministic():
 # -- config validation ----------------------------------------------------------------
 
 def test_cosine_similarity_basics():
-    assert cosine_similarity([1.0, 0.0], [1.0, 0.0]) == pytest.approx(1.0)
-    assert cosine_similarity([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0)
+    x, y = Embedding([1.0, 0.0]), Embedding([0.0, 1.0])
+    assert cosine_similarity(x, x) == pytest.approx(1.0)
+    assert cosine_similarity(x, y) == pytest.approx(0.0)
     with pytest.raises(DimensionError):
-        cosine_similarity([1.0], [1.0, 0.0])
+        cosine_similarity(Embedding([1.0]), x)
 
 
 # -- randomized replay invariance ---------------------------------------------------
@@ -515,16 +537,12 @@ def test_vector_maths_bit_identical_to_generator_forms_property(vectors):
     a, b = vectors[0], vectors[1]
     assert same_float(vector_norm(a), reference_norm(a))
     expected = reference_cosine(a, b)
-    assert same_float(cosine_similarity(a, b), expected)
-    assert same_float(cosine_similarity(b, a), expected)  # swapping the arguments is exact
-    assert same_float(cosine_similarity(a, b, norm_a=vector_norm(a)), expected)
-    assert same_float(cosine_similarity(a, b, norm_b=vector_norm(b)), expected)
-    assert same_float(
-        cosine_similarity(a, b, norm_a=vector_norm(a), norm_b=vector_norm(b)), expected
-    )
+    assert same_float(cosine_similarity(Embedding(a), Embedding(b)), expected)
+    # swapping the arguments is exact
+    assert same_float(cosine_similarity(Embedding(b), Embedding(a)), expected)
     graph = VideoGraph()
     for frame, v in enumerate(vectors):
-        node_id = graph.upsert_entity(mention("dog"), frame, embedding=v)
+        node_id = graph.upsert_entity(mention("dog"), frame, embedding=Embedding(v))
     node = graph.nodes[node_id]
     assert node.feature_count == len(vectors)
     assert all(isinstance(x, float) for x in node.feature)
@@ -547,7 +565,7 @@ frame_batches = st.lists(
 @settings(max_examples=150, deadline=None)
 @given(frame_batches, st.randoms(use_true_random=False))
 def test_update_graph_ignores_input_order_property(batch, rng):
-    directions = [[1.0, 0.2, 0.0], [0.9, 0.3, 0.1], [0.0, 0.1, 1.0]]
+    directions = [Embedding(v) for v in ([1.0, 0.2, 0.0], [0.9, 0.3, 0.1], [0.0, 0.1, 1.0])]
     records = [FrameRecord(f, None if e is None else directions[e]) for f, _, _, _, e in batch]
     parses = [parse_caption(f"the {s} {v} the {o}", f, LEX) for f, s, v, o, _ in batch]
     pairs = list(zip(records, parses))
@@ -567,7 +585,7 @@ def test_update_graph_ignores_input_order_property(batch, rng):
 @given(frame_batches, st.integers(min_value=256, max_value=3000),
        st.sampled_from([None, *NOUNS]))
 def test_summarize_of_small_graphs_matches_reference_property(batch, budget, asked):
-    directions = [[1.0, 0.2, 0.0], [0.9, 0.3, 0.1], [0.0, 0.1, 1.0]]
+    directions = [Embedding(v) for v in ([1.0, 0.2, 0.0], [0.9, 0.3, 0.1], [0.0, 0.1, 1.0])]
     records = [FrameRecord(f, None if e is None else directions[e]) for f, _, _, _, e in batch]
     parses = [parse_caption(f"the {s} {v} the {o}", f, LEX) for f, s, v, o, _ in batch]
     graph = VideoGraph().update_graph(records, parses)

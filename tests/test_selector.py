@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from graphvqa.errors import DimensionError
 from graphvqa.gateway import pseudo_embedding
-from graphvqa.graph import EntityNode, FrameRecord, VideoGraph, vector_norm
+from graphvqa.graph import Embedding, EntityNode, FrameRecord, VideoGraph
 from graphvqa.parsing import EntityType, default_lexicon, parse_caption, parse_question
 from graphvqa.selector import (
     SelectorConfig,
@@ -77,31 +77,31 @@ def test_graph_score_expanded_doubles_decay():
 # -- visual score ------------------------------------------------------------------
 
 def test_visual_score_identical_vectors():
-    v = [0.3, -0.2, 0.9]
+    v = Embedding([0.3, -0.2, 0.9])
     assert visual_score_raw(v, v) == pytest.approx(1.0)
 
 
 def test_visual_score_antiparallel():
-    v = [0.3, -0.2, 0.9]
-    assert visual_score_raw(v, [-x for x in v]) == pytest.approx(0.0)
+    v = Embedding([0.3, -0.2, 0.9])
+    assert visual_score_raw(v, Embedding([-x for x in v])) == pytest.approx(0.0)
 
 
 def test_visual_score_orthogonal():
-    assert visual_score_raw([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.5)
+    assert visual_score_raw(Embedding([1.0, 0.0]), Embedding([0.0, 1.0])) == pytest.approx(0.5)
 
 
 def test_visual_score_zero_norm_neutral():
-    assert visual_score_raw([0.0, 0.0], [1.0, 0.0]) == 0.5
+    assert visual_score_raw(Embedding([0.0, 0.0]), Embedding([1.0, 0.0])) == 0.5
 
 
 def test_visual_score_missing_vector_neutral():
-    assert visual_score_raw(None, [1.0]) == 0.5
-    assert visual_score_raw([1.0], None) == 0.5
+    assert visual_score_raw(None, Embedding([1.0])) == 0.5
+    assert visual_score_raw(Embedding([1.0]), None) == 0.5
 
 
 def test_visual_score_dim_mismatch():
     with pytest.raises(DimensionError):
-        visual_score_raw([1.0], [1.0, 0.0])
+        visual_score_raw(Embedding([1.0]), Embedding([1.0, 0.0]))
 
 
 # -- temporal score -----------------------------------------------------------------
@@ -230,12 +230,12 @@ def test_select_disjoint_and_budgeted():
         selected = sorted(rng.sample(range(200), rng.randint(1, 8)))
         pool = [f for f in range(200) if f not in selected]
         candidates = [
-            (f, pseudo_embedding(f"frame:{f}", 8)) for f in rng.sample(pool, 40)
+            (f, Embedding(pseudo_embedding(f"frame:{f}", 8))) for f in rng.sample(pool, 40)
         ]
         k = rng.randint(1, 5)
         cfg = SelectorConfig(k=k)
         picked = select_frames(candidates, graph, query, selected, 200, cfg,
-                               query_embedding=pseudo_embedding("q", 8))
+                               query_embedding=Embedding(pseudo_embedding("q", 8)))
         assert len(picked) <= k
         assert not set(picked) & set(selected)
         assert picked == sorted(picked)
@@ -301,21 +301,21 @@ def test_select_matches_brute_force_oracle():
         pool = [f for f in range(150) if f not in selected]
         count = rng.randint(2, 60)
         candidates = [
-            (f, pseudo_embedding(f"frame:{f}", 8) if rng.random() > 0.2 else None)
+            (f, Embedding(pseudo_embedding(f"frame:{f}", 8)) if rng.random() > 0.2 else None)
             for f in rng.sample(pool, count)
         ]
         cfg = SelectorConfig(k=rng.randint(1, 5))
         expanded = rng.random() < 0.3
-        qe = pseudo_embedding("query", 8)
+        qe = Embedding(pseudo_embedding("query", 8))
         assert select_frames(candidates, graph, query, selected, 150, cfg, expanded, qe) == \
             brute_force_oracle(candidates, graph, query, selected, 150, cfg, expanded, qe)
 
 
 def test_score_components_in_unit_range():
     graph = graph_with({"dog": [10, 40]})
-    candidates = [(f, pseudo_embedding(str(f), 8)) for f in (3, 22, 57, 80)]
+    candidates = [(f, Embedding(pseudo_embedding(str(f), 8))) for f in (3, 22, 57, 80)]
     scores = score_candidates(candidates, graph, query_for("dog"), [10], 100, CFG,
-                              query_embedding=pseudo_embedding("q", 8))
+                              query_embedding=Embedding(pseudo_embedding("q", 8)))
     for s in scores:
         for value in (s.s_graph, s.s_visual, s.s_temporal, s.combined):
             assert 0.0 <= value <= 1.0
@@ -452,26 +452,24 @@ def visual_score_oracle(frame_embedding, query_embedding):
     ), min_size=1, max_size=12),
 )))
 def test_visual_scores_with_query_norm_once_match_oracle_property(vectors):
-    # score_candidates takes the query's norm once per call; scores stay bit-identical
-    query_embedding, embeddings = vectors
-    candidates = [(frame, emb) for frame, emb in enumerate(embeddings, start=1)]
+    # each Embedding computes its norm once, however often it is scored;
+    # scores stay bit-identical
+    query, embeddings = vectors
+    query_embedding = Embedding(query)
+    candidates = [(frame, None if emb is None else Embedding(emb))
+                  for frame, emb in enumerate(embeddings, start=1)]
     scores = score_candidates(candidates, VideoGraph(), None, [0], 100, CFG,
                               query_embedding=query_embedding)
-    expected = normalize_scores([visual_score_oracle(e, query_embedding) for e in embeddings])
-    assert [s.s_visual for s in scores] == expected
-    # and with each frame's norm handed in, as the agent's frame table does
-    norms = [None if e is None else vector_norm(e) for e in embeddings]
-    scores = score_candidates(candidates, VideoGraph(), None, [0], 100, CFG,
-                              query_embedding=query_embedding, frame_norms=norms)
+    expected = normalize_scores([visual_score_oracle(e, query) for e in embeddings])
     assert [s.s_visual for s in scores] == expected
 
 
 def reference_selection(candidates, graph, query, selected, total, cfg, expanded,
-                        query_embedding, frame_norms):
+                        query_embedding):
     """What select_frames returned before it ranked bare floats: the top k of
     score_candidates' FrameScores by (-combined, frame_index), ascending."""
     scores = score_candidates(candidates, graph, query, selected, total, cfg, expanded,
-                              query_embedding, frame_norms)
+                              query_embedding)
     ranked = sorted(scores, key=lambda s: (-s.combined, s.frame_index))
     return sorted(s.frame_index for s in ranked[: cfg.k])
 
@@ -499,17 +497,15 @@ def test_select_frames_matches_score_candidates_ranking_property(data):
         return
     picks = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40, unique=True))
     # few distinct embeddings, so combined scores often tie
-    embedding = st.one_of(st.none(), st.sampled_from(
-        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.6, 0.8, 0.0], [0.0, 0.0, 0.0]]))
+    embedding = st.one_of(st.none(), st.sampled_from([
+        Embedding(v) for v in ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.6, 0.8, 0.0], [0.0, 0.0, 0.0])
+    ]))
     candidates = [(f, data.draw(embedding)) for f in picks]
-    norms = None
-    if data.draw(st.booleans()):
-        norms = [None if e is None else vector_norm(e) for _, e in candidates]
     wg, wv, wt = data.draw(st.sampled_from(WEIGHTS))
     cfg = SelectorConfig(weight_graph=wg, weight_visual=wv, weight_temporal=wt,
                          k=data.draw(st.integers(min_value=1, max_value=6)),
                          decay_len=data.draw(st.integers(min_value=1, max_value=40)))
     expanded = data.draw(st.booleans())
     query_embedding = data.draw(embedding)
-    args = (candidates, graph, query, selected, total, cfg, expanded, query_embedding, norms)
+    args = (candidates, graph, query, selected, total, cfg, expanded, query_embedding)
     assert select_frames(*args) == reference_selection(*args)

@@ -8,7 +8,7 @@ import pytest
 from conftest import make_bundle
 from graphvqa.agent import AgentSession, RoundLog, Termination
 from graphvqa.errors import DataFormatError, DimensionError, SchemaVersionError
-from graphvqa.graph import FrameRecord, VideoGraph
+from graphvqa.graph import Embedding, FrameRecord, VideoGraph
 from graphvqa.parsing import default_lexicon, parse_caption
 from graphvqa.store import (
     QAItem,
@@ -227,8 +227,9 @@ def test_empty_graph_round_trip():
 
 def ingest(graph, captions, embeddings=None):
     frames = sorted(captions)
+    embeddings = embeddings or {}
     graph.update_graph(
-        [FrameRecord(f, (embeddings or {}).get(f)) for f in frames],
+        [FrameRecord(f, Embedding(embeddings[f]) if f in embeddings else None) for f in frames],
         [parse_caption(captions[f], f, LEX) for f in frames],
     )
     return graph
