@@ -39,7 +39,7 @@ from .parsing import (
     parse_caption,
     parse_question,
 )
-from .selector import FrameScore, SelectorConfig, identify_segments, select_frames
+from .selector import SelectorConfig, identify_segments, select_frames
 from .store import (
     QAItem,
     VideoBundle,

@@ -34,7 +34,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .errors import GatewayError
+from .errors import GatewayError, check_field_types
 from .gateway import ModelGateway
 from .graph import Embedding, FrameRecord, GraphConfig, VideoGraph
 from .parsing import (
@@ -100,9 +100,7 @@ class AgentConfig:
     prompt_template: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("initial_frames", "max_rounds", "confidence_threshold", "prompt_char_budget"):
-            if not isinstance(getattr(self, name), int):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        check_field_types(self, ValueError)
         if self.initial_frames < 1:
             raise ValueError(f"initial_frames must be >= 1, got {self.initial_frames}")
         if self.max_rounds < 1:

@@ -1,4 +1,26 @@
-"""Exception types shared across the package."""
+"""Exception types and the config type check shared across the package."""
+
+from dataclasses import fields
+
+# The values each annotated type of a config field accepts (a bool is an
+# int to Python, but never a count or a number here).
+_FIELD_TYPES = {"str": (str, "a string"), "int": (int, "an integer"),
+                "float": ((int, float), "a number")}
+
+
+def check_type(value, kind: str, name: str, error: type) -> None:
+    """Raise `error` unless `value` is of the annotated type `kind`."""
+    types, noun = _FIELD_TYPES[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise error(f"{name} must be {noun}, got {value!r}")
+
+
+def check_field_types(config, error: type) -> None:
+    """Raise `error` unless each str, int or float init field of the dataclass
+    `config` holds its type; nested configs check themselves."""
+    for spec in fields(config):
+        if spec.init and spec.type in _FIELD_TYPES:
+            check_type(getattr(config, spec.name), spec.type, spec.name, error)
 
 
 class GraphVQAError(Exception):

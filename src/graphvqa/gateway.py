@@ -53,7 +53,7 @@ import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -64,6 +64,8 @@ from .errors import (
     MissingCaptionError,
     MissingEmbeddingError,
     DimensionError,
+    check_field_types,
+    check_type,
 )
 from .graph import vector_norm
 from .store import VideoBundle
@@ -88,19 +90,6 @@ _RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
 Message = tuple[str, str]
 Lane = str  # "caption" or "embed"
 
-# The values each annotated type of a config field accepts (a bool is an
-# int to Python, but never a count or a number here).
-_FIELD_TYPES = {"str": (str, "a string"), "int": (int, "an integer"),
-                "float": ((int, float), "a number")}
-
-
-def _check_type(value, kind: str, name: str) -> None:
-    """Raise GatewayConfigError unless `value` is of the annotated type `kind`."""
-    types, noun = _FIELD_TYPES[kind]
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise GatewayConfigError(f"{name} must be {noun}, got {value!r}")
-
-
 @dataclass
 class ProviderConfig:
     """Configuration for one backend lane (chat, caption, or embed)."""
@@ -119,8 +108,7 @@ class ProviderConfig:
     max_inflight: int = 4
 
     def __post_init__(self):
-        for spec in fields(self):
-            _check_type(getattr(self, spec.name), spec.type, spec.name)
+        check_field_types(self, GatewayConfigError)
         if self.kind not in _KINDS:
             raise GatewayConfigError(f"unknown provider kind {self.kind!r}")
         if self.kind in (REMOTE_CHAT, REMOTE_EMBED) and not (self.endpoint and self.model_name):
@@ -200,14 +188,15 @@ def load_script(path: Union[str, Path]) -> list[ScriptEntry]:
             raise GatewayConfigError(f"{path}:{line_no}: script entry needs a 'reply' field")
         for key, kind in (("round", "int"), ("contains", "str")):
             if obj.get(key) is not None:
-                _check_type(obj[key], kind, f"{path}:{line_no}: {key}")
+                check_type(obj[key], kind, f"{path}:{line_no}: {key}", GatewayConfigError)
         contains_all = obj.get("contains_all", [])
         if not isinstance(contains_all, list):
             raise GatewayConfigError(
                 f"{path}:{line_no}: contains_all must be a list, got {contains_all!r}"
             )
         for item in contains_all:
-            _check_type(item, "str", f"{path}:{line_no}: each of contains_all")
+            check_type(item, "str", f"{path}:{line_no}: each of contains_all",
+                       GatewayConfigError)
         entries.append(
             ScriptEntry(
                 reply=str(obj["reply"]),

@@ -25,7 +25,7 @@ from itertools import repeat
 from operator import add, mul, truediv
 from typing import Optional, Sequence
 
-from .errors import DimensionError
+from .errors import DimensionError, check_field_types
 from .parsing import CaptionParse, EntityType, Mention, QueryParse, RelationCategory
 
 NEUTRAL_STATE = "neutral"
@@ -38,6 +38,7 @@ class GraphConfig:
     merge_similarity: float = 0.85
 
     def __post_init__(self):
+        check_field_types(self, ValueError)
         if not -1.0 <= self.merge_similarity <= 1.0:
             raise ValueError(
                 f"merge_similarity is a cosine and must be in [-1, 1], got {self.merge_similarity}"

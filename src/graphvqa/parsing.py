@@ -380,17 +380,6 @@ def _mentions(tokens: Sequence[_Token], lex: Lexicon) -> dict[str, Mention]:
     return by_lemma
 
 
-def extract_mentions(caption: str, lex: Optional[Lexicon] = None) -> list[Mention]:
-    """Extract entity mentions from a caption.
-
-    Deterministic: duplicate lemmas collapse to one mention keeping the first
-    span. Empty caption yields an empty list. Each mention is typed from the
-    gazetteer; a lemma the gazetteer does not list is an Object.
-    """
-    lex = lex or default_lexicon()
-    return list(_mentions(_analyze(caption, lex), lex).values())
-
-
 def _absorbed_by_verb(tokens: Sequence[_Token], index: int, lex: Lexicon) -> bool:
     """True if the spatial prep at `index` rides on a preceding verb.
 

@@ -1,20 +1,23 @@
 """Candidate-frame scoring and retrieval.
 
-Each candidate frame gets three raw signals:
+`select_frames` scores and ranks each round's candidates on three raw signals:
 
-- graph score: sum over query entities of exp(-d / L), where d is the
-  distance to the entity's nearest appearance frame and L the decay length
-  (doubled in expanded mode). Entities absent from the graph contribute 0.
-- visual score: cosine similarity between the frame embedding and the query
-  embedding, mapped to [0, 1] via (1 + cos) / 2; degenerate vectors score a
-  neutral 0.5. Both are `graph.Embedding`s, so each vector's norm is
-  computed once however many rounds and sessions score it.
-- temporal score: coverage of unexplored gaps between already-selected
-  frames, peaking at gap centers.
+- graph score (`graph_score_raw`): sum over query entities of exp(-d / L),
+  where d is the distance to the entity's nearest appearance frame and L
+  the decay length (times expanded_decay_multiplier in expanded mode).
+  Entities absent from the graph contribute 0.
+- visual score (`visual_score_raw`): cosine similarity between the frame
+  embedding and the query embedding, mapped to [0, 1] via (1 + cos) / 2;
+  degenerate vectors score a neutral 0.5. Both are `graph.Embedding`s, so
+  each vector's norm is computed once however many rounds and sessions
+  score it.
+- temporal score (`temporal_score_raw`): coverage of unexplored gaps
+  between already-selected frames, peaking at gap centers.
 
-Raw components are min-max normalized across the candidate set of the
-current round, then combined as a weighted sum. Ties break toward the lower
-frame index.
+Raw components are min-max normalized across the current round's candidates
+(`normalize_scores`), then combined as the weighted sum weight_graph * graph
++ weight_visual * visual + weight_temporal * temporal. The top k win; ties
+break toward the lower frame index.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .errors import check_field_types
 from .graph import Embedding, VideoGraph, cosine_similarity
 from .parsing import QueryParse
 
@@ -42,9 +46,7 @@ class SelectorConfig:
     expanded_decay_multiplier: float = 2.0
 
     def __post_init__(self):
-        for name in ("k", "decay_len"):
-            if not isinstance(getattr(self, name), int):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        check_field_types(self, ValueError)
         weights = (self.weight_graph, self.weight_visual, self.weight_temporal)
         if any(w < 0 for w in weights):
             raise ValueError(f"weights must be nonnegative, got {weights}")
@@ -60,21 +62,6 @@ class SelectorConfig:
             )
 
 
-@dataclass(frozen=True)
-class FrameScore:
-    """Normalized per-frame score breakdown."""
-
-    frame_index: int
-    s_graph: float
-    s_visual: float
-    s_temporal: float
-    combined: float
-
-
-def _decay(cfg: SelectorConfig, expanded: bool) -> float:
-    return cfg.decay_len * (cfg.expanded_decay_multiplier if expanded else 1.0)
-
-
 def _appearances(graph: VideoGraph, query: Optional[QueryParse]) -> list[list[int]]:
     """The appearance frames of each query entity the graph has seen, in
     query order (an entity named twice counts twice)."""
@@ -88,7 +75,9 @@ def _appearances(graph: VideoGraph, query: Optional[QueryParse]) -> list[list[in
     return lists
 
 
-def _proximity(frame: int, appearances: Sequence[Sequence[int]], decay: float) -> float:
+def graph_score_raw(frame: int, appearances: Sequence[Sequence[int]], decay: float) -> float:
+    """Appearance-proximity relevance of `frame` to the query entities whose
+    ascending appearance frames `appearances` holds."""
     score = 0.0
     for frames in appearances:
         # frames ascend, so the nearest appearance is one of the (one or
@@ -98,12 +87,6 @@ def _proximity(frame: int, appearances: Sequence[Sequence[int]], decay: float) -
         distance = min(abs(frame - beside[0]), abs(frame - beside[-1]))
         score += math.exp(-distance / decay)
     return score
-
-
-def graph_score_raw(frame: int, graph: VideoGraph, query: Optional[QueryParse],
-                    cfg: SelectorConfig, expanded: bool = False) -> float:
-    """Appearance-proximity relevance of `frame` to the query entities."""
-    return _proximity(frame, _appearances(graph, query), _decay(cfg, expanded))
 
 
 def visual_score_raw(frame_embedding: Optional[Embedding],
@@ -152,76 +135,30 @@ def normalize_scores(raw: Sequence[float]) -> list[float]:
     return [(x - low) / span for x in raw]
 
 
-def combined_score(components: tuple[float, float, float], cfg: SelectorConfig) -> float:
-    """Weighted sum of the three normalized components."""
-    for name, value in zip(("graph", "visual", "temporal"), components):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} component must be in [0, 1], got {value}")
-    s_graph, s_visual, s_temporal = components
-    return (
-        cfg.weight_graph * s_graph
-        + cfg.weight_visual * s_visual
-        + cfg.weight_temporal * s_temporal
-    )
-
-
-def _normalized_components(candidates: Sequence[Candidate], graph: VideoGraph,
-                           query: Optional[QueryParse], selected: Sequence[int],
-                           total_frames: int, cfg: SelectorConfig, expanded: bool,
-                           query_embedding: Optional[Embedding],
-                           ) -> tuple[list[float], list[float], list[float]]:
-    """The normalized graph, visual and temporal components of every
-    candidate, in candidate order."""
-    appearances = _appearances(graph, query)
-    decay = _decay(cfg, expanded)
-    raw_graph = [_proximity(f, appearances, decay) for f, _ in candidates]
-    raw_visual = [visual_score_raw(emb, query_embedding) for _, emb in candidates]
-    ordered = sorted(selected)
-    raw_temporal = [temporal_score_raw(f, ordered, total_frames) for f, _ in candidates]
-    return normalize_scores(raw_graph), normalize_scores(raw_visual), normalize_scores(raw_temporal)
-
-
-def score_candidates(candidates: Sequence[Candidate], graph: VideoGraph,
-                     query: Optional[QueryParse], selected: Sequence[int],
-                     total_frames: int, cfg: SelectorConfig, expanded: bool = False,
-                     query_embedding: Optional[Embedding] = None) -> list[FrameScore]:
-    """Score every candidate with normalized components."""
-    components = _normalized_components(
-        candidates, graph, query, selected, total_frames, cfg, expanded, query_embedding,
-    )
-    return [
-        FrameScore(
-            frame_index=frame,
-            s_graph=s_graph,
-            s_visual=s_visual,
-            s_temporal=s_temporal,
-            combined=combined_score((s_graph, s_visual, s_temporal), cfg),
-        )
-        for (frame, _), s_graph, s_visual, s_temporal in zip(candidates, *components)
-    ]
-
-
 def select_frames(candidates: Sequence[Candidate], graph: VideoGraph,
                   query: Optional[QueryParse], selected: Sequence[int],
                   total_frames: int, cfg: SelectorConfig, expanded: bool = False,
                   query_embedding: Optional[Embedding] = None) -> list[int]:
-    """Pick the top-k candidate frames by combined score (as `score_candidates`
-    computes it); ties prefer the lower index.
+    """Pick the top-k candidate frames by combined score; ties prefer the
+    lower index.
 
-    Candidates must be disjoint from `selected`. Returns ascending frame
-    indices; an empty candidate set returns [] (the caller treats that as an
-    exhausted search).
+    Candidates must be disjoint from `selected`, which may come in any
+    order. Returns ascending frame indices; an empty candidate set returns
+    [] (the caller treats that as an exhausted search).
     """
     if not candidates:
         return []
     overlap = {f for f, _ in candidates}.intersection(selected)
     if overlap:
         raise ValueError(f"candidates overlap already-selected frames: {sorted(overlap)}")
-    components = _normalized_components(
-        candidates, graph, query, selected, total_frames, cfg, expanded, query_embedding,
-    )
-    # normalized components lie in [0, 1], so combined_score's range check
-    # cannot fail; the sum keeps its order
+    appearances = _appearances(graph, query)
+    decay = cfg.decay_len * (cfg.expanded_decay_multiplier if expanded else 1.0)
+    raw_graph = [graph_score_raw(f, appearances, decay) for f, _ in candidates]
+    raw_visual = [visual_score_raw(emb, query_embedding) for _, emb in candidates]
+    ordered = sorted(selected)
+    raw_temporal = [temporal_score_raw(f, ordered, total_frames) for f, _ in candidates]
+    components = (normalize_scores(raw_graph), normalize_scores(raw_visual),
+                  normalize_scores(raw_temporal))
     wg, wv, wt = cfg.weight_graph, cfg.weight_visual, cfg.weight_temporal
     ranked = sorted(
         (-(wg * g + wv * v + wt * t), frame)

@@ -5,7 +5,7 @@ On-disk bundle layout (one directory per video, all files UTF-8):
     manifest     JSON document: {"video_id", "total_frames", "fps",
                  "embedding_dim"} (fps and embedding_dim may be null)
     captions     one `frame_index<TAB>caption` per line (optional file)
-    embeddings   one `frame_index<TAB>space-separated floats` per line
+    embeddings   one `frame_index<TAB>space-separated finite floats` per line
                  (optional file)
     qa           one JSON record per line: {"video_id", "question",
                  "options", "answer_index"?, "category"?,
@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -174,6 +175,9 @@ def load_bundle(directory: Union[str, Path]) -> VideoBundle:
                 ) from exc
             if not vector:
                 raise DataFormatError(f"{embeddings_path}:{line_no}: empty vector")
+            # a finite sum has only finite terms, and costs a fifth of the full check
+            if not math.isfinite(sum(vector)) and not all(map(math.isfinite, vector)):
+                raise DataFormatError(f"{embeddings_path}:{line_no}: non-finite value")
             bundle.embeddings[frame] = vector
 
     return bundle.validate()
@@ -341,6 +345,17 @@ def _ascending(frames: list) -> list[int]:
     return frames
 
 
+def _feature(value, node_id) -> Optional[Embedding]:
+    """A node's saved feature: null, or a nonempty list of finite numbers."""
+    if value is None:
+        return None
+    if not (isinstance(value, list) and value
+            and all(type(x) in (int, float) and math.isfinite(x) for x in value)):
+        raise DataFormatError(f"malformed graph payload: node {node_id!r} feature must be "
+                              f"null or a nonempty list of finite numbers")
+    return Embedding(value)
+
+
 def load_graph(blob: bytes) -> VideoGraph:
     """Parse bytes produced by save_graph back into a structurally equal graph."""
     try:
@@ -360,7 +375,7 @@ def load_graph(blob: bytes) -> VideoGraph:
                 canonical_lemma=obj["canonical_lemma"],
                 entity_type=EntityType(obj["entity_type"]),
                 frame_indices=_ascending(obj["frame_indices"]),
-                feature=None if obj["feature"] is None else Embedding(obj["feature"]),
+                feature=_feature(obj["feature"], obj["id"]),
                 feature_count=obj["feature_count"],
                 state_history=[(frame, label) for frame, label in obj["state_history"]],
                 aliases=list(obj["aliases"]),

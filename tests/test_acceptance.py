@@ -30,7 +30,7 @@ from graphvqa.parsing import (
     parse_caption,
     parse_question,
 )
-from graphvqa.selector import SelectorConfig, combined_score, select_frames
+from graphvqa.selector import SelectorConfig, select_frames
 from graphvqa.store import (
     QAItem,
     VideoBundle,
@@ -102,20 +102,45 @@ def test_criterion_1_frame_budget(scripted_runs):
 
 
 def test_criterion_2_weighted_combination():
-    cfg = SelectorConfig()
-    assert combined_score((1.0, 0.5, 0.0), cfg) == pytest.approx(0.65, abs=1e-12)
+    # two candidates: A is best only on graph score, B on visual and temporal
+    # score, so A's combined score is weight_graph and B's is
+    # weight_visual + weight_temporal
+    graph = VideoGraph()
+    graph.update_graph([FrameRecord(2)], [parse_caption("the dog sits", 2, LEX)])
+    query = parse_question("what about the dog?", [], LEX)
+    query_embedding = Embedding([1.0, 0.0])
+    a = (1, Embedding([0.0, 1.0]))
+    b = (50, Embedding([1.0, 0.0]))  # the center of the gap after frame 0
+    mirrored_graph = VideoGraph()
+    mirrored_graph.update_graph([FrameRecord(97)], [parse_caption("the dog sits", 97, LEX)])
+    mirrored_a = (98, a[1])
+    mirrored_b = (49, b[1])  # the center of the gap before frame 99
+
+    def a_wins(cfg, mirrored):
+        if mirrored:
+            picked = select_frames([mirrored_b, mirrored_a], mirrored_graph, query, [99], 100,
+                                   cfg, query_embedding=query_embedding)
+            return picked == [mirrored_a[0]]
+        picked = select_frames([a, b], graph, query, [0], 100, cfg,
+                               query_embedding=query_embedding)
+        return picked == [a[0]]
+
+    # the default weights tie (0.5 against 0.3 + 0.2), and the lower index wins
+    default = SelectorConfig(k=1)
+    assert default.weight_graph == default.weight_visual + default.weight_temporal
+    assert a_wins(default, mirrored=False) and not a_wins(default, mirrored=True)
     rng = random.Random(2)
-    for _ in range(1000):
+    for trial in range(1000):
         raw = [rng.random() + 1e-9 for _ in range(3)]
         total = sum(raw)
-        weights = [w / total for w in raw]
-        cfg = SelectorConfig(
-            weight_graph=weights[0], weight_visual=weights[1], weight_temporal=weights[2]
-        )
-        assert combined_score((1.0, 1.0, 1.0), cfg) == pytest.approx(1.0, abs=1e-12)
-        assert combined_score((0.0, 0.0, 0.0), cfg) == 0.0
-    print("CRITERION 2 PASS: weighted combination exact at 0.65 and at both endpoints "
-          "over 1000 random weight triples")
+        wg, wv, wt = (w / total for w in raw)
+        cfg = SelectorConfig(weight_graph=wg, weight_visual=wv, weight_temporal=wt, k=1)
+        mirrored = trial % 2 == 1
+        expected = wg > wv + wt or (wg == wv + wt and not mirrored)
+        assert a_wins(cfg, mirrored) == expected, (wg, wv, wt, mirrored)
+    print("CRITERION 2 PASS: select_frames ranks by the weighted combination at the "
+          "defaults (a tie, broken toward the lower index) and over 1000 random "
+          "weight triples")
 
 
 def test_criterion_3_selection_matches_oracle():

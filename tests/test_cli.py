@@ -448,6 +448,10 @@ def test_unknown_prompt_placeholder_is_bad_config(tmp_path, suite, capsys, comma
     (("selector", "k"), 2.5),
     (("selector", "expanded_decay_multiplier"), 0),
     (("selector", "expanded_decay_multiplier"), -2.0),
+    (("agent", "max_rounds"), True),
+    (("selector", "k"), True),
+    (("selector", "weight_graph"), "0.5"),
+    (("graph", "merge_similarity"), True),
     (("providers", "default", "embed", "max_retries"), -1),
     (("providers", "default", "embed", "timeout"), 0),
     (("providers", "default", "embed", "retry_backoff"), -0.5),
@@ -547,6 +551,15 @@ def test_frame_field_that_is_not_a_frame_index_is_data_error(suite, capsys, file
     code = main(["graph", "--bundle", str(suite["bundle_dir"])])
     assert code == 2
     assert f"data error: {path}:1: expected frame_index" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_non_finite_embedding_value_is_data_error(suite, capsys, value):
+    path = suite["bundle_dir"] / "embeddings"
+    path.write_text(f"0\t0.5 0.5\n1\t0.5 {value}\n", encoding="utf-8")
+    code = main(["graph", "--bundle", str(suite["bundle_dir"])])
+    assert code == 2
+    assert f"data error: {path}:2: non-finite value" in capsys.readouterr().err
 
 
 def test_manifest_embedding_dim_below_one_is_data_error(suite, capsys):

@@ -25,7 +25,7 @@ from graphvqa.parsing import (
     parse_caption,
     parse_question,
 )
-from graphvqa.store import save_graph
+from graphvqa.store import load_graph, save_graph
 
 LEX = default_lexicon()
 
@@ -560,14 +560,20 @@ frame_batches = st.lists(
     ),
     min_size=1, max_size=20, unique_by=lambda t: t[0],
 )
+DIRECTIONS = [Embedding(v) for v in ([1.0, 0.2, 0.0], [0.9, 0.3, 0.1], [0.0, 0.1, 1.0])]
+
+
+def batch_inputs(batch):
+    """The frame records and caption parses of a drawn `frame_batches` batch."""
+    records = [FrameRecord(f, None if e is None else DIRECTIONS[e]) for f, _, _, _, e in batch]
+    parses = [parse_caption(f"the {s} {v} the {o}", f, LEX) for f, s, v, o, _ in batch]
+    return records, parses
 
 
 @settings(max_examples=150, deadline=None)
 @given(frame_batches, st.randoms(use_true_random=False))
 def test_update_graph_ignores_input_order_property(batch, rng):
-    directions = [Embedding(v) for v in ([1.0, 0.2, 0.0], [0.9, 0.3, 0.1], [0.0, 0.1, 1.0])]
-    records = [FrameRecord(f, None if e is None else directions[e]) for f, _, _, _, e in batch]
-    parses = [parse_caption(f"the {s} {v} the {o}", f, LEX) for f, s, v, o, _ in batch]
+    records, parses = batch_inputs(batch)
     pairs = list(zip(records, parses))
     baseline = save_graph(VideoGraph().update_graph(records, parses))
     rng.shuffle(pairs)
@@ -581,13 +587,26 @@ def test_update_graph_ignores_input_order_property(batch, rng):
     assert save_graph(stepwise) == baseline
 
 
+@settings(max_examples=150, deadline=None)
+@given(frame_batches, st.integers(min_value=0, max_value=20))
+def test_save_load_round_trips_property(batch, split):
+    records, parses = batch_inputs(batch)
+    graph = VideoGraph().update_graph(records[:split], parses[:split])
+    blob = save_graph(graph)
+    loaded = load_graph(blob)
+    assert save_graph(loaded) == blob
+    # a loaded graph goes on growing as the one it was saved from
+    if records[split:]:
+        graph.update_graph(records[split:], parses[split:])
+        loaded.update_graph(records[split:], parses[split:])
+        assert save_graph(loaded) == save_graph(graph)
+
+
 @settings(max_examples=100, deadline=None)
 @given(frame_batches, st.integers(min_value=256, max_value=3000),
        st.sampled_from([None, *NOUNS]))
 def test_summarize_of_small_graphs_matches_reference_property(batch, budget, asked):
-    directions = [Embedding(v) for v in ([1.0, 0.2, 0.0], [0.9, 0.3, 0.1], [0.0, 0.1, 1.0])]
-    records = [FrameRecord(f, None if e is None else directions[e]) for f, _, _, _, e in batch]
-    parses = [parse_caption(f"the {s} {v} the {o}", f, LEX) for f, s, v, o, _ in batch]
+    records, parses = batch_inputs(batch)
     graph = VideoGraph().update_graph(records, parses)
     query = parse_question(f"where is the {asked}?", [], LEX) if asked else None
     # every line of these graphs fits beside two placeholders

@@ -11,12 +11,15 @@ from graphvqa.parsing import (
     Lexicon,
     RelationCategory,
     default_lexicon,
-    extract_mentions,
     lemmatize,
     load_lexicon,
     parse_caption,
     parse_question,
 )
+
+
+def mentions_of(caption, lex):
+    return list(parse_caption(caption, 0, lex).mentions)
 
 
 def lemmas(mentions):
@@ -27,38 +30,38 @@ def triple_tuples(triples):
     return [(t.subject.lemma, t.predicate, t.category, t.object.lemma) for t in triples]
 
 
-# -- extract_mentions ---------------------------------------------------------
+# -- mentions ----------------------------------------------------------------
 
 def test_mentions_drop_determiners_pronouns_and_verbs(lex):
-    mentions = extract_mentions("The dog shows its angry face towards the person", lex)
+    mentions = mentions_of("The dog shows its angry face towards the person", lex)
     assert lemmas(mentions) == ["dog", "face", "person"]
 
 
 def test_mentions_empty_caption(lex):
-    assert extract_mentions("", lex) == []
+    assert mentions_of("", lex) == []
 
 
 def test_mentions_deterministic(lex):
     caption = "a person takes the toy from the dog"
-    first = extract_mentions(caption, lex)
-    second = extract_mentions(caption, lex)
+    first = mentions_of(caption, lex)
+    second = mentions_of(caption, lex)
     assert lemmas(first) == ["person", "toy", "dog"]
     assert first == second
 
 
 def test_mentions_duplicate_lemmas_keep_first_span(lex):
-    mentions = extract_mentions("the dog watches the other dog", lex)
+    mentions = mentions_of("the dog watches the other dog", lex)
     assert lemmas(mentions) == ["dog"]
     assert mentions[0].char_span == (4, 7)
 
 
 def test_mentions_plural_singularized(lex):
-    assert lemmas(extract_mentions("the dogs chase the balls", lex)) == ["dog", "ball"]
+    assert lemmas(mentions_of("the dogs chase the balls", lex)) == ["dog", "ball"]
 
 
 def test_mention_spans_slice_to_surface(lex):
     caption = "The dog shows its angry face towards the person"
-    for mention in extract_mentions(caption, lex):
+    for mention in mentions_of(caption, lex):
         start, end = mention.char_span
         assert 0 <= start < end <= len(caption)
         assert caption[start:end] == mention.surface
@@ -71,16 +74,16 @@ def types(mentions):
 
 
 def test_classify_gazetteer_hit(lex):
-    assert types(extract_mentions("the person", lex)) == [("person", EntityType.PERSON)]
+    assert types(mentions_of("the person", lex)) == [("person", EntityType.PERSON)]
 
 
 def test_classify_unlisted_defaults_to_object(lex):
-    assert types(extract_mentions("the zxqv", lex)) == [("zxqv", EntityType.OBJECT)]
+    assert types(mentions_of("the zxqv", lex)) == [("zxqv", EntityType.OBJECT)]
 
 
 def test_classify_irregular_plural_person_nouns_are_groups(lex):
     for word in ("children", "people", "men", "women"):
-        assert types(extract_mentions(f"the {word}", lex)) == [(word, EntityType.GROUP)]
+        assert types(mentions_of(f"the {word}", lex)) == [(word, EntityType.GROUP)]
 
 
 def test_parse_never_leaves_unknown_types(lex):

@@ -9,16 +9,14 @@ from hypothesis import strategies as st
 
 from graphvqa.errors import DimensionError
 from graphvqa.gateway import pseudo_embedding
-from graphvqa.graph import Embedding, EntityNode, FrameRecord, VideoGraph
-from graphvqa.parsing import EntityType, default_lexicon, parse_caption, parse_question
+from graphvqa.graph import Embedding, FrameRecord, VideoGraph
+from graphvqa.parsing import default_lexicon, parse_caption, parse_question
 from graphvqa.selector import (
     SelectorConfig,
     candidate_frames,
-    combined_score,
     graph_score_raw,
     identify_segments,
     normalize_scores,
-    score_candidates,
     select_frames,
     temporal_score_raw,
     visual_score_raw,
@@ -51,25 +49,30 @@ def query_for(*lemmas):
 # -- graph score -----------------------------------------------------------------
 
 def test_graph_score_at_appearance_frame():
-    graph = graph_with({"dog": [10]})
-    assert graph_score_raw(10, graph, query_for("dog"), CFG) == pytest.approx(1.0)
+    assert graph_score_raw(10, [[10]], CFG.decay_len) == pytest.approx(1.0)
 
 
 def test_graph_score_absent_entity_zero():
+    assert graph_score_raw(10, [], CFG.decay_len) == 0.0
+    # an entity the graph has not seen leaves the graph component flat, so
+    # the temporal component decides
     graph = graph_with({"dog": [10]})
-    assert graph_score_raw(10, graph, query_for("unicorn"), CFG) == 0.0
+    candidates = [(5, None), (50, None)]
+    cfg = SelectorConfig(k=1)
+    assert select_frames(candidates, graph, query_for("unicorn"), [0], 60, cfg) == [50]
+    assert select_frames(candidates, graph, query_for("dog"), [0], 60, cfg) == [5]
 
 
 def test_graph_score_two_entities_sum():
-    graph = graph_with({"dog": [20], "person": [36]})
-    score = graph_score_raw(20, graph, query_for("dog", "person"), CFG)
+    score = graph_score_raw(20, [[20], [36]], CFG.decay_len)
     assert score == pytest.approx(1.0 + math.exp(-1.0), abs=1e-9)
 
 
 def test_graph_score_expanded_doubles_decay():
-    graph = graph_with({"dog": [0]})
-    narrow = graph_score_raw(32, graph, query_for("dog"), CFG, expanded=False)
-    wide = graph_score_raw(32, graph, query_for("dog"), CFG, expanded=True)
+    # select_frames scores with decay_len, times expanded_decay_multiplier
+    # (2 by default) in expanded mode
+    narrow = graph_score_raw(32, [[0]], CFG.decay_len)
+    wide = graph_score_raw(32, [[0]], CFG.decay_len * CFG.expanded_decay_multiplier)
     assert narrow == pytest.approx(math.exp(-2.0))
     assert wide == pytest.approx(math.exp(-1.0))
 
@@ -165,23 +168,7 @@ def test_normalize_scale_invariant_exact():
         assert normalize_scores([scale * x for x in raw]) == normalize_scores(raw)
 
 
-# -- combined score ---------------------------------------------------------------------
-
-def test_combined_score_default_weights():
-    assert combined_score((1.0, 0.5, 0.0), CFG) == pytest.approx(0.65, abs=1e-12)
-
-
-def test_combined_score_endpoints():
-    assert combined_score((0.0, 0.0, 0.0), CFG) == 0.0
-    assert combined_score((1.0, 1.0, 1.0), CFG) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_combined_score_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        combined_score((1.2, 0.0, 0.0), CFG)
-    with pytest.raises(ValueError):
-        combined_score((0.0, -0.1, 0.0), CFG)
-
+# -- config ------------------------------------------------------------------------------
 
 def test_selector_config_validation():
     with pytest.raises(ValueError):
@@ -311,22 +298,6 @@ def test_select_matches_brute_force_oracle():
             brute_force_oracle(candidates, graph, query, selected, 150, cfg, expanded, qe)
 
 
-def test_score_components_in_unit_range():
-    graph = graph_with({"dog": [10, 40]})
-    candidates = [(f, Embedding(pseudo_embedding(str(f), 8))) for f in (3, 22, 57, 80)]
-    scores = score_candidates(candidates, graph, query_for("dog"), [10], 100, CFG,
-                              query_embedding=Embedding(pseudo_embedding("q", 8)))
-    for s in scores:
-        for value in (s.s_graph, s.s_visual, s.s_temporal, s.combined):
-            assert 0.0 <= value <= 1.0
-        weighted = (
-            CFG.weight_graph * s.s_graph
-            + CFG.weight_visual * s.s_visual
-            + CFG.weight_temporal * s.s_temporal
-        )
-        assert abs(s.combined - weighted) <= 1e-12
-
-
 # -- identify_segments -------------------------------------------------------------------
 
 def test_segments_fallback_whole_video():
@@ -404,32 +375,19 @@ def test_temporal_score_matches_oracle_property(selected, frames, extra):
     for frame in frames:
         assert temporal_score_raw(frame, sorted(selected), total) == \
             temporal_score_oracle(frame, selected, total)
-    # score_candidates takes `selected` in any order and sorts it once
-    candidates = [(f, None) for f in sorted(set(frames) - set(selected))]
-    if candidates:
-        scores = score_candidates(candidates, VideoGraph(), None, selected, total, CFG)
-        expected = normalize_scores(
-            [temporal_score_oracle(f, selected, total) for f, _ in candidates]
-        )
-        assert [s.s_temporal for s in scores] == expected
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(st.integers(min_value=0, max_value=5000), min_size=1, max_size=40, unique=True),
     st.lists(st.integers(min_value=-10, max_value=5010), min_size=1, max_size=10),
-    st.booleans(),
+    st.sampled_from([16.0, 32.0, 5.5]),
 )
 def test_graph_score_nearest_appearance_matches_linear_min_property(appearances, frames,
-                                                                    expanded):
-    graph = VideoGraph(nodes={0: EntityNode(0, "dog", EntityType.OBJECT,
-                                            frame_indices=sorted(appearances))})
-    query = query_for("dog")
-    assert [m.lemma for m in query.entities] == ["dog"]
-    decay = CFG.decay_len * (CFG.expanded_decay_multiplier if expanded else 1.0)
+                                                                    decay):
     for frame in frames:
         distance = min(abs(frame - f) for f in appearances)
-        assert graph_score_raw(frame, graph, query, CFG, expanded) == \
+        assert graph_score_raw(frame, [sorted(appearances)], decay) == \
             math.exp(-distance / decay)
 
 
@@ -456,31 +414,18 @@ def test_visual_scores_with_query_norm_once_match_oracle_property(vectors):
     # scores stay bit-identical
     query, embeddings = vectors
     query_embedding = Embedding(query)
-    candidates = [(frame, None if emb is None else Embedding(emb))
-                  for frame, emb in enumerate(embeddings, start=1)]
-    scores = score_candidates(candidates, VideoGraph(), None, [0], 100, CFG,
-                              query_embedding=query_embedding)
-    expected = normalize_scores([visual_score_oracle(e, query) for e in embeddings])
-    assert [s.s_visual for s in scores] == expected
-
-
-def reference_selection(candidates, graph, query, selected, total, cfg, expanded,
-                        query_embedding):
-    """What select_frames returned before it ranked bare floats: the top k of
-    score_candidates' FrameScores by (-combined, frame_index), ascending."""
-    scores = score_candidates(candidates, graph, query, selected, total, cfg, expanded,
-                              query_embedding)
-    ranked = sorted(scores, key=lambda s: (-s.combined, s.frame_index))
-    return sorted(s.frame_index for s in ranked[: cfg.k])
+    scores = [visual_score_raw(None if emb is None else Embedding(emb), query_embedding)
+              for emb in embeddings]
+    assert scores == [visual_score_oracle(e, query) for e in embeddings]
 
 
 WEIGHTS = [(0.5, 0.3, 0.2), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.2, 0.3, 0.5),
            (1 / 3, 1 / 3, 1 / 3)]
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_select_frames_matches_score_candidates_ranking_property(data):
+def draw_selection(data):
+    """select_frames' arguments, drawn so that combined scores often tie;
+    None when every frame is already selected."""
     total = data.draw(st.integers(min_value=2, max_value=120))
     frames = st.integers(min_value=0, max_value=total - 1)
     entity_frames = {
@@ -491,10 +436,10 @@ def test_select_frames_matches_score_candidates_ranking_property(data):
     graph = graph_with(entity_frames)
     asked = data.draw(st.lists(st.sampled_from(["dog", "person", "ball", "cup"]), max_size=3))
     query = query_for(*asked) if asked else data.draw(st.sampled_from([None, query_for("cup")]))
-    selected = sorted(data.draw(st.lists(frames, min_size=1, max_size=5, unique=True)))
+    selected = data.draw(st.lists(frames, min_size=1, max_size=5, unique=True))
     pool = [f for f in range(total) if f not in selected]
     if not pool:
-        return
+        return None
     picks = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40, unique=True))
     # few distinct embeddings, so combined scores often tie
     embedding = st.one_of(st.none(), st.sampled_from([
@@ -507,5 +452,24 @@ def test_select_frames_matches_score_candidates_ranking_property(data):
                          decay_len=data.draw(st.integers(min_value=1, max_value=40)))
     expanded = data.draw(st.booleans())
     query_embedding = data.draw(embedding)
-    args = (candidates, graph, query, selected, total, cfg, expanded, query_embedding)
-    assert select_frames(*args) == reference_selection(*args)
+    return candidates, graph, query, selected, total, cfg, expanded, query_embedding
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_select_frames_matches_brute_force_oracle_property(data):
+    args = draw_selection(data)
+    if args is not None:
+        assert select_frames(*args) == brute_force_oracle(*args)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_select_frames_ignores_candidate_and_selected_order_property(data):
+    args = draw_selection(data)
+    if args is None:
+        return
+    candidates, graph, query, selected, *rest = args
+    shuffled = (data.draw(st.permutations(candidates)), graph, query,
+                data.draw(st.permutations(selected)), *rest)
+    assert select_frames(*shuffled) == select_frames(*args)

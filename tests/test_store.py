@@ -336,6 +336,16 @@ def test_graph_with_unordered_frames_rejected(where):
         load_graph(json.dumps(payload).encode("utf-8"))
 
 
+@pytest.mark.parametrize("feature", [
+    "ab", {"a": 1}, 3, [], [0.5, "x"], [0.5, True], [0.5, float("nan")], [float("-inf"), 0.5],
+], ids=repr)
+def test_graph_feature_that_is_not_finite_numbers_rejected(feature):
+    payload = json.loads(save_graph(ingest(VideoGraph(), {0: "the dog sits"})))
+    payload["nodes"][0]["feature"] = feature
+    with pytest.raises(DataFormatError, match="node 0 feature must be null or"):
+        load_graph(json.dumps(payload).encode("utf-8"))
+
+
 def test_loaded_graph_remains_usable():
     graph = ingest(VideoGraph(), {0: "the dog plays with the toy"})
     loaded = load_graph(save_graph(graph))
