@@ -32,7 +32,7 @@ from .graph import Embedding, FrameRecord, GraphConfig, VideoGraph
 from .harness import run_eval
 from .parsing import Lexicon, default_lexicon, load_lexicon, parse_caption
 from .selector import SelectorConfig
-from .store import load_bundle, save_graph, save_transcript
+from .store import load_bundle, replace_text, save_graph, save_transcript
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -50,7 +50,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="graphvqa", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="graphvqa", description=__doc__.partition("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -215,10 +215,9 @@ def _cmd_run(args) -> int:
             f"  round {entry.round}: prediction={entry.prediction} "
             f"confidence={entry.confidence} frames_added={entry.frames_added}"
         )
-    if out:
-        out.mkdir(parents=True, exist_ok=True)
+    if out:  # saving the transcript makes the directory
         save_transcript(session, out / "transcripts.jsonl")
-        (out / "graph.json").write_bytes(save_graph(graph))
+        replace_text(out / "graph.json", save_graph(graph).decode("utf-8"))
         print(f"transcript and graph written to {out}")
     return EXIT_OK
 
@@ -271,7 +270,7 @@ def _cmd_graph(args) -> int:
     print("  " + temporal_summary.replace("\n", "\n  "))
     if out:
         out.mkdir(parents=True, exist_ok=True)
-        (out / "graph.json").write_bytes(save_graph(graph))
+        replace_text(out / "graph.json", save_graph(graph).decode("utf-8"))
         print(f"graph written to {out / 'graph.json'}")
     return EXIT_OK
 

@@ -19,7 +19,7 @@ body) for its whole life, so one `run` or `eval` command sends each distinct
 request at most once, even when parallel sessions ask for it at the same
 moment. The memo answers a repeated identical chat prompt with the first
 reply, also at temperature > 0. A cache path only makes the memo persist,
-as an append-only JSON-lines file, so eval reruns cost nothing. Requests go
+as an append-only log (see `lines`), so eval reruns cost nothing. Requests go
 out through the standard library's
 ``urllib.request``, which takes proxies from the standard environment
 variables and verifies HTTPS against the default SSL context.
@@ -67,7 +67,8 @@ from .errors import (
     check_field_types,
     check_type,
 )
-from .graph import vector_norm
+from .graph import all_finite, vector_norm
+from .lines import append_record, read_lines, read_log
 from .store import VideoBundle
 
 logger = logging.getLogger(__name__)
@@ -163,23 +164,12 @@ class ScriptEntry:
 
 
 def load_script(path: Union[str, Path]) -> list[ScriptEntry]:
-    """Read a script file: one JSON object per line, `#` comments allowed.
+    """Read a script file, a line file (see `lines`) of one JSON object per line.
 
     Keys: reply (required), round (int), contains (str), contains_all (list).
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise GatewayConfigError(f"cannot read script {path}: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        raise GatewayConfigError(f"script {path} is not valid UTF-8: {exc}") from exc
     entries = []
-    # lines end at "\n" only: U+2028 and the like, which JSON leaves
-    # unescaped, stay in the entry
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in read_lines(path, GatewayConfigError):
         try:
             obj = json.loads(line)
         except ValueError as exc:  # also an integer too long for int()
@@ -248,14 +238,12 @@ def pseudo_embedding(text: str, dim: int, seed: int = 0) -> list[float]:
 
 
 class ResponseCache:
-    """Thread-safe response cache, optionally persisted as JSON lines.
+    """Thread-safe response cache, optionally persisted as a log (see `lines`).
 
     Each put appends one line holding a one-entry object ``{key: value}``;
-    earlier lines are never rewritten. The loader merges every line in
+    earlier lines are never rewritten. The loader merges every record in
     order, so a file holding one object with many entries on a single line
-    loads as well. A truncated last line (an interrupted append) is cut off
-    the file so the next append starts on a line of its own; any other
-    malformed line raises DataFormatError.
+    loads as well. A fault reading or writing the file raises DataFormatError.
     """
 
     def __init__(self, path: Optional[Union[str, Path]] = None):
@@ -263,34 +251,10 @@ class ResponseCache:
         self._lock = threading.Lock()
         self._data: dict[str, object] = {}
         if self.path and self.path.exists():
-            self._load()
-
-    def _load(self) -> None:
-        raw = self.path.read_bytes()
-        lines = raw.split(b"\n")
-        tail = lines.pop()  # empty when the file ends with a newline
-        for line_no, line in enumerate(lines, start=1):
-            self._merge(line, line_no)
-        if not tail:
-            return
-        try:
-            self._merge(tail, len(lines) + 1)
-        except DataFormatError as exc:
-            logger.warning("dropping truncated last line of %s: %s", self.path, exc)
-            with self.path.open("r+b") as handle:
-                handle.truncate(len(raw) - len(tail))
-        else:
-            with self.path.open("ab") as handle:
-                handle.write(b"\n")
-
-    def _merge(self, line: bytes, line_no: int) -> None:
-        try:
-            record = json.loads(line)
-        except ValueError as exc:  # also covers invalid UTF-8
-            raise DataFormatError(f"{self.path}:{line_no}: malformed cache record: {exc}") from exc
-        if not isinstance(record, dict):
-            raise DataFormatError(f"{self.path}:{line_no}: cache record is not a JSON object")
-        self._data.update(record)
+            for line_no, record in read_log(self.path, DataFormatError):
+                if not isinstance(record, dict):
+                    raise DataFormatError(f"{self.path}:{line_no}: cache record is not a JSON object")
+                self._data.update(record)
 
     @staticmethod
     def key(provider_id: str, request_body: str) -> str:
@@ -309,10 +273,7 @@ class ResponseCache:
                 return
             self._data[key] = value
             if self.path:
-                line = json.dumps({key: value}, sort_keys=True, ensure_ascii=False) + "\n"
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                with self.path.open("ab") as handle:
-                    handle.write(line.encode("utf-8"))
+                append_record(self.path, {key: value}, DataFormatError)
 
 
 @dataclass(frozen=True)
@@ -505,6 +466,8 @@ class ModelGateway:
                 vector = list(map(float, payload["data"][0]["embedding"]))
             except (KeyError, IndexError, TypeError, ValueError) as exc:
                 raise GatewayError(f"malformed embeddings payload: {exc!r}") from exc
+            if not all_finite(vector):
+                raise GatewayError("malformed embeddings payload: non-finite value")
             if dim and len(vector) != dim:
                 raise DimensionError(
                     f"remote embedding dim {len(vector)} does not match bundle dim {dim}"

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,7 +22,7 @@ from .agent import AgentConfig, AgentSession, FrameTable, VideoAgent
 from .errors import DataFormatError
 from .gateway import ModelGateway
 from .parsing import Lexicon
-from .store import QAItem, VideoBundle, load_bundle, load_qa, save_transcript
+from .store import QAItem, VideoBundle, load_bundle, load_qa, replace_text, save_transcript
 
 logger = logging.getLogger(__name__)
 
@@ -157,22 +156,11 @@ def run_eval(qa_path: Union[str, Path], bundle_root: Union[str, Path],
             results.append(result)
 
     report = _aggregate(results)
-    _replace_text(
+    replace_text(
         out_dir / "report.json",
         json.dumps(report.to_dict(), sort_keys=True, indent=2, ensure_ascii=False) + "\n",
     )
     return report
-
-
-def _replace_text(path: Path, text: str) -> None:
-    """Write `path` through a temporary file beside it and `os.replace`, so
-    a failed write leaves the previous file whole."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def _accuracy(pairs: Sequence[tuple[bool, str]], key: Optional[str] = None) -> float:

@@ -1,0 +1,87 @@
+"""The one reader and appender of line files.
+
+Line files are UTF-8 and end lines at "\\n" only: U+2028 and the like, which
+JSON leaves unescaped, stay in their line. Blank lines and lines whose first
+non-blank character is `#` are skipped. Text files (lexicon, bundle, QA,
+script) read "\\r\\n" and "\\r" as "\\n". Logs (cache, transcripts) hold one
+JSON value per line. A torn tail, a last line with no newline that does not
+parse, is dropped by the reader and cut off by the appender, which also ends
+a whole unterminated last line. Faults raise the caller's error, naming the file.
+"""
+
+from __future__ import annotations
+
+import json
+import logging
+import os
+from pathlib import Path
+from typing import Union
+
+logger = logging.getLogger(__name__)
+
+_SKIP = object()
+
+
+def _skipped(line: str) -> bool:
+    return line.lstrip()[:1] in ("", "#")
+
+
+def _read(path: Path, read, error: type):
+    try:
+        return read(path)
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not valid UTF-8: {exc}") from exc
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror}") from exc
+
+
+def read_lines(path: Union[str, Path], error: type) -> list[tuple[int, str]]:
+    """(line number, line) for each line of a text file that is not skipped."""
+    text = _read(Path(path), lambda p: p.read_text(encoding="utf-8"), error)
+    return [(n, line) for n, line in enumerate(text.split("\n"), start=1) if not _skipped(line)]
+
+
+def _value(line: bytes):
+    """A log line's JSON value, or _SKIP; ValueError if it does not parse."""
+    text = line.decode("utf-8")
+    return _SKIP if _skipped(text) else json.loads(text)
+
+
+def read_log(path: Union[str, Path], error: type) -> list[tuple[int, object]]:
+    """(line number, JSON value) for each record of a log. A torn tail is
+    dropped; any other line that does not parse raises `error`."""
+    lines = _read(Path(path), Path.read_bytes, error).split(b"\n")
+    records = []
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            if (value := _value(line)) is not _SKIP:
+                records.append((line_no, value))
+        except ValueError as exc:  # also invalid UTF-8
+            if line_no < len(lines):
+                raise error(f"{path}:{line_no}: invalid JSON: {exc}") from exc
+            logger.warning("dropping truncated last line of %s: %s", path, exc)
+    return records
+
+
+def append_record(path: Union[str, Path], record, error: type) -> None:
+    """Append `record` to a log as one line of JSON with sorted keys, making
+    the file and its directory if need be. Only when the last byte is not a
+    newline is more of the file read, to mend its tail first."""
+    path = Path(path)
+    line = (json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n").encode("utf-8")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open("a+b") as handle:
+            handle.seek(max(handle.seek(0, os.SEEK_END) - 1, 0))
+            if handle.read(1) not in (b"", b"\n"):
+                handle.seek(0)
+                data = handle.read()
+                start = data.rfind(b"\n") + 1
+                try:
+                    _value(data[start:])
+                    line = b"\n" + line
+                except ValueError:
+                    handle.truncate(start)
+            handle.write(line)
+    except OSError as exc:
+        raise error(f"cannot append to {path}: {exc.strerror}") from exc

@@ -38,6 +38,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import LexiconError
+from .lines import read_lines
 
 
 class EntityType(str, Enum):
@@ -204,19 +205,7 @@ class QueryParse:
 # ---------------------------------------------------------------------------
 
 def _read_lines(path: Path) -> list[str]:
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise LexiconError(f"cannot read lexicon file {path}: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        raise LexiconError(f"lexicon file {path} is not valid UTF-8: {exc}") from exc
-    lines = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        lines.append(line)
-    return lines
+    return [line.strip() for _, line in read_lines(path, LexiconError)]
 
 
 def _load_token_set(path: Path) -> frozenset[str]:
@@ -256,8 +245,8 @@ def load_lexicon(directory: str | Path) -> Lexicon:
     """Load a lexicon from a directory of plain-text files.
 
     Expected files: spatial_preps.txt, interaction_verbs.txt, action_verbs.txt,
-    state_verbs.tsv, type_gazetteer.tsv. UTF-8, one entry per line, `#` starts
-    a comment line.
+    state_verbs.tsv, type_gazetteer.tsv: line files (see `lines`) holding
+    one entry per line.
     """
     directory = Path(directory)
     return Lexicon(

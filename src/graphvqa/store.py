@@ -1,6 +1,6 @@
 """Bundle loading and persistence for graphs and session transcripts.
 
-On-disk bundle layout (one directory per video, all files UTF-8):
+On-disk bundle layout (one directory per video; line files are read by `lines`):
 
     manifest     JSON document: {"video_id", "total_frames", "fps",
                  "embedding_dim"} (fps and embedding_dim may be null)
@@ -14,25 +14,24 @@ On-disk bundle layout (one directory per video, all files UTF-8):
 Graphs serialize to a single JSON document with an explicit schema_version
 (2; version 1 documents still load, and their coherence settings and caption
 snippets are ignored). Floats survive exactly: JSON rendering uses repr,
-which round-trips every finite double. Transcripts append one JSON record
-per session, keyed by video_id and the question's sha256.
+which round-trips every finite double. Transcripts are logs (see `lines`) of
+one JSON record per session, keyed by video_id and the question's sha256.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .errors import DataFormatError, DimensionError, SchemaVersionError
-from .graph import Embedding, EntityNode, GraphConfig, RelationEdge, VideoGraph
+from .graph import Embedding, EntityNode, GraphConfig, RelationEdge, VideoGraph, all_finite
+from .lines import append_record, read_lines, read_log
 from .parsing import EntityType, RelationCategory
-
-logger = logging.getLogger(__name__)
 
 GRAPH_SCHEMA_VERSION = 2
 READABLE_GRAPH_SCHEMAS = (1, 2)
@@ -159,13 +158,13 @@ def load_bundle(directory: Union[str, Path]) -> VideoBundle:
 
     captions_path = directory / "captions"
     if captions_path.is_file():
-        for line_no, line in _data_lines(captions_path):
+        for line_no, line in read_lines(captions_path, DataFormatError):
             frame, text = _frame_line(captions_path, line_no, line, bundle.total_frames, "caption")
             bundle.captions[frame] = text
 
     embeddings_path = directory / "embeddings"
     if embeddings_path.is_file():
-        for line_no, line in _data_lines(embeddings_path):
+        for line_no, line in read_lines(embeddings_path, DataFormatError):
             frame, text = _frame_line(embeddings_path, line_no, line, bundle.total_frames, "floats")
             try:
                 vector = [float(x) for x in text.split()]
@@ -175,8 +174,7 @@ def load_bundle(directory: Union[str, Path]) -> VideoBundle:
                 ) from exc
             if not vector:
                 raise DataFormatError(f"{embeddings_path}:{line_no}: empty vector")
-            # a finite sum has only finite terms, and costs a fifth of the full check
-            if not math.isfinite(sum(vector)) and not all(map(math.isfinite, vector)):
+            if not all_finite(vector):
                 raise DataFormatError(f"{embeddings_path}:{line_no}: non-finite value")
             bundle.embeddings[frame] = vector
 
@@ -230,27 +228,10 @@ def _frame_line(path: Path, line_no: int, line: str, total_frames: int,
     return frame, text
 
 
-def _data_lines(path: Path):
-    """(line number, line) for each line that is neither blank nor a comment.
-    Lines end at "\n" only (reading turns "\r\n" and "\r" into "\n"):
-    U+2028, U+2029 and U+0085, which JSON leaves unescaped, stay in the text."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path}: not valid UTF-8: {exc}") from exc
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        if not raw.strip() or raw.startswith("#"):
-            continue
-        yield line_no, raw
-
-
 def load_qa(path: Union[str, Path]) -> list[QAItem]:
     """Read QA items (one JSON record per line)."""
-    path = Path(path)
-    if not path.is_file():
-        raise DataFormatError(f"QA file not found: {path}")
     items = []
-    for line_no, line in _data_lines(path):
+    for line_no, line in read_lines(path, DataFormatError):
         try:
             obj = json.loads(line)
         except ValueError as exc:  # also an integer too long for int()
@@ -300,6 +281,17 @@ def save_qa(items: Sequence[QAItem], path: Union[str, Path]) -> Path:
 # ---------------------------------------------------------------------------
 # Graph serialization
 # ---------------------------------------------------------------------------
+
+def replace_text(path: Path, text: str) -> None:
+    """Write `path` through a temporary file beside it and `os.replace`, so
+    a failed write leaves the previous file whole."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
 
 def save_graph(graph: VideoGraph) -> bytes:
     """Serialize a graph to a UTF-8 JSON document (exact float round-trip)."""
@@ -441,37 +433,17 @@ def transcript_record(session) -> dict:
 
 
 def save_transcript(session, path: Union[str, Path]) -> Path:
-    """Append one session record to a transcript file (JSON lines)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    line = json.dumps(transcript_record(session), sort_keys=True, ensure_ascii=False)
-    with path.open("a", encoding="utf-8") as handle:
-        handle.write(line + "\n")
-    return path
+    """Append one session record to a transcript file (a log, see `lines`)."""
+    append_record(path, transcript_record(session), DataFormatError)
+    return Path(path)
 
 
 def load_transcripts(path: Union[str, Path]) -> list[dict]:
-    """Read a transcript file's records. A truncated last line (no newline
-    after it and not valid JSON), as an interrupted append leaves, is
-    dropped with a warning; any other malformed line raises DataFormatError."""
-    path = Path(path)
-    if not path.is_file():
-        raise DataFormatError(f"transcript file not found: {path}")
-    records = []
-    lines = path.read_bytes().split(b"\n")  # the last item follows the last newline
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip() or line.startswith(b"#"):
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError as exc:  # also covers invalid UTF-8
-            if line_no == len(lines):
-                logger.warning("dropping truncated last line of %s: %s", path, exc)
-                break
-            raise DataFormatError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
+    """Read a transcript file's records (a torn tail is dropped, see `lines`)."""
+    records = [record for _, record in read_log(path, DataFormatError)]
+    for record in records:
         version = record.get("schema_version") if isinstance(record, dict) else None
         if version != TRANSCRIPT_SCHEMA_VERSION:
             raise SchemaVersionError(version, TRANSCRIPT_SCHEMA_VERSION)
-        records.append(record)
     return records
 

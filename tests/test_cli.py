@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import errno
 import json
+import pathlib
 import threading
 
 import pytest
@@ -652,3 +654,39 @@ def test_mistyped_script_entry_is_config_error(tmp_path, suite, capsys, command,
                                encoding="utf-8")
     err = rejected_before_any_item(tmp_path, suite, capsys, command, suite["config"])
     assert f"configuration error: {suite['script']}:1: " in err and f"{key} must be" in err
+
+
+@pytest.mark.parametrize("command", ["run", "eval"])
+def test_cache_path_naming_a_directory_is_data_error(tmp_path, suite, capsys, command):
+    cache_dir = tmp_path / "cache_dir"
+    cache_dir.mkdir()
+    config_path = write_config(tmp_path, suite, cache_path=str(cache_dir))
+    argv = {
+        "run": ["run", "--bundle", str(suite["bundle_dir"]), "--question", "q?",
+                "--options", "a", "b"],
+        "eval": ["eval", "--qa", str(suite["qa"]), "--bundle", str(suite["bundle_root"])],
+    }[command]
+    code = main([*argv, "--config", str(config_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"data error: cannot read {cache_dir}: " in err and "Traceback" not in err
+
+
+def test_failed_graph_write_keeps_previous_graph(suite, tmp_path, monkeypatch):
+    out = tmp_path / "graphout"
+    argv = ["graph", "--bundle", str(suite["bundle_dir"]), "--out", str(out)]
+    assert main(argv) == 0
+    previous = (out / "graph.json").read_bytes()
+
+    def disk_full(path, data, *args, **kwargs):
+        with open(path, "wb" if isinstance(data, bytes) else "w") as handle:
+            handle.write(data[: len(data) // 2])  # half the data, then the disk is full
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(pathlib.Path, "write_text", disk_full)
+    monkeypatch.setattr(pathlib.Path, "write_bytes", disk_full)
+    with pytest.raises(OSError):
+        main(argv)
+    monkeypatch.undo()
+    assert (out / "graph.json").read_bytes() == previous
+    assert [p.name for p in out.iterdir()] == ["graph.json"]

@@ -261,6 +261,23 @@ def test_malformed_payload_is_not_cached(stub_server, tmp_path, persist):
         assert len(_cache_lines(path)) == 2
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999", '"inf"', '"nan"'])
+def test_non_finite_remote_embedding_is_malformed_and_not_cached(stub_server, tmp_path, value):
+    endpoint, state = stub_server
+    state.responses.extend([
+        (200, '{"data": [{"embedding": [0.5, %s]}]}' % value),
+        (200, json.dumps({"data": [{"embedding": [0.5, 0.25]}]})),
+    ])
+    path = tmp_path / "cache.jsonl"
+    embed = ProviderConfig(kind="RemoteEmbed", endpoint=endpoint, model_name="embedder")
+    gateway = ModelGateway(embed=embed, cache=ResponseCache(path))
+    with pytest.raises(GatewayError, match="malformed embeddings payload: non-finite value"):
+        gateway.embed(3)
+    assert gateway.embed(3) == [0.5, 0.25]
+    assert state.request_count == 2
+    assert len(_cache_lines(path)) == 1
+
+
 def test_missing_api_key_fails_before_any_request(stub_server, monkeypatch):
     endpoint, state = stub_server
     monkeypatch.delenv("GRAPHVQA_TEST_KEY", raising=False)

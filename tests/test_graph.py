@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 from collections import Counter
@@ -613,3 +614,25 @@ def test_summarize_of_small_graphs_matches_reference_property(batch, budget, ask
     full = graph.summarize(query, 100_000)
     assert max(len(line) for section in full for line in section.splitlines()) <= 256 - 83
     assert graph.summarize(query, budget) == reference_summarize(graph, query, budget)
+
+
+def test_new_ids_continue_after_the_largest_id_of_a_loaded_graph():
+    graph = fig1_graph()
+    payload = json.loads(save_graph(graph))
+    payload["nodes"][0]["id"] = 40  # ids need not be dense
+    for edge in payload["edges"]:
+        edge["src"], edge["dst"] = (40 if x == 0 else x for x in (edge["src"], edge["dst"]))
+        edge["id"] += 7
+    loaded = load_graph(json.dumps(payload).encode("utf-8"))
+    for copy in (loaded, loaded.copy()):
+        ingest(copy, {5: "the cat sits on the chair"})
+        assert max(copy.nodes) == 42
+        assert max(copy.edges) == max(e["id"] for e in payload["edges"]) + 1
+
+
+def test_state_history_keeps_frame_order_and_first_arrival_within_a_frame():
+    graph = VideoGraph()
+    node_id = graph.upsert_entity(mention("dog"), 0)
+    for frame, label in [(5, "sad"), (2, "happy"), (5, "calm"), (5, "sad"), (2, "happy"), (9, "sad")]:
+        graph._record_state(node_id, frame, label)
+    assert graph.nodes[node_id].state_history == [(2, "happy"), (5, "sad"), (5, "calm"), (9, "sad")]

@@ -1,0 +1,168 @@
+"""Line files: one comment rule for every kind, and logs that stay readable
+after an append is cut off at any byte."""
+
+from __future__ import annotations
+
+import re
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import make_bundle
+from graphvqa.agent import AgentSession, RoundLog, Termination
+from graphvqa.errors import DataFormatError, GatewayConfigError, LexiconError
+from graphvqa.gateway import ResponseCache, load_script
+from graphvqa.lines import append_record, read_lines, read_log
+from graphvqa.parsing import load_lexicon
+from graphvqa.store import load_bundle, load_qa, load_transcripts, save_bundle, save_transcript
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def session(question: str) -> AgentSession:
+    return AgentSession(
+        video_id="v", question=question, options=["a", "b"], selected_frames=[3],
+        rounds=[RoundLog(1, [3], 0, 3, "", "d" * 64)], final_answer=0,
+        terminated_by=Termination.CONFIDENT, final_graph_version=1,
+    )
+
+
+def complete_lines(whole: bytes, cut: int) -> int:
+    """How many lines of `whole` are still whole (bar their newline) in `whole[:cut]`."""
+    ends = [i for i, byte in enumerate(whole) if byte == ord("\n")]
+    return sum(end <= cut for end in ends)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.text(max_size=12), min_size=1, max_size=4), st.text(max_size=12), st.data())
+def test_transcripts_stay_readable_after_a_cut_at_any_byte(questions, last, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "transcripts.jsonl"
+        for question in questions:
+            save_transcript(session(question), path)
+        whole = path.read_bytes()
+        cut = data.draw(st.integers(0, len(whole)), label="cut")
+        path.write_bytes(whole[:cut])
+        save_transcript(session(last), path)
+        kept = questions[:complete_lines(whole, cut)]
+        assert [r["question"] for r in load_transcripts(path)] == kept + [last]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(json_values, min_size=1, max_size=4), json_values, st.data())
+def test_cache_stays_readable_after_a_cut_at_any_byte(values, last, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cache.jsonl"
+        cache = ResponseCache(path)
+        for i, value in enumerate(values):
+            cache.put(f"k{i}", value)
+        whole = path.read_bytes()
+        cut = data.draw(st.integers(0, len(whole)), label="cut")
+        path.write_bytes(whole[:cut])
+        ResponseCache(path).put("last", last)
+        kept = [{f"k{i}": value} for i, value in enumerate(values[:complete_lines(whole, cut)])]
+        assert [record for _, record in read_log(path, DataFormatError)] == kept + [{"last": last}]
+
+
+def test_every_text_file_skips_blank_and_indented_comment_lines(tmp_path):
+    bundle_dir = save_bundle(make_bundle(video_id="v", total_frames=4), tmp_path / "v")
+    captions = bundle_dir / "captions"
+    captions.write_text("  # a note\n\n" + captions.read_text(encoding="utf-8"), encoding="utf-8")
+    assert load_bundle(bundle_dir).captions == make_bundle(video_id="v", total_frames=4).captions
+
+    qa = tmp_path / "qa"
+    qa.write_text('\t# a note\n   \n{"video_id": "v", "question": "q?", "options": ["a", "b"]}\n',
+                  encoding="utf-8")
+    assert [item.question for item in load_qa(qa)] == ["q?"]
+
+    script = tmp_path / "script.jsonl"
+    script.write_text('  # a note\n{"reply": "answer: A"}\n', encoding="utf-8")
+    assert [entry.reply for entry in load_script(script)] == ["answer: A"]
+
+    lexicon = tmp_path / "lexicon"
+    lexicon.mkdir()
+    for name, entry in [("spatial_preps.txt", "on"), ("interaction_verbs.txt", "talk"),
+                        ("action_verbs.txt", "hold"), ("state_verbs.tsv", "become\t*"),
+                        ("type_gazetteer.tsv", "person\tPerson")]:
+        (lexicon / name).write_text(f"  # a note\n\n{entry}\n", encoding="utf-8")
+    assert load_lexicon(lexicon).spatial_preps == frozenset({"on"})
+
+
+def test_logs_skip_blank_and_comment_lines(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_text('# a note\n\n  # another\n{"k1": 1}\n\n', encoding="utf-8")
+    assert ResponseCache(path).get("k1") == 1
+    assert read_log(path, DataFormatError) == [(4, {"k1": 1})]
+
+
+def test_text_lines_end_at_newline_only(tmp_path):
+    path = tmp_path / "spatial_preps.txt"
+    path.write_bytes("on under\r\nnear\rby\x0cat\n".encode("utf-8"))
+    assert read_lines(path, LexiconError) == [(1, "on under"), (2, "near"), (3, "by\x0cat")]
+
+
+@pytest.mark.parametrize("tail,mended", [
+    (b'{"k2": 2}', b'{"k1": 1}\n{"k2": 2}\n{"k3": 3}\n'),  # whole: ended
+    (b'{"k2": 2', b'{"k1": 1}\n{"k3": 3}\n'),  # torn: cut off
+    ("{\"k2\": \"é".encode("utf-8")[:-1], b'{"k1": 1}\n{"k3": 3}\n'),  # torn mid-character
+    (b"# a note", b'{"k1": 1}\n# a note\n{"k3": 3}\n'),  # a comment is whole
+])
+def test_append_mends_an_unterminated_tail_first(tmp_path, tail, mended):
+    path = tmp_path / "log.jsonl"
+    path.write_bytes(b'{"k1": 1}\n' + tail)
+    append_record(path, {"k3": 3}, DataFormatError)
+    assert path.read_bytes() == mended
+
+
+def test_append_reads_only_the_last_byte_of_a_file_ending_in_a_newline(tmp_path, monkeypatch):
+    path = tmp_path / "log.jsonl"
+    path.write_bytes(b"not json\n" * 100)
+    reads = []
+
+    class Spy:
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __getattr__(self, name):
+            return getattr(self.handle, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return self.handle.__exit__(*exc_info)
+
+        def read(self, *args):
+            reads.append(self.handle.read(*args))
+            return reads[-1]
+
+    open_path = Path.open
+    monkeypatch.setattr(Path, "open", lambda self, *args, **kw: Spy(open_path(self, *args, **kw)))
+    append_record(path, {"k": 1}, DataFormatError)
+    monkeypatch.undo()
+    assert reads == [b"\n"]
+    assert path.read_bytes().endswith(b'not json\n{"k": 1}\n')
+
+
+def test_unreadable_paths_raise_the_callers_error(tmp_path):
+    for error in (LexiconError, DataFormatError, GatewayConfigError):
+        with pytest.raises(error, match=re.escape(f"cannot read {tmp_path}")):
+            read_lines(tmp_path, error)
+    with pytest.raises(DataFormatError, match=re.escape(f"cannot read {tmp_path}")):
+        read_log(tmp_path, DataFormatError)
+    with pytest.raises(DataFormatError, match=re.escape(f"cannot append to {tmp_path}")):
+        append_record(tmp_path, {"k": 1}, DataFormatError)
+    (tmp_path / "bad").write_bytes(b"\xff\n")
+    with pytest.raises(LexiconError, match="bad: not valid UTF-8"):
+        read_lines(tmp_path / "bad", LexiconError)
+    with pytest.raises(DataFormatError, match="bad:1: invalid JSON"):
+        read_log(tmp_path / "bad", DataFormatError)
+
