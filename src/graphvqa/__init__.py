@@ -20,7 +20,6 @@ from .gateway import ModelGateway, ProviderConfig, ResponseCache, ScriptEntry
 from .graph import (
     Embedding,
     EntityNode,
-    FrameRecord,
     GraphConfig,
     RelationEdge,
     VideoGraph,

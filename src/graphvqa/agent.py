@@ -11,14 +11,16 @@ by max_rounds, at which point the latest prediction is forced out.
 
 Sessions on one video may share a `FrameTable` (`eval` does): each frame's
 caption, parse, embedding and embedding norm are then computed once, and a
-session asks the gateway only for what the table lacks. The table also keeps
-the graph built from a session's starting frames, so a later session with
-the same starting frames starts from a copy of it instead of building it
-again. What a frame turned out to be does not depend on which session asked
-first, so sharing changes no transcript; a table is valid only for sessions
-that share a lexicon and a `GraphConfig` and whose gateways caption and
-embed alike. With a deterministic gateway the whole transcript is
-reproducible byte-for-byte.
+session asks the gateway only for what the table lacks. Vectors arrive from
+the gateway as `Embedding`s and are passed on as they are, so a bundle's
+vector is the very object that the table, the selector and the graph use.
+The table also keeps the graph built from a session's starting frames, so a
+later session with the same starting frames starts from a copy of it
+instead of building it again. What a frame turned out to be does not
+depend on which session asked first, so sharing changes no transcript; a
+table is valid only for sessions that share a lexicon and a `GraphConfig`
+and whose gateways caption and embed alike. With a deterministic gateway
+the whole transcript is reproducible byte-for-byte.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Optional, Sequence
 
 from .errors import GatewayError, check_field_types
 from .gateway import ModelGateway
-from .graph import Embedding, FrameRecord, GraphConfig, VideoGraph
+from .graph import Embedding, GraphConfig, VideoGraph
 from .parsing import (
     CaptionParse,
     Lexicon,
@@ -157,8 +159,10 @@ class FrameTable:
     """What one video's frames turned out to be: each frame's caption with
     its parse, and its `Embedding` (which keeps its norm once computed); and
     the graph built from a session's starting frames, keyed by those frames.
-    The selector scores, and the graph merges and stores as node features,
-    the table's `Embedding` objects themselves.
+    The embedding is the object the gateway returned, which for the local
+    embed lanes is the bundle's own. The selector scores, and the graph
+    merges and stores as node features, the table's `Embedding` objects
+    themselves.
 
     `eval` shares one table among all sessions on a video, so a session
     asks the gateway only for the frames no earlier session touched, and
@@ -347,7 +351,7 @@ class VideoAgent:
         vectors = self.gateway.gather([("embed", f) for f in missing], self.bundle)
         for frame, vector in zip(missing, vectors):
             if not isinstance(vector, GatewayError):
-                self.frames.embeddings.setdefault(frame, Embedding(vector))
+                self.frames.embeddings.setdefault(frame, vector)
 
     def _retrieve(self, session: AgentSession, graph: VideoGraph,
                   query: Optional[QueryParse], expanded: bool,
@@ -365,11 +369,12 @@ class VideoAgent:
         )
 
     def _ingest(self, frames: Sequence[int], question: Optional[str] = None,
-                ) -> tuple[Optional[Embedding], list[FrameRecord], list[CaptionParse]]:
+                ) -> tuple[Optional[Embedding], list[tuple[CaptionParse, Optional[Embedding]]]]:
         """Caption and embed the `frames` the table lacks, in one fan-out,
-        and parse the new captions. Returns the frames' records and parses,
-        in the order of `frames`, for the graph. A `question` is embedded in
-        the same fan-out, and its vector returned first (None on failure).
+        and parse the new captions. Returns each frame's parse and embedding
+        (None if it has none), in the order of `frames`, for the graph. A
+        `question` is embedded in the same fan-out, and its vector returned
+        first (None on failure).
         The first caption failure, in frame order, is raised after the
         captions and embeddings of the frames before it are stored.
         """
@@ -384,10 +389,10 @@ class VideoAgent:
         if with_question:
             vector = results.pop(0)
             if not isinstance(vector, GatewayError):
-                query_embedding = Embedding(vector)
+                query_embedding = vector
         texts = dict(zip(caption, results))
         vectors = dict(zip(embed, results[len(caption):]))
-        records, parses = [], []
+        ingested = []
         for frame in frames:
             entry = table.captions.get(frame)
             if entry is None:
@@ -399,27 +404,26 @@ class VideoAgent:
                 )
             vector = vectors.get(frame)
             if vector is not None and not isinstance(vector, GatewayError):
-                table.embeddings.setdefault(frame, Embedding(vector))
-            records.append(FrameRecord(frame, table.embeddings.get(frame)))
-            parses.append(entry[1])
-        return query_embedding, records, parses
+                table.embeddings.setdefault(frame, vector)
+            ingested.append((entry[1], table.embeddings.get(frame)))
+        return query_embedding, ingested
 
     def _start_graph(self, initial: Sequence[int],
                      question: str) -> tuple[VideoGraph, Optional[Embedding]]:
         """The graph of the `initial` frames and the question's embedding.
         The graph is a copy of the table's stored start for these frames if
         there is one; otherwise it is built, and a copy stored when every
-        frame had its caption and embedding. (The records decide that, not
+        frame had its caption and embedding. (The ingest decides that, not
         the table: another session may have filled in a frame this session
         failed to embed.)"""
-        query_embedding, records, parses = self._ingest(initial, question)
+        query_embedding, ingested = self._ingest(initial, question)
         key = tuple(initial)
         start = self.frames.starts.get(key)
         if start is not None:
             return start.copy(), query_embedding
         graph = VideoGraph(config=self.cfg.graph)
-        graph.update_graph(records, parses)
-        if not self.gateway.has_embedder or all(r.embedding is not None for r in records):
+        graph.update_graph(ingested)
+        if not self.gateway.has_embedder or all(e is not None for _, e in ingested):
             self.frames.starts.setdefault(key, graph.copy())
         return graph, query_embedding
 
@@ -442,8 +446,8 @@ class VideoAgent:
                     query_embedding,
                 )
                 if frames_added:
-                    _, records, parses = self._ingest(frames_added)
-                    graph.update_graph(records, parses)
+                    _, ingested = self._ingest(frames_added)
+                    graph.update_graph(ingested)
                     session.add_frames(frames_added)
             session.rounds.append(RoundLog(
                 round=round_number,

@@ -28,7 +28,7 @@ from .errors import (
     LexiconError,
 )
 from .gateway import ModelGateway, ProviderConfig, ResponseCache
-from .graph import Embedding, FrameRecord, GraphConfig, VideoGraph
+from .graph import GraphConfig, VideoGraph
 from .harness import run_eval
 from .parsing import Lexicon, default_lexicon, load_lexicon, parse_caption
 from .selector import SelectorConfig
@@ -248,13 +248,12 @@ def _cmd_graph(args) -> int:
     bundle = load_bundle(args.bundle)
 
     graph = VideoGraph(config=graph_cfg)
-    records, parses = [], []
-    for frame, text in sorted(bundle.captions.items()):
-        vector = bundle.embeddings.get(frame)
-        records.append(FrameRecord(frame, None if vector is None else Embedding(vector)))
-        parses.append(parse_caption(text, frame, lexicon))
-    if records:
-        graph.update_graph(records, parses)
+    frames = [
+        (parse_caption(bundle.captions[frame], frame, lexicon), bundle.embeddings.get(frame))
+        for frame in sorted(bundle.captions)
+    ]
+    if frames:
+        graph.update_graph(frames)
 
     print(
         f"graph for {bundle.video_id}: {len(graph.nodes)} entities, "
@@ -269,7 +268,6 @@ def _cmd_graph(args) -> int:
     print("state changes:")
     print("  " + temporal_summary.replace("\n", "\n  "))
     if out:
-        out.mkdir(parents=True, exist_ok=True)
         replace_text(out / "graph.json", save_graph(graph).decode("utf-8"))
         print(f"graph written to {out / 'graph.json'}")
     return EXIT_OK

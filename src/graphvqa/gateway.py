@@ -67,7 +67,7 @@ from .errors import (
     check_field_types,
     check_type,
 )
-from .graph import all_finite, vector_norm
+from .graph import Embedding, all_finite, vector_norm
 from .lines import append_record, read_lines, read_log
 from .store import VideoBundle
 
@@ -218,7 +218,7 @@ class ScriptedChat:
         return self.entries[-1].reply
 
 
-def pseudo_embedding(text: str, dim: int, seed: int = 0) -> list[float]:
+def pseudo_embedding(text: str, dim: int, seed: int = 0) -> Embedding:
     """Deterministic unit-norm vector derived from a hash of the input."""
     if dim < 1:
         raise ValueError(f"embedding dimension must be >= 1, got {dim}")
@@ -234,7 +234,7 @@ def pseudo_embedding(text: str, dim: int, seed: int = 0) -> list[float]:
     if norm == 0.0:
         values[0] = 1.0
         norm = 1.0
-    return [v / norm for v in values]
+    return Embedding(v / norm for v in values)
 
 
 class ResponseCache:
@@ -435,35 +435,32 @@ class ModelGateway:
     def has_embedder(self) -> bool:
         return self.embed_cfg is not None
 
-    def embed(self, text_or_frame: Union[str, int], bundle: Optional[VideoBundle] = None) -> list[float]:
-        """Embed a query string or a frame index. Same input, same vector."""
+    def embed(self, text_or_frame: Union[str, int], bundle: Optional[VideoBundle] = None) -> Embedding:
+        """Embed a query string or a frame index. Same input, same vector:
+        the local lanes return a frame's vector from the bundle itself."""
         cfg = self._require(self.embed_cfg, "embed")
+        if cfg.kind == REMOTE_EMBED:
+            return self._post_with_retries(self._embed_request(cfg, text_or_frame, bundle))
+        is_frame = isinstance(text_or_frame, int)
+        if is_frame and bundle is not None and text_or_frame in bundle.embeddings:
+            return bundle.embeddings[text_or_frame]
         if cfg.kind == PRECOMPUTED_EMBED:
-            if not isinstance(text_or_frame, int):
-                raise MissingEmbeddingError(
-                    "precomputed embeddings cover frames only, not query text"
-                )
-            if bundle is None or text_or_frame not in bundle.embeddings:
-                raise MissingEmbeddingError(f"no embedding for frame {text_or_frame}")
-            return list(bundle.embeddings[text_or_frame])
-        if cfg.kind == SCRIPTED:
-            token = f"frame:{text_or_frame}" if isinstance(text_or_frame, int) else f"text:{text_or_frame}"
-            if bundle is not None and isinstance(text_or_frame, int) and text_or_frame in bundle.embeddings:
-                return list(bundle.embeddings[text_or_frame])
-            dim = cfg.embed_dim
-            if bundle is not None and bundle.embedding_dim:
-                dim = bundle.embedding_dim
-            return pseudo_embedding(token, dim, cfg.seed)
-        return self._post_with_retries(self._embed_request(cfg, text_or_frame, bundle))
+            raise MissingEmbeddingError(
+                f"no embedding for frame {text_or_frame}" if is_frame
+                else "precomputed embeddings cover frames only, not query text"
+            )
+        token = f"frame:{text_or_frame}" if is_frame else f"text:{text_or_frame}"
+        dim = bundle.embedding_dim if bundle is not None and bundle.embedding_dim else cfg.embed_dim
+        return pseudo_embedding(token, dim, cfg.seed)
 
     def _embed_request(self, cfg: ProviderConfig, text_or_frame: Union[str, int],
                        bundle: Optional[VideoBundle]) -> _Request:
         """An embedding whose reply must match the bundle's dimension."""
         dim = bundle.embedding_dim if bundle is not None else None
 
-        def floats(payload) -> list[float]:
+        def floats(payload) -> Embedding:
             try:
-                vector = list(map(float, payload["data"][0]["embedding"]))
+                vector = Embedding(map(float, payload["data"][0]["embedding"]))
             except (KeyError, IndexError, TypeError, ValueError) as exc:
                 raise GatewayError(f"malformed embeddings payload: {exc!r}") from exc
             if not all_finite(vector):

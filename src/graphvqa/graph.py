@@ -49,20 +49,11 @@ class GraphConfig:
 class Embedding(tuple):
     """An embedding vector: an immutable tuple of floats whose `norm` (its
     `vector_norm`) is computed on first use and then kept. Since it never
-    changes, frame tables, frame records and graph nodes share one."""
+    changes, bundles, frame tables and graph nodes share one."""
 
     @cached_property
     def norm(self) -> float:
         return vector_norm(self)
-
-
-@dataclass
-class FrameRecord:
-    """One ingested frame: index and optional embedding, shared with the
-    nodes it becomes the feature of."""
-
-    frame_index: int
-    embedding: Optional[Embedding] = None
 
 
 @dataclass
@@ -150,7 +141,6 @@ class VideoGraph:
         self._edge_index: dict[tuple[int, str, int], int] = {
             (e.src, e.predicate, e.dst): e.id for e in self.edges.values()
         }
-        self._frame_set = set(self.processed_frames)
         self._node_ids = itertools.count(max(self.nodes, default=-1) + 1)
         self._edge_ids = itertools.count(max(self.edges, default=-1) + 1)
 
@@ -292,38 +282,30 @@ class VideoGraph:
         if (frame, label) not in history[start:end]:
             history.insert(end, (frame, label))
 
-    def update_graph(self, new_records: Sequence[FrameRecord],
-                     parses: Sequence[CaptionParse]) -> "VideoGraph":
-        """Integrate a batch of new frames; exactly one version increment.
+    def update_graph(self, frames: Sequence[tuple[CaptionParse, Optional[Embedding]]],
+                     ) -> "VideoGraph":
+        """Integrate a batch of new frames, each a caption parse with its
+        frame's embedding (or None); exactly one version increment.
 
-        Records and parses must correspond one-to-one and reference frames not
-        yet processed; violations reject the whole batch with the graph
-        unchanged. Batches are applied in frame order, so permuting the input
-        yields a structurally identical graph.
+        The batch must name each frame once, and none already processed; a
+        violation rejects the whole batch with the graph unchanged. Frames are
+        applied in frame order, so permuting the input yields a structurally
+        identical graph.
         """
-        if len(new_records) != len(parses):
-            raise ValueError(
-                f"got {len(new_records)} records but {len(parses)} parses"
-            )
-        for record, parse in zip(new_records, parses):
-            if record.frame_index != parse.frame_index:
-                raise ValueError(
-                    f"record frame {record.frame_index} does not match parse frame {parse.frame_index}"
-                )
-        frames = [r.frame_index for r in new_records]
-        if len(set(frames)) != len(frames):
+        batch = sorted(frames, key=lambda pair: pair[0].frame_index)
+        indices = [parse.frame_index for parse, _ in batch]
+        if any(a == b for a, b in zip(indices, indices[1:])):
             raise ValueError("duplicate frame indices within one update batch")
-        already = sorted(self._frame_set.intersection(frames))
+        already = [f for f in indices if _holds(self.processed_frames, f)]
         if already:
             raise ValueError(f"frames already processed: {already}")
 
-        for record, parse in sorted(zip(new_records, parses), key=lambda rp: rp[0].frame_index):
-            frame = record.frame_index
+        for parse, embedding in batch:
+            frame = parse.frame_index
             bisect.insort(self.processed_frames, frame)
-            self._frame_set.add(frame)
             ids: dict[str, int] = {}
             for mention in parse.mentions:
-                ids[mention.lemma] = self.upsert_entity(mention, frame, record.embedding)
+                ids[mention.lemma] = self.upsert_entity(mention, frame, embedding)
             for triple in parse.triples:
                 self._record_triple(
                     ids[triple.subject.lemma], triple.predicate,

@@ -127,7 +127,6 @@ def run_eval(qa_path: Union[str, Path], bundle_root: Union[str, Path],
     items = load_qa(qa_path)
     bundle_root = Path(bundle_root)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     bundles: dict[str, VideoBundle] = {}
     for item in items:
@@ -146,7 +145,7 @@ def run_eval(qa_path: Union[str, Path], bundle_root: Union[str, Path],
                          tables[item.video_id])
 
     transcript_path = out_dir / "transcripts.jsonl"
-    transcript_path.write_bytes(b"")
+    replace_text(transcript_path, "")
     results = []
     with ThreadPoolExecutor(max_workers=parallel) as pool:
         # pool.map yields in input order, so transcripts are appended in order

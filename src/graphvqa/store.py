@@ -43,14 +43,23 @@ BUCKETS = ("Few", "Mid", "Many")
 
 @dataclass
 class VideoBundle:
-    """A video's precomputed inputs: captions and embeddings by frame."""
+    """A video's precomputed inputs: captions and embeddings by frame.
+
+    Each vector is an `Embedding`, made once here (by `load_bundle`, or from
+    the sequences a hand-built bundle is given) and shared from then on."""
 
     video_id: str
     total_frames: int
     captions: dict[int, str] = field(default_factory=dict)
-    embeddings: dict[int, list[float]] = field(default_factory=dict)
+    embeddings: dict[int, Embedding] = field(default_factory=dict)
     fps: Optional[float] = None
     embedding_dim: Optional[int] = None
+
+    def __post_init__(self):
+        self.embeddings = {
+            frame: vector if isinstance(vector, Embedding) else Embedding(vector)
+            for frame, vector in self.embeddings.items()
+        }
 
     def validate(self) -> "VideoBundle":
         if self.total_frames < 1:
@@ -167,7 +176,7 @@ def load_bundle(directory: Union[str, Path]) -> VideoBundle:
         for line_no, line in read_lines(embeddings_path, DataFormatError):
             frame, text = _frame_line(embeddings_path, line_no, line, bundle.total_frames, "floats")
             try:
-                vector = [float(x) for x in text.split()]
+                vector = Embedding(map(float, text.split()))
             except ValueError as exc:
                 raise DataFormatError(
                     f"{embeddings_path}:{line_no}: bad float: {exc}"
@@ -283,14 +292,19 @@ def save_qa(items: Sequence[QAItem], path: Union[str, Path]) -> Path:
 # ---------------------------------------------------------------------------
 
 def replace_text(path: Path, text: str) -> None:
-    """Write `path` through a temporary file beside it and `os.replace`, so
-    a failed write leaves the previous file whole."""
+    """Write `path`, making its directory if need be, through a temporary
+    file beside it and `os.replace`, so a failed write leaves the previous
+    file whole. Any fault raises DataFormatError."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            tmp.write_text(text, encoding="utf-8")
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+    except OSError as exc:
+        raise DataFormatError(f"cannot write {path}: {exc}") from exc
 
 
 def save_graph(graph: VideoGraph) -> bytes:

@@ -256,9 +256,9 @@ def record_update_batches(monkeypatch):
     batches = []
     update = VideoGraph.update_graph
 
-    def recording(graph, new_records, parses):
-        batches.append(tuple(r.frame_index for r in new_records))
-        return update(graph, new_records, parses)
+    def recording(graph, frames):
+        batches.append(tuple(parse.frame_index for parse, _ in frames))
+        return update(graph, frames)
 
     monkeypatch.setattr(VideoGraph, "update_graph", recording)
     return batches

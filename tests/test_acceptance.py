@@ -22,7 +22,7 @@ from graphvqa.gateway import (
     ScriptEntry,
     pseudo_embedding,
 )
-from graphvqa.graph import Embedding, FrameRecord, VideoGraph
+from graphvqa.graph import Embedding, VideoGraph
 from graphvqa.harness import run_eval
 from graphvqa.parsing import (
     Lexicon,
@@ -106,13 +106,13 @@ def test_criterion_2_weighted_combination():
     # score, so A's combined score is weight_graph and B's is
     # weight_visual + weight_temporal
     graph = VideoGraph()
-    graph.update_graph([FrameRecord(2)], [parse_caption("the dog sits", 2, LEX)])
+    graph.update_graph([(parse_caption("the dog sits", 2, LEX), None)])
     query = parse_question("what about the dog?", [], LEX)
     query_embedding = Embedding([1.0, 0.0])
     a = (1, Embedding([0.0, 1.0]))
     b = (50, Embedding([1.0, 0.0]))  # the center of the gap after frame 0
     mirrored_graph = VideoGraph()
-    mirrored_graph.update_graph([FrameRecord(97)], [parse_caption("the dog sits", 97, LEX)])
+    mirrored_graph.update_graph([(parse_caption("the dog sits", 97, LEX), None)])
     mirrored_a = (98, a[1])
     mirrored_b = (49, b[1])  # the center of the gap before frame 99
 
@@ -156,10 +156,7 @@ def test_criterion_3_selection_matches_oracle():
                 if frame in graph.processed_frames:
                     graph.upsert_entity(parse_caption(caption, frame, LEX).mentions[0], frame)
                 else:
-                    graph.update_graph(
-                        [FrameRecord(frame)],
-                        [parse_caption(caption, frame, LEX)],
-                    )
+                    graph.update_graph([(parse_caption(caption, frame, LEX), None)])
         query = parse_question("what about the dog and the person and the toy?", [], LEX)
         selected = sorted(rng.sample(range(total), rng.randint(1, 8)))
         pool = [f for f in range(total) if f not in selected]
@@ -192,10 +189,7 @@ def test_criterion_5_extraction_fixture():
         "the dog barks at the person",
     ]
     graph = VideoGraph()
-    graph.update_graph(
-        [FrameRecord(i) for i in range(len(captions))],
-        [parse_caption(c, i, LEX) for i, c in enumerate(captions)],
-    )
+    graph.update_graph([(parse_caption(c, i, LEX), None) for i, c in enumerate(captions)])
     nodes = sorted(n.canonical_lemma for n in graph.nodes.values())
     edges = sorted(
         (graph.nodes[e.src].canonical_lemma, e.predicate, graph.nodes[e.dst].canonical_lemma)
@@ -349,10 +343,9 @@ def test_criterion_8_round_trips(tmp_path):
         assert load_bundle(bundle_dir) == bundle
 
         graph = VideoGraph()
-        graph.update_graph(
-            [FrameRecord(f, Embedding(embeddings[f])) for f in captioned],
-            [parse_caption(captions[f], f, LEX) for f in captioned],
-        )
+        graph.update_graph([
+            (parse_caption(captions[f], f, LEX), bundle.embeddings[f]) for f in captioned
+        ])
         loaded = load_graph(save_graph(graph))
         assert loaded == graph
         assert loaded.version == graph.version

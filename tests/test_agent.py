@@ -34,12 +34,13 @@ from graphvqa.agent import (
 from graphvqa.errors import DimensionError, GatewayError
 from graphvqa.gateway import (
     PRECOMPUTED_CAPTION,
+    PRECOMPUTED_EMBED,
     SCRIPTED,
     ModelGateway,
     ProviderConfig,
     ScriptEntry,
 )
-from graphvqa.graph import Embedding, FrameRecord, vector_norm
+from graphvqa.graph import Embedding, vector_norm
 from graphvqa.parsing import default_lexicon, parse_caption, parse_question
 from graphvqa.store import VideoBundle, save_graph, transcript_record
 
@@ -450,7 +451,9 @@ def test_sessions_sharing_a_frame_table_do_each_frame_once(monkeypatch):
 def test_each_vector_normed_once_in_sessions_sharing_a_table(monkeypatch):
     """Frame 6 is the only candidate: it is scored against the question,
     then its child merges into the boy by similarity. Its norm, like every
-    other vector's, is computed once across both sessions."""
+    other vector's, is computed once across all three sessions, the
+    reference one with a table of its own included: every session gets the
+    bundle's own vector."""
     captions = {5: "the boy holds the cup", 6: "the child takes the ball",
                 15: "the girl opens the book"}
     embeddings = {5: [1.0, 0.1, 0.0, 0.0], 6: [0.95, 0.15, 0.05, 0.0],
@@ -459,9 +462,9 @@ def test_each_vector_normed_once_in_sessions_sharing_a_table(monkeypatch):
                          embeddings=embeddings).validate()
     cfg = AgentConfig(initial_frames=2)
     gateway = scripted_gateway([unsure_entry(), confident_entry()])
+    normed = record_norms(monkeypatch)
     reference, _ = VideoAgent(bundle, gateway.for_session(), cfg).run("what does the boy hold?",
                                                                      OPTIONS)
-    normed = record_norms(monkeypatch)
     table = FrameTable()
     for _ in range(2):
         session, graph = VideoAgent(bundle, gateway.for_session(), cfg, frames=table).run(
@@ -470,8 +473,27 @@ def test_each_vector_normed_once_in_sessions_sharing_a_table(monkeypatch):
         assert transcript_record(session) == transcript_record(reference)
         assert session.rounds[0].frames_added == [6]
         assert graph.node_for_lemma("child") is graph.node_for_lemma("boy")
-    assert sum(v is table.embeddings[6] for v in normed) == 1
+    assert table.embeddings[6] is bundle.embeddings[6]
+    assert sum(v is bundle.embeddings[6] for v in normed) == 1
     assert max(Counter(map(id, normed)).values()) == 1
+
+
+@pytest.mark.parametrize("kind", [PRECOMPUTED_EMBED, SCRIPTED])
+def test_local_embed_lanes_share_the_bundle_vector_with_the_table(kind):
+    """The local embed lanes return the bundle's own `Embedding`, and a
+    session's frame table keeps that very object."""
+    bundle = make_bundle(total_frames=40, dim=8)
+    gateway = ModelGateway(
+        chat=ProviderConfig(kind=SCRIPTED),
+        caption=ProviderConfig(kind=PRECOMPUTED_CAPTION),
+        embed=ProviderConfig(kind=kind),
+        chat_script=[unsure_entry()],
+    )
+    assert gateway.embed(3, bundle) is bundle.embeddings[3]
+    table = FrameTable()
+    session, _ = VideoAgent(bundle, gateway, frames=table).run("what does the boy hold?", OPTIONS)
+    assert len(table.embeddings) > len(session.selected_frames) > AgentConfig().initial_frames
+    assert all(vector is bundle.embeddings[f] for f, vector in table.embeddings.items())
 
 
 def test_failed_caption_is_not_stored_and_tried_again():
@@ -535,9 +557,7 @@ def test_changing_a_session_graph_leaves_the_start_and_other_sessions_alone():
     second, third = run(), run()
     assert save_graph(second) == stored
     assert len({id(start), id(first), id(second), id(third)}) == 4
-    ingest = ([FrameRecord(3, Embedding([0.5] * 16))],
-              [parse_caption("the girl takes the ball", 3, LEX)])
-    second.update_graph(*ingest)
+    second.update_graph([(parse_caption("the girl takes the ball", 3, LEX), Embedding([0.5] * 16))])
     for node in second.nodes.values():
         node.frame_indices.append(99)
         node.aliases.append("alias")

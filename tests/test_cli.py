@@ -672,7 +672,7 @@ def test_cache_path_naming_a_directory_is_data_error(tmp_path, suite, capsys, co
     assert f"data error: cannot read {cache_dir}: " in err and "Traceback" not in err
 
 
-def test_failed_graph_write_keeps_previous_graph(suite, tmp_path, monkeypatch):
+def test_failed_graph_write_keeps_previous_graph(suite, tmp_path, monkeypatch, capsys):
     out = tmp_path / "graphout"
     argv = ["graph", "--bundle", str(suite["bundle_dir"]), "--out", str(out)]
     assert main(argv) == 0
@@ -685,8 +685,22 @@ def test_failed_graph_write_keeps_previous_graph(suite, tmp_path, monkeypatch):
 
     monkeypatch.setattr(pathlib.Path, "write_text", disk_full)
     monkeypatch.setattr(pathlib.Path, "write_bytes", disk_full)
-    with pytest.raises(OSError):
-        main(argv)
+    capsys.readouterr()
+    assert main(argv) == 2
     monkeypatch.undo()
+    err = capsys.readouterr().err
+    assert f"data error: cannot write {out / 'graph.json'}: " in err and "No space" in err
     assert (out / "graph.json").read_bytes() == previous
     assert [p.name for p in out.iterdir()] == ["graph.json"]
+
+
+def test_eval_transcripts_path_that_is_a_directory_is_data_error(suite, tmp_path, capsys):
+    out = tmp_path / "evalout"
+    (out / "transcripts.jsonl").mkdir(parents=True)
+    code = main(["eval", "--qa", str(suite["qa"]), "--bundle", str(suite["bundle_root"]),
+                 "--config", str(suite["config"]), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"data error: cannot write {out / 'transcripts.jsonl'}: " in err
+    assert "Traceback" not in err
+    assert not (out / "report.json").exists()

@@ -255,7 +255,7 @@ def test_malformed_payload_is_not_cached(stub_server, tmp_path, persist):
     assert gateway.chat([("user", "hi")]) == "fine"
     with pytest.raises(GatewayError, match="malformed embeddings payload"):
         gateway.embed("dog")
-    assert gateway.embed("dog") == [0.5]
+    assert gateway.embed("dog") == (0.5,)
     assert state.request_count == 4
     if persist:
         assert len(_cache_lines(path)) == 2
@@ -273,7 +273,7 @@ def test_non_finite_remote_embedding_is_malformed_and_not_cached(stub_server, tm
     gateway = ModelGateway(embed=embed, cache=ResponseCache(path))
     with pytest.raises(GatewayError, match="malformed embeddings payload: non-finite value"):
         gateway.embed(3)
-    assert gateway.embed(3) == [0.5, 0.25]
+    assert gateway.embed(3) == (0.5, 0.25)
     assert state.request_count == 2
     assert len(_cache_lines(path)) == 1
 
@@ -309,7 +309,7 @@ def test_remote_embeddings(stub_server):
             retry_backoff=0.001,
         )
     )
-    assert gateway.embed("hello") == [0.1, 0.2, 0.3]
+    assert gateway.embed("hello") == (0.1, 0.2, 0.3)
     state.responses.append((200, json.dumps({"data": []})))
     with pytest.raises(GatewayError):
         gateway.embed("oops")

@@ -13,7 +13,6 @@ from conftest import record_norms
 from graphvqa.errors import DimensionError
 from graphvqa.graph import (
     Embedding,
-    FrameRecord,
     GraphConfig,
     VideoGraph,
     cosine_similarity,
@@ -36,13 +35,11 @@ def mention(lemma, entity_type=EntityType.OBJECT):
 
 
 def ingest(graph: VideoGraph, captions: dict[int, str], embeddings=None) -> VideoGraph:
-    frames = sorted(captions)
     embeddings = embeddings or {}
-    records = [
-        FrameRecord(f, Embedding(embeddings[f]) if f in embeddings else None) for f in frames
-    ]
-    parses = [parse_caption(captions[f], f, LEX) for f in frames]
-    return graph.update_graph(records, parses)
+    return graph.update_graph([
+        (parse_caption(captions[f], f, LEX), Embedding(embeddings[f]) if f in embeddings else None)
+        for f in sorted(captions)
+    ])
 
 
 def fig1_graph() -> VideoGraph:
@@ -153,7 +150,7 @@ def test_update_empty_batch_only_bumps_version():
     graph = fig1_graph()
     nodes_before = {n.id: n.canonical_lemma for n in graph.nodes.values()}
     version_before = graph.version
-    graph.update_graph([], [])
+    graph.update_graph([])
     assert graph.version == version_before + 1
     assert {n.id: n.canonical_lemma for n in graph.nodes.values()} == nodes_before
 
@@ -175,19 +172,19 @@ def test_update_duplicate_frame_rejected_graph_unchanged():
     snapshot = save_graph(graph)
     parse = parse_caption("the cat sits", 2, LEX)
     with pytest.raises(ValueError):
-        graph.update_graph([FrameRecord(2)], [parse])
+        graph.update_graph([(parse, None)])
     assert save_graph(graph) == snapshot
 
 
-def test_update_mismatched_lists_rejected():
-    graph = VideoGraph()
-    with pytest.raises(ValueError):
-        graph.update_graph([FrameRecord(0)], [])
-    with pytest.raises(ValueError):
-        graph.update_graph(
-            [FrameRecord(0)],
-            [parse_caption("the dog sits", 1, LEX)],
-        )
+def test_update_batch_naming_a_frame_twice_rejected_graph_unchanged():
+    graph = fig1_graph()
+    snapshot = save_graph(graph)
+    with pytest.raises(ValueError, match="duplicate"):
+        graph.update_graph([
+            (parse_caption("the dog sits", 5, LEX), None),
+            (parse_caption("the cat sits", 5, LEX), Embedding([1.0, 0.0])),
+        ])
+    assert save_graph(graph) == snapshot
 
 
 def test_update_replay_yields_equal_graphs():
@@ -196,12 +193,10 @@ def test_update_replay_yields_equal_graphs():
 
 def test_update_batch_order_independent():
     captions = {0: "the dog plays with the toy", 5: "the person takes the toy", 9: "the dog barks at the person"}
-    frames = list(captions)
-    records = [FrameRecord(f) for f in frames]
-    parses = [parse_caption(captions[f], f, LEX) for f in frames]
+    batch = [(parse_caption(text, f, LEX), None) for f, text in captions.items()]
 
-    forward = VideoGraph().update_graph(records, parses)
-    backward = VideoGraph().update_graph(records[::-1], parses[::-1])
+    forward = VideoGraph().update_graph(batch)
+    backward = VideoGraph().update_graph(batch[::-1])
     assert forward == backward
 
 
@@ -238,10 +233,10 @@ def test_frame_embedding_copied_and_normed_once_per_frame(monkeypatch):
     monkeypatch.setattr(graph_module, "vector_norm", counting_norm)
     embedding = Embedding([1.0, 0.2, 0.0])
     graph = VideoGraph()
-    graph.update_graph([FrameRecord(0, Embedding([0.0, 0.1, 1.0]))],
-                       [parse_caption("the cup falls", 0, LEX)])
-    graph.update_graph([FrameRecord(1, embedding)],
-                       [parse_caption("the boy and the girl hold the toy and the ball", 1, LEX)])
+    graph.update_graph([(parse_caption("the cup falls", 0, LEX), Embedding([0.0, 0.1, 1.0]))])
+    graph.update_graph([
+        (parse_caption("the boy and the girl hold the toy and the ball", 1, LEX), embedding)
+    ])
     assert sum(v is embedding for v in normed) == 1
     features = [node.feature for node in graph.nodes.values() if node.canonical_lemma != "cup"]
     assert len(features) == 4 and all(f is embedding for f in features)
@@ -250,15 +245,14 @@ def test_frame_embedding_copied_and_normed_once_per_frame(monkeypatch):
 def test_unchanged_node_normed_once_across_comparisons(monkeypatch):
     normed = record_norms(monkeypatch)
     graph = VideoGraph()
-    graph.update_graph([FrameRecord(0, Embedding([1.0, 0.0, 0.0]))],
-                       [parse_caption("the boy sits", 0, LEX)])
+    graph.update_graph([(parse_caption("the boy sits", 0, LEX), Embedding([1.0, 0.0, 0.0]))])
     boy = graph.node_for_lemma("boy").feature
     # two new lemmas of the boy's type, neither like him: his feature is
     # compared with both, and the child's with the kid's
-    graph.update_graph(
-        [FrameRecord(1, Embedding([0.0, 1.0, 0.0])), FrameRecord(2, Embedding([0.0, 0.0, 1.0]))],
-        [parse_caption("the child sits", 1, LEX), parse_caption("the kid sits", 2, LEX)],
-    )
+    graph.update_graph([
+        (parse_caption("the child sits", 1, LEX), Embedding([0.0, 1.0, 0.0])),
+        (parse_caption("the kid sits", 2, LEX), Embedding([0.0, 0.0, 1.0])),
+    ])
     assert len(graph.nodes) == 3 and graph.node_for_lemma("boy").feature is boy
     assert sum(v is boy for v in normed) == 1
     assert max(Counter(map(id, normed)).values()) == 1
@@ -484,16 +478,12 @@ def test_randomized_batches_order_independent():
         frame: f"the {rng.choice(nouns)} {rng.choice(verbs)} the {rng.choice(nouns)}"
         for frame in rng.sample(range(200), 24)
     }
-    frames = list(captions)
-    records = [FrameRecord(f) for f in frames]
-    parses = [parse_caption(captions[f], f, LEX) for f in frames]
-    pairs = list(zip(records, parses))
+    batch = [(parse_caption(text, f, LEX), None) for f, text in captions.items()]
 
-    baseline = VideoGraph().update_graph(records, parses)
+    baseline = VideoGraph().update_graph(batch)
     for _ in range(5):
-        rng.shuffle(pairs)
-        shuffled = VideoGraph().update_graph([r for r, _ in pairs], [p for _, p in pairs])
-        assert shuffled == baseline
+        rng.shuffle(batch)
+        assert VideoGraph().update_graph(batch) == baseline
 
 
 # -- vector maths: the same products, in the same order, as the generator forms ---------
@@ -565,25 +555,24 @@ DIRECTIONS = [Embedding(v) for v in ([1.0, 0.2, 0.0], [0.9, 0.3, 0.1], [0.0, 0.1
 
 
 def batch_inputs(batch):
-    """The frame records and caption parses of a drawn `frame_batches` batch."""
-    records = [FrameRecord(f, None if e is None else DIRECTIONS[e]) for f, _, _, _, e in batch]
-    parses = [parse_caption(f"the {s} {v} the {o}", f, LEX) for f, s, v, o, _ in batch]
-    return records, parses
+    """The (caption parse, embedding) pairs of a drawn `frame_batches` batch."""
+    return [
+        (parse_caption(f"the {s} {v} the {o}", f, LEX), None if e is None else DIRECTIONS[e])
+        for f, s, v, o, e in batch
+    ]
 
 
 @settings(max_examples=150, deadline=None)
 @given(frame_batches, st.randoms(use_true_random=False))
 def test_update_graph_ignores_input_order_property(batch, rng):
-    records, parses = batch_inputs(batch)
-    pairs = list(zip(records, parses))
-    baseline = save_graph(VideoGraph().update_graph(records, parses))
+    pairs = batch_inputs(batch)
+    baseline = save_graph(VideoGraph().update_graph(pairs))
     rng.shuffle(pairs)
-    shuffled = VideoGraph().update_graph([r for r, _ in pairs], [p for _, p in pairs])
-    assert save_graph(shuffled) == baseline
+    assert save_graph(VideoGraph().update_graph(pairs)) == baseline
     # one batch or one frame at a time: the same graph but for the version
     stepwise = VideoGraph()
-    for record, parse in sorted(pairs, key=lambda rp: rp[0].frame_index):
-        stepwise.update_graph([record], [parse])
+    for pair in sorted(pairs, key=lambda pair: pair[0].frame_index):
+        stepwise.update_graph([pair])
     stepwise.version = 1
     assert save_graph(stepwise) == baseline
 
@@ -591,15 +580,15 @@ def test_update_graph_ignores_input_order_property(batch, rng):
 @settings(max_examples=150, deadline=None)
 @given(frame_batches, st.integers(min_value=0, max_value=20))
 def test_save_load_round_trips_property(batch, split):
-    records, parses = batch_inputs(batch)
-    graph = VideoGraph().update_graph(records[:split], parses[:split])
+    pairs = batch_inputs(batch)
+    graph = VideoGraph().update_graph(pairs[:split])
     blob = save_graph(graph)
     loaded = load_graph(blob)
     assert save_graph(loaded) == blob
     # a loaded graph goes on growing as the one it was saved from
-    if records[split:]:
-        graph.update_graph(records[split:], parses[split:])
-        loaded.update_graph(records[split:], parses[split:])
+    if pairs[split:]:
+        graph.update_graph(pairs[split:])
+        loaded.update_graph(pairs[split:])
         assert save_graph(loaded) == save_graph(graph)
 
 
@@ -607,8 +596,7 @@ def test_save_load_round_trips_property(batch, split):
 @given(frame_batches, st.integers(min_value=256, max_value=3000),
        st.sampled_from([None, *NOUNS]))
 def test_summarize_of_small_graphs_matches_reference_property(batch, budget, asked):
-    records, parses = batch_inputs(batch)
-    graph = VideoGraph().update_graph(records, parses)
+    graph = VideoGraph().update_graph(batch_inputs(batch))
     query = parse_question(f"where is the {asked}?", [], LEX) if asked else None
     # every line of these graphs fits beside two placeholders
     full = graph.summarize(query, 100_000)

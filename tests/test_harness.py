@@ -137,18 +137,25 @@ def test_failed_report_write_keeps_previous_report(tmp_path, monkeypatch):
              scripted_factory(lambda item: "answer: A, confidence: 3"), out)
     previous = (out / "report.json").read_bytes()
 
-    def disk_full(path, text, *args, **kwargs):
+    write_text = pathlib.Path.write_text
+
+    def disk_full_for_report(path, text, *args, **kwargs):
+        if "report.json" not in path.name:  # the transcripts are emptied as usual
+            return write_text(path, text, *args, **kwargs)
         with open(path, "w", encoding="utf-8") as handle:  # half the text, then the disk is full
             handle.write(text[: len(text) // 2])
         raise OSError(errno.ENOSPC, "No space left on device")
 
-    monkeypatch.setattr(pathlib.Path, "write_text", disk_full)
-    with pytest.raises(OSError):
+    monkeypatch.setattr(pathlib.Path, "write_text", disk_full_for_report)
+    with pytest.raises(DataFormatError, match="cannot write .*report.json.*No space"):
         run_eval(qa_path, root, AgentConfig(),
                  scripted_factory(lambda item: "answer: B, confidence: 3"), out)
     monkeypatch.undo()
     assert (out / "report.json").read_bytes() == previous
     assert sorted(p.name for p in out.iterdir()) == ["report.json", "transcripts.jsonl"]
+    # the eval got as far as the report: every transcript of the second run is there
+    records = load_transcripts(out / "transcripts.jsonl")
+    assert [r["final_answer"] for r in records] == [1, 1]
 
 
 def test_eval_parallel_matches_serial(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from graphvqa.errors import DimensionError
 from graphvqa.gateway import pseudo_embedding
-from graphvqa.graph import Embedding, FrameRecord, VideoGraph
+from graphvqa.graph import Embedding, VideoGraph
 from graphvqa.parsing import default_lexicon, parse_caption, parse_question
 from graphvqa.selector import (
     SelectorConfig,
@@ -31,10 +31,7 @@ def graph_with(entity_frames: dict[str, list[int]]) -> VideoGraph:
     for lemma, frames in entity_frames.items():
         for frame in frames:
             if frame not in graph.processed_frames:
-                graph.update_graph(
-                    [FrameRecord(frame)],
-                    [parse_caption(f"the {lemma} sits", frame, LEX)],
-                )
+                graph.update_graph([(parse_caption(f"the {lemma} sits", frame, LEX), None)])
             else:
                 graph.upsert_entity(
                     parse_caption(f"the {lemma} sits", frame, LEX).mentions[0], frame

@@ -8,7 +8,7 @@ import pytest
 from conftest import make_bundle
 from graphvqa.agent import AgentSession, RoundLog, Termination
 from graphvqa.errors import DataFormatError, DimensionError, SchemaVersionError
-from graphvqa.graph import Embedding, FrameRecord, VideoGraph
+from graphvqa.graph import Embedding, VideoGraph
 from graphvqa.parsing import default_lexicon, parse_caption
 from graphvqa.store import (
     QAItem,
@@ -146,7 +146,7 @@ def test_bundle_crlf_files_load(tmp_path):
     )
     bundle = load_bundle(directory)
     assert bundle.captions == {0: "the boy runs", 2: "the dog sits"}
-    assert bundle.embeddings == {0: [0.5, 1.0], 2: [1.0, 0.5]}
+    assert bundle.embeddings == {0: (0.5, 1.0), 2: (1.0, 0.5)}
 
 
 def test_bundle_rejects_multiline_caption(tmp_path):
@@ -228,10 +228,11 @@ def test_empty_graph_round_trip():
 def ingest(graph, captions, embeddings=None):
     frames = sorted(captions)
     embeddings = embeddings or {}
-    graph.update_graph(
-        [FrameRecord(f, Embedding(embeddings[f]) if f in embeddings else None) for f in frames],
-        [parse_caption(captions[f], f, LEX) for f in frames],
-    )
+    graph.update_graph([
+        (parse_caption(captions[f], f, LEX),
+         Embedding(embeddings[f]) if f in embeddings else None)
+        for f in frames
+    ])
     return graph
 
 
