@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -27,6 +27,8 @@ from .store import QAItem, VideoBundle, load_bundle, load_qa, replace_text, save
 logger = logging.getLogger(__name__)
 
 GatewayFactory = Callable[[QAItem], ModelGateway]
+
+REPORT_SCHEMA_VERSION = 1
 
 
 @dataclass
@@ -43,17 +45,7 @@ class EvalReport:
     failures: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "n_items": self.n_items,
-            "answered": self.answered,
-            "accuracy": self.accuracy,
-            "mean_frames_used": self.mean_frames_used,
-            "mean_rounds": self.mean_rounds,
-            "per_category": self.per_category,
-            "per_bucket": self.per_bucket,
-            "failures": self.failures,
-        }
+        return {"schema_version": REPORT_SCHEMA_VERSION, **asdict(self)}
 
     def render_text(self) -> str:
         lines = [
@@ -162,9 +154,8 @@ def run_eval(qa_path: Union[str, Path], bundle_root: Union[str, Path],
     return report
 
 
-def _accuracy(pairs: Sequence[tuple[bool, str]], key: Optional[str] = None) -> float:
-    relevant = [correct for correct, k in pairs if key is None or k == key]
-    return sum(relevant) / len(relevant) if relevant else 0.0
+def _mean(values: Sequence[float]) -> float:
+    return sum(values) / len(values) if values else 0.0
 
 
 def _aggregate(results: Sequence[_ItemResult]) -> EvalReport:
@@ -183,21 +174,14 @@ def _aggregate(results: Sequence[_ItemResult]) -> EvalReport:
 
     categories = sorted({c for _, c, _ in scored if c})
     buckets = sorted({b for _, _, b in scored})
-    frame_counts = [len(r.session.selected_frames) for r in completed]
-    round_counts = [len(r.session.rounds) for r in completed]
 
     return EvalReport(
         n_items=len(results),
         answered=len(completed),
-        accuracy=_accuracy([(c, "") for c, _, _ in scored]),
-        mean_frames_used=sum(frame_counts) / len(frame_counts) if frame_counts else 0.0,
-        mean_rounds=sum(round_counts) / len(round_counts) if round_counts else 0.0,
-        per_category={
-            c: _accuracy([(ok, cat) for ok, cat, _ in scored], c) for c in categories
-        },
-        per_bucket={
-            b: _accuracy([(ok, bucket) for ok, _, bucket in scored], b) for b in buckets
-        },
+        accuracy=_mean([ok for ok, _, _ in scored]),
+        mean_frames_used=_mean([len(r.session.selected_frames) for r in completed]),
+        mean_rounds=_mean([len(r.session.rounds) for r in completed]),
+        per_category={c: _mean([ok for ok, cat, _ in scored if cat == c]) for c in categories},
+        per_bucket={b: _mean([ok for ok, _, bucket in scored if bucket == b]) for b in buckets},
         failures=failures,
     )
-

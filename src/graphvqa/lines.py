@@ -6,11 +6,15 @@ non-blank character is `#` are skipped. Text files (lexicon, bundle, QA,
 script) read "\\r\\n" and "\\r" as "\\n". Logs (cache, transcripts) hold one
 JSON value per line. A torn tail, a last line with no newline that does not
 parse, is dropped by the reader and cut off by the appender, which also ends
-a whole unterminated last line. Faults raise the caller's error, naming the file.
+a whole unterminated last line. An append holds an exclusive `fcntl.flock` on
+the log (POSIX only), so processes may append to one log at once without
+taking each other's line in progress for a torn tail. Faults raise the
+caller's error, naming the file.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import logging
 import os
@@ -66,12 +70,15 @@ def read_log(path: Union[str, Path], error: type) -> list[tuple[int, object]]:
 def append_record(path: Union[str, Path], record, error: type) -> None:
     """Append `record` to a log as one line of JSON with sorted keys, making
     the file and its directory if need be. Only when the last byte is not a
-    newline is more of the file read, to mend its tail first."""
+    newline is more of the file read, to mend its tail first. An exclusive
+    `flock` on the file covers the tail check, the mend and the write, so
+    processes may append to one log at once."""
     path = Path(path)
     line = (json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n").encode("utf-8")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("a+b") as handle:
+            fcntl.flock(handle, fcntl.LOCK_EX)
             handle.seek(max(handle.seek(0, os.SEEK_END) - 1, 0))
             if handle.read(1) not in (b"", b"\n"):
                 handle.seek(0)

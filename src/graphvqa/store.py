@@ -11,11 +11,15 @@ On-disk bundle layout (one directory per video; line files are read by `lines`):
                  "options", "answer_index"?, "category"?,
                  "entity_count_bucket"?} (optional file)
 
+Each graph, QA and transcript record is its dataclass's fields under their
+own names (a QA line leaves out its null ones); only `schema_version` and
+values derived from fields are added, so adding a field changes the schema.
 Graphs serialize to a single JSON document with an explicit schema_version
 (2; version 1 documents still load, and their coherence settings and caption
-snippets are ignored). Floats survive exactly: JSON rendering uses repr,
-which round-trips every finite double. Transcripts are logs (see `lines`) of
-one JSON record per session, keyed by video_id and the question's sha256.
+snippets are ignored) and load back from the same fields. Floats survive
+exactly: JSON rendering uses repr, which round-trips every finite double.
+Transcripts are logs (see `lines`) of one JSON record per session, keyed by
+video_id and the question's sha256.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -267,22 +272,14 @@ def load_qa(path: Union[str, Path]) -> list[QAItem]:
 
 
 def save_qa(items: Sequence[QAItem], path: Union[str, Path]) -> Path:
+    """Write QA items, one record per line: each item's fields that are not None."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = []
-    for item in items:
-        record = {
-            "video_id": item.video_id,
-            "question": item.question,
-            "options": item.options,
-        }
-        if item.answer_index is not None:
-            record["answer_index"] = item.answer_index
-        if item.category is not None:
-            record["category"] = item.category
-        if item.entity_count_bucket is not None:
-            record["entity_count_bucket"] = item.entity_count_bucket
-        lines.append(json.dumps(record, sort_keys=True, ensure_ascii=False))
+    lines = [
+        json.dumps({name: value for name, value in asdict(item).items() if value is not None},
+                   sort_keys=True, ensure_ascii=False)
+        for item in items
+    ]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
@@ -307,39 +304,37 @@ def replace_text(path: Path, text: str) -> None:
         raise DataFormatError(f"cannot write {path}: {exc}") from exc
 
 
+def _fields(record) -> dict:
+    """A dataclass instance's fields by name, read shallowly: a graph's frame
+    lists are written as they are, not copied as `dataclasses.asdict` would.
+    A field holding a dataclass becomes its fields, and one holding a dict of
+    them (a graph's nodes or edges by id) the list of their fields in key order."""
+    record_fields = {}
+    for spec in fields(record):
+        value = getattr(record, spec.name)
+        if is_dataclass(value):
+            value = _fields(value)
+        elif isinstance(value, dict):
+            value = [_fields(item) for _, item in sorted(value.items())]
+        record_fields[spec.name] = value
+    return record_fields
+
+
 def save_graph(graph: VideoGraph) -> bytes:
     """Serialize a graph to a UTF-8 JSON document (exact float round-trip)."""
-    payload = {
-        "schema_version": GRAPH_SCHEMA_VERSION,
-        "config": {"merge_similarity": graph.config.merge_similarity},
-        "version": graph.version,
-        "processed_frames": list(graph.processed_frames),
-        "nodes": [
-            {
-                "id": node.id,
-                "canonical_lemma": node.canonical_lemma,
-                "entity_type": node.entity_type.value,
-                "frame_indices": list(node.frame_indices),
-                "feature": node.feature,
-                "feature_count": node.feature_count,
-                "state_history": [[frame, label] for frame, label in node.state_history],
-                "aliases": list(node.aliases),
-            }
-            for node in sorted(graph.nodes.values(), key=lambda n: n.id)
-        ],
-        "edges": [
-            {
-                "id": edge.id,
-                "src": edge.src,
-                "dst": edge.dst,
-                "category": edge.category.value,
-                "predicate": edge.predicate,
-                "frame_indices": list(edge.frame_indices),
-            }
-            for edge in sorted(graph.edges.values(), key=lambda e: e.id)
-        ],
-    }
+    payload = {"schema_version": GRAPH_SCHEMA_VERSION, **_fields(graph)}
     return (json.dumps(payload, sort_keys=True, ensure_ascii=False) + "\n").encode("utf-8")
+
+
+def _build(cls, obj, **convert):
+    """An instance of the dataclass `cls` from the keys of `obj` named after
+    its fields, read in field order, each value passed through its converter
+    in `convert` if it has one. Other keys are ignored, as version 1 needs."""
+    values = {}
+    for spec in fields(cls):
+        value = obj[spec.name]
+        values[spec.name] = convert[spec.name](value) if spec.name in convert else value
+    return cls(**values)
 
 
 def _ascending(frames: list) -> list[int]:
@@ -351,7 +346,7 @@ def _ascending(frames: list) -> list[int]:
     return frames
 
 
-def _feature(value, node_id) -> Optional[Embedding]:
+def _feature(node_id, value) -> Optional[Embedding]:
     """A node's saved feature: null, or a nonempty list of finite numbers."""
     if value is None:
         return None
@@ -360,6 +355,17 @@ def _feature(value, node_id) -> Optional[Embedding]:
         raise DataFormatError(f"malformed graph payload: node {node_id!r} feature must be "
                               f"null or a nonempty list of finite numbers")
     return Embedding(value)
+
+
+def _node(obj) -> EntityNode:
+    return _build(EntityNode, obj, entity_type=EntityType, frame_indices=_ascending,
+                  feature=partial(_feature, obj["id"]),
+                  state_history=lambda pairs: [(frame, label) for frame, label in pairs],
+                  aliases=list)
+
+
+def _edge(obj) -> RelationEdge:
+    return _build(RelationEdge, obj, category=RelationCategory, frame_indices=_ascending)
 
 
 def load_graph(blob: bytes) -> VideoGraph:
@@ -373,38 +379,10 @@ def load_graph(blob: bytes) -> VideoGraph:
     if payload["schema_version"] not in READABLE_GRAPH_SCHEMAS:
         raise SchemaVersionError(payload["schema_version"], READABLE_GRAPH_SCHEMAS)
     try:
-        config = GraphConfig(merge_similarity=payload["config"]["merge_similarity"])
-        nodes = {}
-        for obj in payload["nodes"]:
-            node = EntityNode(
-                id=obj["id"],
-                canonical_lemma=obj["canonical_lemma"],
-                entity_type=EntityType(obj["entity_type"]),
-                frame_indices=_ascending(obj["frame_indices"]),
-                feature=_feature(obj["feature"], obj["id"]),
-                feature_count=obj["feature_count"],
-                state_history=[(frame, label) for frame, label in obj["state_history"]],
-                aliases=list(obj["aliases"]),
-            )
-            nodes[node.id] = node
-        edges = {}
-        for obj in payload["edges"]:
-            edge = RelationEdge(
-                id=obj["id"],
-                src=obj["src"],
-                dst=obj["dst"],
-                category=RelationCategory(obj["category"]),
-                predicate=obj["predicate"],
-                frame_indices=_ascending(obj["frame_indices"]),
-            )
-            edges[edge.id] = edge
-        return VideoGraph(
-            config=config,
-            nodes=nodes,
-            edges=edges,
-            processed_frames=_ascending(payload["processed_frames"]),
-            version=payload["version"],
-        )
+        return _build(VideoGraph, payload, config=partial(_build, GraphConfig),
+                      nodes=lambda objs: {node.id: node for node in map(_node, objs)},
+                      edges=lambda objs: {edge.id: edge for edge in map(_edge, objs)},
+                      processed_frames=_ascending)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"malformed graph payload: {exc!r}") from exc
 
@@ -418,31 +396,15 @@ def question_digest(question: str) -> str:
 
 
 def transcript_record(session) -> dict:
-    """Build the JSON record for a terminated session."""
+    """Build the JSON record for a terminated session: its fields, each round
+    as its fields, and the values derived from them."""
     if session.terminated_by is None:
         raise ValueError("cannot persist a session that has not terminated")
     return {
+        **asdict(session),
         "schema_version": TRANSCRIPT_SCHEMA_VERSION,
-        "video_id": session.video_id,
-        "question": session.question,
         "question_sha256": question_digest(session.question),
-        "options": list(session.options),
-        "selected_frames": list(session.selected_frames),
         "frames_used": len(session.selected_frames),
-        "rounds": [
-            {
-                "round": r.round,
-                "frames_added": list(r.frames_added),
-                "prediction": r.prediction,
-                "confidence": r.confidence,
-                "missing_info": r.missing_info,
-                "prompt_digest": r.prompt_digest,
-            }
-            for r in session.rounds
-        ],
-        "final_answer": session.final_answer,
-        "terminated_by": session.terminated_by.value,
-        "final_graph_version": session.final_graph_version,
     }
 
 

@@ -1,5 +1,6 @@
-"""Every package module uses each name it imports, so a removal leaves no
-stale import behind. `__init__.py` is exempt: it imports to re-export."""
+"""Every package module uses each name it imports and each private name it
+defines at top level, so a removal leaves no stale import or helper behind.
+`__init__.py` is exempt from the import check: it imports to re-export."""
 
 from __future__ import annotations
 
@@ -12,25 +13,46 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "graphvqa"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
-def unused_imports(source: str) -> list[str]:
-    """The names `source` imports but never mentions. A name counts as used
-    anywhere in the code, also inside a quoted annotation."""
-    tree = ast.parse(source)
-    imported: set[str] = set()
+def used_names(tree: ast.AST) -> set[str]:
+    """The names `tree` reads anywhere in its code, also inside a quoted
+    annotation."""
     used: set[str] = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            imported.update(a.asname or a.name for a in node.names)
-        elif isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         elif isinstance(node, (ast.arg, ast.FunctionDef, ast.AsyncFunctionDef)):
             hint = node.annotation if isinstance(node, ast.arg) else node.returns
             if isinstance(hint, ast.Constant) and isinstance(hint.value, str):
                 used.update(n.id for n in ast.walk(ast.parse(hint.value, mode="eval"))
                             if isinstance(n, ast.Name))
-    return sorted(imported - used)
+    return used
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names `source` imports but never reads."""
+    tree = ast.parse(source)
+    imported: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    return sorted(imported - used_names(tree))
+
+
+def unused_privates(source: str) -> list[str]:
+    """The private (`_name`, not dunder) functions, classes and variables
+    that `source` defines at top level but never reads."""
+    tree = ast.parse(source)
+    defined: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    return sorted(private - used_names(tree))
 
 
 def test_modules_exist():
@@ -52,3 +74,29 @@ def test_check_finds_a_leftover_import():
         "    return VideoGraph(config=cfg)\n"
     )
     assert unused_imports(source) == ["Embedding", "os"]
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_module_uses_every_private_name_it_defines(module):
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    assert unused_privates(source) == []
+
+
+def test_check_finds_a_dead_private_helper():
+    source = (
+        "from typing import Optional\n"
+        "_LIMIT = 3\n"
+        "_CACHE: dict = {}\n"
+        "__all__ = ['clip']\n"
+        "def _helper(x):\n"
+        "    return x\n"
+        "def _old(x: 'Optional[int]'):\n"
+        "    _CACHE[x] = x\n"
+        "class _Gone:\n"
+        "    pass\n"
+        "def clip(x: '_Kept') -> int:\n"
+        "    return min(_helper(x), _LIMIT)\n"
+        "class _Kept:\n"
+        "    pass\n"
+    )
+    assert unused_privates(source) == ["_Gone", "_old"]

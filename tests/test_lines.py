@@ -1,10 +1,14 @@
-"""Line files: one comment rule for every kind, and logs that stay readable
-after an append is cut off at any byte."""
+"""Line files: one comment rule for every kind, logs that stay readable
+after an append is cut off at any byte, and appends from several processes
+that lose no record."""
 
 from __future__ import annotations
 
+import fcntl
+import multiprocessing
 import re
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -166,3 +170,58 @@ def test_unreadable_paths_raise_the_callers_error(tmp_path):
     with pytest.raises(DataFormatError, match="bad:1: invalid JSON"):
         read_log(tmp_path / "bad", DataFormatError)
 
+
+
+def write_half_a_line_and_pause(path: str, ready) -> None:
+    """Append one line in two writes under the appenders' lock, setting
+    `ready` once the first half is on disk and pausing before the second."""
+    with open(path, "ab") as handle:
+        fcntl.flock(handle, fcntl.LOCK_EX)
+        handle.write(b'{"first": ')
+        handle.flush()
+        ready.set()
+        time.sleep(0.5)
+        handle.write(b"1}\n")
+
+
+def test_append_waits_for_another_process_mid_line(tmp_path):
+    path = tmp_path / "log.jsonl"
+    spawn = multiprocessing.get_context("spawn")
+    ready = spawn.Event()
+    child = spawn.Process(target=write_half_a_line_and_pause, args=(str(path), ready))
+    child.start()
+    try:
+        assert ready.wait(timeout=60)
+        append_record(path, {"second": 2}, DataFormatError)
+    finally:
+        child.join(timeout=60)
+    assert not child.is_alive() and child.exitcode == 0
+    assert [record for _, record in read_log(path, DataFormatError)] == [
+        {"first": 1}, {"second": 2},
+    ]
+
+
+WRITERS, RECORDS = 4, 500
+
+
+def append_many(path: str, writer: int, start) -> None:
+    start.wait(timeout=60)
+    for i in range(RECORDS):
+        append_record(path, {"writer": writer, "i": i, "pad": "x" * 5000}, DataFormatError)
+
+
+def test_processes_appending_to_one_log_lose_no_record(tmp_path):
+    path = tmp_path / "log.jsonl"
+    spawn = multiprocessing.get_context("spawn")
+    start = spawn.Barrier(WRITERS)
+    writers = [spawn.Process(target=append_many, args=(str(path), writer, start))
+               for writer in range(WRITERS)]
+    for writer in writers:
+        writer.start()
+    for writer in writers:
+        writer.join(timeout=120)
+    assert [(w.is_alive(), w.exitcode) for w in writers] == [(False, 0)] * WRITERS
+    records = [record for _, record in read_log(path, DataFormatError)]
+    assert sorted((r["writer"], r["i"]) for r in records) == [
+        (writer, i) for writer in range(WRITERS) for i in range(RECORDS)
+    ]

@@ -9,8 +9,11 @@ from conftest import make_bundle
 from graphvqa.agent import AgentSession, RoundLog, Termination
 from graphvqa.errors import DataFormatError, DimensionError, SchemaVersionError
 from graphvqa.graph import Embedding, VideoGraph
+from graphvqa.harness import REPORT_SCHEMA_VERSION, EvalReport
 from graphvqa.parsing import default_lexicon, parse_caption
 from graphvqa.store import (
+    GRAPH_SCHEMA_VERSION,
+    TRANSCRIPT_SCHEMA_VERSION,
     QAItem,
     VideoBundle,
     load_bundle,
@@ -21,6 +24,7 @@ from graphvqa.store import (
     save_graph,
     save_qa,
     save_transcript,
+    transcript_record,
 )
 
 LEX = default_lexicon()
@@ -436,6 +440,61 @@ def test_transcript_requires_terminated_session(tmp_path):
     session.terminated_by = None
     with pytest.raises(ValueError):
         save_transcript(session, tmp_path / "t.jsonl")
+
+
+# -- on-disk key sets ---------------------------------------------------------------
+# Each record holds its dataclass's fields, so a field added to one changes its
+# schema. These tests then name the new key: bump the version beside the literal
+# key set, update the set, and regenerate the golden files.
+
+def test_graph_v2_keys():
+    assert GRAPH_SCHEMA_VERSION == 2
+    payload = json.loads(save_graph(ingest(VideoGraph(), {0: "the dog plays with the toy"})))
+    assert set(payload) == {
+        "schema_version", "config", "version", "processed_frames", "nodes", "edges",
+    }
+    assert set(payload["config"]) == {"merge_similarity"}
+    assert set(payload["nodes"][0]) == {
+        "id", "canonical_lemma", "entity_type", "frame_indices", "feature", "feature_count",
+        "state_history", "aliases",
+    }
+    assert set(payload["edges"][0]) == {
+        "id", "src", "dst", "category", "predicate", "frame_indices",
+    }
+
+
+def test_transcript_v1_keys():
+    assert TRANSCRIPT_SCHEMA_VERSION == 1
+    record = json.loads(json.dumps(transcript_record(one_round_session())))
+    assert set(record) == {
+        "schema_version", "video_id", "question", "question_sha256", "options",
+        "selected_frames", "frames_used", "rounds", "final_answer", "terminated_by",
+        "final_graph_version",
+    }
+    assert set(record["rounds"][0]) == {
+        "round", "frames_added", "prediction", "confidence", "missing_info", "prompt_digest",
+    }
+
+
+def test_report_v1_keys():
+    assert REPORT_SCHEMA_VERSION == 1
+    report = EvalReport(n_items=1, answered=1, accuracy=1.0, mean_frames_used=5.0,
+                        mean_rounds=1.0, per_category={}, per_bucket={})
+    assert set(report.to_dict()) == {
+        "schema_version", "n_items", "answered", "accuracy", "mean_frames_used", "mean_rounds",
+        "per_category", "per_bucket", "failures",
+    }
+
+
+def test_qa_line_keys(tmp_path):
+    items = [QAItem("v1", "why?", ["a", "b"], answer_index=0, category="Causal",
+                    entity_count_bucket="Few"),
+             QAItem("v2", "when?", ["a", "b"])]
+    lines = save_qa(items, tmp_path / "qa").read_text(encoding="utf-8").splitlines()
+    assert [set(json.loads(line)) for line in lines] == [
+        {"video_id", "question", "options", "answer_index", "category", "entity_count_bucket"},
+        {"video_id", "question", "options"},
+    ]
 
 
 def test_bundle_fixture_helper_valid():
