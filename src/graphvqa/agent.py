@@ -21,6 +21,10 @@ depend on which session asked first, so sharing changes no transcript; a
 table is valid only for sessions that share a lexicon and a `GraphConfig`
 and whose gateways caption and embed alike. With a deterministic gateway
 the whole transcript is reproducible byte-for-byte.
+
+A session embeds its question only when it has candidate frames to rank, at
+the head of that retrieval's embed fan-out; like a failed frame embedding, a
+failed question embedding is asked for again at the next retrieval.
 """
 
 from __future__ import annotations
@@ -304,6 +308,8 @@ class VideoAgent:
         self.lexicon = lexicon or default_lexicon()
         self._shared_frames = frames
         self.frames = frames if frames is not None else FrameTable()
+        # the running session's question embedding, once one has arrived
+        self.query_embedding: Optional[Embedding] = None
 
     # -- state evaluation -----------------------------------------------------
 
@@ -344,52 +350,47 @@ class VideoAgent:
             return []
         return [f for f in frames if f not in self.frames.embeddings]
 
-    def _embed_frames(self, frames: Sequence[int]) -> None:
+    def _embed_frames(self, frames: Sequence[int], question: Optional[str] = None) -> None:
         """Fetch the embeddings of `frames` the table lacks, in one fan-out,
-        and store those that arrive."""
+        and store those that arrive. A `question` is embedded at the head of
+        the fan-out unless the session already has its `query_embedding`."""
         missing = self._unembedded(frames)
-        vectors = self.gateway.gather([("embed", f) for f in missing], self.bundle)
-        for frame, vector in zip(missing, vectors):
+        ask = question is not None and self.gateway.has_embedder and self.query_embedding is None
+        head = [("embed", question)] if ask else []
+        vectors = self.gateway.gather(head + [("embed", f) for f in missing], self.bundle)
+        if head and not isinstance(vectors[0], GatewayError):
+            self.query_embedding = vectors[0]
+        for frame, vector in zip(missing, vectors[len(head):]):
             if not isinstance(vector, GatewayError):
                 self.frames.embeddings.setdefault(frame, vector)
 
     def _retrieve(self, session: AgentSession, graph: VideoGraph,
-                  query: Optional[QueryParse], expanded: bool,
-                  query_embedding: Optional[Embedding]) -> list[int]:
+                  query: Optional[QueryParse], expanded: bool) -> list[int]:
         windows = identify_segments(
             graph, query, self.bundle.total_frames, self.cfg.selector, expanded
         )
         pool = candidate_frames(windows, session.selected_frames)
         pool = [f for f in pool if self.gateway.can_caption(f, self.bundle)]
-        self._embed_frames(pool)
+        self._embed_frames(pool, session.question if pool else None)
         return select_frames(
             [(f, self.frames.embeddings.get(f)) for f in pool],
             graph, query, session.selected_frames,
-            self.bundle.total_frames, self.cfg.selector, expanded, query_embedding,
+            self.bundle.total_frames, self.cfg.selector, expanded, self.query_embedding,
         )
 
-    def _ingest(self, frames: Sequence[int], question: Optional[str] = None,
-                ) -> tuple[Optional[Embedding], list[tuple[CaptionParse, Optional[Embedding]]]]:
+    def _ingest(self, frames: Sequence[int]) -> list[tuple[CaptionParse, Optional[Embedding]]]:
         """Caption and embed the `frames` the table lacks, in one fan-out,
         and parse the new captions. Returns each frame's parse and embedding
-        (None if it has none), in the order of `frames`, for the graph. A
-        `question` is embedded in the same fan-out, and its vector returned
-        first (None on failure).
+        (None if it has none), in the order of `frames`, for the graph.
         The first caption failure, in frame order, is raised after the
         captions and embeddings of the frames before it are stored.
         """
         table = self.frames
         caption = [f for f in frames if f not in table.captions]
         embed = self._unembedded(frames)
-        with_question = question is not None and self.gateway.has_embedder
-        requests = [("embed", question)] if with_question else []
-        requests += [("caption", f) for f in caption] + [("embed", f) for f in embed]
-        results = self.gateway.gather(requests, self.bundle)
-        query_embedding = None
-        if with_question:
-            vector = results.pop(0)
-            if not isinstance(vector, GatewayError):
-                query_embedding = vector
+        results = self.gateway.gather(
+            [("caption", f) for f in caption] + [("embed", f) for f in embed], self.bundle
+        )
         texts = dict(zip(caption, results))
         vectors = dict(zip(embed, results[len(caption):]))
         ingested = []
@@ -406,31 +407,29 @@ class VideoAgent:
             if vector is not None and not isinstance(vector, GatewayError):
                 table.embeddings.setdefault(frame, vector)
             ingested.append((entry[1], table.embeddings.get(frame)))
-        return query_embedding, ingested
+        return ingested
 
-    def _start_graph(self, initial: Sequence[int],
-                     question: str) -> tuple[VideoGraph, Optional[Embedding]]:
-        """The graph of the `initial` frames and the question's embedding.
-        The graph is a copy of the table's stored start for these frames if
-        there is one; otherwise it is built, and a copy stored when every
-        frame had its caption and embedding. (The ingest decides that, not
-        the table: another session may have filled in a frame this session
-        failed to embed.)"""
-        query_embedding, ingested = self._ingest(initial, question)
+    def _start_graph(self, initial: Sequence[int]) -> VideoGraph:
+        """The graph of the `initial` frames: a copy of the table's stored
+        start for these frames if there is one; otherwise it is built, and a
+        copy stored when every frame had its caption and embedding. (The
+        ingest decides that, not the table: another session may have filled
+        in a frame this session failed to embed.)"""
+        ingested = self._ingest(initial)
         key = tuple(initial)
         start = self.frames.starts.get(key)
         if start is not None:
-            return start.copy(), query_embedding
+            return start.copy()
         graph = VideoGraph(config=self.cfg.graph)
         graph.update_graph(ingested)
         if not self.gateway.has_embedder or all(e is not None for _, e in ingested):
             self.frames.starts.setdefault(key, graph.copy())
-        return graph, query_embedding
+        return graph
 
     # -- the loop ----------------------------------------------------------------
 
     def run_round(self, session: AgentSession, graph: VideoGraph,
-                  query: Optional[QueryParse], query_embedding: Optional[Embedding]) -> None:
+                  query: Optional[QueryParse]) -> None:
         """Evaluate, gate, and either answer or retrieve-and-update."""
         if session.terminated:
             raise ValueError("session already terminated")
@@ -442,12 +441,10 @@ class VideoAgent:
             frames_added: list[int] = []
             if action is not AgentAction.ANSWER:
                 frames_added = self._retrieve(
-                    session, graph, query, action is AgentAction.RETRIEVE_EXPANDED,
-                    query_embedding,
+                    session, graph, query, action is AgentAction.RETRIEVE_EXPANDED
                 )
                 if frames_added:
-                    _, ingested = self._ingest(frames_added)
-                    graph.update_graph(ingested)
+                    graph.update_graph(self._ingest(frames_added))
                     session.add_frames(frames_added)
             session.rounds.append(RoundLog(
                 round=round_number,
@@ -490,6 +487,7 @@ class VideoAgent:
         )
         if self._shared_frames is None:
             self.frames = FrameTable()
+        self.query_embedding = None
         query = parse_question(question, options, self.lexicon)
         initial = uniform_sample(self.bundle.total_frames, self.cfg.initial_frames)
         initial = [f for f in initial if self.gateway.can_caption(f, self.bundle)]
@@ -502,10 +500,10 @@ class VideoAgent:
             raise GatewayError(
                 f"bundle {self.bundle.video_id!r} has no captionable frames"
             )
-        graph, query_embedding = self._start_graph(initial, question)
+        graph = self._start_graph(initial)
         session.add_frames(initial)
         session.final_graph_version = graph.version
 
         while not session.terminated:
-            self.run_round(session, graph, query, query_embedding)
+            self.run_round(session, graph, query)
         return session, graph

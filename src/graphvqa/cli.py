@@ -30,6 +30,7 @@ from .errors import (
 from .gateway import ModelGateway, ProviderConfig, ResponseCache
 from .graph import GraphConfig, VideoGraph
 from .harness import run_eval
+from .lines import parse_object
 from .parsing import Lexicon, default_lexicon, load_lexicon, parse_caption
 from .selector import SelectorConfig
 from .store import load_bundle, replace_text, save_graph, save_transcript
@@ -93,12 +94,7 @@ def load_config(path: Optional[str]) -> dict:
     config_path = Path(path)
     if not config_path.is_file():
         raise CliUsageError(f"config file not found: {path}")
-    try:
-        config = json.loads(config_path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # also invalid UTF-8
-        raise CliUsageError(f"bad config: {path} is not valid JSON: {exc}") from exc
-    if not isinstance(config, dict):
-        raise CliUsageError(f"bad config: {path} holds a {type(config).__name__}, not an object")
+    config = parse_object(config_path.read_bytes(), f"bad config: {path}", CliUsageError)
     providers = config.get("providers", {})
     if not isinstance(providers, dict) or not all(isinstance(b, dict) for b in providers.values()):
         raise CliUsageError("bad config: providers must map each name to an object")

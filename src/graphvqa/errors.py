@@ -1,26 +1,45 @@
-"""Exception types and the config type check shared across the package."""
+"""Exception types and the field type check shared by configs and records."""
 
+import re
 from dataclasses import fields
+from functools import cache
 
-# The values each annotated type of a config field accepts (a bool is an
-# int to Python, but never a count or a number here).
+# The values each annotated type of a field accepts (a bool is an int to
+# Python, but never a count or a number here).
 _FIELD_TYPES = {"str": (str, "a string"), "int": (int, "an integer"),
                 "float": ((int, float), "a number")}
+# The annotations checked: one of those types, or a list or tuple of it (a
+# JSON array), either perhaps Optional.
+_ANNOTATION = re.compile(r"(Optional\[)?((?:list|tuple)\[)?(str|int|float)(?:, \.\.\.)?\]*")
 
 
-def check_type(value, kind: str, name: str, error: type) -> None:
-    """Raise `error` unless `value` is of the annotated type `kind`."""
-    types, noun = _FIELD_TYPES[kind]
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise error(f"{name} must be {noun}, got {value!r}")
+@cache
+def _checked_fields(cls) -> tuple:
+    """(name, optional, sequence, types, noun) for each init field of the
+    dataclass `cls` whose annotation is checked. Cached: matching them for
+    every QA line and manifest more than doubled their load time."""
+    checked = []
+    for spec in fields(cls):
+        if spec.init and (match := _ANNOTATION.fullmatch(spec.type)):
+            optional, sequence, item = match.groups()
+            checked.append((spec.name, bool(optional), bool(sequence), *_FIELD_TYPES[item]))
+    return tuple(checked)
 
 
-def check_field_types(config, error: type) -> None:
-    """Raise `error` unless each str, int or float init field of the dataclass
-    `config` holds its type; nested configs check themselves."""
-    for spec in fields(config):
-        if spec.init and spec.type in _FIELD_TYPES:
-            check_type(getattr(config, spec.name), spec.type, spec.name, error)
+def check_field_types(record, error: type, label: str = "{}") -> None:
+    """Raise `error` unless each init field of the dataclass `record` whose
+    annotation is checked holds its type; nested configs check themselves.
+    A message names the field as `label` formats its name."""
+    for name, optional, sequence, types, noun in _checked_fields(type(record)):
+        value = getattr(record, name)
+        if optional and value is None:
+            continue
+        if sequence and not isinstance(value, (list, tuple)):
+            raise error(f"{label.format(name)} must be a list, got {value!r}")
+        for element in value if sequence else (value,):
+            if isinstance(element, bool) or not isinstance(element, types):
+                each = "each of " if sequence else ""
+                raise error(f"{each}{label.format(name)} must be {noun}, got {element!r}")
 
 
 class GraphVQAError(Exception):

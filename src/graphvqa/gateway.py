@@ -65,11 +65,10 @@ from .errors import (
     MissingEmbeddingError,
     DimensionError,
     check_field_types,
-    check_type,
 )
 from .graph import Embedding, all_finite, vector_norm
-from .lines import append_record, read_lines, read_log
-from .store import VideoBundle
+from .lines import append_record, read_log, read_objects
+from .store import VideoBundle, read_record
 
 logger = logging.getLogger(__name__)
 
@@ -149,6 +148,14 @@ class ScriptEntry:
     contains: Optional[str] = None
     contains_all: tuple[str, ...] = ()
 
+    def __post_init__(self):
+        if isinstance(self.contains_all, list):  # as a JSON array reads
+            object.__setattr__(self, "contains_all", tuple(self.contains_all))
+
+    def validate(self) -> "ScriptEntry":
+        check_field_types(self, GatewayConfigError)
+        return self
+
     @property
     def is_catch_all(self) -> bool:
         return self.round is None and self.contains is None and not self.contains_all
@@ -164,38 +171,11 @@ class ScriptEntry:
 
 
 def load_script(path: Union[str, Path]) -> list[ScriptEntry]:
-    """Read a script file, a line file (see `lines`) of one JSON object per line.
-
-    Keys: reply (required), round (int), contains (str), contains_all (list).
-    """
-    entries = []
-    for line_no, line in read_lines(path, GatewayConfigError):
-        try:
-            obj = json.loads(line)
-        except ValueError as exc:  # also an integer too long for int()
-            raise GatewayConfigError(f"{path}:{line_no}: invalid script entry: {exc}") from exc
-        if not isinstance(obj, dict) or "reply" not in obj:
-            raise GatewayConfigError(f"{path}:{line_no}: script entry needs a 'reply' field")
-        for key, kind in (("round", "int"), ("contains", "str")):
-            if obj.get(key) is not None:
-                check_type(obj[key], kind, f"{path}:{line_no}: {key}", GatewayConfigError)
-        contains_all = obj.get("contains_all", [])
-        if not isinstance(contains_all, list):
-            raise GatewayConfigError(
-                f"{path}:{line_no}: contains_all must be a list, got {contains_all!r}"
-            )
-        for item in contains_all:
-            check_type(item, "str", f"{path}:{line_no}: each of contains_all",
-                       GatewayConfigError)
-        entries.append(
-            ScriptEntry(
-                reply=str(obj["reply"]),
-                round=obj.get("round"),
-                contains=obj.get("contains"),
-                contains_all=tuple(contains_all),
-            )
-        )
-    return entries
+    """Read a script file, a line file (see `lines`) of one `ScriptEntry` per
+    line: a JSON object of its fields, of which only `reply` is required (see
+    `store.read_record`). A fault is a GatewayConfigError naming the line."""
+    return [read_record(ScriptEntry, obj, f"{path}:{line_no}", GatewayConfigError)
+            for line_no, obj in read_objects(path, GatewayConfigError)]
 
 
 class ScriptedChat:

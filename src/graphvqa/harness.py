@@ -111,10 +111,10 @@ def run_eval(qa_path: Union[str, Path], bundle_root: Union[str, Path],
     """Run every QA item, write transcripts and a report, return the report.
 
     Items whose sessions raise are counted as failures: included in n_items,
-    excluded from accuracy. The QA file and every referenced bundle must be
-    resolvable up front, otherwise nothing runs. The sessions on one video
-    share a `FrameTable`, so every gateway the factory returns must caption
-    and embed alike.
+    excluded from accuracy. The QA file and every referenced bundle, whose
+    manifest must name the item's video, must be resolvable up front,
+    otherwise nothing runs. The sessions on one video share a `FrameTable`,
+    so every gateway the factory returns must caption and embed alike.
     """
     items = load_qa(qa_path)
     bundle_root = Path(bundle_root)
@@ -128,7 +128,7 @@ def run_eval(qa_path: Union[str, Path], bundle_root: Union[str, Path],
                 raise DataFormatError(
                     f"bundle directory for video {item.video_id!r} not found under {bundle_root}"
                 )
-            bundles[item.video_id] = load_bundle(bundle_dir)
+            bundles[item.video_id] = load_bundle(bundle_dir, item.video_id)
     tables = {video_id: FrameTable() for video_id in bundles}
 
     def runner(pair):

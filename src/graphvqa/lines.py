@@ -3,13 +3,14 @@
 Line files are UTF-8 and end lines at "\\n" only: U+2028 and the like, which
 JSON leaves unescaped, stay in their line. Blank lines and lines whose first
 non-blank character is `#` are skipped. Text files (lexicon, bundle, QA,
-script) read "\\r\\n" and "\\r" as "\\n". Logs (cache, transcripts) hold one
-JSON value per line. A torn tail, a last line with no newline that does not
-parse, is dropped by the reader and cut off by the appender, which also ends
-a whole unterminated last line. An append holds an exclusive `fcntl.flock` on
-the log (POSIX only), so processes may append to one log at once without
-taking each other's line in progress for a torn tail. Faults raise the
-caller's error, naming the file.
+script) read "\\r\\n" and "\\r" as "\\n"; QA files and chat scripts hold one
+JSON object per line, which `read_objects` parses. Logs (cache, transcripts)
+hold one JSON value per line. A torn tail, a last line with no newline that
+does not parse, is dropped by the reader and cut off by the appender, which
+also ends a whole unterminated last line. An append holds an exclusive
+`fcntl.flock` on the log (POSIX only), so processes may append to one log at
+once without taking each other's line in progress for a torn tail. Faults
+raise the caller's error, naming the file.
 """
 
 from __future__ import annotations
@@ -43,6 +44,24 @@ def read_lines(path: Union[str, Path], error: type) -> list[tuple[int, str]]:
     """(line number, line) for each line of a text file that is not skipped."""
     text = _read(Path(path), lambda p: p.read_text(encoding="utf-8"), error)
     return [(n, line) for n, line in enumerate(text.split("\n"), start=1) if not _skipped(line)]
+
+
+def parse_object(text: Union[str, bytes], where, error: type) -> dict:
+    """The JSON object `text` (bytes are UTF-8) holds; anything else raises
+    `error` naming `where`."""
+    try:
+        value = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except ValueError as exc:  # also invalid UTF-8 and integers too long for int()
+        raise error(f"{where}: invalid JSON: {exc}") from exc
+    if not isinstance(value, dict):
+        raise error(f"{where}: expected a JSON object")
+    return value
+
+
+def read_objects(path: Union[str, Path], error: type) -> list[tuple[int, dict]]:
+    """(line number, JSON object) for each line of a text file that is not
+    skipped; a line holding anything else raises `error` naming it."""
+    return [(n, parse_object(line, f"{path}:{n}", error)) for n, line in read_lines(path, error)]
 
 
 def _value(line: bytes):

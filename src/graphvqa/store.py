@@ -2,18 +2,19 @@
 
 On-disk bundle layout (one directory per video; line files are read by `lines`):
 
-    manifest     JSON document: {"video_id", "total_frames", "fps",
-                 "embedding_dim"} (fps and embedding_dim may be null)
+    manifest     JSON object: a `Manifest`'s fields
     captions     one `frame_index<TAB>caption` per line (optional file)
     embeddings   one `frame_index<TAB>space-separated finite floats` per line
                  (optional file)
-    qa           one JSON record per line: {"video_id", "question",
-                 "options", "answer_index"?, "category"?,
-                 "entity_count_bucket"?} (optional file)
+    qa           one JSON object per line: a `QAItem`'s fields (optional file)
 
-Each graph, QA and transcript record is its dataclass's fields under their
-own names (a QA line leaves out its null ones); only `schema_version` and
-values derived from fields are added, so adding a field changes the schema.
+Each manifest, QA, graph and transcript record is its dataclass's fields
+under their own names (a QA line leaves out its null ones); only
+`schema_version` and values derived from fields are added, so adding a field
+changes the schema. Manifests, QA lines and chat script entries are read by
+`read_record`: a field with a default may be absent, and each value must be
+of its field's annotated JSON type (a number is not a string, nor null an
+option), so nothing is coerced.
 Graphs serialize to a single JSON document with an explicit schema_version
 (2; version 1 documents still load, and their coherence settings and caption
 snippets are ignored) and load back from the same fields. Floats survive
@@ -28,14 +29,14 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .errors import DataFormatError, DimensionError, SchemaVersionError
+from .errors import DataFormatError, DimensionError, SchemaVersionError, check_field_types
 from .graph import Embedding, EntityNode, GraphConfig, RelationEdge, VideoGraph, all_finite
-from .lines import append_record, read_lines, read_log
+from .lines import append_record, parse_object, read_lines, read_log, read_objects
 from .parsing import EntityType, RelationCategory
 
 GRAPH_SCHEMA_VERSION = 2
@@ -47,18 +48,33 @@ BUCKETS = ("Few", "Mid", "Many")
 
 
 @dataclass
-class VideoBundle:
-    """A video's precomputed inputs: captions and embeddings by frame.
+class Manifest:
+    """What a bundle's video is: the fields of its manifest file."""
+
+    video_id: str
+    total_frames: int
+    fps: Optional[float] = None
+    embedding_dim: Optional[int] = None
+
+    def validate(self) -> "Manifest":
+        check_field_types(self, DataFormatError, "field {!r}")
+        if self.total_frames < 1:
+            raise DataFormatError(f"field 'total_frames' must be >= 1, got {self.total_frames}")
+        if self.embedding_dim is not None and self.embedding_dim < 1:
+            raise DataFormatError(f"field 'embedding_dim' must be >= 1, got {self.embedding_dim}")
+        return self
+
+
+@dataclass
+class VideoBundle(Manifest):
+    """A video's manifest and precomputed inputs: captions and embeddings by
+    frame.
 
     Each vector is an `Embedding`, made once here (by `load_bundle`, or from
     the sequences a hand-built bundle is given) and shared from then on."""
 
-    video_id: str
-    total_frames: int
     captions: dict[int, str] = field(default_factory=dict)
     embeddings: dict[int, Embedding] = field(default_factory=dict)
-    fps: Optional[float] = None
-    embedding_dim: Optional[int] = None
 
     def __post_init__(self):
         self.embeddings = {
@@ -67,8 +83,7 @@ class VideoBundle:
         }
 
     def validate(self) -> "VideoBundle":
-        if self.total_frames < 1:
-            raise DataFormatError(f"total_frames must be >= 1, got {self.total_frames}")
+        super().validate()
         for frame in self.captions:
             if not 0 <= frame < self.total_frames:
                 raise DataFormatError(
@@ -108,14 +123,13 @@ class QAItem:
     entity_count_bucket: Optional[str] = None
 
     def validate(self) -> "QAItem":
+        check_field_types(self, DataFormatError)
         if not self.question:
             raise DataFormatError("question must be nonempty")
         if not 2 <= len(self.options) <= 5:
             raise DataFormatError(
                 f"expected 2..5 options, got {len(self.options)} for {self.question!r}"
             )
-        if self.answer_index is not None and type(self.answer_index) is not int:
-            raise DataFormatError(f"answer_index must be an integer, got {self.answer_index!r}")
         if self.answer_index is not None and not 0 <= self.answer_index < len(self.options):
             raise DataFormatError(
                 f"answer_index {self.answer_index} out of range for {len(self.options)} options"
@@ -128,47 +142,58 @@ class QAItem:
 
 
 # ---------------------------------------------------------------------------
+# Records read by field
+# ---------------------------------------------------------------------------
+
+def _build(cls, obj, defaults: bool = False, **convert):
+    """An instance of the dataclass `cls` from the keys of `obj` named after
+    its fields, read in field order, each value passed through its converter
+    in `convert` if it has one. Other keys are ignored, as version 1 needs.
+    With `defaults`, a field that has a default may be absent and keeps it;
+    otherwise every field is required."""
+    values = {}
+    for spec in fields(cls):
+        if defaults and spec.name not in obj and (
+                spec.default is not MISSING or spec.default_factory is not MISSING):
+            continue
+        value = obj[spec.name]
+        values[spec.name] = convert[spec.name](value) if spec.name in convert else value
+    return cls(**values)
+
+
+def read_record(cls, obj: dict, where, error: type):
+    """The dataclass `cls` read from the JSON object `obj` (see `_build`): a
+    field with a default may be absent, and the record's `validate` checks
+    it, each field's value of its annotated type first. A missing field or a
+    failed check raises `error` naming `where`."""
+    try:
+        return _build(cls, obj, defaults=True).validate()
+    except KeyError as exc:
+        raise error(f"{where}: missing required field {exc}") from exc
+    except error as exc:
+        raise error(f"{where}: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
 # Bundle I/O
 # ---------------------------------------------------------------------------
 
-def load_bundle(directory: Union[str, Path]) -> VideoBundle:
-    """Load and validate a bundle directory. Errors name file and line."""
+def load_bundle(directory: Union[str, Path], video_id: Optional[str] = None) -> VideoBundle:
+    """Load and validate a bundle directory. Errors name file and line. When
+    `video_id` is given, the manifest must name that video."""
     directory = Path(directory)
     manifest_path = directory / "manifest"
     if not manifest_path.is_file():
         raise DataFormatError(f"missing manifest file in {directory}")
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # also invalid UTF-8 and integers too long for int()
-        raise DataFormatError(f"{manifest_path}: invalid JSON: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise DataFormatError(f"{manifest_path}: expected a JSON object")
-    for key in ("video_id", "total_frames"):
-        if key not in manifest:
-            raise DataFormatError(f"{manifest_path}: missing required field {key!r}")
-
-    def number(key: str, kind: type, minimum=None):
-        try:
-            value = kind(manifest[key])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DataFormatError(
-                f"{manifest_path}: field {key!r} is not a valid {kind.__name__}: "
-                f"{manifest[key]!r}"
-            ) from exc
-        if minimum is not None and value < minimum:
-            raise DataFormatError(
-                f"{manifest_path}: field {key!r} must be >= {minimum}, got {value}"
-            )
-        return value
-
-    bundle = VideoBundle(
-        video_id=str(manifest["video_id"]),
-        total_frames=number("total_frames", int, 1),
-        fps=number("fps", float) if manifest.get("fps") is not None else None,
-        embedding_dim=(
-            number("embedding_dim", int, 1) if manifest.get("embedding_dim") is not None else None
-        ),
+    manifest = read_record(
+        Manifest, parse_object(manifest_path.read_bytes(), manifest_path, DataFormatError),
+        manifest_path, DataFormatError,
     )
+    if video_id is not None and manifest.video_id != video_id:
+        raise DataFormatError(
+            f"{manifest_path}: names video {manifest.video_id!r}, not {video_id!r}"
+        )
+    bundle = VideoBundle(**vars(manifest))
 
     captions_path = directory / "captions"
     if captions_path.is_file():
@@ -199,12 +224,7 @@ def save_bundle(bundle: VideoBundle, directory: Union[str, Path]) -> Path:
     """Write a bundle directory in the documented layout."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "video_id": bundle.video_id,
-        "total_frames": bundle.total_frames,
-        "fps": bundle.fps,
-        "embedding_dim": bundle.embedding_dim,
-    }
+    manifest = {spec.name: getattr(bundle, spec.name) for spec in fields(Manifest)}
     (directory / "manifest").write_text(
         json.dumps(manifest, sort_keys=True, ensure_ascii=False) + "\n", encoding="utf-8"
     )
@@ -243,32 +263,9 @@ def _frame_line(path: Path, line_no: int, line: str, total_frames: int,
 
 
 def load_qa(path: Union[str, Path]) -> list[QAItem]:
-    """Read QA items (one JSON record per line)."""
-    items = []
-    for line_no, line in read_lines(path, DataFormatError):
-        try:
-            obj = json.loads(line)
-        except ValueError as exc:  # also an integer too long for int()
-            raise DataFormatError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise DataFormatError(f"{path}:{line_no}: expected a JSON object")
-        try:
-            if not isinstance(obj["options"], list):
-                raise DataFormatError(f"options must be a list, got {obj['options']!r}")
-            item = QAItem(
-                video_id=str(obj["video_id"]),
-                question=str(obj["question"]),
-                options=[str(o) for o in obj["options"]],
-                answer_index=obj.get("answer_index"),
-                category=obj.get("category"),
-                entity_count_bucket=obj.get("entity_count_bucket"),
-            ).validate()
-        except KeyError as exc:
-            raise DataFormatError(f"{path}:{line_no}: missing field {exc}") from exc
-        except DataFormatError as exc:
-            raise DataFormatError(f"{path}:{line_no}: {exc}") from exc
-        items.append(item)
-    return items
+    """Read QA items, one `QAItem` per line (see `read_record`)."""
+    return [read_record(QAItem, obj, f"{path}:{line_no}", DataFormatError)
+            for line_no, obj in read_objects(path, DataFormatError)]
 
 
 def save_qa(items: Sequence[QAItem], path: Union[str, Path]) -> Path:
@@ -324,17 +321,6 @@ def save_graph(graph: VideoGraph) -> bytes:
     """Serialize a graph to a UTF-8 JSON document (exact float round-trip)."""
     payload = {"schema_version": GRAPH_SCHEMA_VERSION, **_fields(graph)}
     return (json.dumps(payload, sort_keys=True, ensure_ascii=False) + "\n").encode("utf-8")
-
-
-def _build(cls, obj, **convert):
-    """An instance of the dataclass `cls` from the keys of `obj` named after
-    its fields, read in field order, each value passed through its converter
-    in `convert` if it has one. Other keys are ignored, as version 1 needs."""
-    values = {}
-    for spec in fields(cls):
-        value = obj[spec.name]
-        values[spec.name] = convert[spec.name](value) if spec.name in convert else value
-    return cls(**values)
 
 
 def _ascending(frames: list) -> list[int]:

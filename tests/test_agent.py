@@ -419,6 +419,55 @@ def test_failed_frame_embedding_tried_again():
     assert gateway.frame_embeds[7] == 2
 
 
+class QuestionCountingGateway(CountingGateway):
+    """Also records each question embedded; can fail the first one."""
+
+    def __init__(self, entries, fail_question_once=False):
+        super().__init__(entries)
+        self.questions = []
+        self.fail_question_once = fail_question_once
+
+    def embed(self, text_or_frame, bundle=None):
+        if isinstance(text_or_frame, str):
+            self.questions.append(text_or_frame)
+            if self.fail_question_once:
+                self.fail_question_once = False
+                raise GatewayError("transient")
+        return super().embed(text_or_frame, bundle)
+
+
+def test_session_confident_in_round_one_embeds_no_question():
+    gateway = QuestionCountingGateway([confident_entry()])
+    session, _ = VideoAgent(distinct_caption_bundle(), gateway).run("what?", OPTIONS)
+    assert len(session.rounds) == 1 and gateway.frame_embeds
+    assert gateway.questions == []
+
+
+def test_session_with_no_frame_left_to_retrieve_embeds_no_question():
+    gateway = QuestionCountingGateway([unsure_entry("B")])
+    session, _ = VideoAgent(distinct_caption_bundle(total_frames=4), gateway).run("what?", OPTIONS)
+    assert session.terminated_by.value == "Exhausted" and session.rounds[0].frames_added == []
+    assert gateway.questions == []
+
+
+def test_question_embedded_once_at_the_first_retrieval():
+    entries = [unsure_entry("B"), unsure_entry("C", confidence=2), confident_entry("D")]
+    gateway = QuestionCountingGateway(entries)
+    session, _ = VideoAgent(distinct_caption_bundle(), gateway).run("what?", OPTIONS)
+    assert len(session.rounds) == 3
+    assert gateway.questions == ["what?"]
+
+
+def test_failed_question_embedding_asked_again_at_the_next_retrieval():
+    entries = [unsure_entry("B"), unsure_entry("C", confidence=2), confident_entry("D")]
+    gateway = QuestionCountingGateway(entries, fail_question_once=True)
+    agent = VideoAgent(distinct_caption_bundle(), gateway)
+    session, _ = agent.run("what?", OPTIONS)
+    assert len(session.rounds) == 3 and all(r.frames_added for r in session.rounds[:2])
+    assert gateway.questions == ["what?", "what?"]
+    assert agent.query_embedding is not None
+
+
 def test_sessions_sharing_a_frame_table_do_each_frame_once(monkeypatch):
     bundle = distinct_caption_bundle()
     entries = [unsure_entry("B"), unsure_entry("C", confidence=2), confident_entry("D")]

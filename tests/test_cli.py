@@ -596,6 +596,36 @@ def test_manifest_field_that_does_not_convert_is_data_error(suite, capsys, field
     assert "data error" in err and str(manifest_path) in err and repr(field) in err
 
 
+def test_eval_rejects_a_manifest_that_names_another_video(suite, tmp_path, capsys):
+    manifest_path = suite["bundle_dir"] / "manifest"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest_path.write_text(json.dumps({**manifest, "video_id": "v9"}), encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["eval", "--qa", str(suite["qa"]), "--bundle", str(suite["bundle_root"]),
+                 "--config", str(suite["config"]), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"data error: {manifest_path}: names video 'v9', not 'v0'" in err
+    assert not (out / "transcripts.jsonl").exists()  # no item ran
+
+
+@pytest.mark.parametrize("reader,code", [("qa", 2), ("manifest", 2), ("script", 1)])
+def test_value_of_another_json_type_exits_with_the_reader_code(suite, capsys, reader, code):
+    # a number where a string belongs: the QA item's and manifest's video_id,
+    # a script entry's reply
+    path = suite["bundle_dir"] / "manifest" if reader == "manifest" else suite[reader]
+    lines = path.read_text(encoding="utf-8").splitlines()
+    key = "reply" if reader == "script" else "video_id"
+    first = json.loads(lines[0])
+    path.write_text("\n".join([json.dumps({**first, key: 0}), *lines[1:]]) + "\n",
+                    encoding="utf-8")
+    assert main(["eval", "--qa", str(suite["qa"]), "--bundle", str(suite["bundle_root"]),
+                 "--config", str(suite["config"]), "--out", str(suite["tmp"] / "out")]) == code
+    err = capsys.readouterr().err
+    assert f"{path}{'' if reader == 'manifest' else ':1'}: " in err
+    assert "must be a string, got 0" in err
+
+
 def test_eval_reads_the_template_once_and_builds_each_start_once(suite, tmp_path, monkeypatch):
     from graphvqa import agent as agent_module
 

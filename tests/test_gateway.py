@@ -89,6 +89,24 @@ def test_load_script_rejects_garbage(tmp_path):
         load_script(path)
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("reply", 5, "reply must be a string, got 5"),
+    ("reply", None, "reply must be a string, got None"),
+    ("round", "1", "round must be an integer, got '1'"),
+    ("contains", 3, "contains must be a string, got 3"),
+    ("contains_all", "xy", "contains_all must be a list, got 'xy'"),
+    ("contains_all", ["x", 1], "each of contains_all must be a string, got 1"),
+])
+def test_script_value_of_another_json_type_names_file_line_and_field(tmp_path, field, value,
+                                                                     message):
+    path = tmp_path / "script.jsonl"
+    entry = {"reply": "answer: A", field: value}
+    path.write_text(f'{json.dumps(entry)}\n{{"reply": "answer: B"}}\n', encoding="utf-8")
+    with pytest.raises(GatewayConfigError) as info:
+        load_script(path)
+    assert str(info.value) == f"{path}:1: {message}"
+
+
 def test_load_script_keeps_line_separators_inside_an_entry(tmp_path):
     # json.dumps(..., ensure_ascii=False) leaves U+2028 and U+0085 unescaped
     reply = "answer: A\u2028confidence: 3\u0085missing: none"

@@ -2,8 +2,12 @@ from __future__ import annotations
 
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_bundle
 from graphvqa.agent import AgentSession, RoundLog, Termination
@@ -12,6 +16,8 @@ from graphvqa.graph import Embedding, VideoGraph
 from graphvqa.harness import REPORT_SCHEMA_VERSION, EvalReport
 from graphvqa.parsing import default_lexicon, parse_caption
 from graphvqa.store import (
+    BUCKETS,
+    CATEGORIES,
     GRAPH_SCHEMA_VERSION,
     TRANSCRIPT_SCHEMA_VERSION,
     QAItem,
@@ -72,8 +78,26 @@ def test_malformed_manifest(tmp_path):
         load_bundle(directory)
     (directory / "manifest").write_text('{"video_id": "v", "total_frames": Infinity}',
                                         encoding="utf-8")
-    with pytest.raises(DataFormatError, match="'total_frames' is not a valid int"):
+    with pytest.raises(DataFormatError, match="field 'total_frames' must be an integer, got inf"):
         load_bundle(directory)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("video_id", 7, "field 'video_id' must be a string, got 7"),
+    ("video_id", None, "field 'video_id' must be a string, got None"),
+    ("total_frames", 10.7, "field 'total_frames' must be an integer, got 10.7"),
+    ("total_frames", "12", "field 'total_frames' must be an integer, got '12'"),
+    ("total_frames", True, "field 'total_frames' must be an integer, got True"),
+    ("fps", "30", "field 'fps' must be a number, got '30'"),
+    ("embedding_dim", 8.0, "field 'embedding_dim' must be an integer, got 8.0"),
+])
+def test_manifest_value_of_another_json_type_names_file_and_field(tmp_path, field, value,
+                                                                   message):
+    manifest = {"video_id": "v", "total_frames": 12, "fps": 30.0, "embedding_dim": 8}
+    directory = write_bundle_files(tmp_path, {**manifest, field: value})
+    with pytest.raises(DataFormatError) as info:
+        load_bundle(directory)
+    assert str(info.value) == f"{directory / 'manifest'}: {message}"
 
 
 def test_caption_line_out_of_range_names_line(tmp_path):
@@ -142,6 +166,23 @@ def test_bundle_round_trip_keeps_unicode_line_separators(tmp_path, separator):
     assert loaded == bundle
 
 
+manifests = st.builds(
+    VideoBundle,
+    video_id=st.text(max_size=12),
+    total_frames=st.integers(1, 10**12),
+    fps=st.none() | st.floats(allow_nan=False) | st.integers(0, 240),
+    embedding_dim=st.none() | st.integers(1, 4096),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(manifests)
+def test_bundle_round_trip_keeps_every_manifest_field(bundle):
+    with tempfile.TemporaryDirectory() as tmp:
+        loaded = load_bundle(save_bundle(bundle.validate(), Path(tmp) / "out"))
+    assert loaded == bundle
+
+
 def test_bundle_crlf_files_load(tmp_path):
     directory = write_bundle_files(
         tmp_path, {"video_id": "v", "total_frames": 4},
@@ -186,6 +227,49 @@ def test_qa_round_trip_keeps_unicode_line_separators(tmp_path, separator):
     ]
     path = save_qa(items, tmp_path / "qa")
     assert load_qa(path) == items
+
+
+# UTF-8 text that may hold the separators JSON leaves unescaped
+texts = st.text(st.characters(codec="utf-8") | st.sampled_from(LINE_SEPARATORS), max_size=12)
+
+
+@st.composite
+def qa_items(draw):
+    options = draw(st.lists(texts, min_size=2, max_size=5))
+    return QAItem(
+        video_id=draw(texts),
+        question=draw(texts.filter(bool)),
+        options=options,
+        answer_index=draw(st.none() | st.integers(0, len(options) - 1)),
+        category=draw(st.none() | st.sampled_from(CATEGORIES)),
+        entity_count_bucket=draw(st.none() | st.sampled_from(BUCKETS)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(qa_items(), min_size=1, max_size=4))
+def test_qa_round_trip_of_any_valid_items(items):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert load_qa(save_qa(items, Path(tmp) / "qa")) == items
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("video_id", 7, "video_id must be a string, got 7"),
+    ("question", None, "question must be a string, got None"),
+    ("options", [None, "b"], "each of options must be a string, got None"),
+    ("options", "ab", "options must be a list, got 'ab'"),
+    ("answer_index", 1.0, "answer_index must be an integer, got 1.0"),
+    ("category", 3, "category must be a string, got 3"),
+])
+def test_qa_value_of_another_json_type_names_file_line_and_field(tmp_path, field, value,
+                                                                 message):
+    good = {"video_id": "v", "question": "q?", "options": ["a", "b"]}
+    path = tmp_path / "qa"
+    path.write_text(f"{json.dumps(good)}\n{json.dumps({**good, field: value})}\n",
+                    encoding="utf-8")
+    with pytest.raises(DataFormatError) as info:
+        load_qa(path)
+    assert str(info.value) == f"{path}:2: {message}"
 
 
 def test_qa_crlf_file_names_lines(tmp_path):
