@@ -14,13 +14,11 @@ caption, parse, embedding and embedding norm are then computed once, and a
 session asks the gateway only for what the table lacks. Vectors arrive from
 the gateway as `Embedding`s and are passed on as they are, so a bundle's
 vector is the very object that the table, the selector and the graph use.
-The table also keeps the graph built from a session's starting frames, so a
-later session with the same starting frames starts from a copy of it
-instead of building it again. What a frame turned out to be does not
-depend on which session asked first, so sharing changes no transcript; a
-table is valid only for sessions that share a lexicon and a `GraphConfig`
-and whose gateways caption and embed alike. With a deterministic gateway
-the whole transcript is reproducible byte-for-byte.
+Each session builds its own graph from the table's parses and embeddings.
+What a frame turned out to be does not depend on which session asked
+first, so sharing changes no transcript; a table is valid only for
+sessions that share a lexicon and whose gateways caption and embed alike.
+With a deterministic gateway every transcript is reproducible byte-for-byte.
 
 A session embeds its question only when it has candidate frames to rank, at
 the head of that retrieval's embed fan-out; like a failed frame embedding, a
@@ -161,8 +159,7 @@ class AgentSession:
 @dataclass
 class FrameTable:
     """What one video's frames turned out to be: each frame's caption with
-    its parse, and its `Embedding` (which keeps its norm once computed); and
-    the graph built from a session's starting frames, keyed by those frames.
+    its parse, and its `Embedding` (which keeps its norm once computed).
     The embedding is the object the gateway returned, which for the local
     embed lanes is the bundle's own. The selector scores, and the graph
     merges and stores as node features, the table's `Embedding` objects
@@ -170,19 +167,15 @@ class FrameTable:
 
     `eval` shares one table among all sessions on a video, so a session
     asks the gateway only for the frames no earlier session touched, and
-    parses only their captions; a session whose starting frames match a
-    stored start begins from a copy of that graph. Only successes are
-    stored: a failed caption or embedding is tried again, and a start is
-    stored only when every one of its frames had its caption and embedding.
-    Entries are written once (the first writer wins) and never changed, so
-    parallel sessions may fill one table at the same time. A table is only
-    valid for sessions whose gateways caption and embed alike and that
-    share a lexicon and a `GraphConfig`.
+    parses only their captions. Only successes are stored: a failed caption
+    or embedding is tried again. Entries are written once (the first writer
+    wins) and never changed, so parallel sessions may fill one table at the
+    same time. A table is only valid for sessions whose gateways caption
+    and embed alike and that share a lexicon.
     """
 
     captions: dict[int, tuple[str, CaptionParse]] = field(default_factory=dict)
     embeddings: dict[int, Embedding] = field(default_factory=dict)
-    starts: dict[tuple[int, ...], VideoGraph] = field(default_factory=dict)
 
 
 def uniform_sample(total_frames: int, n: int) -> list[int]:
@@ -344,25 +337,31 @@ class VideoAgent:
 
     # -- retrieval --------------------------------------------------------------
 
-    def _unembedded(self, frames: Sequence[int]) -> list[int]:
-        """The frames among `frames` whose embedding the table lacks."""
-        if not self.gateway.has_embedder:
-            return []
-        return [f for f in frames if f not in self.frames.embeddings]
-
-    def _embed_frames(self, frames: Sequence[int], question: Optional[str] = None) -> None:
-        """Fetch the embeddings of `frames` the table lacks, in one fan-out,
-        and store those that arrive. A `question` is embedded at the head of
-        the fan-out unless the session already has its `query_embedding`."""
-        missing = self._unembedded(frames)
-        ask = question is not None and self.gateway.has_embedder and self.query_embedding is None
+    def _fetch(self, captions: Sequence[int], embeds: Sequence[int],
+               question: Optional[str] = None) -> Optional[GatewayError]:
+        """Caption the `captions` and embed the `embeds` the table lacks in one
+        fan-out, with the `question` at its head while the session has no
+        `query_embedding`, and store every success, parsing each new caption
+        once. Returns the first caption failure in `captions` order, or None."""
+        table, embedder = self.frames, self.gateway.has_embedder
+        caption = [f for f in captions if f not in table.captions]
+        embed = [f for f in embeds if embedder and f not in table.embeddings]
+        ask = question is not None and embedder and self.query_embedding is None
         head = [("embed", question)] if ask else []
-        vectors = self.gateway.gather(head + [("embed", f) for f in missing], self.bundle)
-        if head and not isinstance(vectors[0], GatewayError):
-            self.query_embedding = vectors[0]
-        for frame, vector in zip(missing, vectors[len(head):]):
+        results = self.gateway.gather(
+            head + [("caption", f) for f in caption] + [("embed", f) for f in embed],
+            self.bundle,
+        )
+        if head and not isinstance(results[0], GatewayError):
+            self.query_embedding = results[0]
+        texts = results[len(head):len(head) + len(caption)]
+        for frame, text in zip(caption, texts):
+            if not isinstance(text, GatewayError) and frame not in table.captions:
+                table.captions.setdefault(frame, (text, parse_caption(text, frame, self.lexicon)))
+        for frame, vector in zip(embed, results[len(head) + len(caption):]):
             if not isinstance(vector, GatewayError):
-                self.frames.embeddings.setdefault(frame, vector)
+                table.embeddings.setdefault(frame, vector)
+        return next((text for text in texts if isinstance(text, GatewayError)), None)
 
     def _retrieve(self, session: AgentSession, graph: VideoGraph,
                   query: Optional[QueryParse], expanded: bool) -> list[int]:
@@ -371,7 +370,7 @@ class VideoAgent:
         )
         pool = candidate_frames(windows, session.selected_frames)
         pool = [f for f in pool if self.gateway.can_caption(f, self.bundle)]
-        self._embed_frames(pool, session.question if pool else None)
+        self._fetch((), pool, session.question if pool else None)
         return select_frames(
             [(f, self.frames.embeddings.get(f)) for f in pool],
             graph, query, session.selected_frames,
@@ -379,52 +378,13 @@ class VideoAgent:
         )
 
     def _ingest(self, frames: Sequence[int]) -> list[tuple[CaptionParse, Optional[Embedding]]]:
-        """Caption and embed the `frames` the table lacks, in one fan-out,
-        and parse the new captions. Returns each frame's parse and embedding
-        (None if it has none), in the order of `frames`, for the graph.
-        The first caption failure, in frame order, is raised after the
-        captions and embeddings of the frames before it are stored.
-        """
-        table = self.frames
-        caption = [f for f in frames if f not in table.captions]
-        embed = self._unembedded(frames)
-        results = self.gateway.gather(
-            [("caption", f) for f in caption] + [("embed", f) for f in embed], self.bundle
-        )
-        texts = dict(zip(caption, results))
-        vectors = dict(zip(embed, results[len(caption):]))
-        ingested = []
-        for frame in frames:
-            entry = table.captions.get(frame)
-            if entry is None:
-                text = texts[frame]
-                if isinstance(text, GatewayError):
-                    raise text
-                entry = table.captions.setdefault(
-                    frame, (text, parse_caption(text, frame, self.lexicon))
-                )
-            vector = vectors.get(frame)
-            if vector is not None and not isinstance(vector, GatewayError):
-                table.embeddings.setdefault(frame, vector)
-            ingested.append((entry[1], table.embeddings.get(frame)))
-        return ingested
-
-    def _start_graph(self, initial: Sequence[int]) -> VideoGraph:
-        """The graph of the `initial` frames: a copy of the table's stored
-        start for these frames if there is one; otherwise it is built, and a
-        copy stored when every frame had its caption and embedding. (The
-        ingest decides that, not the table: another session may have filled
-        in a frame this session failed to embed.)"""
-        ingested = self._ingest(initial)
-        key = tuple(initial)
-        start = self.frames.starts.get(key)
-        if start is not None:
-            return start.copy()
-        graph = VideoGraph(config=self.cfg.graph)
-        graph.update_graph(ingested)
-        if not self.gateway.has_embedder or all(e is not None for _, e in ingested):
-            self.frames.starts.setdefault(key, graph.copy())
-        return graph
+        """Fetch what the table lacks of `frames`, and return each frame's
+        parse and embedding (None if it has none), in the order of `frames`,
+        for the graph. Raises the first caption failure, in frame order."""
+        failure = self._fetch(frames, frames)
+        if failure is not None:
+            raise failure
+        return [(self.frames.captions[f][1], self.frames.embeddings.get(f)) for f in frames]
 
     # -- the loop ----------------------------------------------------------------
 
@@ -500,7 +460,7 @@ class VideoAgent:
             raise GatewayError(
                 f"bundle {self.bundle.video_id!r} has no captionable frames"
             )
-        graph = self._start_graph(initial)
+        graph = VideoGraph(config=self.cfg.graph).update_graph(self._ingest(initial))
         session.add_frames(initial)
         session.final_graph_version = graph.version
 

@@ -66,7 +66,7 @@ from .errors import (
     DimensionError,
     check_field_types,
 )
-from .graph import Embedding, all_finite, vector_norm
+from .graph import Embedding, json_vector, vector_norm
 from .lines import append_record, read_log, read_objects
 from .store import VideoBundle, read_record
 
@@ -440,11 +440,12 @@ class ModelGateway:
 
         def floats(payload) -> Embedding:
             try:
-                vector = Embedding(map(float, payload["data"][0]["embedding"]))
-            except (KeyError, IndexError, TypeError, ValueError) as exc:
+                vector = json_vector(payload["data"][0]["embedding"])
+            except (KeyError, IndexError, TypeError) as exc:
                 raise GatewayError(f"malformed embeddings payload: {exc!r}") from exc
-            if not all_finite(vector):
-                raise GatewayError("malformed embeddings payload: non-finite value")
+            if vector is None:
+                raise GatewayError("malformed embeddings payload: embedding must be a "
+                                   "nonempty list of finite numbers")
             if dim and len(vector) != dim:
                 raise DimensionError(
                     f"remote embedding dim {len(vector)} does not match bundle dim {dim}"

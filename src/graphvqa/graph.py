@@ -20,7 +20,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
 from operator import add, itemgetter, mul, truediv
@@ -65,7 +65,7 @@ class EntityNode:
     entity_type: EntityType
     frame_indices: list[int] = field(default_factory=list)
     # running mean of the embeddings of the frames the entity appears in; an
-    # update replaces it, so nodes, frames and graph copies may share one
+    # update replaces it, so nodes and frames may share one
     feature: Optional[Embedding] = None
     feature_count: int = 0
     state_history: list[tuple[int, str]] = field(default_factory=list)
@@ -109,6 +109,18 @@ def all_finite(v: Sequence[float]) -> bool:
     return math.isfinite(sum(v)) or all(map(math.isfinite, v))
 
 
+def json_vector(value) -> Optional[Embedding]:
+    """`value`, decoded JSON, as an `Embedding` of floats if it is a vector: a
+    nonempty array of JSON numbers (no bools or strings), all finite; else None."""
+    if not (isinstance(value, list) and value and {*map(type, value)} <= {int, float}):
+        return None
+    try:
+        vector = Embedding(map(float, value))
+    except OverflowError:  # an integer beyond the largest double
+        return None
+    return vector if all_finite(vector) else None
+
+
 def cosine_similarity(a: Embedding, b: Embedding) -> float:
     """Cosine of two vectors; 0 when either is a zero vector."""
     if len(a) != len(b):
@@ -143,27 +155,6 @@ class VideoGraph:
         }
         self._node_ids = itertools.count(max(self.nodes, default=-1) + 1)
         self._edge_ids = itertools.count(max(self.edges, default=-1) + 1)
-
-    def copy(self) -> "VideoGraph":
-        """An independent copy: every list and dict is duplicated, and only
-        immutable values (ints, floats, strings, enums, features) and the
-        config are shared. Changing either graph afterwards leaves the other
-        as it was."""
-        return VideoGraph(
-            config=self.config,
-            nodes={
-                node_id: replace(node, frame_indices=list(node.frame_indices),
-                                 state_history=list(node.state_history),
-                                 aliases=list(node.aliases))
-                for node_id, node in self.nodes.items()
-            },
-            edges={
-                edge_id: replace(edge, frame_indices=list(edge.frame_indices))
-                for edge_id, edge in self.edges.items()
-            },
-            processed_frames=list(self.processed_frames),
-            version=self.version,
-        )
 
     # -- lookups ------------------------------------------------------------
 

@@ -2,11 +2,11 @@
 
 Sessions run on a bounded worker pool (at `parallel` 1, on the calling
 thread). The sessions on one video share a `FrameTable`, so a frame another
-session already captioned, parsed and embedded is not done again, and the
-graph of the starting frames is built once per video. Each transcript is
-appended as soon as every earlier item is done, so two runs over the same
-inputs write byte-identical transcripts and reports, and an interrupted run
-leaves its finished prefix's transcripts and the previous report.
+session already captioned, parsed and embedded is not done again. Each
+transcript is appended as soon as every earlier item is done, so two runs
+over the same inputs write byte-identical transcripts and reports, and an
+interrupted run leaves its finished prefix's transcripts and the previous
+report.
 """
 
 from __future__ import annotations

@@ -197,7 +197,6 @@ class QueryParse:
     """Question-side extraction: the entities to look for."""
 
     entities: tuple[Mention, ...]
-    raw_question: str
 
 
 # ---------------------------------------------------------------------------
@@ -517,4 +516,4 @@ def parse_question(question: str, options: Sequence[str], lex: Optional[Lexicon]
     for text in [question, *options]:
         for lemma, mention in _mentions(_analyze(text, lex), lex).items():
             entities.setdefault(lemma, mention)
-    return QueryParse(tuple(entities.values()), question)
+    return QueryParse(tuple(entities.values()))

@@ -35,7 +35,9 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .errors import DataFormatError, DimensionError, SchemaVersionError, check_field_types
-from .graph import Embedding, EntityNode, GraphConfig, RelationEdge, VideoGraph, all_finite
+from .graph import (
+    Embedding, EntityNode, GraphConfig, RelationEdge, VideoGraph, all_finite, json_vector,
+)
 from .lines import append_record, parse_object, read_lines, read_log, read_objects
 from .parsing import EntityType, RelationCategory
 
@@ -60,6 +62,8 @@ class Manifest:
         check_field_types(self, DataFormatError, "field {!r}")
         if self.total_frames < 1:
             raise DataFormatError(f"field 'total_frames' must be >= 1, got {self.total_frames}")
+        if self.fps is not None and not 0 < self.fps < math.inf:
+            raise DataFormatError(f"field 'fps' must be finite and > 0, got {self.fps}")
         if self.embedding_dim is not None and self.embedding_dim < 1:
             raise DataFormatError(f"field 'embedding_dim' must be >= 1, got {self.embedding_dim}")
         return self
@@ -333,14 +337,14 @@ def _ascending(frames: list) -> list[int]:
 
 
 def _feature(node_id, value) -> Optional[Embedding]:
-    """A node's saved feature: null, or a nonempty list of finite numbers."""
+    """A node's saved feature: null, or a vector (`graph.json_vector`)."""
     if value is None:
         return None
-    if not (isinstance(value, list) and value
-            and all(type(x) in (int, float) and math.isfinite(x) for x in value)):
+    vector = json_vector(value)
+    if vector is None:
         raise DataFormatError(f"malformed graph payload: node {node_id!r} feature must be "
                               f"null or a nonempty list of finite numbers")
-    return Embedding(value)
+    return vector
 
 
 def _node(obj) -> EntityNode:

@@ -11,6 +11,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
 
+from graphvqa import agent as agent_module
 from graphvqa import graph as graph_module
 from graphvqa.gateway import (
     PRECOMPUTED_CAPTION,
@@ -262,6 +263,20 @@ def record_update_batches(monkeypatch):
 
     monkeypatch.setattr(VideoGraph, "update_graph", recording)
     return batches
+
+
+def record_parses(monkeypatch):
+    """The frame of every `parse_caption` call the agent makes, one entry
+    per call."""
+    parsed = []
+    parse = agent_module.parse_caption
+
+    def recording(text, frame, lexicon):
+        parsed.append(frame)
+        return parse(text, frame, lexicon)
+
+    monkeypatch.setattr(agent_module, "parse_caption", recording)
+    return parsed
 
 
 def record_norms(monkeypatch):

@@ -14,12 +14,12 @@ from conftest import (
     count_pool_submits,
     make_bundle,
     record_norms,
+    record_parses,
     record_update_batches,
     remote_chat_config,
     scripted_gateway,
     unsure_entry,
 )
-from graphvqa import agent as agent_module
 from graphvqa.agent import (
     AgentAction,
     AgentConfig,
@@ -384,8 +384,9 @@ class CountingGateway(ModelGateway):
 class UnmemoizedAgent(VideoAgent):
     """Embeds a frame on every use, as the reference for transcripts."""
 
-    def _unembedded(self, frames):
-        return list(frames) if self.gateway.has_embedder else []
+    def _fetch(self, captions, embeds, question=None):
+        self.frames.embeddings.clear()
+        return super()._fetch(captions, embeds, question)
 
 
 def test_frame_embeddings_memoized_per_session():
@@ -409,14 +410,27 @@ def test_failed_frame_embedding_tried_again():
     bundle = distinct_caption_bundle()
     gateway = CountingGateway([confident_entry()], fail_once={7})
     agent = VideoAgent(bundle, gateway)
-    agent._embed_frames([7])
+    agent._fetch((), [7])
     assert agent.frames.embeddings.get(7) is None
-    agent._embed_frames([7])
+    agent._fetch((), [7])
     vector = agent.frames.embeddings.get(7)
     assert vector is not None
-    agent._embed_frames([7])
+    agent._fetch((), [7])
     assert agent.frames.embeddings.get(7) is vector
     assert gateway.frame_embeds[7] == 2
+    # a session whose starting frame failed to embed leaves it to the next one
+    initial = uniform_sample(bundle.total_frames, AgentConfig().initial_frames)
+    _, clean = VideoAgent(bundle, CountingGateway([confident_entry()])).run("what?", OPTIONS)
+    gateway = CountingGateway([confident_entry()], fail_once={initial[2]})
+    table = FrameTable()
+    _, degraded = VideoAgent(bundle, gateway.for_session(), frames=table).run("what?", OPTIONS)
+    assert set(table.embeddings) == set(initial) - {initial[2]}
+    assert save_graph(degraded) != save_graph(clean)
+    _, graph = VideoAgent(bundle, gateway.for_session(), frames=table).run("what?", OPTIONS)
+    assert save_graph(graph) == save_graph(clean)
+    # the next session asks again for the failed frame only
+    assert gateway.frame_embeds == Counter({**dict.fromkeys(initial, 1), initial[2]: 2})
+    assert gateway.frame_captions == Counter(dict.fromkeys(initial, 1))
 
 
 class QuestionCountingGateway(CountingGateway):
@@ -473,26 +487,26 @@ def test_sessions_sharing_a_frame_table_do_each_frame_once(monkeypatch):
     entries = [unsure_entry("B"), unsure_entry("C", confidence=2), confident_entry("D")]
     questions = ["what does the boy hold?", "what is the toy050?", "what does the boy hold?"]
     # the reference: each session with a table of its own
-    references = [VideoAgent(bundle, CountingGateway(entries)).run(q, OPTIONS)[0]
+    references = [VideoAgent(bundle, CountingGateway(entries)).run(q, OPTIONS)
                   for q in questions]
-    parsed = Counter()
-    parse = agent_module.parse_caption
-
-    def counting_parse(text, frame, lexicon):
-        parsed[frame] += 1
-        return parse(text, frame, lexicon)
-
-    monkeypatch.setattr(agent_module, "parse_caption", counting_parse)
+    parsed = record_parses(monkeypatch)
+    batches = record_update_batches(monkeypatch)
     gateway = CountingGateway(entries)
     table = FrameTable()
-    for question, reference in zip(questions, references):
-        session, _ = VideoAgent(bundle, gateway.for_session(), frames=table).run(question, OPTIONS)
+    for question, (reference, reference_graph) in zip(questions, references):
+        session, graph = VideoAgent(bundle, gateway.for_session(), frames=table).run(
+            question, OPTIONS
+        )
         assert transcript_record(session) == transcript_record(reference)
+        assert save_graph(graph) == save_graph(reference_graph)
+    # each session builds its own start graph from the table
+    initial = tuple(uniform_sample(bundle.total_frames, AgentConfig().initial_frames))
+    assert batches.count(initial) == len(questions)
     assert set(gateway.frame_captions.values()) == {1}
     assert set(gateway.frame_embeds.values()) == {1}
-    assert set(parsed.values()) == {1}
+    assert len(parsed) == len(set(parsed))
     assert set(parsed) == set(table.captions) == set(gateway.frame_captions)
-    assert sum(len(s.selected_frames) for s in references) > 2 * len(table.captions)
+    assert sum(len(s.selected_frames) for s, _ in references) > 2 * len(table.captions)
     for frame, embedding in table.embeddings.items():
         assert type(embedding) is Embedding and embedding.norm == vector_norm(embedding)
 
@@ -553,45 +567,17 @@ def test_failed_caption_is_not_stored_and_tried_again():
     table = FrameTable()
     with pytest.raises(GatewayError):  # the initial ingest has no round to end
         VideoAgent(bundle, gateway.for_session(), frames=table).run("what?", OPTIONS)
-    assert set(table.captions) == {initial[0]}
-    assert set(table.embeddings) == {initial[0]}
+    # the table keeps every frame that arrived, the failed frame's embedding too
+    assert set(table.captions) == set(initial) - {initial[1]}
+    assert set(table.embeddings) == set(initial)
     session, _ = VideoAgent(bundle, gateway.for_session(), frames=table).run("what?", OPTIONS)
     assert transcript_record(session) == transcript_record(reference)
-    # the table keeps the frames before the failed one; the rest are asked again
-    assert gateway.frame_captions == Counter({initial[0]: 1, **{f: 2 for f in initial[1:]}})
-    assert gateway.frame_embeds == gateway.frame_captions
+    # the next session asks again for the failed caption only
+    assert gateway.frame_captions == Counter({**dict.fromkeys(initial, 1), initial[1]: 2})
+    assert gateway.frame_embeds == Counter(dict.fromkeys(initial, 1))
 
 
-def test_sessions_start_from_the_stored_start_graph(monkeypatch):
-    bundle = distinct_caption_bundle()
-    entries = [unsure_entry("B"), unsure_entry("C", confidence=2), confident_entry("D")]
-    questions = ["what does the boy hold?", "what is the toy050?", "what does the boy hold?"]
-    fresh = [VideoAgent(bundle, CountingGateway(entries)).run(q, OPTIONS) for q in questions]
-    fresh_start = save_graph(
-        VideoAgent(bundle, CountingGateway([confident_entry()])).run("what?", OPTIONS)[1]
-    )
-    initial = tuple(uniform_sample(bundle.total_frames, AgentConfig().initial_frames))
-    batches = record_update_batches(monkeypatch)
-    gateway = CountingGateway(entries)
-    table = FrameTable()
-    for question, (reference, reference_graph) in zip(questions, fresh):
-        session, graph = VideoAgent(bundle, gateway.for_session(), frames=table).run(
-            question, OPTIONS
-        )
-        assert transcript_record(session) == transcript_record(reference)
-        assert save_graph(graph) == save_graph(reference_graph)
-    assert batches.count(initial) == 1
-    assert list(table.starts) == [initial]
-    assert save_graph(table.starts[initial]) == fresh_start
-    # a session answering at once leaves the start as it found it
-    _, graph = VideoAgent(bundle, CountingGateway([confident_entry()]), frames=table).run(
-        "what?", OPTIONS
-    )
-    assert save_graph(graph) == fresh_start
-    assert batches.count(initial) == 1
-
-
-def test_changing_a_session_graph_leaves_the_start_and_other_sessions_alone():
+def test_changing_a_session_graph_leaves_other_sessions_alone():
     bundle = distinct_caption_bundle()
     table = FrameTable()
 
@@ -601,11 +587,10 @@ def test_changing_a_session_graph_leaves_the_start_and_other_sessions_alone():
         )[1]
 
     first = run()
-    [start] = table.starts.values()
-    stored = save_graph(start)
+    stored = save_graph(first)
     second, third = run(), run()
     assert save_graph(second) == stored
-    assert len({id(start), id(first), id(second), id(third)}) == 4
+    assert len({id(first), id(second), id(third)}) == 3
     second.update_graph([(parse_caption("the girl takes the ball", 3, LEX), Embedding([0.5] * 16))])
     for node in second.nodes.values():
         node.frame_indices.append(99)
@@ -616,7 +601,7 @@ def test_changing_a_session_graph_leaves_the_start_and_other_sessions_alone():
     for edge in second.edges.values():
         edge.frame_indices.append(99)
     second.processed_frames.append(99)
-    assert save_graph(start) == save_graph(first) == save_graph(third) == stored
+    assert save_graph(first) == save_graph(third) == stored
     assert save_graph(run()) == stored
 
 
@@ -645,36 +630,7 @@ def test_parallel_sessions_on_one_table_match_serial_ones():
         reference, reference_graph = references[question]
         assert transcript_record(session) == transcript_record(reference)
         assert save_graph(graph) == save_graph(reference_graph)
-    [start] = table.starts.values()
-    assert start.version == 1 and len(start.processed_frames) == AgentConfig().initial_frames
-    assert len({id(graph) for _, graph in results} | {id(start)}) == len(results) + 1
-
-
-def test_no_start_stored_when_a_starting_frame_embedding_failed(monkeypatch):
-    bundle = distinct_caption_bundle()
-    initial = tuple(uniform_sample(bundle.total_frames, AgentConfig().initial_frames))
-    _, clean = VideoAgent(bundle, CountingGateway([confident_entry()])).run("what?", OPTIONS)
-    batches = record_update_batches(monkeypatch)
-    gateway = CountingGateway([confident_entry()], fail_once={initial[2]})
-    table = FrameTable()
-    _, degraded = VideoAgent(bundle, gateway.for_session(), frames=table).run("what?", OPTIONS)
-    assert table.starts == {}
-    assert save_graph(degraded) != save_graph(clean)
-    # the next session embeds the frame again, builds the start and stores it
-    _, graph = VideoAgent(bundle, gateway.for_session(), frames=table).run("what?", OPTIONS)
-    assert save_graph(graph) == save_graph(table.starts[initial]) == save_graph(clean)
-    assert batches == [initial, initial]
-    assert gateway.frame_embeds[initial[2]] == 2
-
-
-def test_no_start_stored_when_a_starting_caption_failed():
-    bundle = distinct_caption_bundle()
-    initial = uniform_sample(bundle.total_frames, AgentConfig().initial_frames)
-    gateway = CountingGateway([confident_entry()], fail_caption_once={initial[0]})
-    table = FrameTable()
-    with pytest.raises(GatewayError):
-        VideoAgent(bundle, gateway.for_session(), frames=table).run("what?", OPTIONS)
-    assert table.starts == {}
+    assert len({id(graph) for _, graph in results}) == len(results)
 
 
 def fanned_out_gateway(endpoint, **overrides):

@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from conftest import make_bundle, record_update_batches, remote_lanes
+from conftest import make_bundle, record_parses, remote_lanes
 from graphvqa.cli import main
 from graphvqa.store import QAItem, load_graph, load_transcripts, save_bundle, save_qa
 
@@ -626,7 +626,7 @@ def test_value_of_another_json_type_exits_with_the_reader_code(suite, capsys, re
     assert "must be a string, got 0" in err
 
 
-def test_eval_reads_the_template_once_and_builds_each_start_once(suite, tmp_path, monkeypatch):
+def test_eval_reads_the_template_once_and_parses_each_frame_once(suite, tmp_path, monkeypatch):
     from graphvqa import agent as agent_module
 
     save_bundle(make_bundle(video_id="v1", total_frames=90, seed=3), suite["bundle_root"] / "v1")
@@ -645,15 +645,15 @@ def test_eval_reads_the_template_once_and_builds_each_start_once(suite, tmp_path
         return load(path)
 
     monkeypatch.setattr(agent_module, "load_prompt_template", counting_load)
-    builds = record_update_batches(monkeypatch)
+    parsed = record_parses(monkeypatch)
     code = main([
         "eval", "--qa", str(qa_path), "--bundle", str(suite["bundle_root"]),
         "--config", str(config_path), "--out", str(tmp_path / "out"), "--parallel", "2",
     ])
     assert code == 0
     assert reads == [str(template)]
-    # the scripted chat answers at once, so every update builds a start
-    assert sorted(builds) == [(6, 18, 30, 42, 54), (9, 27, 45, 63, 81)]
+    # the scripted chat answers at once, so only the starting frames are parsed
+    assert sorted(parsed) == sorted((6, 18, 30, 42, 54, 9, 27, 45, 63, 81))
     assert len(load_transcripts(tmp_path / "out" / "transcripts.jsonl")) == 8
 
 

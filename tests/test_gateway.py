@@ -279,7 +279,11 @@ def test_malformed_payload_is_not_cached(stub_server, tmp_path, persist):
         assert len(_cache_lines(path)) == 2
 
 
-@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999", '"inf"', '"nan"'])
+NOT_A_VECTOR = "malformed embeddings payload: embedding must be a nonempty list of finite numbers"
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999", '"inf"', '"nan"',
+                                   pytest.param(str(2**1024), id="2**1024")])
 def test_non_finite_remote_embedding_is_malformed_and_not_cached(stub_server, tmp_path, value):
     endpoint, state = stub_server
     state.responses.extend([
@@ -289,9 +293,30 @@ def test_non_finite_remote_embedding_is_malformed_and_not_cached(stub_server, tm
     path = tmp_path / "cache.jsonl"
     embed = ProviderConfig(kind="RemoteEmbed", endpoint=endpoint, model_name="embedder")
     gateway = ModelGateway(embed=embed, cache=ResponseCache(path))
-    with pytest.raises(GatewayError, match="malformed embeddings payload: non-finite value"):
+    with pytest.raises(GatewayError, match=NOT_A_VECTOR):
         gateway.embed(3)
     assert gateway.embed(3) == (0.5, 0.25)
+    assert state.request_count == 2
+    assert len(_cache_lines(path)) == 1
+
+
+@pytest.mark.parametrize("embedding", ['"123"', '["0.5", true, 2]', "[0.5, 1, true]", "[]"])
+def test_remote_embedding_of_non_numbers_is_malformed_and_not_cached(stub_server, tmp_path,
+                                                                     embedding):
+    """Nothing in a reply is coerced to a float: a string, a bool or an
+    empty list is no vector."""
+    endpoint, state = stub_server
+    state.responses.extend([
+        (200, '{"data": [{"embedding": %s}]}' % embedding),
+        (200, json.dumps({"data": [{"embedding": [0.5, 1, 2.0]}]})),
+    ])
+    path = tmp_path / "cache.jsonl"
+    embed = ProviderConfig(kind="RemoteEmbed", endpoint=endpoint, model_name="embedder")
+    gateway = ModelGateway(embed=embed, cache=ResponseCache(path))
+    with pytest.raises(GatewayError, match=NOT_A_VECTOR):
+        gateway.embed(3)
+    vector = gateway.embed(3)
+    assert vector == (0.5, 1.0, 2.0) and {type(x) for x in vector} == {float}
     assert state.request_count == 2
     assert len(_cache_lines(path)) == 1
 

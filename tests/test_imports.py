@@ -1,6 +1,7 @@
 """Every package module uses each name it imports and each private name it
-defines at top level, so a removal leaves no stale import or helper behind.
-`__init__.py` is exempt from the import check: it imports to re-export."""
+defines at top level, and every test module each name it imports, so a
+removal leaves no stale import or helper behind. `__init__.py` is exempt
+from the import check: it imports to re-export."""
 
 from __future__ import annotations
 
@@ -11,6 +12,8 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "graphvqa"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+TEST_MODULES = sorted(p.name for p in TESTS.glob("*.py"))
 
 
 def used_names(tree: ast.AST) -> set[str]:
@@ -57,12 +60,13 @@ def unused_privates(source: str) -> list[str]:
 
 def test_modules_exist():
     assert "graph.py" in MODULES and "cli.py" in MODULES
+    assert "conftest.py" in TEST_MODULES and "test_imports.py" in TEST_MODULES
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_module_uses_every_name_it_imports(module):
-    source = (PACKAGE / module).read_text(encoding="utf-8")
-    assert unused_imports(source) == []
+@pytest.mark.parametrize("path", [PACKAGE / m for m in MODULES] + [TESTS / m for m in TEST_MODULES],
+                         ids=MODULES + [f"tests/{m}" for m in TEST_MODULES])
+def test_module_uses_every_name_it_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
 def test_check_finds_a_leftover_import():

@@ -100,6 +100,14 @@ def test_manifest_value_of_another_json_type_names_file_and_field(tmp_path, fiel
     assert str(info.value) == f"{directory / 'manifest'}: {message}"
 
 
+@pytest.mark.parametrize("fps", [0, -30.0, float("inf"), float("nan")])
+def test_manifest_fps_must_be_finite_and_positive(tmp_path, fps):
+    directory = write_bundle_files(tmp_path, {"video_id": "v", "total_frames": 12, "fps": fps})
+    with pytest.raises(DataFormatError) as info:
+        load_bundle(directory)
+    assert str(info.value) == f"{directory / 'manifest'}: field 'fps' must be finite and > 0, got {fps}"
+
+
 def test_caption_line_out_of_range_names_line(tmp_path):
     directory = write_bundle_files(
         tmp_path,
@@ -170,7 +178,7 @@ manifests = st.builds(
     VideoBundle,
     video_id=st.text(max_size=12),
     total_frames=st.integers(1, 10**12),
-    fps=st.none() | st.floats(allow_nan=False) | st.integers(0, 240),
+    fps=st.none() | st.floats(0, exclude_min=True, allow_infinity=False) | st.integers(1, 240),
     embedding_dim=st.none() | st.integers(1, 4096),
 )
 
@@ -427,6 +435,7 @@ def test_graph_with_unordered_frames_rejected(where):
 
 @pytest.mark.parametrize("feature", [
     "ab", {"a": 1}, 3, [], [0.5, "x"], [0.5, True], [0.5, float("nan")], [float("-inf"), 0.5],
+    pytest.param([0.5, 2**1024], id="[0.5, 2**1024]"),  # no double holds it
 ], ids=repr)
 def test_graph_feature_that_is_not_finite_numbers_rejected(feature):
     payload = json.loads(save_graph(ingest(VideoGraph(), {0: "the dog sits"})))
