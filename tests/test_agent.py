@@ -418,9 +418,15 @@ def test_failed_frame_embedding_tried_again():
     agent._fetch((), [7])
     assert agent.frames.embeddings.get(7) is vector
     assert gateway.frame_embeds[7] == 2
-    # a session whose starting frame failed to embed leaves it to the next one
-    initial = uniform_sample(bundle.total_frames, AgentConfig().initial_frames)
+
+
+def test_no_start_stored_when_a_starting_frame_embedding_failed(monkeypatch):
+    """The table keeps no embedding for a starting frame that failed to
+    embed; the next session asks for that frame again and for no other."""
+    bundle = distinct_caption_bundle()
+    initial = tuple(uniform_sample(bundle.total_frames, AgentConfig().initial_frames))
     _, clean = VideoAgent(bundle, CountingGateway([confident_entry()])).run("what?", OPTIONS)
+    batches = record_update_batches(monkeypatch)
     gateway = CountingGateway([confident_entry()], fail_once={initial[2]})
     table = FrameTable()
     _, degraded = VideoAgent(bundle, gateway.for_session(), frames=table).run("what?", OPTIONS)
@@ -428,7 +434,7 @@ def test_failed_frame_embedding_tried_again():
     assert save_graph(degraded) != save_graph(clean)
     _, graph = VideoAgent(bundle, gateway.for_session(), frames=table).run("what?", OPTIONS)
     assert save_graph(graph) == save_graph(clean)
-    # the next session asks again for the failed frame only
+    assert batches == [initial, initial]
     assert gateway.frame_embeds == Counter({**dict.fromkeys(initial, 1), initial[2]: 2})
     assert gateway.frame_captions == Counter(dict.fromkeys(initial, 1))
 
@@ -487,28 +493,50 @@ def test_sessions_sharing_a_frame_table_do_each_frame_once(monkeypatch):
     entries = [unsure_entry("B"), unsure_entry("C", confidence=2), confident_entry("D")]
     questions = ["what does the boy hold?", "what is the toy050?", "what does the boy hold?"]
     # the reference: each session with a table of its own
-    references = [VideoAgent(bundle, CountingGateway(entries)).run(q, OPTIONS)
+    references = [VideoAgent(bundle, CountingGateway(entries)).run(q, OPTIONS)[0]
                   for q in questions]
     parsed = record_parses(monkeypatch)
+    gateway = CountingGateway(entries)
+    table = FrameTable()
+    for question, reference in zip(questions, references):
+        session, _ = VideoAgent(bundle, gateway.for_session(), frames=table).run(question, OPTIONS)
+        assert transcript_record(session) == transcript_record(reference)
+    assert set(gateway.frame_captions.values()) == {1}
+    assert set(gateway.frame_embeds.values()) == {1}
+    assert len(parsed) == len(set(parsed))
+    assert set(parsed) == set(table.captions) == set(gateway.frame_captions)
+    assert sum(len(s.selected_frames) for s in references) > 2 * len(table.captions)
+    for frame, embedding in table.embeddings.items():
+        assert type(embedding) is Embedding and embedding.norm == vector_norm(embedding)
+
+
+def test_sessions_start_from_the_stored_start_graph(monkeypatch):
+    """Each session builds its start graph from the table's stored parses
+    and embeddings, equal to the start of a session with a table of its own."""
+    bundle = distinct_caption_bundle()
+    entries = [unsure_entry("B"), unsure_entry("C", confidence=2), confident_entry("D")]
+    questions = ["what does the boy hold?", "what is the toy050?", "what does the boy hold?"]
+    fresh = [VideoAgent(bundle, CountingGateway(entries)).run(q, OPTIONS) for q in questions]
+    fresh_start = save_graph(
+        VideoAgent(bundle, CountingGateway([confident_entry()])).run("what?", OPTIONS)[1]
+    )
+    initial = tuple(uniform_sample(bundle.total_frames, AgentConfig().initial_frames))
     batches = record_update_batches(monkeypatch)
     gateway = CountingGateway(entries)
     table = FrameTable()
-    for question, (reference, reference_graph) in zip(questions, references):
+    for question, (reference, reference_graph) in zip(questions, fresh):
         session, graph = VideoAgent(bundle, gateway.for_session(), frames=table).run(
             question, OPTIONS
         )
         assert transcript_record(session) == transcript_record(reference)
         assert save_graph(graph) == save_graph(reference_graph)
-    # each session builds its own start graph from the table
-    initial = tuple(uniform_sample(bundle.total_frames, AgentConfig().initial_frames))
     assert batches.count(initial) == len(questions)
-    assert set(gateway.frame_captions.values()) == {1}
-    assert set(gateway.frame_embeds.values()) == {1}
-    assert len(parsed) == len(set(parsed))
-    assert set(parsed) == set(table.captions) == set(gateway.frame_captions)
-    assert sum(len(s.selected_frames) for s, _ in references) > 2 * len(table.captions)
-    for frame, embedding in table.embeddings.items():
-        assert type(embedding) is Embedding and embedding.norm == vector_norm(embedding)
+    # a session answering at once holds just the start, built without a request
+    gateway = CountingGateway([confident_entry()])
+    _, graph = VideoAgent(bundle, gateway, frames=table).run("what?", OPTIONS)
+    assert save_graph(graph) == fresh_start
+    assert batches.count(initial) == len(questions) + 1
+    assert not gateway.frame_captions and not gateway.frame_embeds
 
 
 def test_each_vector_normed_once_in_sessions_sharing_a_table(monkeypatch):
