@@ -6,6 +6,9 @@ behind a gateway (OpenAI-compatible wire clients, precomputed bundles, or
 deterministic scripted providers), so the whole pipeline runs offline.
 """
 
+# Set before the submodule imports: the gateway's User-Agent names it.
+__version__ = "0.1.0"
+
 from .agent import (
     AgentAction,
     AgentConfig,
@@ -49,5 +52,3 @@ from .store import (
     save_graph,
     save_transcript,
 )
-
-__version__ = "0.1.0"

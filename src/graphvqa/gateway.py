@@ -19,10 +19,16 @@ body) for its whole life, so one `run` or `eval` command sends each distinct
 request at most once, even when parallel sessions ask for it at the same
 moment. The memo answers a repeated identical chat prompt with the first
 reply, also at temperature > 0. A cache path only makes the memo persist,
-as an append-only log (see `lines`), so eval reruns cost nothing. Requests go
-out through the standard library's
-``urllib.request``, which takes proxies from the standard environment
-variables and verifies HTTPS against the default SSL context.
+as an append-only log (see `lines`), so eval reruns cost nothing.
+
+Requests go out through a small HTTP/1.1 client on `socket` and `ssl`: one
+connection per request, closed once its reply is read. HTTPS certificates
+and host names are checked against the system CA store. Proxies are not
+supported: building a gateway whose remote endpoint the proxy environment
+variables would route through a proxy raises GatewayConfigError, as does a
+remote lane whose API key variable is unset, and a ProviderConfig whose
+remote endpoint is not a plain http(s) URL. So a bad config fails before
+any request.
 
 Each lane (chat, caption, embed) has its own in-flight bound, its
 `max_inflight`, even when two lanes name one endpoint and model.
@@ -43,20 +49,24 @@ already have been sent and cached.
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
-import http.client
 import json
 import logging
 import os
+import re
+import socket
+import ssl
 import threading
 import time
-import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
+from urllib.parse import urlsplit
 
+from . import __version__
 from .errors import (
     DataFormatError,
     GatewayConfigError,
@@ -85,6 +95,7 @@ _LANE_KINDS = {
     "caption": (REMOTE_CHAT, PRECOMPUTED_CAPTION),
     "embed": (REMOTE_EMBED, PRECOMPUTED_EMBED, SCRIPTED),
 }
+_REMOTE_KINDS = (REMOTE_CHAT, REMOTE_EMBED)
 _RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
 
 Message = tuple[str, str]
@@ -111,8 +122,10 @@ class ProviderConfig:
         check_field_types(self, GatewayConfigError)
         if self.kind not in _KINDS:
             raise GatewayConfigError(f"unknown provider kind {self.kind!r}")
-        if self.kind in (REMOTE_CHAT, REMOTE_EMBED) and not (self.endpoint and self.model_name):
-            raise GatewayConfigError(f"{self.kind} requires endpoint and model_name")
+        if self.kind in _REMOTE_KINDS:
+            if not (self.endpoint and self.model_name):
+                raise GatewayConfigError(f"{self.kind} requires endpoint and model_name")
+            _check_endpoint(self.endpoint)
         if not self.timeout > 0:
             raise GatewayConfigError(f"timeout must be > 0, got {self.timeout}")
         if self.max_retries < 0:
@@ -136,7 +149,40 @@ class ProviderConfig:
             raise GatewayConfigError(
                 f"API key environment variable {self.api_key_env!r} is not set"
             )
+        if not _TOKEN.fullmatch(key):
+            raise GatewayConfigError(f"API key environment variable {self.api_key_env!r} "
+                                     "holds a space or a character that is not printable ASCII")
         return key
+
+
+# Printable ASCII without spaces: what a URL or a bearer token may hold.
+_TOKEN = re.compile(r"[!-~]+")
+
+
+def _check_endpoint(endpoint: str) -> None:
+    """Raise GatewayConfigError unless `endpoint` is an http(s) URL of a host
+    (with a port perhaps, and a path prefix) that the transport can reach."""
+    if not _TOKEN.fullmatch(endpoint):
+        raise GatewayConfigError(f"endpoint {endpoint!r} holds a space or a character that is "
+                                 "not printable ASCII (write a host name in its xn-- form)")
+    parts = urlsplit(endpoint)
+    try:
+        port = parts.port
+    except ValueError:
+        port = 0
+    if parts.scheme not in ("http", "https"):
+        problem = "is not an http:// or https:// URL"
+    elif not parts.hostname:
+        problem = "names no host"
+    elif port == 0:
+        problem = "has a bad port"
+    elif "@" in parts.netloc:
+        problem = "holds user info (send credentials with api_key_env)"
+    elif parts.query or parts.fragment or endpoint.endswith(("?", "#")):
+        problem = "holds a query or a fragment"
+    else:
+        return
+    raise GatewayConfigError(f"endpoint {endpoint!r} {problem}")
 
 
 @dataclass(frozen=True)
@@ -301,6 +347,14 @@ class ModelGateway:
         for lane, cfg in lanes.items():
             if cfg is not None and cfg.kind not in _LANE_KINDS[lane]:
                 raise GatewayConfigError(f"provider kind {cfg.kind} cannot serve {lane}")
+        remote = {lane: cfg for lane, cfg in lanes.items()
+                  if cfg is not None and cfg.kind in _REMOTE_KINDS}
+        if remote:
+            # Scans the whole environment (0.25 ms with 75 variables): once, not per lane.
+            proxies = urllib.request.getproxies()
+            for lane, cfg in remote.items():
+                cfg.api_key()
+                _refuse_proxy(lane, cfg.endpoint, proxies)
         self.chat_cfg = chat
         self.caption_cfg = caption
         self.embed_cfg = embed
@@ -325,10 +379,7 @@ class ModelGateway:
         # The fan-out pool of `gather`, shared with the session views. Its
         # threads start on the first fan-out and mark themselves, because a
         # pool thread that waited on the pool could deadlock it.
-        fanned_out = [
-            cfg.max_inflight for cfg in (caption, embed)
-            if cfg is not None and cfg.kind in (REMOTE_CHAT, REMOTE_EMBED)
-        ]
+        fanned_out = [remote[lane].max_inflight for lane in ("caption", "embed") if lane in remote]
         self._pool_thread = threading.local()
         self._pool = ThreadPoolExecutor(
             max(fanned_out, default=1), thread_name_prefix="graphvqa-gateway",
@@ -561,9 +612,9 @@ class ModelGateway:
                 attempts += 1
                 try:
                     status, raw = _post_once(request.url, data, headers, cfg.timeout)
-                except (OSError, ValueError, http.client.HTTPException) as exc:
-                    # URLError and timeouts are OSErrors; ValueError is a
-                    # malformed URL or header value.
+                except (OSError, ValueError) as exc:
+                    # Timeouts, resets, TLS failures and malformed replies are
+                    # OSErrors; ValueError is a host name that does not encode.
                     last_error = f"transport error: {exc}"
                     logger.warning("gateway attempt %d failed: %s", attempts, last_error)
                 else:
@@ -595,14 +646,149 @@ class ModelGateway:
         )
 
 
+def _refuse_proxy(lane: str, endpoint: str, proxies: dict[str, str]) -> None:
+    """Raise GatewayConfigError if `proxies` (see `urllib.request.getproxies`)
+    route `endpoint` through a proxy, which the transport would not use."""
+    parts = urlsplit(endpoint)
+    proxy = proxies.get(parts.scheme)
+    if proxy and not urllib.request.proxy_bypass(parts.netloc):
+        raise GatewayConfigError(
+            f"the {parts.scheme}_proxy environment variable routes the {lane} endpoint "
+            f"{endpoint} through {proxy}, but graphvqa does not support proxies: "
+            f"add {parts.hostname} to no_proxy or unset {parts.scheme}_proxy"
+        )
+
+
+class MalformedReply(OSError):
+    """A reply that is not HTTP/1.x or ends before its body does. An OSError,
+    so `_send` retries it as it retries a reset or a timeout."""
+
+
+@functools.lru_cache(maxsize=None)
+def _tls_context() -> ssl.SSLContext:
+    """The one HTTPS context of the process: the system CA store, with
+    certificates and host names checked."""
+    return ssl.create_default_context()
+
+
+@functools.lru_cache(maxsize=64)
+def _target(url: str) -> tuple[bool, str, int, bytes]:
+    """(is https, host, port, request line and Host header) of `url`."""
+    parts = urlsplit(url)
+    https = parts.scheme == "https"
+    head = f"POST {parts.path or '/'} HTTP/1.1\r\nHost: {parts.netloc}\r\n"
+    return https, parts.hostname, parts.port or (443 if https else 80), head.encode("ascii")
+
+
+_FIXED_HEADERS = (f"Accept-Encoding: identity\r\nUser-Agent: graphvqa/{__version__}\r\n"
+                  "Connection: close\r\n").encode("ascii")
+_STATUS_LINE = re.compile(rb"HTTP/1\.[01] ([0-9]{3})(?: [^\r\n]*)?")
+_DIGITS = re.compile(rb"[0-9]+")
+_HEX_DIGITS = re.compile(rb"[0-9A-Fa-f]+")
+_MAX_HEAD = 65536  # bytes of a status line and headers, or of a chunk-size line
+
+
 def _post_once(url: str, data: bytes, headers: dict[str, str],
                timeout: float) -> tuple[int, bytes]:
-    """POST once and return (status, body); an HTTP error status is returned
-    with an empty body instead of raised."""
-    request = urllib.request.Request(url, data=data, headers=headers, method="POST")
+    """POST once on a new connection and return (status, body); a status
+    other than 200 is returned with an empty body, which is not read."""
+    https, host, port, head = _target(url)
+    lines = "".join(f"{name}: {value}\r\n" for name, value in headers.items())
+    request = b"".join((head, lines.encode("ascii"), b"Content-Length: %d\r\n" % len(data),
+                        _FIXED_HEADERS, b"\r\n", data))
+    sock = socket.create_connection((host, port), timeout)
     try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            return response.status, response.read()
-    except urllib.error.HTTPError as exc:
-        exc.close()
-        return exc.code, b""
+        if https:
+            sock = _tls_context().wrap_socket(sock, server_hostname=host)
+        sock.sendall(request)
+        return _read_reply(_Reader(sock))
+    finally:
+        sock.close()
+
+
+class _Reader:
+    """One reply's bytes, received into one buffer as they are needed."""
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.buf = bytearray()
+        self.pos = 0  # the first byte not yet consumed
+
+    def _receive(self, what: str) -> None:
+        data = self.sock.recv(65536)
+        if not data:
+            raise MalformedReply(f"connection closed inside the {what}")
+        self.buf += data
+
+    def until(self, mark: bytes, what: str) -> bytes:
+        """Consume the bytes up to and including the next `mark`; return
+        those before it."""
+        while (end := self.buf.find(mark, self.pos)) < 0:
+            if len(self.buf) - self.pos > _MAX_HEAD:
+                raise MalformedReply(f"{what} is longer than {_MAX_HEAD} bytes")
+            self._receive(what)
+        return self.take(end + len(mark) - self.pos, what)[:-len(mark)]
+
+    def take(self, size: int, what: str) -> bytes:
+        """Consume and return the next `size` bytes."""
+        while len(self.buf) - self.pos < size:
+            self._receive(what)
+        self.pos += size
+        return bytes(self.buf[self.pos - size:self.pos])
+
+    def rest(self) -> bytes:
+        """Consume and return everything until the server closes."""
+        while data := self.sock.recv(65536):
+            self.buf += data
+        return bytes(self.buf[self.pos:])
+
+
+def _read_reply(reader: _Reader) -> tuple[int, bytes]:
+    """(status, body) of one reply, after any interim 1xx replies."""
+    status = 100
+    while 100 <= status < 200:
+        status, chunked, length = _parse_head(reader.until(b"\r\n\r\n", "reply head"))
+    if status != 200:
+        return status, b""
+    if chunked:
+        return status, _read_chunked(reader)
+    return status, reader.rest() if length is None else reader.take(length, "body")
+
+
+def _parse_head(head: bytes) -> tuple[int, bool, Optional[int]]:
+    """The status of a reply head, whether its body is chunked, and its
+    Content-Length: None when the body ends where the server closes."""
+    status_line, *lines = head.split(b"\r\n")
+    match = _STATUS_LINE.fullmatch(status_line)
+    if match is None:
+        raise MalformedReply(f"bad status line {status_line[:80]!r}")
+    codings, length = [], None
+    for line in lines:
+        name, colon, value = line.partition(b":")
+        if not colon or not name or name != name.strip():
+            raise MalformedReply(f"bad header line {line[:80]!r}")
+        name, value = name.lower(), value.strip()
+        if name == b"transfer-encoding":
+            codings.extend(value.split(b","))
+        elif name == b"content-length":
+            if not _DIGITS.fullmatch(value) or length not in (None, int(value)):
+                raise MalformedReply(f"bad Content-Length {value[:80]!r}")
+            length = int(value)
+    if codings:  # a Transfer-Encoding overrides any Content-Length
+        return int(match.group(1)), codings[-1].strip().lower() == b"chunked", None
+    return int(match.group(1)), False, length
+
+
+def _read_chunked(reader: _Reader) -> bytes:
+    """A chunked body up to its last chunk; its trailer is not read."""
+    chunks = []
+    while True:
+        size_text = reader.until(b"\r\n", "chunk size").partition(b";")[0].strip()
+        if not _HEX_DIGITS.fullmatch(size_text):
+            raise MalformedReply(f"bad chunk size {size_text[:80]!r}")
+        size = int(size_text, 16)
+        if size == 0:
+            return b"".join(chunks)
+        chunks.append(reader.take(size, "chunk"))
+        if reader.take(2, "chunk end") != b"\r\n":
+            raise MalformedReply("a chunk does not end with CRLF")

@@ -491,6 +491,35 @@ def test_lane_kind_that_cannot_serve_the_lane_is_config_error(tmp_path, suite, c
     assert f"configuration error: provider kind {kind} cannot serve {lane}" in err
 
 
+@pytest.mark.parametrize("command", ["run", "eval"])
+def test_unset_api_key_is_config_error(tmp_path, suite, capsys, monkeypatch, command):
+    # No item may run: every chat call would fail, and eval would report an
+    # accuracy over the round-limit answers.
+    monkeypatch.delenv("GRAPHVQA_UNSET_KEY", raising=False)
+    config = json.loads(suite["config"].read_text(encoding="utf-8"))
+    config["providers"]["default"]["chat"] = {
+        "kind": "RemoteChat", "endpoint": "http://127.0.0.1:9", "model_name": "m",
+        "api_key_env": "GRAPHVQA_UNSET_KEY",
+    }
+    config_path = write_config(tmp_path, suite, providers=config["providers"])
+    err = rejected_before_any_item(tmp_path, suite, capsys, command, config_path)
+    assert "configuration error: API key environment variable 'GRAPHVQA_UNSET_KEY'" in err
+
+
+@pytest.mark.parametrize("command", ["run", "eval"])
+@pytest.mark.parametrize("endpoint", ["localhost:9", "ftp://example.com", "http://",
+                                      "http://127.0.0.1:notaport"])
+def test_endpoint_that_is_no_http_url_is_config_error(tmp_path, suite, capsys, command,
+                                                      endpoint):
+    config = json.loads(suite["config"].read_text(encoding="utf-8"))
+    config["providers"]["default"]["caption"] = {
+        "kind": "RemoteChat", "endpoint": endpoint, "model_name": "m",
+    }
+    config_path = write_config(tmp_path, suite, providers=config["providers"])
+    err = rejected_before_any_item(tmp_path, suite, capsys, command, config_path)
+    assert f"configuration error: endpoint {endpoint!r}" in err
+
+
 @pytest.mark.parametrize("changes", [
     b"[1, 2]",
     b'"text"',
