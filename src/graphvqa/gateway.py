@@ -1,18 +1,23 @@
 """Uniform access to chat, captioning, and embedding backends.
 
-Provider kinds:
+A gateway's lane table gives each lane (chat, caption, embed) a provider or
+none. `ModelGateway._request` builds the remote kinds' requests, and
+`ModelGateway._local` answers the local kinds:
 
-- RemoteChat / RemoteEmbed: OpenAI-compatible endpoints. Chat POSTs to
-  {endpoint}/v1/chat/completions with model, messages, temperature and reads
-  the first choice's message content; embeddings POST to
-  {endpoint}/v1/embeddings. The API key is read from the configured
-  environment variable and sent as a bearer token. Transient failures
-  (connection errors, timeouts, HTTP 429/5xx) retry with exponential backoff
-  up to max_retries; every decode failure surfaces as a GatewayError.
-- PrecomputedCaption / PrecomputedEmbed: served from a video bundle's tables.
-- Scripted: deterministic stand-ins for tests. Scripted chat replays the
-  first matching script entry; scripted embeddings are seeded hashes of the
-  input expanded to the configured dimension and unit-normalized.
+- RemoteChat (chat, caption) / RemoteEmbed (embed): OpenAI-compatible
+  endpoints. Chat POSTs to {endpoint}/v1/chat/completions with model,
+  messages, temperature and reads the first choice's message content;
+  embeddings POST to {endpoint}/v1/embeddings. The API key is read from the
+  configured environment variable and sent as a bearer token. Transient
+  failures (connection errors, timeouts, HTTP 429/5xx) retry with exponential
+  backoff up to max_retries, but a failed TLS certificate check does not;
+  every decode failure surfaces as a GatewayError.
+- PrecomputedCaption (caption) / PrecomputedEmbed (embed), local: served from
+  a video bundle's tables.
+- Scripted (chat, embed), local: deterministic stand-ins for tests. Scripted
+  chat replays the first matching script entry; scripted embeddings are
+  seeded hashes of the input expanded to the configured dimension and
+  unit-normalized.
 
 Every gateway memoizes remote responses by a hash of (provider id, request
 body) for its whole life, so one `run` or `eval` command sends each distinct
@@ -53,6 +58,7 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import os
 import re
 import socket
@@ -99,7 +105,7 @@ _REMOTE_KINDS = (REMOTE_CHAT, REMOTE_EMBED)
 _RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
 
 Message = tuple[str, str]
-Lane = str  # "caption" or "embed"
+Lane = str  # "chat", "caption" or "embed"
 
 @dataclass
 class ProviderConfig:
@@ -126,12 +132,15 @@ class ProviderConfig:
             if not (self.endpoint and self.model_name):
                 raise GatewayConfigError(f"{self.kind} requires endpoint and model_name")
             _check_endpoint(self.endpoint)
-        if not self.timeout > 0:
-            raise GatewayConfigError(f"timeout must be > 0, got {self.timeout}")
+        if not 0 < self.timeout < math.inf:
+            raise GatewayConfigError(f"timeout must be finite and > 0, got {self.timeout}")
         if self.max_retries < 0:
             raise GatewayConfigError(f"max_retries must be >= 0, got {self.max_retries}")
-        if not self.retry_backoff >= 0:
-            raise GatewayConfigError(f"retry_backoff must be >= 0, got {self.retry_backoff}")
+        if not 0 <= self.retry_backoff < math.inf:
+            raise GatewayConfigError(
+                f"retry_backoff must be finite and >= 0, got {self.retry_backoff}")
+        if not math.isfinite(self.temperature):
+            raise GatewayConfigError(f"temperature must be finite, got {self.temperature}")
         if self.embed_dim < 1:
             raise GatewayConfigError(f"embed_dim must be >= 1, got {self.embed_dim}")
         if self.max_inflight < 1:
@@ -224,26 +233,6 @@ def load_script(path: Union[str, Path]) -> list[ScriptEntry]:
             for line_no, obj in read_objects(path, GatewayConfigError)]
 
 
-class ScriptedChat:
-    """Replays script entries; keeps a per-instance 1-based call counter."""
-
-    def __init__(self, entries: Sequence[ScriptEntry]):
-        if not entries:
-            raise GatewayConfigError("scripted chat needs at least one entry")
-        if not entries[-1].is_catch_all:
-            raise GatewayConfigError("the final script entry must be a catch-all")
-        self.entries = list(entries)
-        self.calls = 0
-
-    def reply(self, prompt: str) -> str:
-        self.calls += 1
-        for entry in self.entries:
-            if entry.matches(self.calls, prompt):
-                return entry.reply
-        # unreachable: the last entry matches everything
-        return self.entries[-1].reply
-
-
 def pseudo_embedding(text: str, dim: int, seed: int = 0) -> Embedding:
     """Deterministic unit-norm vector derived from a hash of the input."""
     if dim < 1:
@@ -269,7 +258,8 @@ class ResponseCache:
     Each put appends one line holding a one-entry object ``{key: value}``;
     earlier lines are never rewritten. The loader merges every record in
     order, so a file holding one object with many entries on a single line
-    loads as well. A fault reading or writing the file raises DataFormatError.
+    loads as well. A fault reading or writing the file, or a record that is
+    not an object or holds a null, raises DataFormatError.
     """
 
     def __init__(self, path: Optional[Union[str, Path]] = None):
@@ -280,6 +270,8 @@ class ResponseCache:
             for line_no, record in read_log(self.path, DataFormatError):
                 if not isinstance(record, dict):
                     raise DataFormatError(f"{self.path}:{line_no}: cache record is not a JSON object")
+                if None in record.values():  # would be sent again on every call, never cached
+                    raise DataFormatError(f"{self.path}:{line_no}: cache record holds a null")
                 self._data.update(record)
 
     @staticmethod
@@ -304,9 +296,8 @@ class ResponseCache:
 
 @dataclass(frozen=True)
 class _Request:
-    """One remote request: its lane, where it goes, its body, its cache key
-    and how its reply decodes. The body doubles as the cache key, so its
-    rendering is fixed."""
+    """One remote request, as `ModelGateway._request` builds it: its lane,
+    where it goes, its body, its cache key and how its reply decodes."""
 
     cfg: ProviderConfig
     lane: str
@@ -315,24 +306,47 @@ class _Request:
     key: str
     decode: Callable[[object], object]
 
-    @classmethod
-    def build(cls, cfg: ProviderConfig, lane: str, path: str, body: dict,
-              decode: Callable[[object], object]) -> "_Request":
-        text = json.dumps(body, sort_keys=True, ensure_ascii=False)
-        return cls(cfg, lane, f"{cfg.endpoint.rstrip('/')}{path}", text,
-                   ResponseCache.key(cfg.provider_id, text), decode)
+
+def _completion_text(lane: Lane, payload) -> str:
+    """The first choice's text of a chat completion reply."""
+    try:
+        content = payload["choices"][0]["message"]["content"]
+    except (KeyError, IndexError, TypeError) as exc:
+        raise GatewayError(f"malformed {lane} payload: missing {exc!r}") from exc
+    if not isinstance(content, str):
+        raise GatewayError(f"malformed {lane} payload: content is {type(content).__name__}")
+    return content
+
+
+def _embedding(dim: Optional[int], payload) -> Embedding:
+    """The vector of an embeddings reply, which must have `dim` dimensions
+    (a bundle's; any number when `dim` is None or 0)."""
+    try:
+        vector = json_vector(payload["data"][0]["embedding"])
+    except (KeyError, IndexError, TypeError) as exc:
+        raise GatewayError(f"malformed embeddings payload: {exc!r}") from exc
+    if vector is None:
+        raise GatewayError("malformed embeddings payload: embedding must be a "
+                           "nonempty list of finite numbers")
+    if dim and len(vector) != dim:
+        raise DimensionError(f"remote embedding dim {len(vector)} does not match bundle dim {dim}")
+    return vector
 
 
 class ModelGateway:
     """One object bundling the chat, caption, and embed lanes.
 
-    Safe for concurrent use across sessions; remote calls are limited by a
-    per-lane in-flight semaphore, and concurrent misses on one request
-    are merged so only the first caller sends it. Without a `cache` the
-    gateway keeps its responses in memory. Scripted chat counts calls per
-    gateway, so concurrent sessions each take their own view from
-    `for_session`. `close` stops the threads that `gather` started. A lane
-    given a provider kind that cannot serve it raises GatewayConfigError here.
+    Its lane table maps each lane to a ProviderConfig, or to None when the
+    lane is unset. Every call takes one dispatch: `_request` builds a remote
+    lane's request, and `_local` answers a local lane. Safe for concurrent
+    use across sessions; remote calls are limited by a per-lane in-flight
+    semaphore, and concurrent misses on one request are merged so only the
+    first caller sends it. Without a `cache` the gateway keeps its responses
+    in memory. Scripted chat counts calls per gateway, so concurrent sessions
+    each take their own view from `for_session`. `close` stops the threads
+    that `gather` started. A lane given a provider kind that cannot serve it
+    raises GatewayConfigError here, as does a chat script that is empty or
+    does not end in a catch-all.
     """
 
     def __init__(
@@ -343,11 +357,11 @@ class ModelGateway:
         cache: Optional[ResponseCache] = None,
         chat_script: Optional[Sequence[ScriptEntry]] = None,
     ):
-        lanes = {"chat": chat, "caption": caption, "embed": embed}
-        for lane, cfg in lanes.items():
+        self._lanes = {"chat": chat, "caption": caption, "embed": embed}
+        for lane, cfg in self._lanes.items():
             if cfg is not None and cfg.kind not in _LANE_KINDS[lane]:
                 raise GatewayConfigError(f"provider kind {cfg.kind} cannot serve {lane}")
-        remote = {lane: cfg for lane, cfg in lanes.items()
+        remote = {lane: cfg for lane, cfg in self._lanes.items()
                   if cfg is not None and cfg.kind in _REMOTE_KINDS}
         if remote:
             # Scans the whole environment (0.25 ms with 75 variables): once, not per lane.
@@ -355,23 +369,21 @@ class ModelGateway:
             for lane, cfg in remote.items():
                 cfg.api_key()
                 _refuse_proxy(lane, cfg.endpoint, proxies)
-        self.chat_cfg = chat
-        self.caption_cfg = caption
-        self.embed_cfg = embed
         self.cache = cache if cache is not None else ResponseCache()
-        self._scripted_chat: Optional[ScriptedChat] = None
+        self._script: list[ScriptEntry] = []
+        self._chat_calls = 0  # the 1-based counter that a script entry's `round` matches
         if chat is not None and chat.kind == SCRIPTED:
-            if chat_script:
-                entries = list(chat_script)
-            elif chat.script_path:
-                entries = load_script(chat.script_path)
-            else:
+            if not (chat_script or chat.script_path):
                 raise GatewayConfigError("scripted chat provider needs script_path")
-            self._scripted_chat = ScriptedChat(entries)
+            self._script = list(chat_script) if chat_script else load_script(chat.script_path)
+            if not self._script:
+                raise GatewayConfigError("scripted chat needs at least one entry")
+            if not self._script[-1].is_catch_all:
+                raise GatewayConfigError("the final script entry must be a catch-all")
         # Lane -> its own in-flight bound, even when lanes share an endpoint.
         self._semaphores = {
             lane: threading.Semaphore(cfg.max_inflight)
-            for lane, cfg in lanes.items() if cfg is not None
+            for lane, cfg in self._lanes.items() if cfg is not None
         }
         # Cache key -> event set once its sender has finished, successful or not.
         self._inflight: dict[str, threading.Event] = {}
@@ -391,8 +403,7 @@ class ModelGateway:
         in-flight limits, merged misses and fan-out pool but counts scripted
         chat calls from 1 again."""
         view = copy.copy(self)
-        if self._scripted_chat is not None:
-            view._scripted_chat = ScriptedChat(self._scripted_chat.entries)
+        view._chat_calls = 0
         return view
 
     def close(self) -> None:
@@ -405,106 +416,32 @@ class ModelGateway:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- chat and captions --------------------------------------------------------
+    # -- entry points ---------------------------------------------------------------
 
     def chat(self, messages: Sequence[Message]) -> str:
         """Return the assistant's reply text for a message list."""
         if not messages:
             raise ValueError("messages must be nonempty")
-        cfg = self._require(self.chat_cfg, "chat")
-        if cfg.kind == SCRIPTED:
-            prompt = "\n".join(text for _, text in messages)
-            return self._scripted_chat.reply(prompt)
-        return self._post_with_retries(self._completion_request(cfg, messages, "chat"))
+        return self._serve("chat", messages, None)
 
     def can_caption(self, frame_index: int, bundle: VideoBundle) -> bool:
-        if self.caption_cfg is None:
+        cfg = self._lanes["caption"]
+        if cfg is None:
             return False
-        if self.caption_cfg.kind == PRECOMPUTED_CAPTION:
-            return frame_index in bundle.captions
-        return True
+        return cfg.kind != PRECOMPUTED_CAPTION or frame_index in bundle.captions
 
     def caption(self, frame_index: int, bundle: VideoBundle) -> str:
         """Caption one frame from the bundle table or the remote captioner."""
-        cfg = self._require(self.caption_cfg, "caption")
-        if cfg.kind == PRECOMPUTED_CAPTION:
-            if frame_index not in bundle.captions:
-                raise MissingCaptionError(
-                    f"no caption for frame {frame_index} of video {bundle.video_id!r}"
-                )
-            return bundle.captions[frame_index]
-        return self._post_with_retries(self._caption_request(cfg, frame_index, bundle))
-
-    def _caption_request(self, cfg: ProviderConfig, frame_index: int,
-                         bundle: VideoBundle) -> _Request:
-        prompt = f"Caption frame {frame_index} of video {bundle.video_id}."
-        return self._completion_request(cfg, [("user", prompt)], "caption")
-
-    def _completion_request(self, cfg: ProviderConfig, messages: Sequence[Message],
-                            lane: str) -> _Request:
-        """A chat completion whose reply decodes to the first choice's text."""
-        body = {
-            "model": cfg.model_name,
-            "messages": [{"role": role, "content": text} for role, text in messages],
-            "temperature": cfg.temperature,
-        }
-
-        def text(payload) -> str:
-            try:
-                content = payload["choices"][0]["message"]["content"]
-            except (KeyError, IndexError, TypeError) as exc:
-                raise GatewayError(f"malformed {lane} payload: missing {exc!r}") from exc
-            if not isinstance(content, str):
-                raise GatewayError(f"malformed {lane} payload: content is {type(content).__name__}")
-            return content
-
-        return _Request.build(cfg, lane, "/v1/chat/completions", body, text)
-
-    # -- embeddings ---------------------------------------------------------------
+        return self._serve("caption", frame_index, bundle)
 
     @property
     def has_embedder(self) -> bool:
-        return self.embed_cfg is not None
+        return self._lanes["embed"] is not None
 
     def embed(self, text_or_frame: Union[str, int], bundle: Optional[VideoBundle] = None) -> Embedding:
         """Embed a query string or a frame index. Same input, same vector:
         the local lanes return a frame's vector from the bundle itself."""
-        cfg = self._require(self.embed_cfg, "embed")
-        if cfg.kind == REMOTE_EMBED:
-            return self._post_with_retries(self._embed_request(cfg, text_or_frame, bundle))
-        is_frame = isinstance(text_or_frame, int)
-        if is_frame and bundle is not None and text_or_frame in bundle.embeddings:
-            return bundle.embeddings[text_or_frame]
-        if cfg.kind == PRECOMPUTED_EMBED:
-            raise MissingEmbeddingError(
-                f"no embedding for frame {text_or_frame}" if is_frame
-                else "precomputed embeddings cover frames only, not query text"
-            )
-        token = f"frame:{text_or_frame}" if is_frame else f"text:{text_or_frame}"
-        dim = bundle.embedding_dim if bundle is not None and bundle.embedding_dim else cfg.embed_dim
-        return pseudo_embedding(token, dim, cfg.seed)
-
-    def _embed_request(self, cfg: ProviderConfig, text_or_frame: Union[str, int],
-                       bundle: Optional[VideoBundle]) -> _Request:
-        """An embedding whose reply must match the bundle's dimension."""
-        dim = bundle.embedding_dim if bundle is not None else None
-
-        def floats(payload) -> Embedding:
-            try:
-                vector = json_vector(payload["data"][0]["embedding"])
-            except (KeyError, IndexError, TypeError) as exc:
-                raise GatewayError(f"malformed embeddings payload: {exc!r}") from exc
-            if vector is None:
-                raise GatewayError("malformed embeddings payload: embedding must be a "
-                                   "nonempty list of finite numbers")
-            if dim and len(vector) != dim:
-                raise DimensionError(
-                    f"remote embedding dim {len(vector)} does not match bundle dim {dim}"
-                )
-            return vector
-
-        body = {"model": cfg.model_name, "input": str(text_or_frame)}
-        return _Request.build(cfg, "embed", "/v1/embeddings", body, floats)
+        return self._serve("embed", text_or_frame, bundle)
 
     # -- one round's requests -----------------------------------------------------
 
@@ -524,6 +461,8 @@ class ModelGateway:
         misses: list[int] = []
         for i, (lane, item) in enumerate(requests):
             try:
+                if lane not in serve:
+                    raise ValueError(f"unknown lane {lane!r}")
                 request = self._request(lane, item, bundle)
                 if request is None:
                     results[i] = serve[lane](item, bundle)
@@ -551,23 +490,71 @@ class ModelGateway:
                 raise result
         return results
 
-    def _request(self, lane: Lane, item: Union[str, int],
-                 bundle: VideoBundle) -> Optional[_Request]:
-        """The remote request for `(lane, item)`; None when a local lane serves it."""
-        if lane == "caption":
-            cfg = self._require(self.caption_cfg, "caption")
-            return self._caption_request(cfg, item, bundle) if cfg.kind == REMOTE_CHAT else None
-        if lane == "embed":
-            cfg = self._require(self.embed_cfg, "embed")
-            return self._embed_request(cfg, item, bundle) if cfg.kind == REMOTE_EMBED else None
-        raise ValueError(f"unknown lane {lane!r}")
+    # -- the dispatch ---------------------------------------------------------------
 
-    # -- wire plumbing ---------------------------------------------------------
+    def _serve(self, lane: Lane, item, bundle: Optional[VideoBundle]):
+        request = self._request(lane, item, bundle)
+        if request is None:
+            return self._local(lane, item, bundle)
+        return self._post_with_retries(request)
 
-    def _require(self, cfg: Optional[ProviderConfig], lane: str) -> ProviderConfig:
+    def _request(self, lane: Lane, item, bundle: Optional[VideoBundle]) -> Optional[_Request]:
+        """The remote request that serves `item` on `lane` (chat messages, a
+        frame to caption, or a text or frame to embed); None when the lane's
+        provider is local. An unset lane raises GatewayConfigError."""
+        cfg = self._lanes[lane]
         if cfg is None:
             raise GatewayConfigError(f"no {lane} provider configured")
-        return cfg
+        if cfg.kind == REMOTE_EMBED:
+            path, body = "/v1/embeddings", {"model": cfg.model_name, "input": str(item)}
+            dim = bundle.embedding_dim if bundle is not None else None
+            decode = functools.partial(_embedding, dim)
+        elif cfg.kind == REMOTE_CHAT:
+            messages = item if lane == "chat" else [
+                ("user", f"Caption frame {item} of video {bundle.video_id}.")]
+            path, body = "/v1/chat/completions", {
+                "model": cfg.model_name,
+                "messages": [{"role": role, "content": text} for role, text in messages],
+                "temperature": cfg.temperature,
+            }
+            decode = functools.partial(_completion_text, lane)
+        else:
+            return None
+        # The body doubles as the cache key, so its rendering is fixed.
+        text = json.dumps(body, sort_keys=True, ensure_ascii=False)
+        return _Request(cfg, lane, f"{cfg.endpoint.rstrip('/')}{path}", text,
+                        ResponseCache.key(cfg.provider_id, text), decode)
+
+    def _local(self, lane: Lane, item, bundle: Optional[VideoBundle]):
+        """Answer `item` on a local lane: scripted chat replays the first
+        entry that matches, a precomputed caption or embedding comes from
+        the bundle, and a scripted embedding is the bundle's frame vector
+        or else a pseudo-embedding."""
+        if lane == "chat":
+            self._chat_calls += 1
+            prompt = "\n".join(text for _, text in item)
+            # The last entry is a catch-all, so one always matches.
+            return next(entry.reply for entry in self._script
+                        if entry.matches(self._chat_calls, prompt))
+        if lane == "caption":
+            if item not in bundle.captions:
+                raise MissingCaptionError(
+                    f"no caption for frame {item} of video {bundle.video_id!r}")
+            return bundle.captions[item]
+        cfg = self._lanes["embed"]
+        is_frame = isinstance(item, int)
+        if is_frame and bundle is not None and item in bundle.embeddings:
+            return bundle.embeddings[item]
+        if cfg.kind == PRECOMPUTED_EMBED:
+            raise MissingEmbeddingError(
+                f"no embedding for frame {item}" if is_frame
+                else "precomputed embeddings cover frames only, not query text"
+            )
+        token = f"frame:{item}" if is_frame else f"text:{item}"
+        dim = bundle.embedding_dim if bundle is not None and bundle.embedding_dim else cfg.embed_dim
+        return pseudo_embedding(token, dim, cfg.seed)
+
+    # -- wire plumbing ---------------------------------------------------------
 
     def _post_with_retries(self, request: _Request):
         """Decode the cached payload of `request`, or send it and cache the reply.
@@ -604,46 +591,38 @@ class ModelGateway:
             headers["Authorization"] = f"Bearer {key}"
 
         data = request.body.encode("utf-8")
-        attempts = 0
-        last_error = "unknown error"
-        last_status = None
+        last_error, last_status = "unknown error", None
         with self._semaphores[request.lane]:
-            while attempts <= cfg.max_retries:
-                attempts += 1
+            for attempts in range(1, cfg.max_retries + 2):
                 try:
                     status, raw = _post_once(request.url, data, headers, cfg.timeout)
+                except ssl.SSLCertVerificationError as exc:
+                    # An untrusted certificate, or one for another host name,
+                    # fails every attempt alike, so it is not retried.
+                    raise GatewayError(f"TLS certificate check failed: {exc}",
+                                       attempts=attempts) from exc
                 except (OSError, ValueError) as exc:
-                    # Timeouts, resets, TLS failures and malformed replies are
-                    # OSErrors; ValueError is a host name that does not encode.
+                    # Timeouts, resets, other TLS failures and malformed replies
+                    # are OSErrors; ValueError is a host name that does not encode.
                     last_error = f"transport error: {exc}"
                     logger.warning("gateway attempt %d failed: %s", attempts, last_error)
                 else:
                     last_status = status
                     if status == 200:
                         try:
-                            payload = json.loads(raw)
+                            return json.loads(raw)
                         except ValueError as exc:
-                            raise GatewayError(
-                                f"malformed response body (not JSON): {exc}",
-                                status=200,
-                                attempts=attempts,
-                            ) from exc
-                        return payload
+                            raise GatewayError(f"malformed response body (not JSON): {exc}",
+                                               status=200, attempts=attempts) from exc
                     if status not in _RETRYABLE_STATUS:
-                        raise GatewayError(
-                            f"request rejected with HTTP {status}",
-                            status=status,
-                            attempts=attempts,
-                        )
+                        raise GatewayError(f"request rejected with HTTP {status}",
+                                           status=status, attempts=attempts)
                     last_error = f"HTTP {status}"
                     logger.warning("gateway attempt %d failed: %s", attempts, last_error)
                 if attempts <= cfg.max_retries:
                     time.sleep(cfg.retry_backoff * (2 ** (attempts - 1)))
-        raise GatewayError(
-            f"gave up after {attempts} attempts: {last_error}",
-            status=last_status,
-            attempts=attempts,
-        )
+        raise GatewayError(f"gave up after {attempts} attempts: {last_error}",
+                           status=last_status, attempts=attempts)
 
 
 def _refuse_proxy(lane: str, endpoint: str, proxies: dict[str, str]) -> None:

@@ -48,18 +48,18 @@ class SelectorConfig:
     def __post_init__(self):
         check_field_types(self, ValueError)
         weights = (self.weight_graph, self.weight_visual, self.weight_temporal)
-        if any(w < 0 for w in weights):
-            raise ValueError(f"weights must be nonnegative, got {weights}")
+        for name, weight in zip(("weight_graph", "weight_visual", "weight_temporal"), weights):
+            if not 0 <= weight < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {weight}")
         if abs(sum(weights) - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1, got {sum(weights)}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.decay_len < 1:
             raise ValueError(f"decay_len must be >= 1, got {self.decay_len}")
-        if not self.expanded_decay_multiplier > 0:
-            raise ValueError(
-                f"expanded_decay_multiplier must be > 0, got {self.expanded_decay_multiplier}"
-            )
+        if not 0 < self.expanded_decay_multiplier < math.inf:
+            raise ValueError("expanded_decay_multiplier must be finite and > 0, "
+                             f"got {self.expanded_decay_multiplier}")
 
 
 def _appearances(graph: VideoGraph, query: Optional[QueryParse]) -> list[list[int]]:

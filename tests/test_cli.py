@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import errno
 import json
+import math
 import pathlib
 import threading
 
@@ -207,17 +208,19 @@ def test_graph_bad_graph_config_is_usage_error(suite, tmp_path, capsys, graph_se
 
 def test_run_malformed_cache_line_is_data_error(suite, tmp_path, capsys):
     cache_path = tmp_path / "cache.json"
-    cache_path.write_text('{"k1": 1}\n{"k2": \n{"k3": 3}\n', encoding="utf-8")
     config = json.loads(suite["config"].read_text(encoding="utf-8"))
     config["cache_path"] = str(cache_path)
     config_path = tmp_path / "cached.json"
     config_path.write_text(json.dumps(config), encoding="utf-8")
-    code = main([
-        "run", "--bundle", str(suite["bundle_dir"]), "--config", str(config_path),
-        "--question", "q?", "--options", "a", "b",
-    ])
-    assert code == 2
-    assert "cache.json:2" in capsys.readouterr().err
+    # A null record would be sent again on every call and never cached again.
+    for second_line in ('{"k2": ', '{"k2": null}'):
+        cache_path.write_text(f'{{"k1": 1}}\n{second_line}\n{{"k3": 3}}\n', encoding="utf-8")
+        code = main([
+            "run", "--bundle", str(suite["bundle_dir"]), "--config", str(config_path),
+            "--question", "q?", "--options", "a", "b",
+        ])
+        assert code == 2
+        assert "cache.json:2" in capsys.readouterr().err
 
 
 def test_eval_counts_scripted_rounds_per_item(suite, tmp_path):
@@ -465,6 +468,12 @@ def test_unknown_prompt_placeholder_is_bad_config(tmp_path, suite, capsys, comma
     (("providers", "default", "embed", "timeout"), "5"),
     (("providers", "default", "caption", "endpoint"), 5),
     (("providers", "default", "chat", "script_path"), 5),
+    # JSON's Infinity and NaN read as floats: each must be refused as out of range.
+    (("providers", "default", "embed", "timeout"), math.inf),
+    (("providers", "default", "embed", "retry_backoff"), math.inf),
+    (("providers", "default", "chat", "temperature"), math.nan),
+    (("selector", "weight_visual"), math.nan),
+    (("selector", "expanded_decay_multiplier"), math.inf),
 ], ids=lambda p: "-".join(p) if isinstance(p, tuple) else str(p))
 def test_out_of_range_setting_is_config_error(tmp_path, suite, capsys, command, path, value):
     config = json.loads(suite["config"].read_text(encoding="utf-8"))

@@ -24,7 +24,6 @@ from graphvqa.gateway import (
     ProviderConfig,
     ResponseCache,
     ScriptEntry,
-    ScriptedChat,
     load_script,
     pseudo_embedding,
 )
@@ -45,23 +44,26 @@ def test_scripted_catch_all_returns_exact_text():
 
 
 def test_scripted_round_and_substring_matching():
-    script = ScriptedChat([
+    gateway = ModelGateway(chat=ProviderConfig(kind=SCRIPTED), chat_script=[
         ScriptEntry(reply="first", round=1),
         ScriptEntry(reply="mentions dog", contains="dog"),
         ScriptEntry(reply="both", contains_all=("alpha", "beta")),
         ScriptEntry(reply="fallback"),
     ])
-    assert script.reply("whatever") == "first"          # call 1: round match
-    assert script.reply("a dog appears") == "mentions dog"
-    assert script.reply("beta then alpha") == "both"
-    assert script.reply("alpha only") == "fallback"
+    assert gateway.chat([("user", "whatever")]) == "first"          # call 1: round match
+    assert gateway.chat([("user", "a dog appears")]) == "mentions dog"
+    assert gateway.chat([("user", "beta then alpha")]) == "both"
+    assert gateway.chat([("user", "alpha only")]) == "fallback"
 
 
-def test_scripted_requires_catch_all():
-    with pytest.raises(GatewayConfigError):
-        ScriptedChat([ScriptEntry(reply="x", round=1)])
-    with pytest.raises(GatewayConfigError):
-        ScriptedChat([])
+def test_scripted_requires_catch_all(tmp_path):
+    with pytest.raises(GatewayConfigError, match="final script entry must be a catch-all"):
+        ModelGateway(chat=ProviderConfig(kind=SCRIPTED),
+                     chat_script=[ScriptEntry(reply="x", round=1)])
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    with pytest.raises(GatewayConfigError, match="needs at least one entry"):
+        ModelGateway(chat=ProviderConfig(kind=SCRIPTED, script_path=str(empty)))
 
 
 def test_load_script_file(tmp_path):
@@ -609,6 +611,9 @@ def test_cache_malformed_middle_line_raises(tmp_path):
         ResponseCache(path)
     path.write_text('{"k1": 1}\n[1, 2]\n', encoding="utf-8")
     with pytest.raises(DataFormatError, match="not a JSON object"):
+        ResponseCache(path)
+    path.write_text('{"k1": 1}\n{"k2": null}\n', encoding="utf-8")
+    with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}:2: .*null"):
         ResponseCache(path)
 
 

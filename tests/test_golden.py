@@ -16,10 +16,14 @@ To regenerate the outputs after an intended behaviour change, run from
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import graphvqa
 from graphvqa.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -38,6 +42,22 @@ def test_eval_writes_golden_report_and_transcripts(in_golden, tmp_path, parallel
                  "--out", str(out), "--parallel", str(parallel)]) == 0
     for name in ("report.json", "transcripts.jsonl"):
         assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+def test_eval_output_does_not_depend_on_the_hash_seed(tmp_path):
+    # Each run is its own process, because the order in which a set of strings
+    # iterates changes with PYTHONHASHSEED: an output that leaks it differs.
+    src = str(Path(graphvqa.__file__).resolve().parent.parent)
+    for seed in ("0", "1"):
+        out = tmp_path / seed
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-m", "graphvqa.cli", "eval", "--qa", "qa.jsonl",
+                        "--bundle", "bundles", "--config", "config.json", "--out", str(out),
+                        "--parallel", "3"], cwd=GOLDEN, env=env, check=True, capture_output=True,
+                       timeout=120)
+        for name in ("report.json", "transcripts.jsonl"):
+            assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), (seed, name)
 
 
 def test_graph_writes_golden_graph(in_golden, tmp_path, capsys):

@@ -251,9 +251,11 @@ def test_https_checks_the_certificate_against_the_system_store(tls_server):
     context = gateway_module._tls_context()
     assert context is gateway_module._tls_context()
     assert context.verify_mode == ssl.CERT_REQUIRED and context.check_hostname
-    with pytest.raises(GatewayError, match="gave up after 2 attempts: transport error.*"
-                                           "certificate verify failed"):
+    # It would fail the same way again, so it is not retried.
+    with pytest.raises(GatewayError, match="TLS certificate check failed: .*"
+                                           "certificate verify failed") as info:
         chat_through(tls_server, max_retries=1)
+    assert info.value.attempts == 1
     assert tls_server.requests == []
 
 
