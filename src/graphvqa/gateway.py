@@ -24,7 +24,16 @@ body) for its whole life, so one `run` or `eval` command sends each distinct
 request at most once, even when parallel sessions ask for it at the same
 moment. The memo answers a repeated identical chat prompt with the first
 reply, also at temperature > 0. A cache path only makes the memo persist,
-as an append-only log (see `lines`), so eval reruns cost nothing.
+as an append-only log (see `lines`), so eval reruns cost nothing. A body is
+rendered from its lane's constants, computed when the gateway is built (the
+URL, the JSON of the model and temperature, and the key's prefix), around
+the rendered input text or message list; its bytes are those of
+``json.dumps(body, sort_keys=True, ensure_ascii=False)``, so keys and cache
+files written before still match. A hit decodes its cached payload once per
+key and gateway, so once per command: the gateway and its session views
+keep the decoded value beside the payload and return it on later hits,
+after asking the cache again. An embedding's dimension is checked against
+the bundle on every hit.
 
 Requests go out through a small HTTP/1.1 client on `socket` and `ssl`: one
 connection per request, closed once its reply is read. HTTPS certificates
@@ -68,6 +77,7 @@ import time
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from json.encoder import encode_basestring as _string  # a str as JSON, with ensure_ascii=False
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 from urllib.parse import urlsplit
@@ -274,10 +284,6 @@ class ResponseCache:
                     raise DataFormatError(f"{self.path}:{line_no}: cache record holds a null")
                 self._data.update(record)
 
-    @staticmethod
-    def key(provider_id: str, request_body: str) -> str:
-        return hashlib.sha256(f"{provider_id}\x00{request_body}".encode("utf-8")).hexdigest()
-
     def get(self, key: str):
         with self._lock:
             return self._data.get(key)
@@ -285,7 +291,10 @@ class ResponseCache:
     def put(self, key: str, value) -> None:
         """Store `value` unless `key` is already cached (a request that
         another gateway sharing this cache sent at the same time), so the
-        file holds one record per key."""
+        file holds one record per key. None, which `get` returns for a miss
+        and a load rejects, raises ValueError."""
+        if value is None:
+            raise ValueError(f"cannot cache None under key {key!r}")
         with self._lock:
             if key in self._data:
                 return
@@ -295,16 +304,47 @@ class ResponseCache:
 
 
 @dataclass(frozen=True)
-class _Request:
-    """One remote request, as `ModelGateway._request` builds it: its lane,
-    where it goes, its body, its cache key and how its reply decodes."""
+class _Remote:
+    """A remote lane's request constants, computed once per gateway: where
+    its requests go, the rendered JSON around each body's variable part (the
+    input text, or the message list), the cache key's prefix and how a reply
+    decodes. A body is `head`, the variable part, then `tail`: the bytes of
+    ``json.dumps(body, sort_keys=True, ensure_ascii=False)``. A request's
+    cache key is the sha256 of `key_prefix` and its body, so that rendering
+    is fixed: it must match the keys of every cache file written before."""
 
+    lane: Lane
     cfg: ProviderConfig
-    lane: str
     url: str
-    body: str
-    key: str
+    head: str
+    tail: str
+    key_prefix: bytes  # the provider id and a NUL, UTF-8
     decode: Callable[[object], object]
+
+    @classmethod
+    def of(cls, lane: Lane, cfg: ProviderConfig) -> "_Remote":
+        model = json.dumps(cfg.model_name, ensure_ascii=False)
+        if cfg.kind == REMOTE_EMBED:
+            path, head, tail = "/v1/embeddings", '{"input": ', f', "model": {model}}}'
+            decode = _embedding
+        else:
+            path, head = "/v1/chat/completions", '{"messages": '
+            tail = f', "model": {model}, "temperature": {json.dumps(cfg.temperature)}}}'
+            decode = functools.partial(_completion_text, lane)
+        return cls(lane, cfg, f"{cfg.endpoint.rstrip('/')}{path}", head, tail,
+                   f"{cfg.provider_id}\x00".encode("utf-8"), decode)
+
+
+@dataclass
+class _Request:
+    """One remote request, as `ModelGateway._request` builds it: its lane's
+    constants, its body, its cache key, and the dimension its reply's
+    embedding must have (a bundle's; any when None or 0)."""
+
+    remote: _Remote
+    body: bytes
+    key: str
+    dim: Optional[int]
 
 
 def _completion_text(lane: Lane, payload) -> str:
@@ -318,9 +358,8 @@ def _completion_text(lane: Lane, payload) -> str:
     return content
 
 
-def _embedding(dim: Optional[int], payload) -> Embedding:
-    """The vector of an embeddings reply, which must have `dim` dimensions
-    (a bundle's; any number when `dim` is None or 0)."""
+def _embedding(payload) -> Embedding:
+    """The vector of an embeddings reply."""
     try:
         vector = json_vector(payload["data"][0]["embedding"])
     except (KeyError, IndexError, TypeError) as exc:
@@ -328,9 +367,16 @@ def _embedding(dim: Optional[int], payload) -> Embedding:
     if vector is None:
         raise GatewayError("malformed embeddings payload: embedding must be a "
                            "nonempty list of finite numbers")
-    if dim and len(vector) != dim:
-        raise DimensionError(f"remote embedding dim {len(vector)} does not match bundle dim {dim}")
     return vector
+
+
+def _checked(request: _Request, value):
+    """`value`, the decoded reply to `request`, once its embedding is known
+    to have the request's dimension."""
+    if request.dim and len(value) != request.dim:
+        raise DimensionError(
+            f"remote embedding dim {len(value)} does not match bundle dim {request.dim}")
+    return value
 
 
 class ModelGateway:
@@ -369,7 +415,12 @@ class ModelGateway:
             for lane, cfg in remote.items():
                 cfg.api_key()
                 _refuse_proxy(lane, cfg.endpoint, proxies)
+        self._remote = {lane: _Remote.of(lane, cfg) for lane, cfg in remote.items()}
         self.cache = cache if cache is not None else ResponseCache()
+        # Cache key -> the cached payload decoded, kept from the key's first
+        # hit on; shared with the session views. Two threads hitting one key
+        # at once may both decode it, to equal values.
+        self._decoded: dict[str, object] = {}
         self._script: list[ScriptEntry] = []
         self._chat_calls = 0  # the 1-based counter that a script entry's `round` matches
         if chat is not None and chat.kind == SCRIPTED:
@@ -471,7 +522,7 @@ class ModelGateway:
                 if cached is None:
                     misses.append(i)
                 else:
-                    results[i] = request.decode(cached)
+                    results[i] = self._hit(request, cached)
             except Exception as exc:  # noqa: BLE001 - sorted out below
                 results[i] = exc
 
@@ -500,30 +551,26 @@ class ModelGateway:
 
     def _request(self, lane: Lane, item, bundle: Optional[VideoBundle]) -> Optional[_Request]:
         """The remote request that serves `item` on `lane` (chat messages, a
-        frame to caption, or a text or frame to embed); None when the lane's
-        provider is local. An unset lane raises GatewayConfigError."""
-        cfg = self._lanes[lane]
-        if cfg is None:
-            raise GatewayConfigError(f"no {lane} provider configured")
-        if cfg.kind == REMOTE_EMBED:
-            path, body = "/v1/embeddings", {"model": cfg.model_name, "input": str(item)}
+        frame to caption, or a text or frame to embed), rendered between its
+        lane's constants; None when the lane's provider is local. An unset
+        lane raises GatewayConfigError."""
+        remote = self._remote.get(lane)
+        if remote is None:
+            if self._lanes[lane] is None:
+                raise GatewayConfigError(f"no {lane} provider configured")
+            return None
+        dim = None
+        if lane == "embed":
+            value = _string(str(item))
             dim = bundle.embedding_dim if bundle is not None else None
-            decode = functools.partial(_embedding, dim)
-        elif cfg.kind == REMOTE_CHAT:
+        else:
             messages = item if lane == "chat" else [
                 ("user", f"Caption frame {item} of video {bundle.video_id}.")]
-            path, body = "/v1/chat/completions", {
-                "model": cfg.model_name,
-                "messages": [{"role": role, "content": text} for role, text in messages],
-                "temperature": cfg.temperature,
-            }
-            decode = functools.partial(_completion_text, lane)
-        else:
-            return None
-        # The body doubles as the cache key, so its rendering is fixed.
-        text = json.dumps(body, sort_keys=True, ensure_ascii=False)
-        return _Request(cfg, lane, f"{cfg.endpoint.rstrip('/')}{path}", text,
-                        ResponseCache.key(cfg.provider_id, text), decode)
+            # Each message's keys in sorted order, as json.dumps would write them.
+            value = "[" + ", ".join(f'{{"content": {_string(text)}, "role": {_string(role)}}}'
+                                    for role, text in messages) + "]"
+        body = f"{remote.head}{value}{remote.tail}".encode("utf-8")
+        return _Request(remote, body, hashlib.sha256(remote.key_prefix + body).hexdigest(), dim)
 
     def _local(self, lane: Lane, item, bundle: Optional[VideoBundle]):
         """Answer `item` on a local lane: scripted chat replays the first
@@ -557,7 +604,8 @@ class ModelGateway:
     # -- wire plumbing ---------------------------------------------------------
 
     def _post_with_retries(self, request: _Request):
-        """Decode the cached payload of `request`, or send it and cache the reply.
+        """Serve `request` from the cache (see `_hit`), or send it, decode the
+        reply and cache its payload.
 
         While one caller sends a request, others asking for the same one wait
         and then read the cache. If sending or decoding fails nothing is
@@ -571,11 +619,11 @@ class ModelGateway:
                     done = self._inflight[request.key] = threading.Event()
                     break
             if cached is not None:
-                return request.decode(cached)
+                return self._hit(request, cached)
             pending.wait()
         try:
             payload = self._send(request)
-            result = request.decode(payload)
+            result = _checked(request, request.remote.decode(payload))
             self.cache.put(request.key, payload)
             return result
         finally:
@@ -583,19 +631,27 @@ class ModelGateway:
                 del self._inflight[request.key]
             done.set()
 
+    def _hit(self, request: _Request, payload):
+        """The value of `payload`, the cached reply to `request`: decoded on
+        the key's first hit only, and checked on every hit."""
+        value = self._decoded.get(request.key)
+        if value is None:
+            value = self._decoded[request.key] = request.remote.decode(payload)
+        return _checked(request, value)
+
     def _send(self, request: _Request) -> dict:
-        cfg = request.cfg
+        cfg = request.remote.cfg
         headers = {"Content-Type": "application/json"}
         key = cfg.api_key()  # raises before any network traffic if misconfigured
         if key:
             headers["Authorization"] = f"Bearer {key}"
 
-        data = request.body.encode("utf-8")
         last_error, last_status = "unknown error", None
-        with self._semaphores[request.lane]:
+        with self._semaphores[request.remote.lane]:
             for attempts in range(1, cfg.max_retries + 2):
                 try:
-                    status, raw = _post_once(request.url, data, headers, cfg.timeout)
+                    status, raw = _post_once(request.remote.url, request.body, headers,
+                                             cfg.timeout)
                 except ssl.SSLCertVerificationError as exc:
                     # An untrusted certificate, or one for another host name,
                     # fails every attempt alike, so it is not retried.

@@ -3,10 +3,12 @@
 Sessions run on a bounded worker pool (at `parallel` 1, on the calling
 thread). The sessions on one video share a `FrameTable`, so a frame another
 session already captioned, parsed and embedded is not done again. Each
-transcript is appended as soon as every earlier item is done, so two runs
-over the same inputs write byte-identical transcripts and reports, and an
-interrupted run leaves its finished prefix's transcripts and the previous
-report.
+transcript is appended as soon as every earlier item is done, through one
+handle on the transcript file (`lines.Log`) that stays open for the run,
+takes the file's lock for each record and flushes it. So two runs over the
+same inputs write byte-identical transcripts and reports, and an interrupted
+run leaves its finished prefix's transcripts, each line whole, and the
+previous report.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from typing import Callable, Optional, Sequence, Union
 from .agent import AgentConfig, AgentSession, FrameTable, VideoAgent
 from .errors import DataFormatError
 from .gateway import ModelGateway
+from .lines import Log
 from .parsing import Lexicon
 from .store import QAItem, VideoBundle, load_bundle, load_qa, replace_text, save_transcript
 
@@ -139,11 +142,12 @@ def run_eval(qa_path: Union[str, Path], bundle_root: Union[str, Path],
     transcript_path = out_dir / "transcripts.jsonl"
     replace_text(transcript_path, "")
     results = []
-    with ThreadPoolExecutor(max_workers=parallel) as pool:
+    with Log(transcript_path, DataFormatError) as transcripts, \
+            ThreadPoolExecutor(max_workers=parallel) as pool:
         # pool.map yields in input order, so transcripts are appended in order
         for result in (pool.map if parallel > 1 else map)(runner, enumerate(items)):
             if result.session is not None:
-                save_transcript(result.session, transcript_path)
+                save_transcript(result.session, transcripts)
             results.append(result)
 
     report = _aggregate(results)

@@ -9,8 +9,10 @@ hold one JSON value per line. A torn tail, a last line with no newline that
 does not parse, is dropped by the reader and cut off by the appender, which
 also ends a whole unterminated last line. An append holds an exclusive
 `fcntl.flock` on the log (POSIX only), so processes may append to one log at
-once without taking each other's line in progress for a torn tail. Faults
-raise the caller's error, naming the file.
+once without taking each other's line in progress for a torn tail. A `Log`
+holds a log open for a stream of appends (transcripts): its tail is mended
+once, when it opens, and each append takes the lock and flushes its line.
+Faults raise the caller's error, naming the file.
 """
 
 from __future__ import annotations
@@ -86,28 +88,89 @@ def read_log(path: Union[str, Path], error: type) -> list[tuple[int, object]]:
     return records
 
 
+def _line(record) -> bytes:
+    return (json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n").encode("utf-8")
+
+
+def _mend(handle) -> None:
+    """Mend the tail of a log open for appending, whose `flock` the caller
+    holds: end a whole unterminated last line, or cut off a torn one. Only
+    when the last byte is not a newline is more of the file read."""
+    handle.seek(max(handle.seek(0, os.SEEK_END) - 1, 0))
+    if handle.read(1) in (b"", b"\n"):
+        return
+    handle.seek(0)
+    data = handle.read()
+    start = data.rfind(b"\n") + 1
+    try:
+        _value(data[start:])
+    except ValueError:
+        handle.truncate(start)
+    else:
+        handle.write(b"\n")
+
+
+def _open(path: Path):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path.open("a+b")
+
+
 def append_record(path: Union[str, Path], record, error: type) -> None:
     """Append `record` to a log as one line of JSON with sorted keys, making
-    the file and its directory if need be. Only when the last byte is not a
-    newline is more of the file read, to mend its tail first. An exclusive
-    `flock` on the file covers the tail check, the mend and the write, so
+    the file and its directory if need be, its tail mended first. An
+    exclusive `flock` on the file covers the mend and the write, so
     processes may append to one log at once."""
     path = Path(path)
-    line = (json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n").encode("utf-8")
+    line = _line(record)
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("a+b") as handle:
+        with _open(path) as handle:
             fcntl.flock(handle, fcntl.LOCK_EX)
-            handle.seek(max(handle.seek(0, os.SEEK_END) - 1, 0))
-            if handle.read(1) not in (b"", b"\n"):
-                handle.seek(0)
-                data = handle.read()
-                start = data.rfind(b"\n") + 1
-                try:
-                    _value(data[start:])
-                    line = b"\n" + line
-                except ValueError:
-                    handle.truncate(start)
+            _mend(handle)
             handle.write(line)
     except OSError as exc:
         raise error(f"cannot append to {path}: {exc.strerror}") from exc
+
+
+class Log:
+    """A log held open for appending records, as `append_record` appends
+    one, from a stream of them: the file (and its directory) is made if need
+    be and its tail mended once, when it opens; each append then takes the
+    `flock`, writes its line and flushes it. Close it, or use it as a
+    context manager."""
+
+    def __init__(self, path: Union[str, Path], error: type):
+        self.path, self._error = Path(path), error
+        try:
+            self._handle = _open(self.path)
+        except OSError as exc:
+            raise error(f"cannot append to {self.path}: {exc.strerror}") from exc
+        try:
+            self._locked(_mend)
+        except BaseException:
+            self._handle.close()
+            raise
+
+    def _locked(self, write) -> None:
+        handle = self._handle
+        try:
+            fcntl.flock(handle, fcntl.LOCK_EX)
+            try:
+                write(handle)
+                handle.flush()
+            finally:
+                fcntl.flock(handle, fcntl.LOCK_UN)
+        except OSError as exc:
+            raise self._error(f"cannot append to {self.path}: {exc.strerror}") from exc
+
+    def append(self, record) -> None:
+        line = _line(record)
+        self._locked(lambda handle: handle.write(line))
+
+    def close(self) -> None:
+        self._handle.close()
+
+    def __enter__(self) -> "Log":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()

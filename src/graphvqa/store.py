@@ -20,7 +20,8 @@ Graphs serialize to a single JSON document with an explicit schema_version
 snippets are ignored) and load back from the same fields. Floats survive
 exactly: JSON rendering uses repr, which round-trips every finite double.
 Transcripts are logs (see `lines`) of one JSON record per session, keyed by
-video_id and the question's sha256.
+video_id and the question's sha256. `eval` streams its sessions' records
+through one locked handle (`lines.Log`), held open for the whole run.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .errors import DataFormatError, DimensionError, SchemaVersionError, check_f
 from .graph import (
     Embedding, EntityNode, GraphConfig, RelationEdge, VideoGraph, all_finite, json_vector,
 )
-from .lines import append_record, parse_object, read_lines, read_log, read_objects
+from .lines import Log, append_record, parse_object, read_lines, read_log, read_objects
 from .parsing import EntityType, RelationCategory
 
 GRAPH_SCHEMA_VERSION = 2
@@ -308,8 +309,10 @@ def replace_text(path: Path, text: str) -> None:
 def _fields(record) -> dict:
     """A dataclass instance's fields by name, read shallowly: a graph's frame
     lists are written as they are, not copied as `dataclasses.asdict` would.
-    A field holding a dataclass becomes its fields, and one holding a dict of
-    them (a graph's nodes or edges by id) the list of their fields in key order."""
+    A field holding a dataclass becomes its fields, one holding a list of
+    them (a session's rounds) the list of their fields, and one holding a
+    dict of them (a graph's nodes or edges by id) the list of their fields
+    in key order."""
     record_fields = {}
     for spec in fields(record):
         value = getattr(record, spec.name)
@@ -317,6 +320,8 @@ def _fields(record) -> dict:
             value = _fields(value)
         elif isinstance(value, dict):
             value = [_fields(item) for _, item in sorted(value.items())]
+        elif isinstance(value, list) and value and is_dataclass(value[0]):
+            value = [_fields(item) for item in value]
         record_fields[spec.name] = value
     return record_fields
 
@@ -386,22 +391,27 @@ def question_digest(question: str) -> str:
 
 
 def transcript_record(session) -> dict:
-    """Build the JSON record for a terminated session: its fields, each round
-    as its fields, and the values derived from them."""
+    """Build the JSON record for a terminated session: its fields (see
+    `_fields`), each round as its fields, and the values derived from them."""
     if session.terminated_by is None:
         raise ValueError("cannot persist a session that has not terminated")
     return {
-        **asdict(session),
+        **_fields(session),
         "schema_version": TRANSCRIPT_SCHEMA_VERSION,
         "question_sha256": question_digest(session.question),
         "frames_used": len(session.selected_frames),
     }
 
 
-def save_transcript(session, path: Union[str, Path]) -> Path:
-    """Append one session record to a transcript file (a log, see `lines`)."""
-    append_record(path, transcript_record(session), DataFormatError)
-    return Path(path)
+def save_transcript(session, log: Union[str, Path, Log]) -> None:
+    """Append one session record to a transcript file (a log, see `lines`):
+    through `log` when it is an open `Log` (as `eval` streams its sessions),
+    else to the file at that path."""
+    record = transcript_record(session)
+    if isinstance(log, Log):
+        log.append(record)
+    else:
+        append_record(log, record, DataFormatError)
 
 
 def load_transcripts(path: Union[str, Path]) -> list[dict]:

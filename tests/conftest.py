@@ -12,6 +12,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 import pytest
 
 from graphvqa import agent as agent_module
+from graphvqa import gateway as gateway_module
 from graphvqa import graph as graph_module
 from graphvqa.gateway import (
     PRECOMPUTED_CAPTION,
@@ -292,3 +293,13 @@ def record_norms(monkeypatch):
 
     monkeypatch.setattr(graph_module, "vector_norm", recording)
     return normed
+
+
+def count_decodes(monkeypatch):
+    """Every reply decode of the gateways built from now on, one payload per entry."""
+    decoded = []
+    for name in ("_completion_text", "_embedding"):
+        decode = getattr(gateway_module, name)
+        monkeypatch.setattr(gateway_module, name,
+                            lambda *args, decode=decode: decoded.append(args[-1]) or decode(*args))
+    return decoded

@@ -8,8 +8,9 @@ import threading
 
 import pytest
 
-from conftest import make_bundle, record_parses, remote_lanes
+from conftest import count_decodes, make_bundle, record_parses, remote_lanes
 from graphvqa.cli import main
+from graphvqa.gateway import ResponseCache
 from graphvqa.store import QAItem, load_graph, load_transcripts, save_bundle, save_qa
 
 OPTIONS = ["a", "b", "c", "d", "e"]
@@ -772,3 +773,42 @@ def test_eval_transcripts_path_that_is_a_directory_is_data_error(suite, tmp_path
     assert f"data error: cannot write {out / 'transcripts.jsonl'}: " in err
     assert "Traceback" not in err
     assert not (out / "report.json").exists()
+
+
+def test_each_eval_decodes_every_cached_reply_it_hits_once(tmp_path, model_stub, monkeypatch):
+    # Equal lengths, so frame N of every video is one request and one key.
+    endpoint, state = model_stub
+    root = tmp_path / "bundles"
+    for index in range(3):
+        save_bundle(make_bundle(video_id=f"v{index}", total_frames=120, seed=index),
+                    root / f"v{index}")
+    qa_path = save_qa([QAItem(f"v{i % 3}", f"what does the dog hold {i}?", OPTIONS,
+                              answer_index=0) for i in range(6)], tmp_path / "qa")
+    cache_path = tmp_path / "cache.jsonl"
+    config_path = tmp_path / "cached.json"
+    config_path.write_text(json.dumps({"cache_path": str(cache_path),
+                                       "providers": {"default": remote_lanes(endpoint)}}),
+                           encoding="utf-8")
+
+    def evaluate(out):
+        return main(["eval", "--qa", str(qa_path), "--bundle", str(root), "--config",
+                     str(config_path), "--out", str(tmp_path / out)])
+
+    assert evaluate("cold") == 0
+    keys = len(cache_path.read_text(encoding="utf-8").splitlines())
+    sent = len(state.requests)
+    decoded = count_decodes(monkeypatch)
+    hits = []
+    get = ResponseCache.get
+    monkeypatch.setattr(ResponseCache, "get",
+                        lambda cache, key: hits.append(key) or get(cache, key))
+    counts = []
+    for out in ("warm", "warm again"):
+        decoded.clear()
+        hits.clear()
+        assert evaluate(out) == 0
+        counts.append((len(decoded), len(set(hits)), len(hits) > keys))
+    assert len(state.requests) == sent
+    assert counts == [(keys, keys, True)] * 2
+    assert (tmp_path / "warm again" / "transcripts.jsonl").read_bytes() == \
+        (tmp_path / "cold" / "transcripts.jsonl").read_bytes()

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import re
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import count_pool_submits, make_bundle, remote_chat_config
+from conftest import count_decodes, count_pool_submits, make_bundle, remote_chat_config
 from graphvqa.errors import (
     DataFormatError,
     DimensionError,
@@ -771,3 +774,98 @@ def test_each_lane_keeps_its_own_inflight_bound(model_stub):
         state.peak = 0
         assert len(gateway.gather([("caption", f) for f in range(1, 5)], bundle)) == 4
         assert state.peak > 1
+
+
+def test_cache_put_refuses_none(tmp_path):
+    # A stored None would read as a miss forever, and its `{key: null}`
+    # line would fail the next load.
+    path = tmp_path / "cache.jsonl"
+    cache = ResponseCache(path)
+    cache.put("k1", {"v": 1})
+    with pytest.raises(ValueError, match="None"):
+        cache.put("k2", None)
+    assert cache.get("k2") is None
+    assert _cache_lines(path) == [{"k1": {"v": 1}}]
+    assert ResponseCache(path).get("k1") == {"v": 1}
+
+
+# -- request bodies and keys, rendered from each lane's constants --------------------------
+
+# Texts full of what JSON escapes, or must leave unescaped with ensure_ascii=False.
+texts = st.text(st.one_of(
+    st.sampled_from(['"', "\\", "/", "\x00", "\b", "\n", "\r", "\t", "\x1f", "\x7f", "\u2028",
+                     "\u2029", "\ufeff", "\u00e9", "\u4e2d", "\U0001f600"]),
+    st.characters(blacklist_categories=("Cs",)),
+), max_size=12)
+temperatures = st.one_of(st.sampled_from([0.0, -0.0, 1e-7, 1.0, 2]),
+                         st.floats(allow_nan=False, allow_infinity=False))
+
+
+def reference_request(cfg, lane, item, bundle):
+    """The body and cache key of a request, built as one dict and rendered by
+    `json.dumps`, the rendering every cache file was written with."""
+    if lane == "embed":
+        body = {"model": cfg.model_name, "input": str(item)}
+    else:
+        messages = item if lane == "chat" else [
+            ("user", f"Caption frame {item} of video {bundle.video_id}.")]
+        body = {"model": cfg.model_name, "temperature": cfg.temperature,
+                "messages": [{"role": role, "content": text} for role, text in messages]}
+    text = json.dumps(body, sort_keys=True, ensure_ascii=False)
+    key = hashlib.sha256(f"{cfg.provider_id}\x00{text}".encode("utf-8")).hexdigest()
+    return text.encode("utf-8"), key
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=texts.filter(bool), temperature=temperatures, seed=st.integers(0, 2**40),
+       messages=st.lists(st.tuples(texts, texts), min_size=1, max_size=3),
+       frame=st.integers(0, 10**9), video_id=texts, text=texts)
+def test_bodies_and_keys_match_a_whole_body_rendering(model, temperature, seed, messages, frame,
+                                                      video_id, text):
+    remote = dict(endpoint="http://127.0.0.1:9/api", model_name=model, temperature=temperature,
+                  seed=seed)
+    with ModelGateway(chat=ProviderConfig(kind="RemoteChat", **remote),
+                      caption=ProviderConfig(kind="RemoteChat", **remote),
+                      embed=ProviderConfig(kind="RemoteEmbed", **remote)) as gateway:
+        bundle = make_bundle(video_id=video_id, total_frames=2)
+        for lane, item in [("chat", messages), ("caption", frame), ("embed", frame),
+                           ("embed", text)]:
+            request = gateway._request(lane, item, bundle)
+            assert (request.body, request.key) == reference_request(
+                gateway._lanes[lane], lane, item, bundle)
+
+
+# -- each cached reply decoded once per gateway -------------------------------------------
+
+def test_sessions_sharing_a_gateway_decode_each_cached_reply_once(model_stub, monkeypatch):
+    endpoint, state = model_stub
+    bundle = make_bundle(total_frames=20, dim=8)
+    with remote_gateway(endpoint) as cold:
+        cold.gather(ROUND, bundle)
+    sent = len(state.requests)
+    decoded = count_decodes(monkeypatch)
+    with remote_gateway(endpoint) as warm:
+        warm.cache = cold.cache
+        for view in (warm.for_session(), warm.for_session(), warm.for_session()):
+            assert view.gather(ROUND, bundle) == view.gather(ROUND, bundle)
+            view.caption(3, bundle)
+            view.embed("a question", bundle)
+    assert len(state.requests) == sent
+    assert len(decoded) == len(ROUND)
+
+
+def test_a_kept_vector_of_another_dimension_raises_on_every_hit(model_stub):
+    endpoint, state = model_stub  # its vectors have 8 dimensions
+    eight = make_bundle(video_id="eight", total_frames=20, dim=8)
+    four = make_bundle(video_id="four", total_frames=20, dim=4)
+    with remote_gateway(endpoint) as gateway:
+        vector = gateway.embed("a question", eight)
+        for view in (gateway, gateway.for_session(), gateway):
+            assert view.embed("a question", eight) == vector
+            for _ in range(2):
+                with pytest.raises(DimensionError, match="dim 8 does not match bundle dim 4"):
+                    view.gather([("embed", "a question")], four)
+                with pytest.raises(DimensionError, match="dim 8 does not match bundle dim 4"):
+                    view.embed("a question", four)
+            assert view.embed("a question", None) == vector
+    assert len(state.requests) == 1

@@ -7,6 +7,7 @@ import pathlib
 import pytest
 
 from conftest import make_bundle, scripted_gateway
+from graphvqa import harness
 from graphvqa.agent import AgentConfig
 from graphvqa.errors import DataFormatError
 from graphvqa.gateway import ScriptEntry
@@ -246,3 +247,41 @@ def test_eval_buckets_from_final_graphs(tmp_path):
         scripted_factory(lambda item: "answer: A, confidence: 3"), tmp_path / "out",
     )
     assert set(report.per_bucket) == {"Few", "Many"}
+
+
+class Interrupted(BaseException):
+    """Stops a session as an interrupt would: no `except Exception` catches it."""
+
+
+@pytest.mark.parametrize("parallel", [1, 3])
+def test_an_interrupted_eval_leaves_whole_records_and_closes_its_one_handle(
+        tmp_path, monkeypatch, parallel):
+    bundle = make_bundle(video_id="v0", total_frames=60)
+    items = [QAItem("v0", f"q {i}?", OPTIONS, answer_index=0) for i in range(8)]
+    qa_path, root = write_suite(tmp_path, items, [bundle])
+    confident = scripted_factory(lambda item: "answer: A, confidence: 3")
+
+    def interrupted_in_session_5(item):
+        gateway = confident(item)
+        if item.question == "q 5?":
+            def chat(messages):
+                raise Interrupted
+            gateway.chat = chat
+        return gateway
+
+    opened = []
+
+    class CountedLog(harness.Log):
+        def __init__(self, *args):
+            super().__init__(*args)
+            opened.append(self)
+
+    monkeypatch.setattr(harness, "Log", CountedLog)
+    out = tmp_path / "out"
+    with pytest.raises(Interrupted):
+        run_eval(qa_path, root, AgentConfig(), interrupted_in_session_5, out, parallel=parallel)
+    assert len(opened) == 1 and opened[0]._handle.closed
+    text = (out / "transcripts.jsonl").read_bytes()
+    assert text.endswith(b"\n") and len(text.splitlines()) == 5
+    assert [r["question"] for r in load_transcripts(out / "transcripts.jsonl")] == \
+        [f"q {i}?" for i in range(5)]

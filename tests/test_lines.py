@@ -19,7 +19,7 @@ from conftest import make_bundle
 from graphvqa.agent import AgentSession, RoundLog, Termination
 from graphvqa.errors import DataFormatError, GatewayConfigError, LexiconError
 from graphvqa.gateway import ResponseCache, load_script
-from graphvqa.lines import append_record, read_lines, read_log
+from graphvqa.lines import Log, append_record, read_lines, read_log
 from graphvqa.parsing import load_lexicon
 from graphvqa.store import load_bundle, load_qa, load_transcripts, save_bundle, save_transcript
 
@@ -115,17 +115,39 @@ def test_text_lines_end_at_newline_only(tmp_path):
     assert read_lines(path, LexiconError) == [(1, "on under"), (2, "near"), (3, "by\x0cat")]
 
 
-@pytest.mark.parametrize("tail,mended", [
+TAILS = [
     (b'{"k2": 2}', b'{"k1": 1}\n{"k2": 2}\n{"k3": 3}\n'),  # whole: ended
     (b'{"k2": 2', b'{"k1": 1}\n{"k3": 3}\n'),  # torn: cut off
     ("{\"k2\": \"é".encode("utf-8")[:-1], b'{"k1": 1}\n{"k3": 3}\n'),  # torn mid-character
     (b"# a note", b'{"k1": 1}\n# a note\n{"k3": 3}\n'),  # a comment is whole
-])
+]
+
+
+@pytest.mark.parametrize("tail,mended", TAILS)
 def test_append_mends_an_unterminated_tail_first(tmp_path, tail, mended):
     path = tmp_path / "log.jsonl"
     path.write_bytes(b'{"k1": 1}\n' + tail)
     append_record(path, {"k3": 3}, DataFormatError)
     assert path.read_bytes() == mended
+
+
+@pytest.mark.parametrize("tail,mended", TAILS)
+def test_a_held_log_mends_the_tail_when_it_opens_and_flushes_each_line(tmp_path, tail, mended):
+    path = tmp_path / "log.jsonl"
+    path.write_bytes(b'{"k1": 1}\n' + tail)
+    with Log(path, DataFormatError) as log:
+        assert path.read_bytes() == mended[:mended.rindex(b'{"k3"')]
+        log.append({"k3": 3})
+        assert path.read_bytes() == mended
+        log.append({"k4": 4})
+        assert path.read_bytes() == mended + b'{"k4": 4}\n'
+    with pytest.raises(ValueError, match="closed file"):
+        log.append({"k5": 5})
+
+
+def test_a_held_log_raises_the_callers_error(tmp_path):
+    with pytest.raises(DataFormatError, match=re.escape(f"cannot append to {tmp_path}")):
+        Log(tmp_path, DataFormatError)
 
 
 def test_append_reads_only_the_last_byte_of_a_file_ending_in_a_newline(tmp_path, monkeypatch):
@@ -197,6 +219,24 @@ def test_append_waits_for_another_process_mid_line(tmp_path):
         append_record(path, {"second": 2}, DataFormatError)
     finally:
         child.join(timeout=60)
+    assert not child.is_alive() and child.exitcode == 0
+    assert [record for _, record in read_log(path, DataFormatError)] == [
+        {"first": 1}, {"second": 2},
+    ]
+
+
+def test_a_held_log_waits_for_another_process_mid_line(tmp_path):
+    path = tmp_path / "log.jsonl"
+    spawn = multiprocessing.get_context("spawn")
+    ready = spawn.Event()
+    with Log(path, DataFormatError) as log:
+        child = spawn.Process(target=write_half_a_line_and_pause, args=(str(path), ready))
+        child.start()
+        try:
+            assert ready.wait(timeout=60)
+            log.append({"second": 2})
+        finally:
+            child.join(timeout=60)
     assert not child.is_alive() and child.exitcode == 0
     assert [record for _, record in read_log(path, DataFormatError)] == [
         {"first": 1}, {"second": 2},
