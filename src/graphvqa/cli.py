@@ -30,7 +30,7 @@ from .errors import (
 from .gateway import ModelGateway, ProviderConfig, ResponseCache
 from .graph import GraphConfig, VideoGraph
 from .harness import run_eval
-from .lines import parse_object
+from .lines import Log, parse_object
 from .parsing import Lexicon, default_lexicon, load_lexicon, parse_caption
 from .selector import SelectorConfig
 from .store import load_bundle, replace_text, save_graph, save_transcript
@@ -211,8 +211,9 @@ def _cmd_run(args) -> int:
             f"  round {entry.round}: prediction={entry.prediction} "
             f"confidence={entry.confidence} frames_added={entry.frames_added}"
         )
-    if out:  # saving the transcript makes the directory
-        save_transcript(session, out / "transcripts.jsonl")
+    if out:  # opening the transcript log makes the directory
+        with Log(out / "transcripts.jsonl", DataFormatError) as log:
+            save_transcript(session, log)
         replace_text(out / "graph.json", save_graph(graph).decode("utf-8"))
         print(f"transcript and graph written to {out}")
     return EXIT_OK

@@ -8,10 +8,11 @@ none. `ModelGateway._request` builds the remote kinds' requests, and
   endpoints. Chat POSTs to {endpoint}/v1/chat/completions with model,
   messages, temperature and reads the first choice's message content;
   embeddings POST to {endpoint}/v1/embeddings. The API key is read from the
-  configured environment variable and sent as a bearer token. Transient
-  failures (connection errors, timeouts, HTTP 429/5xx) retry with exponential
-  backoff up to max_retries, but a failed TLS certificate check does not;
-  every decode failure surfaces as a GatewayError.
+  configured environment variable once, when the gateway is built, and sent
+  as a bearer token. Transient failures (connection errors, timeouts, HTTP
+  429/5xx) retry with exponential backoff up to max_retries, but a failed
+  TLS certificate check does not; every decode failure surfaces as a
+  GatewayError.
 - PrecomputedCaption (caption) / PrecomputedEmbed (embed), local: served from
   a video bundle's tables.
 - Scripted (chat, embed), local: deterministic stand-ins for tests. Scripted
@@ -25,9 +26,11 @@ request at most once, even when parallel sessions ask for it at the same
 moment. The memo answers a repeated identical chat prompt with the first
 reply, also at temperature > 0. A cache path only makes the memo persist,
 as an append-only log (see `lines`), so eval reruns cost nothing. A body is
-rendered from its lane's constants, computed when the gateway is built (the
-URL, the JSON of the model and temperature, and the key's prefix), around
-the rendered input text or message list; its bytes are those of
+rendered from its lane's constants (`_Remote`), computed when the gateway
+is built, around the rendered input text or message list. Those constants
+are all of a lane's wire form: the host and port, the request head up to
+its length, the JSON of the model and temperature, and the cache key's
+prefix. A body's bytes are those of
 ``json.dumps(body, sort_keys=True, ensure_ascii=False)``, so keys and cache
 files written before still match. A hit decodes its cached payload once per
 key and gateway, so once per command: the gateway and its session views
@@ -44,8 +47,8 @@ remote lane whose API key variable is unset, and a ProviderConfig whose
 remote endpoint is not a plain http(s) URL. So a bad config fails before
 any request.
 
-Each lane (chat, caption, embed) has its own in-flight bound, its
-`max_inflight`, even when two lanes name one endpoint and model.
+Each remote lane has its own in-flight bound, its `max_inflight`, even when
+two lanes name one endpoint and model.
 
 `ModelGateway.gather` serves one round's caption and embedding requests.
 Cache hits and local lanes are answered on the calling thread; two or more
@@ -76,7 +79,7 @@ import threading
 import time
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring as _string  # a str as JSON, with ensure_ascii=False
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
@@ -93,7 +96,7 @@ from .errors import (
     check_field_types,
 )
 from .graph import Embedding, json_vector, vector_norm
-from .lines import append_record, read_log, read_objects
+from .lines import Log, read_log, read_objects
 from .store import VideoBundle, read_record
 
 logger = logging.getLogger(__name__)
@@ -300,29 +303,42 @@ class ResponseCache:
                 return
             self._data[key] = value
             if self.path:
-                append_record(self.path, {key: value}, DataFormatError)
+                with Log(self.path, DataFormatError) as log:
+                    log.append({key: value})
 
 
 @dataclass(frozen=True)
 class _Remote:
-    """A remote lane's request constants, computed once per gateway: where
-    its requests go, the rendered JSON around each body's variable part (the
-    input text, or the message list), the cache key's prefix and how a reply
-    decodes. A body is `head`, the variable part, then `tail`: the bytes of
+    """A remote lane's wire form, built once per gateway when its key and
+    proxies are checked: where its requests go, the request head up to
+    `Content-Length`, the lane's in-flight bound, the rendered JSON around
+    each body's variable part (the input text, or the message list), the
+    cache key's prefix and how a reply decodes. A body is `head`, the
+    variable part, then `tail`: the bytes of
     ``json.dumps(body, sort_keys=True, ensure_ascii=False)``. A request's
     cache key is the sha256 of `key_prefix` and its body, so that rendering
     is fixed: it must match the keys of every cache file written before."""
 
     lane: Lane
     cfg: ProviderConfig
-    url: str
+    https: bool
+    host: str
+    port: int
+    # The request line, Host, Content-Type and the bearer token if any; kept
+    # out of the repr, which would show the key.
+    request_head: bytes = field(repr=False)
+    inflight: threading.Semaphore
     head: str
     tail: str
     key_prefix: bytes  # the provider id and a NUL, UTF-8
     decode: Callable[[object], object]
 
     @classmethod
-    def of(cls, lane: Lane, cfg: ProviderConfig) -> "_Remote":
+    def of(cls, lane: Lane, cfg: ProviderConfig, proxies: dict[str, str]) -> "_Remote":
+        """`lane`'s constants; GatewayConfigError if its API key variable is
+        unset or not a token, or if `proxies` would carry its endpoint."""
+        key = cfg.api_key()
+        _refuse_proxy(lane, cfg.endpoint, proxies)
         model = json.dumps(cfg.model_name, ensure_ascii=False)
         if cfg.kind == REMOTE_EMBED:
             path, head, tail = "/v1/embeddings", '{"input": ', f', "model": {model}}}'
@@ -331,8 +347,15 @@ class _Remote:
             path, head = "/v1/chat/completions", '{"messages": '
             tail = f', "model": {model}, "temperature": {json.dumps(cfg.temperature)}}}'
             decode = functools.partial(_completion_text, lane)
-        return cls(lane, cfg, f"{cfg.endpoint.rstrip('/')}{path}", head, tail,
-                   f"{cfg.provider_id}\x00".encode("utf-8"), decode)
+        url = urlsplit(f"{cfg.endpoint.rstrip('/')}{path}")
+        https = url.scheme == "https"
+        request_head = (f"POST {url.path} HTTP/1.1\r\nHost: {url.netloc}\r\n"
+                        "Content-Type: application/json\r\n")
+        if key:
+            request_head += f"Authorization: Bearer {key}\r\n"
+        return cls(lane, cfg, https, url.hostname, url.port or (443 if https else 80),
+                   request_head.encode("ascii"), threading.Semaphore(cfg.max_inflight),
+                   head, tail, f"{cfg.provider_id}\x00".encode("utf-8"), decode)
 
 
 @dataclass
@@ -409,13 +432,9 @@ class ModelGateway:
                 raise GatewayConfigError(f"provider kind {cfg.kind} cannot serve {lane}")
         remote = {lane: cfg for lane, cfg in self._lanes.items()
                   if cfg is not None and cfg.kind in _REMOTE_KINDS}
-        if remote:
-            # Scans the whole environment (0.25 ms with 75 variables): once, not per lane.
-            proxies = urllib.request.getproxies()
-            for lane, cfg in remote.items():
-                cfg.api_key()
-                _refuse_proxy(lane, cfg.endpoint, proxies)
-        self._remote = {lane: _Remote.of(lane, cfg) for lane, cfg in remote.items()}
+        # Scans the whole environment (0.25 ms with 75 variables): once, not per lane.
+        proxies = urllib.request.getproxies() if remote else {}
+        self._remote = {lane: _Remote.of(lane, cfg, proxies) for lane, cfg in remote.items()}
         self.cache = cache if cache is not None else ResponseCache()
         # Cache key -> the cached payload decoded, kept from the key's first
         # hit on; shared with the session views. Two threads hitting one key
@@ -431,11 +450,6 @@ class ModelGateway:
                 raise GatewayConfigError("scripted chat needs at least one entry")
             if not self._script[-1].is_catch_all:
                 raise GatewayConfigError("the final script entry must be a catch-all")
-        # Lane -> its own in-flight bound, even when lanes share an endpoint.
-        self._semaphores = {
-            lane: threading.Semaphore(cfg.max_inflight)
-            for lane, cfg in self._lanes.items() if cfg is not None
-        }
         # Cache key -> event set once its sender has finished, successful or not.
         self._inflight: dict[str, threading.Event] = {}
         self._inflight_lock = threading.Lock()
@@ -640,18 +654,13 @@ class ModelGateway:
         return _checked(request, value)
 
     def _send(self, request: _Request) -> dict:
-        cfg = request.remote.cfg
-        headers = {"Content-Type": "application/json"}
-        key = cfg.api_key()  # raises before any network traffic if misconfigured
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
-
+        remote = request.remote
+        cfg = remote.cfg
         last_error, last_status = "unknown error", None
-        with self._semaphores[request.remote.lane]:
+        with remote.inflight:
             for attempts in range(1, cfg.max_retries + 2):
                 try:
-                    status, raw = _post_once(request.remote.url, request.body, headers,
-                                             cfg.timeout)
+                    status, raw = _post_once(remote, request.body)
                 except ssl.SSLCertVerificationError as exc:
                     # An untrusted certificate, or one for another host name,
                     # fails every attempt alike, so it is not retried.
@@ -706,15 +715,6 @@ def _tls_context() -> ssl.SSLContext:
     return ssl.create_default_context()
 
 
-@functools.lru_cache(maxsize=64)
-def _target(url: str) -> tuple[bool, str, int, bytes]:
-    """(is https, host, port, request line and Host header) of `url`."""
-    parts = urlsplit(url)
-    https = parts.scheme == "https"
-    head = f"POST {parts.path or '/'} HTTP/1.1\r\nHost: {parts.netloc}\r\n"
-    return https, parts.hostname, parts.port or (443 if https else 80), head.encode("ascii")
-
-
 _FIXED_HEADERS = (f"Accept-Encoding: identity\r\nUser-Agent: graphvqa/{__version__}\r\n"
                   "Connection: close\r\n").encode("ascii")
 _STATUS_LINE = re.compile(rb"HTTP/1\.[01] ([0-9]{3})(?: [^\r\n]*)?")
@@ -723,18 +723,16 @@ _HEX_DIGITS = re.compile(rb"[0-9A-Fa-f]+")
 _MAX_HEAD = 65536  # bytes of a status line and headers, or of a chunk-size line
 
 
-def _post_once(url: str, data: bytes, headers: dict[str, str],
-               timeout: float) -> tuple[int, bytes]:
-    """POST once on a new connection and return (status, body); a status
-    other than 200 is returned with an empty body, which is not read."""
-    https, host, port, head = _target(url)
-    lines = "".join(f"{name}: {value}\r\n" for name, value in headers.items())
-    request = b"".join((head, lines.encode("ascii"), b"Content-Length: %d\r\n" % len(data),
-                        _FIXED_HEADERS, b"\r\n", data))
-    sock = socket.create_connection((host, port), timeout)
+def _post_once(remote: _Remote, body: bytes) -> tuple[int, bytes]:
+    """POST `body` once on a new connection and return (status, reply body);
+    a status other than 200 is returned with an empty body, which is not
+    read."""
+    request = b"".join((remote.request_head, b"Content-Length: %d\r\n" % len(body),
+                        _FIXED_HEADERS, b"\r\n", body))
+    sock = socket.create_connection((remote.host, remote.port), remote.cfg.timeout)
     try:
-        if https:
-            sock = _tls_context().wrap_socket(sock, server_hostname=host)
+        if remote.https:
+            sock = _tls_context().wrap_socket(sock, server_hostname=remote.host)
         sock.sendall(request)
         return _read_reply(_Reader(sock))
     finally:

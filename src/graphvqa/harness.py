@@ -5,10 +5,10 @@ thread). The sessions on one video share a `FrameTable`, so a frame another
 session already captioned, parsed and embedded is not done again. Each
 transcript is appended as soon as every earlier item is done, through one
 handle on the transcript file (`lines.Log`) that stays open for the run,
-takes the file's lock for each record and flushes it. So two runs over the
-same inputs write byte-identical transcripts and reports, and an interrupted
-run leaves its finished prefix's transcripts, each line whole, and the
-previous report.
+takes the file's lock for each record, mends the tail and flushes the
+record. So two runs over the same inputs write byte-identical transcripts
+and reports, and an interrupted run leaves its finished prefix's
+transcripts, each line whole, and the previous report.
 """
 
 from __future__ import annotations

@@ -1,18 +1,17 @@
-"""The one reader and appender of line files.
+"""The one reader and the one appender of line files.
 
 Line files are UTF-8 and end lines at "\\n" only: U+2028 and the like, which
 JSON leaves unescaped, stay in their line. Blank lines and lines whose first
 non-blank character is `#` are skipped. Text files (lexicon, bundle, QA,
 script) read "\\r\\n" and "\\r" as "\\n"; QA files and chat scripts hold one
 JSON object per line, which `read_objects` parses. Logs (cache, transcripts)
-hold one JSON value per line. A torn tail, a last line with no newline that
-does not parse, is dropped by the reader and cut off by the appender, which
-also ends a whole unterminated last line. An append holds an exclusive
+hold one JSON value per line, appended through `Log`. A torn tail, a last
+line with no newline that does not parse, is dropped by the reader and cut
+off by the appender, which also ends a whole unterminated last line. Every
+append mends the tail, writes and flushes its line under one exclusive
 `fcntl.flock` on the log (POSIX only), so processes may append to one log at
-once without taking each other's line in progress for a torn tail. A `Log`
-holds a log open for a stream of appends (transcripts): its tail is mended
-once, when it opens, and each append takes the lock and flushes its line.
-Faults raise the caller's error, naming the file.
+once without taking each other's line in progress for a torn tail. Faults
+raise the caller's error, naming the file.
 """
 
 from __future__ import annotations
@@ -110,61 +109,35 @@ def _mend(handle) -> None:
         handle.write(b"\n")
 
 
-def _open(path: Path):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path.open("a+b")
-
-
-def append_record(path: Union[str, Path], record, error: type) -> None:
-    """Append `record` to a log as one line of JSON with sorted keys, making
-    the file and its directory if need be, its tail mended first. An
-    exclusive `flock` on the file covers the mend and the write, so
-    processes may append to one log at once."""
-    path = Path(path)
-    line = _line(record)
-    try:
-        with _open(path) as handle:
-            fcntl.flock(handle, fcntl.LOCK_EX)
-            _mend(handle)
-            handle.write(line)
-    except OSError as exc:
-        raise error(f"cannot append to {path}: {exc.strerror}") from exc
-
-
 class Log:
-    """A log held open for appending records, as `append_record` appends
-    one, from a stream of them: the file (and its directory) is made if need
-    be and its tail mended once, when it opens; each append then takes the
-    `flock`, writes its line and flushes it. Close it, or use it as a
-    context manager."""
+    """A log open for appending records, made (with its directory) if need
+    be. Each append takes an exclusive `flock` on the file, mends its tail
+    (see `_mend`), writes the record as one line of JSON with sorted keys
+    and flushes it, so processes may append to one log at once. Hold one
+    open for a stream of records, or open one per record; close it, or use
+    it as a context manager."""
 
     def __init__(self, path: Union[str, Path], error: type):
         self.path, self._error = Path(path), error
         try:
-            self._handle = _open(self.path)
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._handle = self.path.open("a+b")
         except OSError as exc:
             raise error(f"cannot append to {self.path}: {exc.strerror}") from exc
-        try:
-            self._locked(_mend)
-        except BaseException:
-            self._handle.close()
-            raise
 
-    def _locked(self, write) -> None:
+    def append(self, record) -> None:
+        line = _line(record)
         handle = self._handle
         try:
             fcntl.flock(handle, fcntl.LOCK_EX)
             try:
-                write(handle)
+                _mend(handle)
+                handle.write(line)
                 handle.flush()
             finally:
                 fcntl.flock(handle, fcntl.LOCK_UN)
         except OSError as exc:
             raise self._error(f"cannot append to {self.path}: {exc.strerror}") from exc
-
-    def append(self, record) -> None:
-        line = _line(record)
-        self._locked(lambda handle: handle.write(line))
 
     def close(self) -> None:
         self._handle.close()

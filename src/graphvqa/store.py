@@ -39,7 +39,7 @@ from .errors import DataFormatError, DimensionError, SchemaVersionError, check_f
 from .graph import (
     Embedding, EntityNode, GraphConfig, RelationEdge, VideoGraph, all_finite, json_vector,
 )
-from .lines import Log, append_record, parse_object, read_lines, read_log, read_objects
+from .lines import Log, parse_object, read_lines, read_log, read_objects
 from .parsing import EntityType, RelationCategory
 
 GRAPH_SCHEMA_VERSION = 2
@@ -403,15 +403,9 @@ def transcript_record(session) -> dict:
     }
 
 
-def save_transcript(session, log: Union[str, Path, Log]) -> None:
-    """Append one session record to a transcript file (a log, see `lines`):
-    through `log` when it is an open `Log` (as `eval` streams its sessions),
-    else to the file at that path."""
-    record = transcript_record(session)
-    if isinstance(log, Log):
-        log.append(record)
-    else:
-        append_record(log, record, DataFormatError)
+def save_transcript(session, log: Log) -> None:
+    """Append one session record to an open transcript log (see `lines`)."""
+    log.append(transcript_record(session))
 
 
 def load_transcripts(path: Union[str, Path]) -> list[dict]:

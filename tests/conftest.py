@@ -14,6 +14,7 @@ import pytest
 from graphvqa import agent as agent_module
 from graphvqa import gateway as gateway_module
 from graphvqa import graph as graph_module
+from graphvqa.errors import DataFormatError
 from graphvqa.gateway import (
     PRECOMPUTED_CAPTION,
     SCRIPTED,
@@ -22,8 +23,9 @@ from graphvqa.gateway import (
     ScriptEntry,
 )
 from graphvqa.graph import VideoGraph
+from graphvqa.lines import Log
 from graphvqa.parsing import default_lexicon
-from graphvqa.store import VideoBundle
+from graphvqa.store import VideoBundle, save_transcript
 
 NOUNS = ["boy", "girl", "dog", "toy", "ball", "book", "sword", "cup", "table", "person"]
 VERBS = ["holds", "takes", "opens", "closes", "carries", "watches", "chases", "throws"]
@@ -61,6 +63,12 @@ def make_bundle(video_id="vid", total_frames=60, caption_every=1, dim=None, seed
         embeddings=embeddings,
         embedding_dim=dim,
     ).validate()
+
+
+def append_transcript(session, path) -> None:
+    """Append `session`'s record to the transcript log at `path`, as `run` does."""
+    with Log(path, DataFormatError) as log:
+        save_transcript(session, log)
 
 
 def confident_entry(letter="A", missing="none"):

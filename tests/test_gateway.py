@@ -489,7 +489,7 @@ def test_failed_sender_leaves_waiter_to_send_itself(monkeypatch):
     sending, release = threading.Event(), threading.Event()
     sent: list[bool] = []  # per request: had the first one failed already?
 
-    def fake_post_once(url, data, headers, timeout):
+    def fake_post_once(remote, body):
         sent.append(release.is_set())
         if len(sent) == 1:
             sending.set()
@@ -636,7 +636,7 @@ def test_session_views_share_cache_but_count_chat_calls_apart(stub_server):
     assert one.caption(3, bundle) == two.caption(3, bundle)
     assert state.request_count == 1
     assert one.cache is two.cache is shared.cache
-    assert one._semaphores["caption"] is two._semaphores["caption"]
+    assert one._remote["caption"].inflight is two._remote["caption"].inflight
 
 
 @pytest.mark.parametrize("reply", [None, b"garbage\r\n\r\n"])

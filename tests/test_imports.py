@@ -1,7 +1,8 @@
-"""Every package module uses each name it imports and each private name it
-defines at top level, and every test module each name it imports, so a
-removal leaves no stale import or helper behind. `__init__.py` is exempt
-from the import check: it imports to re-export."""
+"""Every package module uses each name it imports, each private name it
+defines at top level and each private member its classes define or its
+methods set on `self`, and every test module each name it imports, so a
+removal leaves no stale import, helper or attribute behind. `__init__.py`
+is exempt from the import check: it imports to re-export."""
 
 from __future__ import annotations
 
@@ -58,6 +59,29 @@ def unused_privates(source: str) -> list[str]:
     return sorted(private - used_names(tree))
 
 
+def unread_members(source: str) -> list[str]:
+    """The private (`_name`, not dunder) methods and class attributes that
+    `source`'s classes define, and the private attributes its code sets on
+    `self`, that `source` never reads as an attribute."""
+    tree = ast.parse(source)
+    defined: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    defined.add(member.name)
+                elif isinstance(member, (ast.Assign, ast.AnnAssign)):
+                    targets = member.targets if isinstance(member, ast.Assign) else [member.target]
+                    defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+              and isinstance(node.value, ast.Name) and node.value.id == "self"):
+            defined.add(node.attr)
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    return sorted(private - read)
+
+
 def test_modules_exist():
     assert "graph.py" in MODULES and "cli.py" in MODULES
     assert "conftest.py" in TEST_MODULES and "test_imports.py" in TEST_MODULES
@@ -104,3 +128,29 @@ def test_check_finds_a_dead_private_helper():
         "    pass\n"
     )
     assert unused_privates(source) == ["_Gone", "_old"]
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_module_reads_every_private_member_it_defines(module):
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    assert unread_members(source) == []
+
+
+def test_check_finds_an_unread_private_member():
+    source = (
+        "class Box:\n"
+        "    _LIMIT = 3\n"
+        "    _unused: int = 0\n"
+        "    def __init__(self):\n"
+        "        self._items = []\n"
+        "        self._stale = {}\n"
+        "        self.public = 1\n"
+        "        other._elsewhere = 2\n"
+        "    def _grow(self):\n"
+        "        self._items.append(len(self._items) < Box._LIMIT)\n"
+        "    def _old(self):\n"
+        "        self._stale = None\n"
+        "    def add(self):\n"
+        "        self._grow()\n"
+    )
+    assert unread_members(source) == ["_old", "_stale", "_unused"]

@@ -15,13 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_bundle
+from conftest import append_transcript, make_bundle
 from graphvqa.agent import AgentSession, RoundLog, Termination
 from graphvqa.errors import DataFormatError, GatewayConfigError, LexiconError
 from graphvqa.gateway import ResponseCache, load_script
-from graphvqa.lines import Log, append_record, read_lines, read_log
+from graphvqa.lines import Log, read_lines, read_log
 from graphvqa.parsing import load_lexicon
-from graphvqa.store import load_bundle, load_qa, load_transcripts, save_bundle, save_transcript
+from graphvqa.store import load_bundle, load_qa, load_transcripts, save_bundle
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text()
@@ -53,11 +53,11 @@ def test_transcripts_stay_readable_after_a_cut_at_any_byte(questions, last, data
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "transcripts.jsonl"
         for question in questions:
-            save_transcript(session(question), path)
+            append_transcript(session(question), path)
         whole = path.read_bytes()
         cut = data.draw(st.integers(0, len(whole)), label="cut")
         path.write_bytes(whole[:cut])
-        save_transcript(session(last), path)
+        append_transcript(session(last), path)
         kept = questions[:complete_lines(whole, cut)]
         assert [r["question"] for r in load_transcripts(path)] == kept + [last]
 
@@ -123,24 +123,33 @@ TAILS = [
 ]
 
 
+def append(path, record) -> None:
+    """Append one record through a `Log` opened for it, as a cache put does."""
+    with Log(path, DataFormatError) as log:
+        log.append(record)
+
+
 @pytest.mark.parametrize("tail,mended", TAILS)
 def test_append_mends_an_unterminated_tail_first(tmp_path, tail, mended):
     path = tmp_path / "log.jsonl"
     path.write_bytes(b'{"k1": 1}\n' + tail)
-    append_record(path, {"k3": 3}, DataFormatError)
+    append(path, {"k3": 3})
     assert path.read_bytes() == mended
 
 
 @pytest.mark.parametrize("tail,mended", TAILS)
-def test_a_held_log_mends_the_tail_when_it_opens_and_flushes_each_line(tmp_path, tail, mended):
+def test_a_held_log_mends_the_tail_at_each_append_and_flushes_each_line(tmp_path, tail, mended):
     path = tmp_path / "log.jsonl"
     path.write_bytes(b'{"k1": 1}\n' + tail)
     with Log(path, DataFormatError) as log:
-        assert path.read_bytes() == mended[:mended.rindex(b'{"k3"')]
+        assert path.read_bytes() == b'{"k1": 1}\n' + tail  # opening writes nothing
         log.append({"k3": 3})
         assert path.read_bytes() == mended
+        with path.open("ab") as other:  # another writer leaves the same tail
+            other.write(tail)
         log.append({"k4": 4})
-        assert path.read_bytes() == mended + b'{"k4": 4}\n'
+        kept = tail + b"\n" if tail in mended else b""  # as the first append mended it
+        assert path.read_bytes() == mended + kept + b'{"k4": 4}\n'
     with pytest.raises(ValueError, match="closed file"):
         log.append({"k5": 5})
 
@@ -174,7 +183,7 @@ def test_append_reads_only_the_last_byte_of_a_file_ending_in_a_newline(tmp_path,
 
     open_path = Path.open
     monkeypatch.setattr(Path, "open", lambda self, *args, **kw: Spy(open_path(self, *args, **kw)))
-    append_record(path, {"k": 1}, DataFormatError)
+    append(path, {"k": 1})
     monkeypatch.undo()
     assert reads == [b"\n"]
     assert path.read_bytes().endswith(b'not json\n{"k": 1}\n')
@@ -187,7 +196,7 @@ def test_unreadable_paths_raise_the_callers_error(tmp_path):
     with pytest.raises(DataFormatError, match=re.escape(f"cannot read {tmp_path}")):
         read_log(tmp_path, DataFormatError)
     with pytest.raises(DataFormatError, match=re.escape(f"cannot append to {tmp_path}")):
-        append_record(tmp_path, {"k": 1}, DataFormatError)
+        append(tmp_path, {"k": 1})
     (tmp_path / "bad").write_bytes(b"\xff\n")
     with pytest.raises(LexiconError, match="bad: not valid UTF-8"):
         read_lines(tmp_path / "bad", LexiconError)
@@ -216,7 +225,7 @@ def test_append_waits_for_another_process_mid_line(tmp_path):
     child.start()
     try:
         assert ready.wait(timeout=60)
-        append_record(path, {"second": 2}, DataFormatError)
+        append(path, {"second": 2})
     finally:
         child.join(timeout=60)
     assert not child.is_alive() and child.exitcode == 0
@@ -248,8 +257,9 @@ WRITERS, RECORDS = 4, 500
 
 def append_many(path: str, writer: int, start) -> None:
     start.wait(timeout=60)
-    for i in range(RECORDS):
-        append_record(path, {"writer": writer, "i": i, "pad": "x" * 5000}, DataFormatError)
+    with Log(path, DataFormatError) as log:
+        for i in range(RECORDS):
+            log.append({"writer": writer, "i": i, "pad": "x" * 5000})
 
 
 def test_processes_appending_to_one_log_lose_no_record(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_bundle
+from conftest import append_transcript, make_bundle
 from graphvqa.agent import AgentSession, RoundLog, Termination
 from graphvqa.errors import DataFormatError, DimensionError, SchemaVersionError
 from graphvqa.graph import Embedding, VideoGraph
@@ -29,7 +29,6 @@ from graphvqa.store import (
     save_bundle,
     save_graph,
     save_qa,
-    save_transcript,
     transcript_record,
 )
 
@@ -469,7 +468,7 @@ def one_round_session(video_id="v1", question="why?", answer=1):
 
 def test_transcript_single_round(tmp_path):
     path = tmp_path / "transcripts.jsonl"
-    save_transcript(one_round_session(), path)
+    append_transcript(one_round_session(), path)
     records = load_transcripts(path)
     assert len(records) == 1
     assert len(records[0]["rounds"]) == 1
@@ -478,15 +477,15 @@ def test_transcript_single_round(tmp_path):
 
 def test_transcript_frames_used_consistent(tmp_path):
     path = tmp_path / "transcripts.jsonl"
-    save_transcript(one_round_session(), path)
+    append_transcript(one_round_session(), path)
     record = load_transcripts(path)[0]
     assert record["frames_used"] == len(record["selected_frames"])
 
 
 def test_transcripts_append_and_find(tmp_path):
     path = tmp_path / "transcripts.jsonl"
-    save_transcript(one_round_session("v1", "why?"), path)
-    save_transcript(one_round_session("v2", "how?", answer=3), path)
+    append_transcript(one_round_session("v1", "why?"), path)
+    append_transcript(one_round_session("v2", "how?", answer=3), path)
     records = load_transcripts(path)
     assert [r["video_id"] for r in records] == ["v1", "v2"]
     assert records[1]["final_answer"] == 3
@@ -494,8 +493,8 @@ def test_transcripts_append_and_find(tmp_path):
 
 def test_transcripts_drop_a_truncated_last_line(tmp_path, caplog):
     path = tmp_path / "transcripts.jsonl"
-    save_transcript(one_round_session("v1", "why?"), path)
-    save_transcript(one_round_session("v2", "pourquoi l'élan?"), path)
+    append_transcript(one_round_session("v1", "why?"), path)
+    append_transcript(one_round_session("v2", "pourquoi l'élan?"), path)
     whole = path.read_bytes()
     first = whole[: whole.index(b"\n") + 1]
     cut = whole.index("é".encode("utf-8")) + 1  # mid character, as a torn append can be
@@ -510,7 +509,7 @@ def test_transcripts_drop_a_truncated_last_line(tmp_path, caplog):
     assert [r["video_id"] for r in load_transcripts(path)] == ["v1", "v2"]
     # only "\n" ends a line: JSON leaves U+2028 (a line separator) unescaped
     path.write_bytes(whole)
-    save_transcript(one_round_session("v3", "why\u2028now?"), path)
+    append_transcript(one_round_session("v3", "why\u2028now?"), path)
     assert load_transcripts(path)[-1]["question"] == "why\u2028now?"
 
 
@@ -521,7 +520,7 @@ def test_transcripts_drop_a_truncated_last_line(tmp_path, caplog):
 ])
 def test_transcripts_other_bad_lines_rejected(tmp_path, text):
     path = tmp_path / "transcripts.jsonl"
-    save_transcript(one_round_session(), path)
+    append_transcript(one_round_session(), path)
     with path.open("a", encoding="utf-8") as handle:
         handle.write(text)
     with pytest.raises(DataFormatError, match="invalid JSON"):
@@ -532,7 +531,7 @@ def test_transcript_requires_terminated_session(tmp_path):
     session = one_round_session()
     session.terminated_by = None
     with pytest.raises(ValueError):
-        save_transcript(session, tmp_path / "t.jsonl")
+        append_transcript(session, tmp_path / "t.jsonl")
 
 
 # -- on-disk key sets ---------------------------------------------------------------

@@ -185,19 +185,41 @@ def test_request_line_headers_and_body(raw_server, monkeypatch):
     host = server.endpoint.removeprefix("http://")
     server.endpoint += "/prefix"
     assert chat_through(server, api_key_env="GRAPHVQA_TEST_KEY") == "ok"
-    head, _, body = server.requests[0].partition(b"\r\n\r\n")
-    request_line, *lines = head.decode("ascii").split("\r\n")
-    assert request_line == "POST /prefix/v1/chat/completions HTTP/1.1"
-    assert sorted(lines) == sorted([
-        f"Host: {host}",
-        "Content-Type: application/json",
-        f"Content-Length: {len(body)}",
-        "Accept-Encoding: identity",
-        f"User-Agent: graphvqa/{__version__}",
-        "Connection: close",
-        "Authorization: Bearer sk-test",
-    ])
-    assert json.loads(body)["messages"] == [{"role": "user", "content": "hi"}]
+    assert chat_through(server) == "ok"
+    for request, key_lines in zip(server.requests, [["Authorization: Bearer sk-test"], []]):
+        head, _, body = request.partition(b"\r\n\r\n")
+        assert head.decode("ascii").split("\r\n") == [
+            "POST /prefix/v1/chat/completions HTTP/1.1",
+            f"Host: {host}",
+            "Content-Type: application/json",
+            *key_lines,
+            f"Content-Length: {len(body)}",
+            "Accept-Encoding: identity",
+            f"User-Agent: graphvqa/{__version__}",
+            "Connection: close",
+        ]
+        assert json.loads(body)["messages"] == [{"role": "user", "content": "hi"}]
+
+
+def test_the_key_is_read_once_when_the_gateway_is_built(raw_server, monkeypatch):
+    monkeypatch.setenv("GRAPHVQA_TEST_KEY", "sk-built")
+    server = raw_server(b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(BODY), BODY))
+    with ModelGateway(chat=remote_chat_config(server.endpoint,
+                                              api_key_env="GRAPHVQA_TEST_KEY")) as gateway:
+        monkeypatch.setenv("GRAPHVQA_TEST_KEY", "sk-changed")
+        assert gateway.chat([("user", "one")]) == "ok"
+        monkeypatch.delenv("GRAPHVQA_TEST_KEY")
+        assert gateway.chat([("user", "two")]) == "ok"
+    assert [b"\r\nAuthorization: Bearer sk-built\r\n" in r for r in server.requests] == [True] * 2
+
+
+def test_no_repr_shows_the_key(monkeypatch):
+    monkeypatch.setenv("GRAPHVQA_TEST_KEY", "sk-secret")
+    with ModelGateway(chat=remote_chat_config("http://127.0.0.1:9",
+                                              api_key_env="GRAPHVQA_TEST_KEY")) as gateway:
+        request = gateway._request("chat", [("user", "hi")], None)
+    assert b"sk-secret" in request.remote.request_head
+    assert "sk-secret" not in repr(request.remote) and "sk-secret" not in repr(request)
 
 
 # -- proxies ---------------------------------------------------------------------
