@@ -9,7 +9,8 @@ new frames from graph-derived segments (the second-to-last permitted round
 widens to the whole video with a doubled decay length). The loop is bounded
 by max_rounds, at which point the latest prediction is forced out.
 
-Sessions on one video may share a `FrameTable` (`eval` does): each frame's
+Sessions on one video may share a `FrameTable`: an agent's sessions always
+do, and `eval` shares one among all agents on a video. Each frame's
 caption, parse, embedding and embedding norm are then computed once, and a
 session asks the gateway only for what the table lacks. Vectors arrive from
 the gateway as `Embedding`s and are passed on as they are, so a bundle's
@@ -165,13 +166,14 @@ class FrameTable:
     merges and stores as node features, the table's `Embedding` objects
     themselves.
 
-    `eval` shares one table among all sessions on a video, so a session
-    asks the gateway only for the frames no earlier session touched, and
-    parses only their captions. Only successes are stored: a failed caption
-    or embedding is tried again. Entries are written once (the first writer
-    wins) and never changed, so parallel sessions may fill one table at the
-    same time. A table is only valid for sessions whose gateways caption
-    and embed alike and that share a lexicon.
+    An agent keeps one table for all of its sessions, and `eval` shares one
+    among all sessions on a video, so a session asks the gateway only for
+    the frames no earlier session touched, and parses only their captions.
+    Only successes are stored: a failed caption or embedding is tried again.
+    Entries are written once (the first writer wins) and never changed, so
+    parallel sessions may fill one table at the same time. A table is only
+    valid for sessions whose gateways caption and embed alike and that
+    share a lexicon.
     """
 
     captions: dict[int, tuple[str, CaptionParse]] = field(default_factory=dict)
@@ -290,7 +292,8 @@ def render_prompt(template: str, question: str, options: Sequence[str],
 class VideoAgent:
     """Runs sessions over one bundle. One session at a time per instance;
     distinct instances may run in parallel against a shared gateway and a
-    shared `FrameTable`. Without a table, each session starts a fresh one."""
+    shared `FrameTable`. Without a table, the agent makes one that all of its
+    sessions share: they share its bundle, gateway and lexicon."""
 
     def __init__(self, bundle: VideoBundle, gateway: ModelGateway,
                  cfg: Optional[AgentConfig] = None, lexicon: Optional[Lexicon] = None,
@@ -299,7 +302,6 @@ class VideoAgent:
         self.gateway = gateway
         self.cfg = cfg or AgentConfig()
         self.lexicon = lexicon or default_lexicon()
-        self._shared_frames = frames
         self.frames = frames if frames is not None else FrameTable()
         # the running session's question embedding, once one has arrived
         self.query_embedding: Optional[Embedding] = None
@@ -439,14 +441,14 @@ class VideoAgent:
         session.final_graph_version = graph.version
 
     def run(self, question: str, options: Sequence[str]) -> tuple[AgentSession, VideoGraph]:
-        """Run a full session; returns the transcript and the final graph."""
+        """Run a full session on a view of the gateway that counts scripted
+        chat calls from 1; returns the transcript and the final graph."""
         session = AgentSession(
             video_id=self.bundle.video_id,
             question=question,
             options=list(options),
         )
-        if self._shared_frames is None:
-            self.frames = FrameTable()
+        self.gateway = self.gateway.for_session()
         self.query_embedding = None
         query = parse_question(question, options, self.lexicon)
         initial = uniform_sample(self.bundle.total_frames, self.cfg.initial_frames)

@@ -227,10 +227,8 @@ def _cmd_eval(args) -> int:
     cfg = agent_config_from(config)
     lexicon = lexicon_from(config)
     with build_gateway(config, args.provider, args.seed) as gateway:
-        report = run_eval(
-            args.qa, args.bundle, cfg, lambda _item: gateway.for_session(), out_dir,
-            parallel=args.parallel, lexicon=lexicon,
-        )
+        report = run_eval(args.qa, args.bundle, cfg, gateway, out_dir,
+                          parallel=args.parallel, lexicon=lexicon)
     print(report.render_text())
     print(f"report written to {out_dir / 'report.json'}")
     return EXIT_OK

@@ -411,8 +411,8 @@ class ModelGateway:
     use across sessions; remote calls are limited by a per-lane in-flight
     semaphore, and concurrent misses on one request are merged so only the
     first caller sends it. Without a `cache` the gateway keeps its responses
-    in memory. Scripted chat counts calls per gateway, so concurrent sessions
-    each take their own view from `for_session`. `close` stops the threads
+    in memory. Scripted chat counts calls per gateway, so `VideoAgent.run`
+    gives each session a view of its own. `close` stops the threads
     that `gather` started. A lane given a provider kind that cannot serve it
     raises GatewayConfigError here, as does a chat script that is empty or
     does not end in a catch-all.
@@ -718,7 +718,7 @@ def _tls_context() -> ssl.SSLContext:
 _FIXED_HEADERS = (f"Accept-Encoding: identity\r\nUser-Agent: graphvqa/{__version__}\r\n"
                   "Connection: close\r\n").encode("ascii")
 _STATUS_LINE = re.compile(rb"HTTP/1\.[01] ([0-9]{3})(?: [^\r\n]*)?")
-_DIGITS = re.compile(rb"[0-9]+")
+_DIGITS = re.compile(rb"[0-9]{1,18}")  # int() refuses a decimal string of over 4300 digits
 _HEX_DIGITS = re.compile(rb"[0-9A-Fa-f]+")
 _MAX_HEAD = 65536  # bytes of a status line and headers, or of a chunk-size line
 
@@ -798,7 +798,7 @@ def _parse_head(head: bytes) -> tuple[int, bool, Optional[int]]:
     codings, length = [], None
     for line in lines:
         name, colon, value = line.partition(b":")
-        if not colon or not name or name != name.strip():
+        if not colon or not name or name != name.strip() or b"\r" in line or b"\n" in line:
             raise MalformedReply(f"bad header line {line[:80]!r}")
         name, value = name.lower(), value.strip()
         if name == b"transfer-encoding":

@@ -1,14 +1,14 @@
 """Batch evaluation over QA sets: accuracy, frame usage, and breakdowns.
 
 Sessions run on a bounded worker pool (at `parallel` 1, on the calling
-thread). The sessions on one video share a `FrameTable`, so a frame another
-session already captioned, parsed and embedded is not done again. Each
-transcript is appended as soon as every earlier item is done, through one
-handle on the transcript file (`lines.Log`) that stays open for the run,
-takes the file's lock for each record, mends the tail and flushes the
-record. So two runs over the same inputs write byte-identical transcripts
-and reports, and an interrupted run leaves its finished prefix's
-transcripts, each line whole, and the previous report.
+thread), all on one gateway. The sessions on one video share a `FrameTable`,
+so a frame another session already captioned, parsed and embedded is not
+done again. Each transcript is appended as soon as every earlier item is
+done, through one handle on the transcript file (`lines.Log`) that stays
+open for the run, takes the file's lock for each record, mends the tail and
+flushes the record. So two runs over the same inputs write byte-identical
+transcripts and reports, and an interrupted run leaves its finished
+prefix's transcripts, each line whole, and the previous report.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .agent import AgentConfig, AgentSession, FrameTable, VideoAgent
 from .errors import DataFormatError
@@ -28,8 +28,6 @@ from .parsing import Lexicon
 from .store import QAItem, VideoBundle, load_bundle, load_qa, replace_text, save_transcript
 
 logger = logging.getLogger(__name__)
-
-GatewayFactory = Callable[[QAItem], ModelGateway]
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -92,13 +90,12 @@ class _ItemResult:
     error: Optional[str] = None
 
 
-def _run_item(index: int, item: QAItem, bundle: VideoBundle,
-              gateway_factory: GatewayFactory, cfg: AgentConfig,
-              lexicon: Optional[Lexicon], frames: FrameTable) -> _ItemResult:
+def _run_item(index: int, item: QAItem, bundle: VideoBundle, gateway: ModelGateway,
+              cfg: AgentConfig, lexicon: Optional[Lexicon], frames: FrameTable) -> _ItemResult:
     item_id = f"{item.video_id}#{index}"
     result = _ItemResult(item=item, item_id=item_id)
     try:
-        agent = VideoAgent(bundle, gateway_factory(item), cfg, lexicon, frames)
+        agent = VideoAgent(bundle, gateway, cfg, lexicon, frames)
         result.session, graph = agent.run(item.question, item.options)
         result.node_count = len(graph.nodes)
     except Exception as exc:  # noqa: BLE001 - any per-item failure is reportable
@@ -108,7 +105,7 @@ def _run_item(index: int, item: QAItem, bundle: VideoBundle,
 
 
 def run_eval(qa_path: Union[str, Path], bundle_root: Union[str, Path],
-             cfg: AgentConfig, gateway_factory: GatewayFactory,
+             cfg: AgentConfig, gateway: ModelGateway,
              out_dir: Union[str, Path], parallel: int = 1,
              lexicon: Optional[Lexicon] = None) -> EvalReport:
     """Run every QA item, write transcripts and a report, return the report.
@@ -116,8 +113,8 @@ def run_eval(qa_path: Union[str, Path], bundle_root: Union[str, Path],
     Items whose sessions raise are counted as failures: included in n_items,
     excluded from accuracy. The QA file and every referenced bundle, whose
     manifest must name the item's video, must be resolvable up front,
-    otherwise nothing runs. The sessions on one video share a `FrameTable`,
-    so every gateway the factory returns must caption and embed alike.
+    otherwise nothing runs. Every session takes its own view of `gateway`
+    (see `VideoAgent.run`).
     """
     items = load_qa(qa_path)
     bundle_root = Path(bundle_root)
@@ -136,7 +133,7 @@ def run_eval(qa_path: Union[str, Path], bundle_root: Union[str, Path],
 
     def runner(pair):
         index, item = pair
-        return _run_item(index, item, bundles[item.video_id], gateway_factory, cfg, lexicon,
+        return _run_item(index, item, bundles[item.video_id], gateway, cfg, lexicon,
                          tables[item.video_id])
 
     transcript_path = out_dir / "transcripts.jsonl"

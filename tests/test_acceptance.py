@@ -235,30 +235,32 @@ def chain_suite(tmp_path, n_items=10):
     return qa_path, root, items
 
 
-def chain_factory(items):
-    truth = {item.question: item.answer_index for item in items}
-
-    def factory(item):
-        correct = truth[item.question]
+def chain_gateway(items):
+    """One gateway for the eval: each question is answered right and sure
+    once its prompt holds the chain, and wrong and unsure before."""
+    entries = []
+    for item in items:
+        question = f"Question: {item.question}\n"
+        correct = item.answer_index
         wrong = (correct + 1) % 5
-        return scripted_gateway([
+        entries += [
             ScriptEntry(
                 reply=f"answer: {LETTERS[correct]}, confidence: 3, missing: none",
-                contains_all=CHAIN_EDGES,
+                contains=question, contains_all=CHAIN_EDGES,
             ),
             ScriptEntry(
-                reply=f"answer: {LETTERS[wrong]}, confidence: 1, missing: the relation chain"
+                reply=f"answer: {LETTERS[wrong]}, confidence: 1, missing: the relation chain",
+                contains=question,
             ),
-        ])
-
-    return factory
+        ]
+    return scripted_gateway(entries + [ScriptEntry(reply="unreachable")])
 
 
 def test_criterion_6_causal_chain_ablation(tmp_path):
     qa_path, root, items = chain_suite(tmp_path)
-    factory = chain_factory(items)
+    gateway = chain_gateway(items)
 
-    full = run_eval(qa_path, root, AgentConfig(), factory, tmp_path / "full")
+    full = run_eval(qa_path, root, AgentConfig(), gateway, tmp_path / "full")
     assert full.accuracy == 1.0
     full_records = load_transcripts(tmp_path / "full" / "transcripts.jsonl")
     assert all(r["terminated_by"] == "Confident" for r in full_records)
@@ -270,7 +272,7 @@ def test_criterion_6_causal_chain_ablation(tmp_path):
         state_verbs={},
         type_gazetteer=LEX.type_gazetteer,
     )
-    ablated = run_eval(qa_path, root, AgentConfig(), factory, tmp_path / "ablated",
+    ablated = run_eval(qa_path, root, AgentConfig(), gateway, tmp_path / "ablated",
                        lexicon=bare)
     assert ablated.accuracy == 0.0
     ablated_records = load_transcripts(tmp_path / "ablated" / "transcripts.jsonl")

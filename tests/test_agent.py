@@ -389,7 +389,7 @@ class UnmemoizedAgent(VideoAgent):
         return super()._fetch(captions, embeds, question)
 
 
-def test_frame_embeddings_memoized_per_session():
+def test_frame_embeddings_memoized_in_a_session():
     bundle = distinct_caption_bundle()
     entries = [unsure_entry("B"), unsure_entry("C", confidence=2), confident_entry("D")]
     plain = CountingGateway(entries)
@@ -397,13 +397,32 @@ def test_frame_embeddings_memoized_per_session():
     assert max(plain.frame_embeds.values()) > 1  # retrieved frames are embedded twice
 
     counting = CountingGateway(entries)
-    agent = VideoAgent(bundle, counting)
-    for _ in range(2):  # the memo starts empty for each session
-        counting.frame_embeds.clear()
-        agent.gateway = counting.for_session()  # replays the script from round 1
+    session, _ = VideoAgent(bundle, counting).run("what does the boy hold?", OPTIONS)
+    assert set(counting.frame_embeds.values()) == {1}
+    assert transcript_record(session) == transcript_record(reference)
+
+
+def test_each_run_of_an_agent_replays_a_round_keyed_script_from_round_one():
+    entries = [ScriptEntry(reply="answer: B, confidence: 1, missing: more", round=1),
+               ScriptEntry(reply="answer: C, confidence: 3, missing: none", round=2),
+               ScriptEntry(reply="answer: D, confidence: 3, missing: none")]
+    agent = VideoAgent(distinct_caption_bundle(), scripted_gateway(entries))
+    for _ in range(2):
         session, _ = agent.run("what does the boy hold?", OPTIONS)
-        assert set(counting.frame_embeds.values()) == {1}
-        assert transcript_record(session) == transcript_record(reference)
+        assert [(r.prediction, r.confidence) for r in session.rounds] == [(1, 1), (2, 3)]
+
+
+def test_an_agent_keeps_one_frame_table_for_all_of_its_sessions():
+    """The second session on an agent asks the gateway for no frame that
+    the first one captioned or embedded, and gives the same transcript."""
+    gateway = CountingGateway([unsure_entry("B")])
+    agent = VideoAgent(distinct_caption_bundle(), gateway)
+    first, _ = agent.run("what does the boy hold?", OPTIONS)
+    assert len(first.rounds) == 3 and first.rounds[0].frames_added
+    fetched = Counter(gateway.frame_captions), Counter(gateway.frame_embeds)
+    second, _ = agent.run("what does the boy hold?", OPTIONS)
+    assert (gateway.frame_captions, gateway.frame_embeds) == fetched
+    assert transcript_record(second) == transcript_record(first)
 
 
 def test_failed_frame_embedding_tried_again():
@@ -429,10 +448,10 @@ def test_no_start_stored_when_a_starting_frame_embedding_failed(monkeypatch):
     batches = record_update_batches(monkeypatch)
     gateway = CountingGateway([confident_entry()], fail_once={initial[2]})
     table = FrameTable()
-    _, degraded = VideoAgent(bundle, gateway.for_session(), frames=table).run("what?", OPTIONS)
+    _, degraded = VideoAgent(bundle, gateway, frames=table).run("what?", OPTIONS)
     assert set(table.embeddings) == set(initial) - {initial[2]}
     assert save_graph(degraded) != save_graph(clean)
-    _, graph = VideoAgent(bundle, gateway.for_session(), frames=table).run("what?", OPTIONS)
+    _, graph = VideoAgent(bundle, gateway, frames=table).run("what?", OPTIONS)
     assert save_graph(graph) == save_graph(clean)
     assert batches == [initial, initial]
     assert gateway.frame_embeds == Counter({**dict.fromkeys(initial, 1), initial[2]: 2})
@@ -499,7 +518,7 @@ def test_sessions_sharing_a_frame_table_do_each_frame_once(monkeypatch):
     gateway = CountingGateway(entries)
     table = FrameTable()
     for question, reference in zip(questions, references):
-        session, _ = VideoAgent(bundle, gateway.for_session(), frames=table).run(question, OPTIONS)
+        session, _ = VideoAgent(bundle, gateway, frames=table).run(question, OPTIONS)
         assert transcript_record(session) == transcript_record(reference)
     assert set(gateway.frame_captions.values()) == {1}
     assert set(gateway.frame_embeds.values()) == {1}
@@ -525,7 +544,7 @@ def test_sessions_start_from_the_stored_start_graph(monkeypatch):
     gateway = CountingGateway(entries)
     table = FrameTable()
     for question, (reference, reference_graph) in zip(questions, fresh):
-        session, graph = VideoAgent(bundle, gateway.for_session(), frames=table).run(
+        session, graph = VideoAgent(bundle, gateway, frames=table).run(
             question, OPTIONS
         )
         assert transcript_record(session) == transcript_record(reference)
@@ -554,11 +573,10 @@ def test_each_vector_normed_once_in_sessions_sharing_a_table(monkeypatch):
     cfg = AgentConfig(initial_frames=2)
     gateway = scripted_gateway([unsure_entry(), confident_entry()])
     normed = record_norms(monkeypatch)
-    reference, _ = VideoAgent(bundle, gateway.for_session(), cfg).run("what does the boy hold?",
-                                                                     OPTIONS)
+    reference, _ = VideoAgent(bundle, gateway, cfg).run("what does the boy hold?", OPTIONS)
     table = FrameTable()
     for _ in range(2):
-        session, graph = VideoAgent(bundle, gateway.for_session(), cfg, frames=table).run(
+        session, graph = VideoAgent(bundle, gateway, cfg, frames=table).run(
             "what does the boy hold?", OPTIONS
         )
         assert transcript_record(session) == transcript_record(reference)
@@ -594,11 +612,11 @@ def test_failed_caption_is_not_stored_and_tried_again():
     gateway = CountingGateway([confident_entry()], fail_caption_once={initial[1]})
     table = FrameTable()
     with pytest.raises(GatewayError):  # the initial ingest has no round to end
-        VideoAgent(bundle, gateway.for_session(), frames=table).run("what?", OPTIONS)
+        VideoAgent(bundle, gateway, frames=table).run("what?", OPTIONS)
     # the table keeps every frame that arrived, the failed frame's embedding too
     assert set(table.captions) == set(initial) - {initial[1]}
     assert set(table.embeddings) == set(initial)
-    session, _ = VideoAgent(bundle, gateway.for_session(), frames=table).run("what?", OPTIONS)
+    session, _ = VideoAgent(bundle, gateway, frames=table).run("what?", OPTIONS)
     assert transcript_record(session) == transcript_record(reference)
     # the next session asks again for the failed caption only
     assert gateway.frame_captions == Counter({**dict.fromkeys(initial, 1), initial[1]: 2})
@@ -644,7 +662,7 @@ def test_parallel_sessions_on_one_table_match_serial_ones():
     table = FrameTable()
 
     def run(question):
-        return VideoAgent(bundle, gateway.for_session(), frames=table).run(question, OPTIONS)
+        return VideoAgent(bundle, gateway, frames=table).run(question, OPTIONS)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

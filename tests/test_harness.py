@@ -26,10 +26,35 @@ def write_suite(tmp_path, items, bundles):
     return qa_path, root
 
 
-def scripted_factory(reply_for_item):
-    def factory(item):
-        return scripted_gateway([ScriptEntry(reply=reply_for_item(item))])
-    return factory
+CONFIDENT = "answer: A, confidence: 3"
+
+
+def replying(reply):
+    """One scripted gateway for a whole eval, giving every prompt `reply`."""
+    return scripted_gateway([ScriptEntry(reply=reply)])
+
+
+def keyed_gateway(items, reply_for_item):
+    """One scripted gateway for a whole eval: each item's reply is keyed by
+    its question's line in the prompt, so the catch-all is never reached."""
+    return scripted_gateway(
+        [ScriptEntry(reply=reply_for_item(item), contains=f"Question: {item.question}\n")
+         for item in items] + [ScriptEntry(reply="unreachable")]
+    )
+
+
+def interrupted_at(question, error):
+    """A gateway that answers every session at once, but whose chat raises
+    `error` in the session that asks `question`."""
+    gateway = replying(CONFIDENT)
+
+    def chat(messages):
+        if f"Question: {question}\n" in messages[0][1]:
+            raise error
+        return CONFIDENT
+
+    gateway.chat = chat  # each session's view copies it
+    return gateway
 
 
 def test_eval_accuracy_seven_of_ten(tmp_path):
@@ -46,7 +71,7 @@ def test_eval_accuracy_seven_of_ten(tmp_path):
         return f"answer: {LETTERS[chosen]}, confidence: 3"
 
     qa_path, root = write_suite(tmp_path, items, [bundle])
-    report = run_eval(qa_path, root, AgentConfig(), scripted_factory(reply), tmp_path / "out")
+    report = run_eval(qa_path, root, AgentConfig(), keyed_gateway(items, reply), tmp_path / "out")
     assert report.n_items == 10
     assert report.answered == 10
     assert report.accuracy == pytest.approx(0.7)
@@ -58,10 +83,7 @@ def test_eval_all_confident_mean_frames_is_n(tmp_path):
     items = [QAItem("v0", f"q {i}?", OPTIONS, answer_index=0) for i in range(4)]
     qa_path, root = write_suite(tmp_path, items, [bundle])
     cfg = AgentConfig(initial_frames=5)
-    report = run_eval(
-        qa_path, root, cfg, scripted_factory(lambda item: "answer: A, confidence: 3"),
-        tmp_path / "out",
-    )
+    report = run_eval(qa_path, root, cfg, replying(CONFIDENT), tmp_path / "out")
     assert report.mean_frames_used == pytest.approx(5.0)
     assert report.mean_rounds == pytest.approx(1.0)
     assert report.accuracy == pytest.approx(1.0)
@@ -76,10 +98,7 @@ def test_eval_category_keys_match_data(tmp_path):
         QAItem("v0", "q4?", OPTIONS, answer_index=0),
     ]
     qa_path, root = write_suite(tmp_path, items, [bundle])
-    report = run_eval(
-        qa_path, root, AgentConfig(),
-        scripted_factory(lambda item: "answer: A, confidence: 3"), tmp_path / "out",
-    )
+    report = run_eval(qa_path, root, AgentConfig(), replying(CONFIDENT), tmp_path / "out")
     assert set(report.per_category) == {"Causal", "Temporal"}
     assert report.per_category["Causal"] == pytest.approx(1.0)
 
@@ -93,10 +112,7 @@ def test_eval_failures_counted_not_scored(tmp_path):
         QAItem("broken", "q?", OPTIONS, answer_index=0),
     ]
     qa_path, root = write_suite(tmp_path, items, [good, broken])
-    report = run_eval(
-        qa_path, root, AgentConfig(),
-        scripted_factory(lambda item: "answer: A, confidence: 3"), tmp_path / "out",
-    )
+    report = run_eval(qa_path, root, AgentConfig(), replying(CONFIDENT), tmp_path / "out")
     assert report.n_items == 2
     assert report.answered == 1
     assert report.n_items == report.answered + len(report.failures)
@@ -108,8 +124,7 @@ def test_eval_missing_bundle_aborts(tmp_path):
     items = [QAItem("ghost", "q?", OPTIONS, answer_index=0)]
     qa_path = save_qa(items, tmp_path / "qa")
     with pytest.raises(DataFormatError):
-        run_eval(qa_path, tmp_path / "bundles", AgentConfig(),
-                 scripted_factory(lambda item: "x"), tmp_path / "out")
+        run_eval(qa_path, tmp_path / "bundles", AgentConfig(), replying("x"), tmp_path / "out")
 
 
 def test_eval_writes_report_and_transcripts(tmp_path):
@@ -117,10 +132,7 @@ def test_eval_writes_report_and_transcripts(tmp_path):
     items = [QAItem("v0", f"q {i}?", OPTIONS, answer_index=0) for i in range(3)]
     qa_path, root = write_suite(tmp_path, items, [bundle])
     out = tmp_path / "out"
-    report = run_eval(
-        qa_path, root, AgentConfig(),
-        scripted_factory(lambda item: "answer: A, confidence: 3"), out,
-    )
+    report = run_eval(qa_path, root, AgentConfig(), replying(CONFIDENT), out)
     records = load_transcripts(out / "transcripts.jsonl")
     assert len(records) == 3
     assert [r["question"] for r in records] == [i.question for i in items]
@@ -134,8 +146,7 @@ def test_failed_report_write_keeps_previous_report(tmp_path, monkeypatch):
     items = [QAItem("v0", f"q {i}?", OPTIONS, answer_index=0) for i in range(2)]
     qa_path, root = write_suite(tmp_path, items, [bundle])
     out = tmp_path / "out"
-    run_eval(qa_path, root, AgentConfig(),
-             scripted_factory(lambda item: "answer: A, confidence: 3"), out)
+    run_eval(qa_path, root, AgentConfig(), replying(CONFIDENT), out)
     previous = (out / "report.json").read_bytes()
 
     write_text = pathlib.Path.write_text
@@ -149,8 +160,7 @@ def test_failed_report_write_keeps_previous_report(tmp_path, monkeypatch):
 
     monkeypatch.setattr(pathlib.Path, "write_text", disk_full_for_report)
     with pytest.raises(DataFormatError, match="cannot write .*report.json.*No space"):
-        run_eval(qa_path, root, AgentConfig(),
-                 scripted_factory(lambda item: "answer: B, confidence: 3"), out)
+        run_eval(qa_path, root, AgentConfig(), replying("answer: B, confidence: 3"), out)
     monkeypatch.undo()
     assert (out / "report.json").read_bytes() == previous
     assert sorted(p.name for p in out.iterdir()) == ["report.json", "transcripts.jsonl"]
@@ -167,9 +177,9 @@ def test_eval_parallel_matches_serial(tmp_path):
     def reply(item):
         return f"answer: {LETTERS[item.answer_index]}, confidence: 3"
 
-    serial = run_eval(qa_path, root, AgentConfig(), scripted_factory(reply),
+    serial = run_eval(qa_path, root, AgentConfig(), keyed_gateway(items, reply),
                       tmp_path / "serial")
-    threaded = run_eval(qa_path, root, AgentConfig(), scripted_factory(reply),
+    threaded = run_eval(qa_path, root, AgentConfig(), keyed_gateway(items, reply),
                         tmp_path / "parallel", parallel=4)
     assert serial.to_dict() == threaded.to_dict()
     assert (tmp_path / "serial" / "transcripts.jsonl").read_bytes() == \
@@ -182,17 +192,12 @@ def test_interrupted_eval_keeps_the_finished_prefix(tmp_path, parallel):
     items = [QAItem("v0", f"q {i}?", OPTIONS, answer_index=0) for i in range(8)]
     qa_path, root = write_suite(tmp_path, items, [bundle])
     out = tmp_path / "out"
-    confident = scripted_factory(lambda item: "answer: A, confidence: 3")
-    run_eval(qa_path, root, AgentConfig(), confident, out, parallel=parallel)
+    run_eval(qa_path, root, AgentConfig(), replying(CONFIDENT), out, parallel=parallel)
     previous_report = (out / "report.json").read_bytes()
 
-    def interrupted_on_item_4(item):
-        if item.question == "q 4?":
-            raise KeyboardInterrupt
-        return confident(item)
-
     with pytest.raises(KeyboardInterrupt):
-        run_eval(qa_path, root, AgentConfig(), interrupted_on_item_4, out, parallel=parallel)
+        run_eval(qa_path, root, AgentConfig(), interrupted_at("q 4?", KeyboardInterrupt), out,
+                 parallel=parallel)
     records = load_transcripts(out / "transcripts.jsonl")
     assert [r["question"] for r in records] == [f"q {i}?" for i in range(4)]
     assert (out / "report.json").read_bytes() == previous_report
@@ -210,8 +215,7 @@ def test_eval_parses_each_frame_of_a_video_once(tmp_path, monkeypatch):
     parse = agent.parse_caption
     monkeypatch.setattr(agent, "parse_caption",
                         lambda *args: parses.append(args[1]) or parse(*args))
-    run_eval(qa_path, root, AgentConfig(),
-             scripted_factory(lambda item: "answer: A, confidence: 3"), tmp_path / "out")
+    run_eval(qa_path, root, AgentConfig(), replying(CONFIDENT), tmp_path / "out")
     records = load_transcripts(tmp_path / "out" / "transcripts.jsonl")
     touched = {(r["video_id"], f) for r in records for f in r["selected_frames"]}
     assert len(parses) == len(touched) < sum(len(r["selected_frames"]) for r in records)
@@ -242,10 +246,7 @@ def test_eval_buckets_from_final_graphs(tmp_path):
         QAItem("few", "q2?", OPTIONS, answer_index=0, entity_count_bucket="Many"),
     ]
     qa_path, root = write_suite(tmp_path, items, [few])
-    report = run_eval(
-        qa_path, root, AgentConfig(),
-        scripted_factory(lambda item: "answer: A, confidence: 3"), tmp_path / "out",
-    )
+    report = run_eval(qa_path, root, AgentConfig(), replying(CONFIDENT), tmp_path / "out")
     assert set(report.per_bucket) == {"Few", "Many"}
 
 
@@ -259,16 +260,6 @@ def test_an_interrupted_eval_leaves_whole_records_and_closes_its_one_handle(
     bundle = make_bundle(video_id="v0", total_frames=60)
     items = [QAItem("v0", f"q {i}?", OPTIONS, answer_index=0) for i in range(8)]
     qa_path, root = write_suite(tmp_path, items, [bundle])
-    confident = scripted_factory(lambda item: "answer: A, confidence: 3")
-
-    def interrupted_in_session_5(item):
-        gateway = confident(item)
-        if item.question == "q 5?":
-            def chat(messages):
-                raise Interrupted
-            gateway.chat = chat
-        return gateway
-
     opened = []
 
     class CountedLog(harness.Log):
@@ -279,7 +270,8 @@ def test_an_interrupted_eval_leaves_whole_records_and_closes_its_one_handle(
     monkeypatch.setattr(harness, "Log", CountedLog)
     out = tmp_path / "out"
     with pytest.raises(Interrupted):
-        run_eval(qa_path, root, AgentConfig(), interrupted_in_session_5, out, parallel=parallel)
+        run_eval(qa_path, root, AgentConfig(), interrupted_at("q 5?", Interrupted), out,
+                 parallel=parallel)
     assert len(opened) == 1 and opened[0]._handle.closed
     text = (out / "transcripts.jsonl").read_bytes()
     assert text.endswith(b"\n") and len(text.splitlines()) == 5
