@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from pathlib import Path
@@ -50,7 +51,10 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process, built on first use: parsing leaves it
+    as it was, and no default it hands out is changed in place."""
     parser = _Parser(prog="graphvqa", description=__doc__.partition("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -32,11 +32,12 @@ are all of a lane's wire form: the host and port, the request head up to
 its length, the JSON of the model and temperature, and the cache key's
 prefix. A body's bytes are those of
 ``json.dumps(body, sort_keys=True, ensure_ascii=False)``, so keys and cache
-files written before still match. A hit decodes its cached payload once per
-key and gateway, so once per command: the gateway and its session views
-keep the decoded value beside the payload and return it on later hits,
-after asking the cache again. An embedding's dimension is checked against
-the bundle on every hit.
+files written before still match. The memo holds decoded values, a text or
+an `Embedding`, and a cache file holds them exactly (see `ResponseCache`),
+so a hit decodes nothing. A record that an older file holds as the whole
+reply is decoded by its lane on its key's first hit, and its value takes
+its place in memory. An embedding's dimension is checked against the
+bundle on every hit.
 
 Requests go out through a small HTTP/1.1 client on `socket` and `ssl`: one
 connection per request, closed once its reply is read. HTTPS certificates
@@ -65,6 +66,7 @@ already have been sent and cached.
 
 from __future__ import annotations
 
+import base64
 import copy
 import functools
 import hashlib
@@ -75,6 +77,7 @@ import os
 import re
 import socket
 import ssl
+import struct
 import threading
 import time
 import urllib.request
@@ -95,7 +98,7 @@ from .errors import (
     DimensionError,
     check_field_types,
 )
-from .graph import Embedding, json_vector, vector_norm
+from .graph import Embedding, all_finite, json_vector, vector_norm
 from .lines import Log, read_log, read_objects
 from .store import VideoBundle, read_record
 
@@ -268,11 +271,18 @@ def pseudo_embedding(text: str, dim: int, seed: int = 0) -> Embedding:
 class ResponseCache:
     """Thread-safe response cache, optionally persisted as a log (see `lines`).
 
-    Each put appends one line holding a one-entry object ``{key: value}``;
-    earlier lines are never rewritten. The loader merges every record in
-    order, so a file holding one object with many entries on a single line
-    loads as well. A fault reading or writing the file, or a record that is
-    not an object or holds a null, raises DataFormatError.
+    It holds decoded values: a reply's text, or its vector as an
+    `Embedding`. Each put appends one line holding a one-entry object
+    ``{key: value}``, where a text is a JSON string and a vector is
+    ``{"f64": <base64 of its little-endian float64 bytes>}``, so it loads
+    back exactly; earlier lines are never rewritten. The loader merges
+    every record in order, so a file holding one object with many entries
+    on a single line loads as well, and decodes each vector once. A value
+    in any other form, such as the whole reply that older files hold, is
+    kept as it is, for its gateway to decode on its first hit (see
+    `replace`). A fault reading or writing the file, a record that is not
+    an object or holds a null, or a vector that is empty, not finite, not
+    base64 or not a whole number of doubles raises DataFormatError.
     """
 
     def __init__(self, path: Optional[Union[str, Path]] = None):
@@ -283,9 +293,12 @@ class ResponseCache:
             for line_no, record in read_log(self.path, DataFormatError):
                 if not isinstance(record, dict):
                     raise DataFormatError(f"{self.path}:{line_no}: cache record is not a JSON object")
-                if None in record.values():  # would be sent again on every call, never cached
-                    raise DataFormatError(f"{self.path}:{line_no}: cache record holds a null")
-                self._data.update(record)
+                for key, value in record.items():
+                    if type(value) is dict and value.keys() == {_F64}:
+                        value = _unpack(value[_F64], f"{self.path}:{line_no}")
+                    elif value is None:  # would be sent again on every call, never cached
+                        raise DataFormatError(f"{self.path}:{line_no}: cache record holds a null")
+                    self._data[key] = value
 
     def get(self, key: str):
         with self._lock:
@@ -304,7 +317,37 @@ class ResponseCache:
             self._data[key] = value
             if self.path:
                 with Log(self.path, DataFormatError) as log:
-                    log.append({key: value})
+                    log.append({key: _pack(value) if isinstance(value, Embedding) else value})
+
+    def replace(self, key: str, value) -> None:
+        """Keep `value`, the decoded form of the value under `key`, in its
+        place in memory; the file is not rewritten."""
+        with self._lock:
+            self._data[key] = value
+
+
+_F64 = "f64"  # the one key of a vector's cache value
+
+
+def _pack(vector: Embedding) -> dict:
+    """A vector's cache value: its doubles' bytes, little-endian, in base64."""
+    return {_F64: base64.b64encode(struct.pack(f"<{len(vector)}d", *vector)).decode("ascii")}
+
+
+def _unpack(text, where: str) -> Embedding:
+    """The vector that `_pack` wrote as `text`; DataFormatError naming
+    `where` unless it is a nonempty whole number of finite doubles."""
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except (TypeError, ValueError) as exc:  # not a string, or not base64
+        raise DataFormatError(f"{where}: cache vector is not base64: {exc}") from exc
+    if not raw or len(raw) % 8:
+        raise DataFormatError(
+            f"{where}: cache vector holds {len(raw)} bytes, not a nonempty whole number of doubles")
+    vector = Embedding(struct.unpack(f"<{len(raw) // 8}d", raw))
+    if not all_finite(vector):
+        raise DataFormatError(f"{where}: cache vector holds a non-finite value")
+    return vector
 
 
 @dataclass(frozen=True)
@@ -313,7 +356,8 @@ class _Remote:
     proxies are checked: where its requests go, the request head up to
     `Content-Length`, the lane's in-flight bound, the rendered JSON around
     each body's variable part (the input text, or the message list), the
-    cache key's prefix and how a reply decodes. A body is `head`, the
+    cache key's prefix, how a reply decodes and the type of what it
+    decodes to. A body is `head`, the
     variable part, then `tail`: the bytes of
     ``json.dumps(body, sort_keys=True, ensure_ascii=False)``. A request's
     cache key is the sha256 of `key_prefix` and its body, so that rendering
@@ -332,6 +376,7 @@ class _Remote:
     tail: str
     key_prefix: bytes  # the provider id and a NUL, UTF-8
     decode: Callable[[object], object]
+    value_type: type  # str or Embedding
 
     @classmethod
     def of(cls, lane: Lane, cfg: ProviderConfig, proxies: dict[str, str]) -> "_Remote":
@@ -342,11 +387,11 @@ class _Remote:
         model = json.dumps(cfg.model_name, ensure_ascii=False)
         if cfg.kind == REMOTE_EMBED:
             path, head, tail = "/v1/embeddings", '{"input": ', f', "model": {model}}}'
-            decode = _embedding
+            decode, value_type = _embedding, Embedding
         else:
             path, head = "/v1/chat/completions", '{"messages": '
             tail = f', "model": {model}, "temperature": {json.dumps(cfg.temperature)}}}'
-            decode = functools.partial(_completion_text, lane)
+            decode, value_type = functools.partial(_completion_text, lane), str
         url = urlsplit(f"{cfg.endpoint.rstrip('/')}{path}")
         https = url.scheme == "https"
         request_head = (f"POST {url.path} HTTP/1.1\r\nHost: {url.netloc}\r\n"
@@ -355,7 +400,7 @@ class _Remote:
             request_head += f"Authorization: Bearer {key}\r\n"
         return cls(lane, cfg, https, url.hostname, url.port or (443 if https else 80),
                    request_head.encode("ascii"), threading.Semaphore(cfg.max_inflight),
-                   head, tail, f"{cfg.provider_id}\x00".encode("utf-8"), decode)
+                   head, tail, f"{cfg.provider_id}\x00".encode("utf-8"), decode, value_type)
 
 
 @dataclass
@@ -436,10 +481,6 @@ class ModelGateway:
         proxies = urllib.request.getproxies() if remote else {}
         self._remote = {lane: _Remote.of(lane, cfg, proxies) for lane, cfg in remote.items()}
         self.cache = cache if cache is not None else ResponseCache()
-        # Cache key -> the cached payload decoded, kept from the key's first
-        # hit on; shared with the session views. Two threads hitting one key
-        # at once may both decode it, to equal values.
-        self._decoded: dict[str, object] = {}
         self._script: list[ScriptEntry] = []
         self._chat_calls = 0  # the 1-based counter that a script entry's `round` matches
         if chat is not None and chat.kind == SCRIPTED:
@@ -619,7 +660,7 @@ class ModelGateway:
 
     def _post_with_retries(self, request: _Request):
         """Serve `request` from the cache (see `_hit`), or send it, decode the
-        reply and cache its payload.
+        reply and cache the value.
 
         While one caller sends a request, others asking for the same one wait
         and then read the cache. If sending or decoding fails nothing is
@@ -636,21 +677,22 @@ class ModelGateway:
                 return self._hit(request, cached)
             pending.wait()
         try:
-            payload = self._send(request)
-            result = _checked(request, request.remote.decode(payload))
-            self.cache.put(request.key, payload)
+            result = _checked(request, request.remote.decode(self._send(request)))
+            self.cache.put(request.key, result)
             return result
         finally:
             with self._inflight_lock:
                 del self._inflight[request.key]
             done.set()
 
-    def _hit(self, request: _Request, payload):
-        """The value of `payload`, the cached reply to `request`: decoded on
-        the key's first hit only, and checked on every hit."""
-        value = self._decoded.get(request.key)
-        if value is None:
-            value = self._decoded[request.key] = request.remote.decode(payload)
+    def _hit(self, request: _Request, value):
+        """`value`, cached for `request`, checked on every hit. A value not
+        of the lane's type (an older file's whole reply) is decoded on its
+        first hit, and the cache keeps the result in its place; two threads
+        hitting it at once may both decode it, to equal values."""
+        if not isinstance(value, request.remote.value_type):
+            value = request.remote.decode(value)
+            self.cache.replace(request.key, value)
         return _checked(request, value)
 
     def _send(self, request: _Request) -> dict:
@@ -777,7 +819,11 @@ class _Reader:
 
 
 def _read_reply(reader: _Reader) -> tuple[int, bytes]:
-    """(status, body) of one reply, after any interim 1xx replies."""
+    """(status, body) of one reply, after any interim 1xx replies. A 200
+    reply is read to its last byte, a chunked one through its trailer, so
+    the reader is left at the next reply's first byte. Any other reply's
+    body is left unread, which holds only while a connection carries one
+    reply (a kept connection must read it, or close)."""
     status = 100
     while 100 <= status < 200:
         status, chunked, length = _parse_head(reader.until(b"\r\n\r\n", "reply head"))
@@ -813,7 +859,9 @@ def _parse_head(head: bytes) -> tuple[int, bool, Optional[int]]:
 
 
 def _read_chunked(reader: _Reader) -> bytes:
-    """A chunked body up to its last chunk; its trailer is not read."""
+    """A chunked body, read through its trailer (whose fields are ignored)
+    and the blank line that ends it; a trailer of over `_MAX_HEAD` bytes is
+    malformed."""
     chunks = []
     while True:
         size_text = reader.until(b"\r\n", "chunk size").partition(b";")[0].strip()
@@ -821,6 +869,11 @@ def _read_chunked(reader: _Reader) -> bytes:
             raise MalformedReply(f"bad chunk size {size_text[:80]!r}")
         size = int(size_text, 16)
         if size == 0:
+            trailer = 0
+            while line := reader.until(b"\r\n", "trailer"):
+                trailer += len(line) + 2
+                if trailer > _MAX_HEAD:
+                    raise MalformedReply(f"trailer is longer than {_MAX_HEAD} bytes")
             return b"".join(chunks)
         chunks.append(reader.take(size, "chunk"))
         if reader.take(2, "chunk end") != b"\r\n":

@@ -1,10 +1,13 @@
 """Dynamic entity-relation graph memory.
 
 Nodes track one visual entity each: appearance frames, a running-mean feature
-vector, and a state history. Edges are typed predicates
-(Spatial / Interaction / Action) between two entities, with the frames at
-which each relation was observed. The graph is append-only: updates add
-frames, nodes, edges, and state events, and bump a monotone version counter.
+vector, and a state history. A node folds the embeddings merged into its
+feature only when the feature is read (a similarity merge, saving the
+graph), so a feature that nothing reads is never computed. Edges are typed
+predicates (Spatial / Interaction / Action) between two entities, with the
+frames at which each relation was observed. The graph is append-only:
+updates add frames, nodes, edges, and state events, and bump a monotone
+version counter.
 
 Entity identity across frames is resolved lemma-first (exact canonical lemma
 or previously merged alias), then by embedding similarity: a new lemma whose
@@ -58,18 +61,33 @@ class Embedding(tuple):
 
 @dataclass
 class EntityNode:
-    """One tracked entity and its per-frame evidence."""
+    """One tracked entity and its per-frame evidence.
+
+    `feature` is the running mean of the embeddings of the frames the
+    entity appears in, of which there are `feature_count`. `merge` keeps
+    each embedding by reference, and a read of `feature` first folds the
+    kept ones in, in merge order, each as ``(old * count + new) / (count +
+    1)`` elementwise, so a feature and a saved graph are bit-identical to
+    an eager running mean. A read that folds writes the node, so threads
+    must not read one graph at once. Setting `feature` drops the embeddings
+    not yet folded; nodes and frames may share one `Embedding`."""
 
     id: int
     canonical_lemma: str
     entity_type: EntityType
     frame_indices: list[int] = field(default_factory=list)
-    # running mean of the embeddings of the frames the entity appears in; an
-    # update replaces it, so nodes and frames may share one
     feature: Optional[Embedding] = None
     feature_count: int = 0
     state_history: list[tuple[int, str]] = field(default_factory=list)
     aliases: list[str] = field(default_factory=list)
+
+    def merge(self, embedding: Embedding) -> None:
+        """Count `embedding` into the feature; the first becomes it."""
+        if self._feature is None:
+            self._feature, self.feature_count = embedding, 1
+        else:
+            self._pending.append(embedding)
+            self.feature_count += 1
 
     def effective_state(self, frame: int) -> str:
         """Most recent state label at or before `frame`; defaults to neutral."""
@@ -79,6 +97,30 @@ class EntityNode:
                 break
             label = event_label
         return label
+
+
+def _folded_feature(node: EntityNode) -> Optional[Embedding]:
+    if node._pending:
+        # Python turns an int operand into the same float, so passing the
+        # counts as floats is exact, and faster.
+        count = float(node.feature_count - len(node._pending))
+        feature = node._feature
+        for embedding in node._pending:
+            feature = [*map(truediv, map(add, map(mul, feature, repeat(count)), embedding),
+                            repeat(count + 1.0))]
+            count += 1.0
+        node._feature, node._pending = Embedding(feature), []
+    return node._feature
+
+
+def _set_feature(node: EntityNode, feature: Optional[Embedding]) -> None:
+    node._feature, node._pending = feature, []
+
+
+# A property set after the dataclass is made, so `feature` stays a field
+# (an `__init__` argument, compared and saved) whose every read folds.
+EntityNode.feature = property(_folded_feature, _set_feature,
+                              doc="The running mean of the merged embeddings, folded on read.")
 
 
 @dataclass
@@ -133,7 +175,8 @@ def cosine_similarity(a: Embedding, b: Embedding) -> float:
 
 @dataclass
 class VideoGraph:
-    """The evolving graph; single writer at a time, any number of readers."""
+    """The evolving graph; one thread at a time, since reading a node's
+    feature may fold it (see `EntityNode`)."""
 
     config: GraphConfig = field(default_factory=GraphConfig)
     nodes: dict[int, EntityNode] = field(default_factory=dict)
@@ -165,13 +208,14 @@ class VideoGraph:
     # -- mutation -----------------------------------------------------------
 
     def _check_dim(self, embedding: Embedding) -> None:
-        """Raise DimensionError unless `embedding` has the graph's feature dim."""
+        """Raise DimensionError unless `embedding` has the graph's feature
+        dim, which a node's first embedding gives without a fold."""
         for node in self.nodes.values():
-            if node.feature is not None:
-                if len(embedding) != len(node.feature):
+            if node._feature is not None:
+                if len(embedding) != len(node._feature):
                     raise DimensionError(
                         f"embedding dim {len(embedding)} does not match graph dim "
-                        f"{len(node.feature)}"
+                        f"{len(node._feature)}"
                     )
                 return
 
@@ -211,20 +255,7 @@ class VideoGraph:
 
         bisect.insort(node.frame_indices, frame)
         if embedding is not None:
-            if node.feature is None:
-                node.feature = embedding
-                node.feature_count = 1
-            else:
-                # (old * count + new) / (count + 1), elementwise. Python
-                # turns an int operand into the same float, so passing the
-                # counts as floats is exact, and faster.
-                count = node.feature_count
-                node.feature = Embedding(map(
-                    truediv,
-                    map(add, map(mul, node.feature, repeat(float(count))), embedding),
-                    repeat(float(count + 1)),
-                ))
-                node.feature_count = count + 1
+            node.merge(embedding)
         return node.id
 
     def _most_similar_node(self, embedding: Embedding, entity_type: EntityType,
@@ -238,8 +269,9 @@ class VideoGraph:
         best: Optional[EntityNode] = None
         best_sim = -1.0
         for node in self.nodes.values():
-            if (node.feature is None or node.entity_type != entity_type
-                    or _holds(node.frame_indices, frame)):
+            # The feature is read (and so folded) last, only for a candidate.
+            if (node.entity_type != entity_type or _holds(node.frame_indices, frame)
+                    or node.feature is None):
                 continue
             sim = cosine_similarity(embedding, node.feature)
             if sim >= self.config.merge_similarity and sim > best_sim:

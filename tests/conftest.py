@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import random
+import struct
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
@@ -301,6 +303,26 @@ def record_norms(monkeypatch):
 
     monkeypatch.setattr(graph_module, "vector_norm", recording)
     return normed
+
+
+def as_old_records(path, chosen=lambda index: True) -> int:
+    """Rewrite the cache file at `path` as older versions wrote it: each
+    record whose index `chosen` picks holds the whole reply its value came
+    from, a text as a chat completion and a vector as an embeddings reply.
+    Returns how many records were rewritten."""
+    lines, rewritten = [], 0
+    for index, line in enumerate(path.read_text(encoding="utf-8").splitlines()):
+        (key, value), = json.loads(line).items()
+        if chosen(index):
+            rewritten += 1
+            if isinstance(value, str):
+                value = {"choices": [{"message": {"content": value}}]}
+            else:
+                raw = base64.b64decode(value["f64"])
+                value = {"data": [{"embedding": list(struct.unpack(f"<{len(raw) // 8}d", raw))}]}
+        lines.append(json.dumps({key: value}, sort_keys=True, ensure_ascii=False))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return rewritten
 
 
 def count_decodes(monkeypatch):

@@ -1,15 +1,17 @@
 from __future__ import annotations
 
+import base64
 import errno
 import json
 import math
 import pathlib
+import struct
 import threading
 
 import pytest
 
-from conftest import count_decodes, make_bundle, record_parses, remote_lanes
-from graphvqa.cli import main
+from conftest import as_old_records, count_decodes, make_bundle, record_parses, remote_lanes
+from graphvqa.cli import _build_parser, main
 from graphvqa.gateway import ResponseCache
 from graphvqa.store import QAItem, load_graph, load_transcripts, save_bundle, save_qa
 
@@ -214,7 +216,13 @@ def test_run_malformed_cache_line_is_data_error(suite, tmp_path, capsys):
     config_path = tmp_path / "cached.json"
     config_path.write_text(json.dumps(config), encoding="utf-8")
     # A null record would be sent again on every call and never cached again.
-    for second_line in ('{"k2": ', '{"k2": null}'):
+    # A vector must be base64 of a nonempty whole number of finite doubles.
+    vectors = [base64.b64encode(raw).decode("ascii") for raw in (
+        b"", b"\0" * 7, b"\0" * 12, struct.pack("<2d", 1.0, math.inf),
+        struct.pack("<d", math.nan))]
+    bad_vectors = [f'{{"k2": {{"f64": "{text}"}}}}' for text in vectors]
+    for second_line in ('{"k2": ', '{"k2": null}', '{"k2": {"f64": "AA!A"}}',
+                        '{"k2": {"f64": "AAAAAAAAAAA"}}', '{"k2": {"f64": 5}}', *bad_vectors):
         cache_path.write_text(f'{{"k1": 1}}\n{second_line}\n{{"k3": 3}}\n', encoding="utf-8")
         code = main([
             "run", "--bundle", str(suite["bundle_dir"]), "--config", str(config_path),
@@ -803,12 +811,25 @@ def test_each_eval_decodes_every_cached_reply_it_hits_once(tmp_path, model_stub,
     monkeypatch.setattr(ResponseCache, "get",
                         lambda cache, key: hits.append(key) or get(cache, key))
     counts = []
-    for out in ("warm", "warm again"):
+    for out in ("warm", "warm again", "old records", "old records again"):
+        if out == "old records":  # each holds the whole reply, decoded on its first hit
+            assert as_old_records(cache_path) == keys
         decoded.clear()
         hits.clear()
         assert evaluate(out) == 0
         counts.append((len(decoded), len(set(hits)), len(hits) > keys))
     assert len(state.requests) == sent
-    assert counts == [(keys, keys, True)] * 2
-    assert (tmp_path / "warm again" / "transcripts.jsonl").read_bytes() == \
-        (tmp_path / "cold" / "transcripts.jsonl").read_bytes()
+    assert counts == [(0, keys, True)] * 2 + [(keys, keys, True)] * 2
+    for out in ("warm again", "old records again"):
+        assert (tmp_path / out / "transcripts.jsonl").read_bytes() == \
+            (tmp_path / "cold" / "transcripts.jsonl").read_bytes()
+
+
+def test_one_parser_serves_every_command_of_a_process(capsys):
+    assert _build_parser() is _build_parser()
+    assert main(["extract", "--caption", "the boy holds the cup"]) == 0
+    first = capsys.readouterr().out.splitlines()
+    assert main(["extract", "--caption", "the girl takes the ball"]) == 0
+    second = capsys.readouterr().out.splitlines()
+    assert [json.loads(line)["caption"] for line in first + second] == [
+        "the boy holds the cup", "the girl takes the ball"]

@@ -5,7 +5,8 @@ that ends where the connection closes), malformed head and chunk lines,
 replies cut short, and raw bytes.
 
 `_read_reply` raises only `MalformedReply`. Where both readers parse a
-reply, they give one status, and for a 200 one body. `http.client` skips
+reply, they give one status, and for a 200 one body. A whole 200 reply,
+chunked ones through their trailer, leaves the reader at the next reply. `http.client` skips
 only a 100 interim reply and reads the body of any status, so interim
 replies are 100s and a body is compared only for a 200.
 """
@@ -156,11 +157,25 @@ def test_read_reply_agrees_with_http_client(data, steps):
             assert mine[1] == reference[1]
 
 
+@st.composite
+def whole_200s(draw, body: bytes) -> bytes:
+    """A well-formed 200 reply of `body`: Content-Length, or chunked with
+    or without a trailer."""
+    framing = draw(st.sampled_from(["length", "chunked", "trailer"]))
+    if framing == "length":
+        return b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+    cut = draw(st.integers(0, len(body)))
+    chunks = b"".join(b"%x\r\n%s\r\n" % (len(part), part)
+                      for part in (body[:cut], body[cut:]) if part)
+    trailer = b"Expires: never\r\nX-Checksum: 0\r\n" if framing == "trailer" else b""
+    return (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" + chunks + b"0\r\n"
+            + trailer + b"\r\n")
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.binary(max_size=40), st.binary(max_size=40), STEPS)
-def test_two_replies_back_to_back_on_one_reader_parse_whole(first, second, steps):
-    data = b"".join(b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
-                    for body in (first, second))
+@given(st.binary(max_size=40), st.binary(max_size=40), STEPS, st.data())
+def test_two_replies_back_to_back_on_one_reader_parse_whole(first, second, steps, data):
+    data = b"".join(data.draw(whole_200s(body)) for body in (first, second))
     reader = _Reader(TrickleSocket(data, steps))
     assert _read_reply(reader) == (200, first)
     assert _read_reply(reader) == (200, second)

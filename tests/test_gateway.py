@@ -1,16 +1,23 @@
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import math
 import re
+import struct
+import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_decodes, count_pool_submits, make_bundle, remote_chat_config
+from conftest import (
+    as_old_records, count_decodes, count_pool_submits, make_bundle, remote_chat_config,
+)
 from graphvqa.errors import (
     DataFormatError,
     DimensionError,
@@ -30,6 +37,7 @@ from graphvqa.gateway import (
     load_script,
     pseudo_embedding,
 )
+from graphvqa.graph import Embedding
 
 
 def chat_ok(content="ok"):
@@ -618,6 +626,13 @@ def test_cache_malformed_middle_line_raises(tmp_path):
     path.write_text('{"k1": 1}\n{"k2": null}\n', encoding="utf-8")
     with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}:2: .*null"):
         ResponseCache(path)
+    for vector, problem in [("", "holds 0 bytes"), ("AAAA", "holds 3 bytes"),
+                            ("AAAAAAAAAAA", "not base64"), ("A!AA", "not base64"),
+                            (5, "not base64"),
+                            (base64.b64encode(struct.pack("<d", -math.inf)).decode(), "non-finite")]:
+        path.write_text(f'{{"k1": 1}}\n{json.dumps({"k2": {"f64": vector}})}\n', encoding="utf-8")
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}:2: .*{problem}"):
+            ResponseCache(path)
 
 
 def test_session_views_share_cache_but_count_chat_calls_apart(stub_server):
@@ -837,21 +852,37 @@ def test_bodies_and_keys_match_a_whole_body_rendering(model, temperature, seed, 
 
 # -- each cached reply decoded once per gateway -------------------------------------------
 
-def test_sessions_sharing_a_gateway_decode_each_cached_reply_once(model_stub, monkeypatch):
+def test_sessions_sharing_a_gateway_decode_each_cached_reply_once(model_stub, monkeypatch,
+                                                                   tmp_path):
     endpoint, state = model_stub
     bundle = make_bundle(total_frames=20, dim=8)
+    path = tmp_path / "cache.jsonl"
     with remote_gateway(endpoint) as cold:
-        cold.gather(ROUND, bundle)
+        cold.cache = ResponseCache(path)
+        expected = cold.gather(ROUND, bundle)
     sent = len(state.requests)
     decoded = count_decodes(monkeypatch)
-    with remote_gateway(endpoint) as warm:
-        warm.cache = cold.cache
-        for view in (warm.for_session(), warm.for_session(), warm.for_session()):
-            assert view.gather(ROUND, bundle) == view.gather(ROUND, bundle)
-            view.caption(3, bundle)
-            view.embed("a question", bundle)
+
+    def caches():
+        """Each cache to serve from, and how many replies its hits decode.
+        The cache holds decoded values, and a file of new records loads
+        them: a hit decodes nothing. A file of old records, each the whole
+        reply, is decoded once per key, on its first hit from any view."""
+        yield cold.cache, 0
+        yield ResponseCache(path), 0
+        as_old_records(path)
+        yield ResponseCache(path), len(ROUND)
+
+    for cache, decodes in caches():
+        decoded.clear()
+        with remote_gateway(endpoint) as warm:
+            warm.cache = cache
+            for view in (warm.for_session(), warm.for_session(), warm.for_session()):
+                assert view.gather(ROUND, bundle) == view.gather(ROUND, bundle) == expected
+                view.caption(3, bundle)
+                view.embed("a question", bundle)
+        assert len(decoded) == decodes
     assert len(state.requests) == sent
-    assert len(decoded) == len(ROUND)
 
 
 def test_a_kept_vector_of_another_dimension_raises_on_every_hit(model_stub):
@@ -869,3 +900,23 @@ def test_a_kept_vector_of_another_dimension_raises_on_every_hit(model_stub):
                     view.embed("a question", four)
             assert view.embed("a question", None) == vector
     assert len(state.requests) == 1
+
+
+DOUBLES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, sys.float_info.max,
+     -sys.float_info.max])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(DOUBLES, min_size=1, max_size=16))
+def test_a_cached_vector_is_its_little_endian_doubles_and_loads_back_exactly(values):
+    exact = struct.pack(f"<{len(values)}d", *values)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cache.jsonl"
+        ResponseCache(path).put("k", Embedding(values))
+        (record,) = _cache_lines(path)
+        assert record.keys() == {"k"} and record["k"].keys() == {"f64"}
+        assert base64.b64decode(record["k"]["f64"], validate=True) == exact
+        loaded = ResponseCache(path).get("k")
+    assert type(loaded) is Embedding
+    assert struct.pack(f"<{len(loaded)}d", *loaded) == exact

@@ -3,16 +3,20 @@ from __future__ import annotations
 import json
 import math
 import random
+import struct
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import record_norms
+from graphvqa import cli as cli_module
 from graphvqa.errors import DimensionError
 from graphvqa.graph import (
     Embedding,
+    EntityNode,
     GraphConfig,
     VideoGraph,
     cosine_similarity,
@@ -603,3 +607,85 @@ def test_state_history_keeps_frame_order_and_first_arrival_within_a_frame():
     for frame, label in [(5, "sad"), (2, "happy"), (5, "calm"), (5, "sad"), (2, "happy"), (9, "sad")]:
         graph._record_state(node_id, frame, label)
     assert graph.nodes[node_id].state_history == [(2, "happy"), (5, "sad"), (5, "calm"), (9, "sad")]
+
+
+# -- node features folded on read -----------------------------------------------
+
+def bits(vector) -> bytes:
+    return struct.pack(f"<{len(vector)}d", *vector)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -1.5, 1e300])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 16).flatmap(lambda dim: st.lists(
+    st.tuples(st.lists(FINITE, min_size=dim, max_size=dim), st.booleans()),
+    min_size=1, max_size=12)))
+def test_a_feature_folded_on_read_is_the_eager_running_mean_bit_for_bit(steps):
+    graph = VideoGraph()
+    eager, count = None, 0
+    for frame, (vector, read) in enumerate(steps):
+        node_id = graph.upsert_entity(mention("dog"), frame, Embedding(vector))
+        eager = vector if eager is None else [
+            (old * count + new) / (count + 1) for old, new in zip(eager, vector)]
+        count += 1
+        if read:
+            assert bits(graph.nodes[node_id].feature) == bits(eager)
+    node = graph.nodes[node_id]
+    assert (bits(node.feature), node.feature_count) == (bits(eager), count)
+
+
+def record_folds(monkeypatch):
+    """(reader, embeddings folded) for every read of a node's feature that
+    folds; the reader is "merge" inside `_most_similar_node`, "save" inside
+    the `graph` command's `save_graph`, and None elsewhere. Also returns
+    the list of every embedding merged into an existing feature."""
+    folds, merged, readers = [], [], []
+    feature, merge = EntityNode.feature, EntityNode.merge
+
+    def reading(node):
+        if node._pending:
+            folds.append((readers[-1] if readers else None, len(node._pending)))
+        return feature.fget(node)
+
+    def merging(node, embedding):
+        if node._feature is not None:
+            merged.append(embedding)
+        merge(node, embedding)
+
+    def reader(name, function):
+        def wrapped(*args):
+            readers.append(name)
+            try:
+                return function(*args)
+            finally:
+                readers.pop()
+        return wrapped
+
+    monkeypatch.setattr(EntityNode, "feature", property(reading, feature.fset))
+    monkeypatch.setattr(EntityNode, "merge", merging)
+    monkeypatch.setattr(VideoGraph, "_most_similar_node",
+                        reader("merge", VideoGraph._most_similar_node))
+    monkeypatch.setattr(cli_module, "save_graph", reader("save", cli_module.save_graph))
+    return folds, merged
+
+
+def test_the_golden_eval_folds_only_where_a_merge_reads(monkeypatch, tmp_path, capsys):
+    golden = Path(__file__).parent / "data" / "golden"
+    monkeypatch.chdir(golden)
+    folds, merged = record_folds(monkeypatch)
+    assert cli_module.main(["eval", "--qa", "qa.jsonl", "--bundle", "bundles",
+                            "--config", "config.json", "--out", str(tmp_path / "eval")]) == 0
+    assert folds and {reader for reader, _ in folds} == {"merge"}
+    assert sum(count for _, count in folds) < len(merged)
+
+    folds.clear()
+    merged.clear()
+    assert cli_module.main(["graph", "--bundle", "bundles/kitchen", "--config", "config.json",
+                            "--out", str(tmp_path / "graph")]) == 0
+    assert {reader for reader, _ in folds} == {"merge", "save"}
+    assert sum(count for _, count in folds) == len(merged)  # saving folds every node
+    assert (tmp_path / "graph" / "graph.json").read_bytes() == \
+        (golden / "graph.json").read_bytes()

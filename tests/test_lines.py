@@ -4,9 +4,11 @@ that lose no record."""
 
 from __future__ import annotations
 
+import base64
 import fcntl
 import multiprocessing
 import re
+import struct
 import tempfile
 import time
 from pathlib import Path
@@ -19,6 +21,7 @@ from conftest import append_transcript, make_bundle
 from graphvqa.agent import AgentSession, RoundLog, Termination
 from graphvqa.errors import DataFormatError, GatewayConfigError, LexiconError
 from graphvqa.gateway import ResponseCache, load_script
+from graphvqa.graph import Embedding
 from graphvqa.lines import Log, read_lines, read_log
 from graphvqa.parsing import load_lexicon
 from graphvqa.store import load_bundle, load_qa, load_transcripts, save_bundle
@@ -29,8 +32,22 @@ json_values = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6,
 )
-# A cache value is a reply, never null: a null record fails to load.
-cache_values = json_values.filter(lambda value: value is not None)
+# A cache value is a text, a vector, or (as older files hold) a whole reply;
+# never null, which fails to load, nor a reply shaped as a vector's record.
+cache_values = (
+    json_values.filter(lambda value: value is not None
+                       and not (isinstance(value, dict) and value.keys() == {"f64"}))
+    | st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+               max_size=4).map(Embedding)
+)
+
+
+def cache_record(value):
+    """The value of `value`'s cache line: a vector as base64 of its
+    little-endian doubles, anything else as itself."""
+    if isinstance(value, Embedding):
+        return {"f64": base64.b64encode(struct.pack(f"<{len(value)}d", *value)).decode("ascii")}
+    return value
 
 
 def session(question: str) -> AgentSession:
@@ -74,8 +91,14 @@ def test_cache_stays_readable_after_a_cut_at_any_byte(values, last, data):
         cut = data.draw(st.integers(0, len(whole)), label="cut")
         path.write_bytes(whole[:cut])
         ResponseCache(path).put("last", last)
-        kept = [{f"k{i}": value} for i, value in enumerate(values[:complete_lines(whole, cut)])]
-        assert [record for _, record in read_log(path, DataFormatError)] == kept + [{"last": last}]
+        kept = [{f"k{i}": cache_record(value)}
+                for i, value in enumerate(values[:complete_lines(whole, cut)])]
+        assert [record for _, record in read_log(path, DataFormatError)] == \
+            kept + [{"last": cache_record(last)}]
+        reloaded = ResponseCache(path)
+        for record in kept:
+            ((key, _),) = record.items()
+            assert reloaded.get(key) == values[int(key[1:])]
 
 
 def test_every_text_file_skips_blank_and_indented_comment_lines(tmp_path):

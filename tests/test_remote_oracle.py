@@ -11,6 +11,10 @@ of one session, which a server cannot tell apart. Only a bundle that
 captions every frame qualifies, because a remote captioner can caption any
 frame and so widens the candidate pools; of the golden bundles that is
 `kitchen`.
+
+With a cache, a file of the records this version writes (decoded values),
+one of the whole replies older versions wrote, and a mix of both give the
+same bytes, cold and warm.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import as_old_records
 from graphvqa.cli import main
 from graphvqa.gateway import pseudo_embedding
 from graphvqa.store import load_bundle
@@ -89,10 +94,9 @@ def outputs(config, tmp_path, name: str, parallel: int) -> dict[str, bytes]:
     return {file: (out / file).read_bytes() for file in ("report.json", "transcripts.jsonl")}
 
 
-@pytest.mark.parametrize("parallel", [1, 3])
-def test_the_remote_path_writes_the_local_paths_bytes(bundle_stub, tmp_path, monkeypatch,
-                                                     parallel, capsys):
-    monkeypatch.chdir(GOLDEN)  # the config names `script.jsonl` relative to it
+def local_and_remote(bundle_stub, tmp_path, parallel) -> tuple[dict[str, bytes], dict]:
+    """The local path's outputs on the `kitchen` items, and the config that
+    moves caption and embed onto the stub. Run from the golden directory."""
     lines = (GOLDEN / "qa.jsonl").read_text(encoding="utf-8").splitlines()
     kitchen = [line for line in lines if json.loads(line)["video_id"] == "kitchen"]
     (tmp_path / "qa.jsonl").write_text("\n".join(kitchen) + "\n", encoding="utf-8")
@@ -104,6 +108,14 @@ def test_the_remote_path_writes_the_local_paths_bytes(bundle_stub, tmp_path, mon
     lanes = remote["providers"]["default"]
     lanes["caption"] = {"kind": "RemoteChat", "endpoint": endpoint, "model_name": "captioner"}
     lanes["embed"] = {"kind": "RemoteEmbed", "endpoint": endpoint, "model_name": "embedder"}
+    return expected, remote
+
+
+@pytest.mark.parametrize("parallel", [1, 3])
+def test_the_remote_path_writes_the_local_paths_bytes(bundle_stub, tmp_path, monkeypatch,
+                                                     parallel, capsys):
+    monkeypatch.chdir(GOLDEN)  # the config names `script.jsonl` relative to it
+    expected, remote = local_and_remote(bundle_stub, tmp_path, parallel)
     assert outputs(remote, tmp_path, "remote", parallel) == expected
     sent = bundle_stub.requests
     assert sent > 0
@@ -113,3 +125,33 @@ def test_the_remote_path_writes_the_local_paths_bytes(bundle_stub, tmp_path, mon
     assert bundle_stub.requests == 2 * sent
     assert outputs(remote, tmp_path, "warm", parallel) == expected
     assert bundle_stub.requests == 2 * sent  # the warm run sends nothing
+
+
+@pytest.mark.parametrize("parallel", [1, 3])
+def test_old_new_and_mixed_cache_records_write_the_local_paths_bytes(
+        bundle_stub, tmp_path, monkeypatch, parallel, capsys):
+    monkeypatch.chdir(GOLDEN)
+    expected, remote = local_and_remote(bundle_stub, tmp_path, parallel)
+    remote["cache_path"] = str(tmp_path / "new.jsonl")
+    assert outputs(remote, tmp_path, "new", parallel) == expected
+    new = (tmp_path / "new.jsonl").read_bytes()
+    records = [next(iter(json.loads(line).values())) for line in new.splitlines()]
+    assert all(isinstance(value, str) or value.keys() == {"f64"} for value in records)
+    keys = len(records)
+    for kind, chosen in [("new", lambda index: False), ("old", lambda index: True),
+                         ("mixed", lambda index: index % 2 == 0)]:
+        path = tmp_path / f"{kind}.jsonl"
+        path.write_bytes(new)
+        as_old_records(path, chosen)
+        remote["cache_path"] = str(path)
+        sent = bundle_stub.requests
+        assert outputs(remote, tmp_path, f"{kind} warm", parallel) == expected
+        assert bundle_stub.requests == sent  # a warm run sends nothing
+        # Cold: a third of the records are gone, so those requests go out
+        # again and append new records after the old ones.
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(line for index, line in enumerate(lines) if index % 3))
+        assert outputs(remote, tmp_path, f"{kind} cold", parallel) == expected
+        assert bundle_stub.requests == sent + (keys + 2) // 3
+        assert outputs(remote, tmp_path, f"{kind} rewarmed", parallel) == expected
+        assert bundle_stub.requests == sent + (keys + 2) // 3
