@@ -1,6 +1,6 @@
-"""Golden outputs: `eval` and `graph --out` on the committed inputs under
-`data/golden` write the committed `report.json`, `transcripts.jsonl` and
-`graph.json` byte for byte.
+"""Golden outputs: `eval`, `graph --out` and `extract` on the committed
+inputs under `data/golden` write the committed `report.json`,
+`transcripts.jsonl`, `graph.json` and `extract.jsonl` byte for byte.
 
 The inputs are three bundles with captions and 8-dim embeddings, twelve QA
 items, a chat script and a config whose embed lane takes frame vectors from
@@ -11,6 +11,7 @@ To regenerate the outputs after an intended behaviour change, run from
 
     graphvqa eval --qa qa.jsonl --bundle bundles --config config.json --out OUT
     graphvqa graph --bundle bundles/kitchen --config config.json --out OUT
+    for v in hall kitchen short; do graphvqa extract --bundle bundles/$v; done > extract.jsonl
 """
 
 from __future__ import annotations
@@ -65,6 +66,13 @@ def test_graph_writes_golden_graph(in_golden, tmp_path, capsys):
     assert main(["graph", "--bundle", "bundles/kitchen", "--config", "config.json",
                  "--out", str(out)]) == 0
     assert (out / "graph.json").read_bytes() == (GOLDEN / "graph.json").read_bytes()
+
+
+def test_extract_writes_golden_parses(in_golden, capsys):
+    # the parser's whole output for every caption of the three bundles
+    for video in ("hall", "kitchen", "short"):
+        assert main(["extract", "--bundle", f"bundles/{video}"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "extract.jsonl").read_text(encoding="utf-8")
 
 
 def test_golden_outputs_cover_each_termination_and_a_merge():
