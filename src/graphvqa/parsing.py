@@ -5,10 +5,11 @@ auditable: every decision traces back to a lexicon file or a rule below.
 
 One pass over the text tokenizes on word boundaries, keeping character
 offsets; lemmatizes each token with a small suffix table (-ies, -es, -s,
--ing, -ed), preferring candidates that land on a known lexicon word; and
-decides once whether the token is a noun: listed in the type gazetteer, or
-neither a stopword nor in any verb/preposition lexicon. Every step below
-reads that one token list.
+-ing, -ed), preferring candidates that land on a known lexicon word; looks
+the lemma up once in the one word-role table, `Lexicon.roles`, so each token
+carries its role; and decides once whether the token is a noun: listed in
+the type gazetteer, or neither a stopword nor a word with a role. Every step
+below reads that one token list, never the lexicon's predicate sets.
 
 1. Mentions = the noun tokens, typed from the gazetteer when they are made
    (a lemma it does not list is an Object). Duplicate lemmas in one text
@@ -30,12 +31,12 @@ job (lemma merging).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import AbstractSet, Mapping, Optional, Sequence
 
 from .errors import LexiconError
 from .lines import read_lines
@@ -56,6 +57,10 @@ class RelationCategory(str, Enum):
 
 # Marker used in state_verbs files for complement-valued verbs.
 COMPLEMENT_LABEL = "*"
+
+# A predicate word's role (see `Lexicon.roles`): its RelationCategory, or a
+# state verb's label (COMPLEMENT_LABEL for a complement-valued verb).
+Role = RelationCategory | str
 
 # Tokens never eligible as mentions. Lexicon membership always wins over this
 # list, so a word can be promoted to predicate status by a lexicon file.
@@ -104,9 +109,10 @@ _SENTENCE_BREAK_RE = re.compile(r"[.!?;]")
 class Lexicon:
     """Predicate lexicons and the entity-type gazetteer.
 
-    The four predicate sets (spatial_preps, interaction_verbs, action_verbs,
-    state_verbs keys) are pairwise disjoint; conflicts are rejected at load
-    time. All entries are lowercase and lookups are case-insensitive.
+    Building a lexicon makes `roles`, the one table mapping each predicate word
+    to its `Role`. A word has one role at most: the four predicate sets
+    (spatial_preps, interaction_verbs, action_verbs, state_verbs keys) must be
+    pairwise disjoint. Loaded entries are lowercase, as are looked-up lemmas.
     """
 
     spatial_preps: frozenset[str]
@@ -114,54 +120,29 @@ class Lexicon:
     action_verbs: frozenset[str]
     state_verbs: Mapping[str, str]
     type_gazetteer: Mapping[str, EntityType]
+    roles: Mapping[str, Role] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sets = [
-            ("spatial_preps", set(self.spatial_preps)),
-            ("interaction_verbs", set(self.interaction_verbs)),
-            ("action_verbs", set(self.action_verbs)),
-            ("state_verbs", set(self.state_verbs)),
+            ("spatial_preps", dict.fromkeys(self.spatial_preps, RelationCategory.SPATIAL)),
+            ("interaction_verbs",
+             dict.fromkeys(self.interaction_verbs, RelationCategory.INTERACTION)),
+            ("action_verbs", dict.fromkeys(self.action_verbs, RelationCategory.ACTION)),
+            ("state_verbs", self.state_verbs),
         ]
-        for i, (name_a, set_a) in enumerate(sets):
-            for name_b, set_b in sets[i + 1:]:
-                clash = set_a & set_b
+        for i, (name_a, roles_a) in enumerate(sets):
+            for name_b, roles_b in sets[i + 1:]:
+                clash = roles_a.keys() & roles_b.keys()
                 if clash:
                     raise LexiconError(
                         f"lexicon sets {name_a} and {name_b} overlap: {sorted(clash)}"
                     )
-
-    def predicate_category(self, lemma: str) -> Optional[RelationCategory]:
-        lemma = lemma.lower()
-        if lemma in self.spatial_preps:
-            return RelationCategory.SPATIAL
-        if lemma in self.interaction_verbs:
-            return RelationCategory.INTERACTION
-        if lemma in self.action_verbs:
-            return RelationCategory.ACTION
-        return None
-
-    def is_verb(self, lemma: str) -> bool:
-        lemma = lemma.lower()
-        return (
-            lemma in self.interaction_verbs
-            or lemma in self.action_verbs
-            or lemma in self.state_verbs
-        )
-
-    def is_predicate_word(self, lemma: str) -> bool:
-        lemma = lemma.lower()
-        return lemma in self.spatial_preps or self.is_verb(lemma)
+        object.__setattr__(self, "roles", {w: r for _, roles in sets for w, r in roles.items()})
 
     @cached_property
     def vocabulary(self) -> frozenset[str]:
         """Every known lemma; used to steer suffix-rule lemmatization."""
-        return frozenset(
-            set(self.spatial_preps)
-            | set(self.interaction_verbs)
-            | set(self.action_verbs)
-            | set(self.state_verbs)
-            | set(self.type_gazetteer)
-        )
+        return frozenset(self.roles).union(self.type_gazetteer)
 
 
 @dataclass(frozen=True)
@@ -280,17 +261,18 @@ class _Token:
     sentence: int
     comma_before: bool
     is_noun: bool
+    role: Optional[Role]
+    is_verb: bool  # an interaction, action or state verb: a role other than Spatial
 
 
-def lemmatize(token: str, vocabulary: Iterable[str] = ()) -> str:
+def lemmatize(token: str, vocabulary: AbstractSet[str] = frozenset()) -> str:
     """Singularize/normalize a lowercase token with a small suffix table.
 
-    Candidates produced by a rule are checked against `vocabulary`; the first
-    known candidate wins, otherwise the rule's primary candidate is used.
+    Candidates produced by a rule are checked against the set `vocabulary`; the
+    first known candidate wins, otherwise the rule's primary candidate is used.
     """
     token = token.lower()
-    vocab = vocabulary if isinstance(vocabulary, (set, frozenset)) else frozenset(vocabulary)
-    if token in vocab:
+    if token in vocabulary:
         return token
 
     candidates: list[str] = []
@@ -317,14 +299,14 @@ def lemmatize(token: str, vocabulary: Iterable[str] = ()) -> str:
             candidates.append(stem[:-1])
 
     for candidate in candidates:
-        if candidate in vocab:
+        if candidate in vocabulary:
             return candidate
     return candidates[0] if candidates else token
 
 
 def _analyze(text: str, lex: Lexicon) -> list[_Token]:
     """The one pass over a text that every extraction step reads."""
-    vocab = lex.vocabulary
+    vocab, roles = lex.vocabulary, lex.roles
     breaks = [m.start() for m in _SENTENCE_BREAK_RE.finditer(text)]
     tokens = []
     sentence = 0
@@ -338,13 +320,15 @@ def _analyze(text: str, lex: Lexicon) -> list[_Token]:
         if lower.endswith(("'s", "’s")):
             word, lower = word[:-2], lower[:-2]
         lemma = lemmatize(lower, vocab)
+        role = roles.get(lemma)
         # a noun: listed in the gazetteer, or neither a stopword nor a predicate word
         is_noun = lemma in lex.type_gazetteer or not (
-            lower in STOPWORDS or lemma in STOPWORDS or lex.is_predicate_word(lemma)
+            lower in STOPWORDS or lemma in STOPWORDS or role is not None
         )
         tokens.append(_Token(
             word, lower, lemma, match.start(), match.start() + len(word), sentence,
-            "," in text[previous_end:match.start()], is_noun,
+            "," in text[previous_end:match.start()], is_noun, role,
+            role is not None and role is not RelationCategory.SPATIAL,
         ))
         previous_end = match.end()
     return tokens
@@ -368,7 +352,7 @@ def _mentions(tokens: Sequence[_Token], lex: Lexicon) -> dict[str, Mention]:
     return by_lemma
 
 
-def _absorbed_by_verb(tokens: Sequence[_Token], index: int, lex: Lexicon) -> bool:
+def _absorbed_by_verb(tokens: Sequence[_Token], index: int) -> bool:
     """True if the spatial prep at `index` rides on a preceding verb.
 
     Scans left within the sentence, skipping stopwords; a hit on an
@@ -379,10 +363,9 @@ def _absorbed_by_verb(tokens: Sequence[_Token], index: int, lex: Lexicon) -> boo
         tok = tokens[j]
         if tok.sentence != sentence:
             return False
-        if tok.lower in STOPWORDS and not lex.is_predicate_word(tok.lemma):
+        if tok.lower in STOPWORDS and tok.role is None:
             continue
-        category = lex.predicate_category(tok.lemma)
-        return category in (RelationCategory.INTERACTION, RelationCategory.ACTION)
+        return tok.role is RelationCategory.INTERACTION or tok.role is RelationCategory.ACTION
     return False
 
 
@@ -397,8 +380,7 @@ def _nearest_noun(tokens: Sequence[_Token], index: int, step: int) -> Optional[_
     return None
 
 
-def _triples(tokens: Sequence[_Token], by_lemma: Mapping[str, Mention],
-             lex: Lexicon) -> list[ExtractedTriple]:
+def _triples(tokens: Sequence[_Token], by_lemma: Mapping[str, Mention]) -> list[ExtractedTriple]:
     """Relation triples linking mention pairs through lexicon predicates.
 
     Subject is the nearest noun left of the predicate, object the nearest on
@@ -408,10 +390,9 @@ def _triples(tokens: Sequence[_Token], by_lemma: Mapping[str, Mention],
     triples: list[ExtractedTriple] = []
     emitted: set[tuple[str, str, str]] = set()
     for i, tok in enumerate(tokens):
-        category = lex.predicate_category(tok.lemma)
-        if category is None:
+        if not isinstance(tok.role, RelationCategory):
             continue
-        if category is RelationCategory.SPATIAL and _absorbed_by_verb(tokens, i, lex):
+        if tok.role is RelationCategory.SPATIAL and _absorbed_by_verb(tokens, i):
             continue
         left = _nearest_noun(tokens, i, -1)
         right = _nearest_noun(tokens, i, 1)
@@ -421,13 +402,13 @@ def _triples(tokens: Sequence[_Token], by_lemma: Mapping[str, Mention],
         if key in emitted:
             continue
         emitted.add(key)
-        triples.append(ExtractedTriple(by_lemma[left.lemma], tok.lemma, category, by_lemma[right.lemma]))
+        triples.append(ExtractedTriple(by_lemma[left.lemma], tok.lemma, tok.role, by_lemma[right.lemma]))
     return triples
 
 
-def _state_label(tokens: Sequence[_Token], index: int, lex: Lexicon) -> Optional[str]:
+def _state_label(tokens: Sequence[_Token], index: int) -> Optional[str]:
     """Resolve the label for the state verb at `index`, or None to skip."""
-    mapped = lex.state_verbs[tokens[index].lemma]
+    mapped = tokens[index].role
     if mapped != COMPLEMENT_LABEL:
         return mapped
     sentence = tokens[index].sentence
@@ -443,9 +424,8 @@ def _state_label(tokens: Sequence[_Token], index: int, lex: Lexicon) -> Optional
     return None
 
 
-def _state_events(
-    tokens: Sequence[_Token], by_lemma: Mapping[str, Mention], lex: Lexicon
-) -> list[tuple[Mention, str]]:
+def _state_events(tokens: Sequence[_Token], by_lemma: Mapping[str, Mention]
+                  ) -> list[tuple[Mention, str]]:
     """Clause-subject tracking: the first mention before any verb owns the
     clause; a coordinator followed by a verb continues it, followed by a
     mention starts a fresh clause."""
@@ -458,30 +438,30 @@ def _state_events(
         if tok.sentence != sentence:
             sentence = tok.sentence
             subject, seen_verb = None, False
-        elif tok.comma_before and tok.lower not in _COORDINATORS and not lex.is_verb(tok.lemma):
+        elif tok.comma_before and tok.lower not in _COORDINATORS and not tok.is_verb:
             subject, seen_verb = None, False
         if tok.lower in _COORDINATORS:
             nxt = next(
                 (t for t in tokens[i + 1:] if t.sentence == sentence and t.lower not in STOPWORDS),
                 None,
             )
-            if nxt is not None and not lex.is_verb(nxt.lemma):
+            if nxt is not None and not nxt.is_verb:
                 subject, seen_verb = None, False
             continue
         if tok.is_noun:
             if not seen_verb:
                 subject = by_lemma[tok.lemma]
             continue
-        if tok.lemma in lex.state_verbs:
-            seen_verb = True
-            if subject is None:
-                continue
-            label = _state_label(tokens, i, lex)
-            if label and (subject.lemma, label) not in seen:
-                seen.add((subject.lemma, label))
-                events.append((subject, label))
-        elif lex.is_predicate_word(tok.lemma):
-            seen_verb = True
+        if tok.role is None:
+            continue
+        seen_verb = True
+        # a state verb's role is its label, not a RelationCategory
+        if subject is None or isinstance(tok.role, RelationCategory):
+            continue
+        label = _state_label(tokens, i)
+        if label and (subject.lemma, label) not in seen:
+            seen.add((subject.lemma, label))
+            events.append((subject, label))
     return events
 
 
@@ -495,8 +475,8 @@ def parse_caption(caption: str, frame_index: int, lex: Optional[Lexicon] = None)
     return CaptionParse(
         frame_index=frame_index,
         mentions=tuple(by_lemma.values()),
-        triples=tuple(_triples(tokens, by_lemma, lex)),
-        state_events=tuple(_state_events(tokens, by_lemma, lex)),
+        triples=tuple(_triples(tokens, by_lemma)),
+        state_events=tuple(_state_events(tokens, by_lemma)),
     )
 
 

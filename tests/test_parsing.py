@@ -261,7 +261,10 @@ def test_load_lexicon_from_files(tmp_path):
     (tmp_path / "type_gazetteer.tsv").write_text("person\tPerson\n", encoding="utf-8")
     loaded = load_lexicon(tmp_path)
     assert loaded.spatial_preps == frozenset({"in", "on"})
-    assert loaded.predicate_category("IN") is RelationCategory.SPATIAL
+    assert loaded.roles == {
+        "in": RelationCategory.SPATIAL, "on": RelationCategory.SPATIAL,
+        "talk": RelationCategory.INTERACTION, "hold": RelationCategory.ACTION, "become": "*",
+    }
 
 
 def test_load_lexicon_rejects_bad_state_line(tmp_path):
