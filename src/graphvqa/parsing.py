@@ -203,7 +203,10 @@ def _load_state_verbs(path: Path) -> dict[str, str]:
         parts = line.split("\t")
         if len(parts) != 2 or not parts[0] or not parts[1]:
             raise LexiconError(f"{path.name}: expected lemma<TAB>state_label, got {line!r}")
-        mapping[parts[0].lower()] = parts[1].lower()
+        lemma, label = parts[0].lower(), parts[1].lower()
+        if mapping.setdefault(lemma, label) != label:
+            raise LexiconError(
+                f"{path.name}: {lemma!r} listed with labels {mapping[lemma]!r} and {label!r}")
     return mapping
 
 
@@ -217,7 +220,9 @@ def _load_gazetteer(path: Path) -> dict[str, EntityType]:
         lemma, type_name = parts[0].lower(), parts[1]
         if type_name not in valid:
             raise LexiconError(f"{path.name}: unknown entity type {type_name!r} for {lemma!r}")
-        mapping[lemma] = valid[type_name]
+        if mapping.setdefault(lemma, valid[type_name]) is not valid[type_name]:
+            raise LexiconError(f"{path.name}: {lemma!r} listed with types "
+                               f"{mapping[lemma].value!r} and {type_name!r}")
     return mapping
 
 

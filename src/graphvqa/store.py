@@ -8,6 +8,8 @@ On-disk bundle layout (one directory per video; line files are read by `lines`):
                  (optional file)
     qa           one JSON object per line: a `QAItem`'s fields (optional file)
 
+A frame appears at most once in captions and at most once in embeddings.
+
 Each manifest, QA, graph and transcript record is its dataclass's fields
 under their own names (a QA line leaves out its null ones); only
 `schema_version` and values derived from fields are added, so adding a field
@@ -33,7 +35,7 @@ import os
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from functools import partial
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Container, Optional, Sequence, Union
 
 from .errors import DataFormatError, DimensionError, SchemaVersionError, check_field_types
 from .graph import (
@@ -203,13 +205,15 @@ def load_bundle(directory: Union[str, Path], video_id: Optional[str] = None) -> 
     captions_path = directory / "captions"
     if captions_path.is_file():
         for line_no, line in read_lines(captions_path, DataFormatError):
-            frame, text = _frame_line(captions_path, line_no, line, bundle.total_frames, "caption")
+            frame, text = _frame_line(captions_path, line_no, line, bundle.total_frames,
+                                      bundle.captions, "caption")
             bundle.captions[frame] = text
 
     embeddings_path = directory / "embeddings"
     if embeddings_path.is_file():
         for line_no, line in read_lines(embeddings_path, DataFormatError):
-            frame, text = _frame_line(embeddings_path, line_no, line, bundle.total_frames, "floats")
+            frame, text = _frame_line(embeddings_path, line_no, line, bundle.total_frames,
+                                      bundle.embeddings, "floats")
             try:
                 vector = Embedding(map(float, text.split()))
             except ValueError as exc:
@@ -250,10 +254,11 @@ def save_bundle(bundle: VideoBundle, directory: Union[str, Path]) -> Path:
     return directory
 
 
-def _frame_line(path: Path, line_no: int, line: str, total_frames: int,
+def _frame_line(path: Path, line_no: int, line: str, total_frames: int, seen: Container[int],
                 expected: str) -> tuple[int, str]:
     """Split a `frame_index<TAB>rest` line. The index must be decimal digits
-    ("²" is a digit that `int` rejects) naming a frame below `total_frames`."""
+    ("²" is a digit that `int` rejects) naming a frame below `total_frames`
+    that is not in `seen`, the frames of the file's earlier lines."""
     head, tab, text = line.partition("\t")
     head = head.strip()
     try:
@@ -264,6 +269,8 @@ def _frame_line(path: Path, line_no: int, line: str, total_frames: int,
         raise DataFormatError(f"{path}:{line_no}: expected frame_index<TAB>{expected}")
     if frame >= total_frames:
         raise DataFormatError(f"{path}:{line_no}: frame {frame} >= total_frames {total_frames}")
+    if frame in seen:
+        raise DataFormatError(f"{path}:{line_no}: frame {frame} given twice")
     return frame, text
 
 

@@ -602,6 +602,16 @@ def test_frame_field_that_is_not_a_frame_index_is_data_error(suite, capsys, file
     assert f"data error: {path}:1: expected frame_index" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("file,text", [("captions", "1\tthe dog sits\n1\tthe dog runs\n"),
+                                       ("embeddings", "1\t1 0\n1\t0 1 2\n")],
+                         ids=["captions", "embeddings"])
+def test_frame_given_twice_is_data_error(suite, capsys, file, text):
+    path = suite["bundle_dir"] / file
+    path.write_text(text, encoding="utf-8")
+    assert main(["extract", "--bundle", str(suite["bundle_dir"])]) == 2
+    assert f"data error: {path}:2: frame 1 given twice" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
 def test_non_finite_embedding_value_is_data_error(suite, capsys, value):
     path = suite["bundle_dir"] / "embeddings"

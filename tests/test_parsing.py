@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -225,26 +227,34 @@ def test_parse_question_rejects_empty_or_excess(lex):
 
 # -- lexicon loading -------------------------------------------------------------
 
-def test_lexicon_sets_disjoint_enforced():
-    with pytest.raises(LexiconError):
-        Lexicon(
-            spatial_preps=frozenset({"on"}),
-            interaction_verbs=frozenset({"on"}),
-            action_verbs=frozenset(),
-            state_verbs={},
-            type_gazetteer={},
-        )
+PREDICATE_SETS = ("spatial_preps", "interaction_verbs", "action_verbs", "state_verbs")
 
 
-def test_lexicon_state_verb_conflict_rejected():
-    with pytest.raises(LexiconError):
-        Lexicon(
-            spatial_preps=frozenset(),
-            interaction_verbs=frozenset(),
-            action_verbs=frozenset({"grow"}),
-            state_verbs={"grow": "*"},
-            type_gazetteer={},
-        )
+@pytest.mark.parametrize("set_a,set_b", itertools.combinations(PREDICATE_SETS, 2))
+def test_lexicon_sets_disjoint_enforced(set_a, set_b):
+    sets = {name: frozenset() for name in PREDICATE_SETS}
+    sets[set_a] = frozenset({"grow", "near", "shout"})
+    sets[set_b] = frozenset({"shout", "grow"})
+    sets["state_verbs"] = dict.fromkeys(sets["state_verbs"], "*")
+    with pytest.raises(LexiconError) as info:
+        Lexicon(**sets, type_gazetteer={})
+    assert str(info.value) == f"lexicon sets {set_a} and {set_b} overlap: ['grow', 'shout']"
+
+
+def test_gazetteer_word_with_a_role_is_both_a_mention_and_a_predicate(lex):
+    grown = Lexicon(
+        spatial_preps=lex.spatial_preps,
+        interaction_verbs=lex.interaction_verbs,
+        action_verbs=lex.action_verbs,
+        state_verbs=lex.state_verbs,
+        type_gazetteer={**lex.type_gazetteer, "cook": EntityType.PERSON},
+    )
+    assert grown.roles["cook"] is RelationCategory.ACTION
+    parse = parse_caption("the man cooks the egg", 0, grown)
+    assert types(parse.mentions) == [
+        ("man", EntityType.PERSON), ("cook", EntityType.PERSON), ("egg", EntityType.OBJECT),
+    ]
+    assert triple_tuples(parse.triples) == [("man", "cook", RelationCategory.ACTION, "egg")]
 
 
 def test_shipped_lexicon_contains_mandatory_seeds(lex):
@@ -275,6 +285,26 @@ def test_load_lexicon_rejects_bad_state_line(tmp_path):
     (tmp_path / "type_gazetteer.tsv").write_text("person\tPerson\n", encoding="utf-8")
     with pytest.raises(LexiconError):
         load_lexicon(tmp_path)
+
+
+@pytest.mark.parametrize("file,text,message", [
+    ("state_verbs.tsv", "become\t*\nsmile\thappy\nBecome\tangry\n",
+     "state_verbs.tsv: 'become' listed with labels '*' and 'angry'"),
+    ("type_gazetteer.tsv", "person\tPerson\ncook\tObject\nperson\tGroup\n",
+     "type_gazetteer.tsv: 'person' listed with types 'Person' and 'Group'"),
+])
+def test_load_lexicon_rejects_a_lemma_listed_with_two_values(tmp_path, file, text, message):
+    (tmp_path / "spatial_preps.txt").write_text("on\n", encoding="utf-8")
+    (tmp_path / "interaction_verbs.txt").write_text("talk\n", encoding="utf-8")
+    (tmp_path / "action_verbs.txt").write_text("hold\n", encoding="utf-8")
+    (tmp_path / "state_verbs.tsv").write_text("become\t*\nbecome\t*\n", encoding="utf-8")
+    (tmp_path / "type_gazetteer.tsv").write_text("person\tPerson\nperson\tPerson\n",
+                                                 encoding="utf-8")
+    assert load_lexicon(tmp_path).state_verbs == {"become": "*"}  # a same-valued repeat loads
+    (tmp_path / file).write_text(text, encoding="utf-8")
+    with pytest.raises(LexiconError) as info:
+        load_lexicon(tmp_path)
+    assert str(info.value) == message
 
 
 # -- lemmatizer -------------------------------------------------------------------

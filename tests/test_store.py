@@ -127,6 +127,19 @@ def test_caption_line_malformed_names_line(tmp_path):
         load_bundle(directory)
 
 
+# A repeated embedding line used to replace the first: this pair loaded as a 3-dim bundle.
+REPEATED_FRAME = [("captions", "1\tthe dog sits\n1\tthe dog runs\n"),
+                  ("embeddings", "1\t1 0\n1\t0 1 2\n")]
+
+
+@pytest.mark.parametrize("file,text", REPEATED_FRAME, ids=["captions", "embeddings"])
+def test_frame_given_twice_names_file_and_line(tmp_path, file, text):
+    directory = write_bundle_files(tmp_path, {"video_id": "v1", "total_frames": 5}, **{file: text})
+    with pytest.raises(DataFormatError) as info:
+        load_bundle(directory)
+    assert str(info.value) == f"{directory / file}:2: frame 1 given twice"
+
+
 def test_mixed_embedding_dims_rejected_naming_frames(tmp_path):
     directory = write_bundle_files(
         tmp_path,
