@@ -127,7 +127,7 @@ def test_caption_line_malformed_names_line(tmp_path):
         load_bundle(directory)
 
 
-# A repeated embedding line used to replace the first: this pair loaded as a 3-dim bundle.
+# The embedding lines differ in dimension: keeping only the last would hide that.
 REPEATED_FRAME = [("captions", "1\tthe dog sits\n1\tthe dog runs\n"),
                   ("embeddings", "1\t1 0\n1\t0 1 2\n")]
 
