@@ -392,7 +392,9 @@ class VideoAgent:
 
     def run_round(self, session: AgentSession, graph: VideoGraph,
                   query: Optional[QueryParse]) -> None:
-        """Evaluate, gate, and either answer or retrieve-and-update."""
+        """Evaluate, gate, and either answer or retrieve-and-update. A
+        gateway failure ends the session at the round limit with the latest
+        prediction."""
         if session.terminated:
             raise ValueError("session already terminated")
         round_number = len(session.rounds) + 1
@@ -401,43 +403,25 @@ class VideoAgent:
             prediction, confidence, missing, digest = self.evaluate_state(session, graph, query)
             action = decide_action(confidence, round_number, self.cfg)
             frames_added: list[int] = []
-            if action is not AgentAction.ANSWER:
+            if action is AgentAction.ANSWER:
+                ends = (Termination.CONFIDENT if confidence >= self.cfg.confidence_threshold
+                        else Termination.ROUND_LIMIT)
+            else:
                 frames_added = self._retrieve(
                     session, graph, query, action is AgentAction.RETRIEVE_EXPANDED
                 )
                 if frames_added:
                     graph.update_graph(self._ingest(frames_added))
                     session.add_frames(frames_added)
-            session.rounds.append(RoundLog(
-                round=round_number,
-                frames_added=frames_added,
-                prediction=prediction,
-                confidence=confidence,
-                missing_info=missing,
-                prompt_digest=digest,
-            ))
-            if action is AgentAction.ANSWER:
-                session.final_answer = prediction
-                session.terminated_by = (
-                    Termination.CONFIDENT
-                    if confidence >= self.cfg.confidence_threshold
-                    else Termination.ROUND_LIMIT
-                )
-            elif not frames_added:
-                session.final_answer = prediction
-                session.terminated_by = Termination.EXHAUSTED
+                ends = None if frames_added else Termination.EXHAUSTED
         except GatewayError as exc:
             logger.error("gateway failure in round %d: %s", round_number, exc)
-            session.rounds.append(RoundLog(
-                round=round_number,
-                frames_added=[],
-                prediction=session.latest_prediction(),
-                confidence=1,
-                missing_info=f"gateway failure: {exc}",
-                prompt_digest=digest,
-            ))
-            session.final_answer = session.latest_prediction()
-            session.terminated_by = Termination.ROUND_LIMIT
+            prediction, confidence = session.latest_prediction(), 1
+            missing, frames_added, ends = f"gateway failure: {exc}", [], Termination.ROUND_LIMIT
+        session.rounds.append(RoundLog(round_number, frames_added, prediction, confidence,
+                                       missing, digest))
+        if ends is not None:
+            session.final_answer, session.terminated_by = prediction, ends
         session.final_graph_version = graph.version
 
     def run(self, question: str, options: Sequence[str]) -> tuple[AgentSession, VideoGraph]:
@@ -464,7 +448,6 @@ class VideoAgent:
             )
         graph = VideoGraph(config=self.cfg.graph).update_graph(self._ingest(initial))
         session.add_frames(initial)
-        session.final_graph_version = graph.version
 
         while not session.terminated:
             self.run_round(session, graph, query)

@@ -151,9 +151,21 @@ def _provider_block(config: dict, name: Optional[str]) -> dict:
     )
 
 
+_LANES = ("chat", "caption", "embed")
+
+
 def build_gateway(config: dict, provider_name: Optional[str],
                   seed: Optional[int]) -> ModelGateway:
+    """The gateway of the chosen provider block, whose keys must be lanes:
+    `chat` and `caption` are required, `embed` is optional."""
     block = _provider_block(config, provider_name)
+    unknown = sorted(set(block) - set(_LANES))
+    if unknown:
+        raise GatewayConfigError(f"provider block holds {', '.join(map(repr, unknown))}, "
+                                 f"which are not lanes (lanes: {', '.join(_LANES)})")
+    missing = [lane for lane in ("chat", "caption") if block.get(lane) is None]
+    if missing:
+        raise GatewayConfigError(f"provider block has no {' or '.join(missing)} lane")
 
     def provider(lane: str) -> Optional[ProviderConfig]:
         spec = block.get(lane)
@@ -167,12 +179,8 @@ def build_gateway(config: dict, provider_name: Optional[str],
             cfg.seed = seed
         return cfg
 
-    return ModelGateway(
-        chat=provider("chat"),
-        caption=provider("caption"),
-        embed=provider("embed"),
-        cache=ResponseCache(config.get("cache_path")),
-    )
+    return ModelGateway(**{lane: provider(lane) for lane in _LANES},
+                        cache=ResponseCache(config.get("cache_path")))
 
 
 # ---------------------------------------------------------------------------

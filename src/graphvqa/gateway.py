@@ -33,11 +33,10 @@ its length, the JSON of the model and temperature, and the cache key's
 prefix. A body's bytes are those of
 ``json.dumps(body, sort_keys=True, ensure_ascii=False)``, so keys and cache
 files written before still match. The memo holds decoded values, a text or
-an `Embedding`, and a cache file holds them exactly (see `ResponseCache`),
-so a hit decodes nothing. A record that an older file holds as the whole
-reply is decoded by its lane on its key's first hit, and its value takes
-its place in memory. An embedding's dimension is checked against the
-bundle on every hit.
+an `Embedding`, and a cache file holds them exactly (see `ResponseCache`).
+A record that an older file holds as the whole reply is decoded when the
+file loads, so a hit decodes nothing: it checks the value's form, which
+only an edit can break, and an embedding's dimension against the bundle.
 
 Requests go out through a small HTTP/1.1 client on `socket` and `ssl`: one
 connection per request, closed once its reply is read. HTTPS certificates
@@ -277,40 +276,38 @@ class ResponseCache:
     ``{"f64": <base64 of its little-endian float64 bytes>}``, so it loads
     back exactly; earlier lines are never rewritten. The loader merges
     every record in order, so a file holding one object with many entries
-    on a single line loads as well, and decodes each vector once. A value
-    in any other form, such as the whole reply that older files hold, is
-    kept as it is, for its gateway to decode on its first hit (see
-    `replace`). A fault reading or writing the file, a record that is not
-    an object or holds a null, or a vector that is empty, not finite, not
-    base64 or not a whole number of doubles raises DataFormatError.
+    on a single line loads as well. It decodes each value once, as the file
+    loads (see `_value`), also the whole reply that older files hold, so
+    the memo holds one form. A fault reading or writing the file, a record
+    that is not an object, or a value that is not a text, a vector or a
+    reply that decodes raises DataFormatError naming the line.
     """
 
     def __init__(self, path: Optional[Union[str, Path]] = None):
         self.path = Path(path) if path else None
         self._lock = threading.Lock()
-        self._data: dict[str, object] = {}
+        self._data: dict[str, Union[str, Embedding]] = {}
         if self.path and self.path.exists():
             for line_no, record in read_log(self.path, DataFormatError):
                 if not isinstance(record, dict):
                     raise DataFormatError(f"{self.path}:{line_no}: cache record is not a JSON object")
                 for key, value in record.items():
-                    if type(value) is dict and value.keys() == {_F64}:
-                        value = _unpack(value[_F64], f"{self.path}:{line_no}")
-                    elif value is None:  # would be sent again on every call, never cached
-                        raise DataFormatError(f"{self.path}:{line_no}: cache record holds a null")
-                    self._data[key] = value
+                    self._data[key] = _value(value, f"{self.path}:{line_no}")
 
-    def get(self, key: str):
+    def get(self, key: str) -> Optional[Union[str, Embedding]]:
         with self._lock:
             return self._data.get(key)
 
-    def put(self, key: str, value) -> None:
+    def put(self, key: str, value: Union[str, Embedding]) -> None:
         """Store `value` unless `key` is already cached (a request that
         another gateway sharing this cache sent at the same time), so the
-        file holds one record per key. None, which `get` returns for a miss
-        and a load rejects, raises ValueError."""
-        if value is None:
-            raise ValueError(f"cannot cache None under key {key!r}")
+        file holds one record per key. Anything but a text or a nonempty
+        `Embedding` of finite values, which a load would reject, raises
+        ValueError."""
+        if not (isinstance(value, str)
+                or isinstance(value, Embedding) and value and all_finite(value)):
+            raise ValueError(f"cannot cache {value!r:.60} under key {key!r}: "
+                             "not a text or a nonempty, finite Embedding")
         with self._lock:
             if key in self._data:
                 return
@@ -319,12 +316,6 @@ class ResponseCache:
                 with Log(self.path, DataFormatError) as log:
                     log.append({key: _pack(value) if isinstance(value, Embedding) else value})
 
-    def replace(self, key: str, value) -> None:
-        """Keep `value`, the decoded form of the value under `key`, in its
-        place in memory; the file is not rewritten."""
-        with self._lock:
-            self._data[key] = value
-
 
 _F64 = "f64"  # the one key of a vector's cache value
 
@@ -332,6 +323,25 @@ _F64 = "f64"  # the one key of a vector's cache value
 def _pack(vector: Embedding) -> dict:
     """A vector's cache value: its doubles' bytes, little-endian, in base64."""
     return {_F64: base64.b64encode(struct.pack(f"<{len(vector)}d", *vector)).decode("ascii")}
+
+
+def _value(value, where: str) -> Union[str, Embedding]:
+    """A cache record's value as the memo keeps it: a text as it is, a vector
+    unpacked, or an older file's whole chat or embeddings reply decoded as its
+    lane decodes it. Anything else, or a reply that does not decode, is a
+    DataFormatError naming `where`."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, dict) and value.keys() == {_F64}:
+        return _unpack(value[_F64], where)
+    if isinstance(value, dict) and ("choices" in value or "data" in value):
+        try:
+            return _completion_text("chat", value) if "choices" in value else _embedding(value)
+        except GatewayError as exc:
+            raise DataFormatError(
+                f"{where}: cache record holds a reply that does not decode: {exc}") from exc
+    raise DataFormatError(f"{where}: cache record holds {json.dumps(value)[:60]}, "
+                          "not a text, a vector or a reply")
 
 
 def _unpack(text, where: str) -> Embedding:
@@ -356,14 +366,12 @@ class _Remote:
     proxies are checked: where its requests go, the request head up to
     `Content-Length`, the lane's in-flight bound, the rendered JSON around
     each body's variable part (the input text, or the message list), the
-    cache key's prefix, how a reply decodes and the type of what it
-    decodes to. A body is `head`, the
+    cache key's prefix and how a reply decodes. A body is `head`, the
     variable part, then `tail`: the bytes of
     ``json.dumps(body, sort_keys=True, ensure_ascii=False)``. A request's
     cache key is the sha256 of `key_prefix` and its body, so that rendering
     is fixed: it must match the keys of every cache file written before."""
 
-    lane: Lane
     cfg: ProviderConfig
     https: bool
     host: str
@@ -376,7 +384,6 @@ class _Remote:
     tail: str
     key_prefix: bytes  # the provider id and a NUL, UTF-8
     decode: Callable[[object], object]
-    value_type: type  # str or Embedding
 
     @classmethod
     def of(cls, lane: Lane, cfg: ProviderConfig, proxies: dict[str, str]) -> "_Remote":
@@ -387,20 +394,20 @@ class _Remote:
         model = json.dumps(cfg.model_name, ensure_ascii=False)
         if cfg.kind == REMOTE_EMBED:
             path, head, tail = "/v1/embeddings", '{"input": ', f', "model": {model}}}'
-            decode, value_type = _embedding, Embedding
+            decode = _embedding
         else:
             path, head = "/v1/chat/completions", '{"messages": '
             tail = f', "model": {model}, "temperature": {json.dumps(cfg.temperature)}}}'
-            decode, value_type = functools.partial(_completion_text, lane), str
+            decode = functools.partial(_completion_text, lane)
         url = urlsplit(f"{cfg.endpoint.rstrip('/')}{path}")
         https = url.scheme == "https"
         request_head = (f"POST {url.path} HTTP/1.1\r\nHost: {url.netloc}\r\n"
                         "Content-Type: application/json\r\n")
         if key:
             request_head += f"Authorization: Bearer {key}\r\n"
-        return cls(lane, cfg, https, url.hostname, url.port or (443 if https else 80),
+        return cls(cfg, https, url.hostname, url.port or (443 if https else 80),
                    request_head.encode("ascii"), threading.Semaphore(cfg.max_inflight),
-                   head, tail, f"{cfg.provider_id}\x00".encode("utf-8"), decode, value_type)
+                   head, tail, f"{cfg.provider_id}\x00".encode("utf-8"), decode)
 
 
 @dataclass
@@ -439,8 +446,10 @@ def _embedding(payload) -> Embedding:
 
 
 def _checked(request: _Request, value):
-    """`value`, the decoded reply to `request`, once its embedding is known
-    to have the request's dimension."""
+    """`value`, decoded or cached for `request`, once it is known to have its
+    lane's form (an `Embedding` for embed, else a text) and dimension."""
+    if isinstance(value, Embedding) is not (request.remote.cfg.kind == REMOTE_EMBED):
+        raise DataFormatError(f"cache record {request.key} holds a value of the wrong form for its lane")
     if request.dim and len(value) != request.dim:
         raise DimensionError(
             f"remote embedding dim {len(value)} does not match bundle dim {request.dim}")
@@ -577,7 +586,7 @@ class ModelGateway:
                 if cached is None:
                     misses.append(i)
                 else:
-                    results[i] = self._hit(request, cached)
+                    results[i] = _checked(request, cached)
             except Exception as exc:  # noqa: BLE001 - sorted out below
                 results[i] = exc
 
@@ -659,8 +668,8 @@ class ModelGateway:
     # -- wire plumbing ---------------------------------------------------------
 
     def _post_with_retries(self, request: _Request):
-        """Serve `request` from the cache (see `_hit`), or send it, decode the
-        reply and cache the value.
+        """Serve `request` from the cache, or send it, decode the reply and
+        cache the value.
 
         While one caller sends a request, others asking for the same one wait
         and then read the cache. If sending or decoding fails nothing is
@@ -674,7 +683,7 @@ class ModelGateway:
                     done = self._inflight[request.key] = threading.Event()
                     break
             if cached is not None:
-                return self._hit(request, cached)
+                return _checked(request, cached)
             pending.wait()
         try:
             result = _checked(request, request.remote.decode(self._send(request)))
@@ -684,16 +693,6 @@ class ModelGateway:
             with self._inflight_lock:
                 del self._inflight[request.key]
             done.set()
-
-    def _hit(self, request: _Request, value):
-        """`value`, cached for `request`, checked on every hit. A value not
-        of the lane's type (an older file's whole reply) is decoded on its
-        first hit, and the cache keeps the result in its place; two threads
-        hitting it at once may both decode it, to equal values."""
-        if not isinstance(value, request.remote.value_type):
-            value = request.remote.decode(value)
-            self.cache.replace(request.key, value)
-        return _checked(request, value)
 
     def _send(self, request: _Request) -> dict:
         remote = request.remote

@@ -112,7 +112,11 @@ class Lexicon:
     Building a lexicon makes `roles`, the one table mapping each predicate word
     to its `Role`. A word has one role at most: the four predicate sets
     (spatial_preps, interaction_verbs, action_verbs, state_verbs keys) must be
-    pairwise disjoint. Loaded entries are lowercase, as are looked-up lemmas.
+    pairwise disjoint. Every word of them, every state label and every
+    gazetteer lemma must be lowercase, as looked-up lemmas and complement
+    labels are; `load_lexicon` lowercases what it reads, and a hand-built
+    lexicon holding a word that is not lowercase raises LexiconError naming
+    its set.
     """
 
     spatial_preps: frozenset[str]
@@ -130,6 +134,11 @@ class Lexicon:
             ("action_verbs", dict.fromkeys(self.action_verbs, RelationCategory.ACTION)),
             ("state_verbs", self.state_verbs),
         ]
+        for name, words in [*sets, ("state_verbs labels", self.state_verbs.values()),
+                            ("type_gazetteer", self.type_gazetteer)]:
+            if cased := sorted(word for word in words if word != word.lower()):
+                raise LexiconError(f"lexicon set {name} holds words that are not lowercase: "
+                                   f"{cased}")
         for i, (name_a, roles_a) in enumerate(sets):
             for name_b, roles_b in sets[i + 1:]:
                 clash = roles_a.keys() & roles_b.keys()

@@ -215,21 +215,60 @@ def test_run_malformed_cache_line_is_data_error(suite, tmp_path, capsys):
     config["cache_path"] = str(cache_path)
     config_path = tmp_path / "cached.json"
     config_path.write_text(json.dumps(config), encoding="utf-8")
-    # A null record would be sent again on every call and never cached again.
+    # A value must be a text, a vector or a whole reply that decodes: any
+    # other value would fail its request on every run and never be sent.
     # A vector must be base64 of a nonempty whole number of finite doubles.
     vectors = [base64.b64encode(raw).decode("ascii") for raw in (
         b"", b"\0" * 7, b"\0" * 12, struct.pack("<2d", 1.0, math.inf),
         struct.pack("<d", math.nan))]
     bad_vectors = [f'{{"k2": {{"f64": "{text}"}}}}' for text in vectors]
-    for second_line in ('{"k2": ', '{"k2": null}', '{"k2": {"f64": "AA!A"}}',
-                        '{"k2": {"f64": "AAAAAAAAAAA"}}', '{"k2": {"f64": 5}}', *bad_vectors):
-        cache_path.write_text(f'{{"k1": 1}}\n{second_line}\n{{"k3": 3}}\n', encoding="utf-8")
-        code = main([
-            "run", "--bundle", str(suite["bundle_dir"]), "--config", str(config_path),
-            "--question", "q?", "--options", "a", "b",
-        ])
-        assert code == 2
-        assert "cache.json:2" in capsys.readouterr().err
+    foreign = ['{"k2": 3}', '{"k2": [1, 2]}', '{"k2": {"v": 3}}', '{"k2": null}',
+               '{"k2": {"choices": []}}', '{"k2": {"data": [{"embedding": "1 2"}]}}']
+    for second_line in ('{"k2": ', '{"k2": {"f64": "AA!A"}}', '{"k2": {"f64": "AAAAAAAAAAA"}}',
+                        '{"k2": {"f64": 5}}', *bad_vectors, *foreign):
+        cache_path.write_text(f'{{"k1": "one"}}\n{second_line}\n{{"k3": "three"}}\n',
+                              encoding="utf-8")
+        for argv in (["run", "--bundle", str(suite["bundle_dir"]), "--question", "q?",
+                      "--options", "a", "b"],
+                     ["eval", "--qa", str(suite["qa"]), "--bundle", str(suite["bundle_root"]),
+                      "--out", str(tmp_path / "out")]):
+            assert main([*argv, "--config", str(config_path)]) == 2
+            assert f"data error: {cache_path}:2: " in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value,problem", [
+    ({"choices": []}, "{path}:1: cache record holds a reply that does not decode: "
+                      "malformed chat payload"),
+    ({"f64": "AAAAAAAA8D8="}, "cache record {key} holds a value of the wrong form for its lane"),
+], ids=["reply-that-does-not-decode", "vector-under-a-chat-key"])
+def test_a_cached_value_its_lane_cannot_use_is_data_error(tmp_path, suite, model_stub, capsys,
+                                                          value, problem):
+    # A reply that does not decode used to fail its request on every run,
+    # sending nothing, and a vector under a chat key (only an edit can put
+    # one there) to crash `run` once the load stopped decoding on hits.
+    endpoint, state = model_stub
+    config = json.loads(suite["config"].read_text(encoding="utf-8"))
+    config["providers"]["default"]["chat"] = remote_lanes(endpoint)["chat"]
+    config["cache_path"] = str(tmp_path / "cache.jsonl")
+    config_path = tmp_path / "cached.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    argv = ["run", "--bundle", str(suite["bundle_dir"]), "--config", str(config_path),
+            "--question", "q?", "--options", "a", "b"]
+    assert main(argv) == 0
+    lines = (tmp_path / "cache.jsonl").read_text(encoding="utf-8").splitlines()
+    (key, text), = json.loads(lines[0]).items()
+    assert isinstance(text, str)  # the first chat prompt's reply
+    lines[0] = json.dumps({key: value})
+    (tmp_path / "cache.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    before, sent = (tmp_path / "cache.jsonl").read_bytes(), len(state.requests)
+    capsys.readouterr()
+    for _ in range(2):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "data error: " + problem.format(path=tmp_path / "cache.jsonl", key=key) in err
+    assert (tmp_path / "cache.jsonl").read_bytes() == before
+    assert len(state.requests) == sent
 
 
 def test_eval_counts_scripted_rounds_per_item(suite, tmp_path):
@@ -507,6 +546,34 @@ def test_lane_kind_that_cannot_serve_the_lane_is_config_error(tmp_path, suite, c
     config_path = write_config(tmp_path, suite, providers=config["providers"])
     err = rejected_before_any_item(tmp_path, suite, capsys, command, config_path)
     assert f"configuration error: provider kind {kind} cannot serve {lane}" in err
+
+
+@pytest.mark.parametrize("command", ["run", "eval"])
+@pytest.mark.parametrize("lane,key", [("chat", "chatt"), ("caption", "captions"),
+                                      ("embed", "embedding")])
+def test_provider_key_that_is_no_lane_is_config_error(tmp_path, suite, capsys, command, lane,
+                                                      key):
+    # A misspelled lane used to be ignored: with no chat lane every round
+    # failed and eval still reported an accuracy.
+    config = json.loads(suite["config"].read_text(encoding="utf-8"))
+    lanes = config["providers"]["default"]
+    lanes[key] = lanes.pop(lane)
+    config_path = write_config(tmp_path, suite, providers=config["providers"])
+    err = rejected_before_any_item(tmp_path, suite, capsys, command, config_path)
+    assert f"configuration error: provider block holds {key!r}, which are not lanes " \
+           "(lanes: chat, caption, embed)" in err
+
+
+@pytest.mark.parametrize("command", ["run", "eval"])
+@pytest.mark.parametrize("missing", [("chat",), ("caption",), ("chat", "caption")])
+def test_provider_block_without_chat_or_caption_is_config_error(tmp_path, suite, capsys,
+                                                                command, missing):
+    config = json.loads(suite["config"].read_text(encoding="utf-8"))
+    for lane in missing:
+        del config["providers"]["default"][lane]
+    config_path = write_config(tmp_path, suite, providers=config["providers"])
+    err = rejected_before_any_item(tmp_path, suite, capsys, command, config_path)
+    assert f"configuration error: provider block has no {' or '.join(missing)} lane" in err
 
 
 @pytest.mark.parametrize("command", ["run", "eval"])
@@ -816,17 +883,24 @@ def test_each_eval_decodes_every_cached_reply_it_hits_once(tmp_path, model_stub,
     keys = len(cache_path.read_text(encoding="utf-8").splitlines())
     sent = len(state.requests)
     decoded = count_decodes(monkeypatch)
-    hits = []
+    hits, decoded_by_a_hit = [], []
     get = ResponseCache.get
-    monkeypatch.setattr(ResponseCache, "get",
-                        lambda cache, key: hits.append(key) or get(cache, key))
+
+    def counting_get(cache, key):
+        hits.append(key)
+        decoded_by_a_hit.append(len(decoded))
+        return get(cache, key)
+
+    monkeypatch.setattr(ResponseCache, "get", counting_get)
     counts = []
     for out in ("warm", "warm again", "old records", "old records again"):
-        if out == "old records":  # each holds the whole reply, decoded on its first hit
+        if out == "old records":  # each holds the whole reply, decoded as the file loads
             assert as_old_records(cache_path) == keys
         decoded.clear()
         hits.clear()
+        decoded_by_a_hit.clear()
         assert evaluate(out) == 0
+        assert set(decoded_by_a_hit) == {len(decoded)}  # all before the first hit
         counts.append((len(decoded), len(set(hits)), len(hits) > keys))
     assert len(state.requests) == sent
     assert counts == [(0, keys, True)] * 2 + [(keys, keys, True)] * 2

@@ -571,29 +571,29 @@ def _cache_lines(path):
 def test_cache_put_appends_one_record_per_key(tmp_path):
     path = tmp_path / "cache.json"
     cache = ResponseCache(path)
-    cache.put("k1", {"v": 1})
+    cache.put("k1", "one")
     before = path.read_bytes()
-    cache.put("k2", {"v": "ü"})
-    cache.put("k1", {"v": "ignored"})  # a concurrent miss on a cached key
+    cache.put("k2", "ü")
+    cache.put("k1", "ignored")  # a concurrent miss on a cached key
     assert path.read_bytes().startswith(before)
-    assert _cache_lines(path) == [{"k1": {"v": 1}}, {"k2": {"v": "ü"}}]
-    assert cache.get("k1") == {"v": 1}
+    assert _cache_lines(path) == [{"k1": "one"}, {"k2": "ü"}]
+    assert cache.get("k1") == "one"
 
 
 @pytest.mark.parametrize("tail", [b'{"k3": {"v": 3', '{"k3": "ü'.encode("utf-8")[:-1]])
 def test_cache_drops_truncated_last_line(tmp_path, tail):
     path = tmp_path / "cache.json"
     cache = ResponseCache(path)
-    cache.put("k1", {"v": 1})
-    cache.put("k2", {"v": 2})
+    cache.put("k1", "one")
+    cache.put("k2", Embedding([2.0]))
     with path.open("ab") as handle:
-        handle.write(tail)
+        handle.write(tail)  # a cut line is dropped whatever it held
 
     reloaded = ResponseCache(path)
-    assert (reloaded.get("k1"), reloaded.get("k2"), reloaded.get("k3")) == ({"v": 1}, {"v": 2}, None)
-    reloaded.put("k4", {"v": 4})
+    assert (reloaded.get("k1"), reloaded.get("k2"), reloaded.get("k3")) == ("one", (2.0,), None)
+    reloaded.put("k4", "four")
     again = ResponseCache(path)
-    assert [again.get(k) for k in ("k1", "k2", "k4")] == [{"v": 1}, {"v": 2}, {"v": 4}]
+    assert [again.get(k) for k in ("k1", "k2", "k4")] == ["one", (2.0,), "four"]
     assert len(_cache_lines(path)) == 3
 
 
@@ -617,20 +617,29 @@ def test_cache_reads_single_object_file_and_serves_hits(stub_server, tmp_path):
 
 def test_cache_malformed_middle_line_raises(tmp_path):
     path = tmp_path / "cache.json"
-    path.write_text('{"k1": 1}\nnot json\n{"k2": 2}\n', encoding="utf-8")
+    path.write_text('{"k1": "one"}\nnot json\n{"k2": "two"}\n', encoding="utf-8")
     with pytest.raises(DataFormatError, match=":2:"):
         ResponseCache(path)
-    path.write_text('{"k1": 1}\n[1, 2]\n', encoding="utf-8")
+    path.write_text('{"k1": "one"}\n[1, 2]\n', encoding="utf-8")
     with pytest.raises(DataFormatError, match="not a JSON object"):
         ResponseCache(path)
-    path.write_text('{"k1": 1}\n{"k2": null}\n', encoding="utf-8")
-    with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}:2: .*null"):
-        ResponseCache(path)
+    for value, problem in [(None, "holds null, not a text"), (3, "holds 3, not a text"),
+                           (True, "holds true, not a text"), ([1, 2], "holds \\[1, 2\\], not"),
+                           ({"v": 3}, 'holds {"v": 3}, not a text, a vector or a reply'),
+                           ({"f64": "AAAAAAAAAAA=", "v": 3}, "not a text"),
+                           ({"choices": []}, "reply that does not decode: malformed chat"),
+                           ({"choices": [{"message": {"content": 5}}]}, "content is int"),
+                           ({"data": [{"embedding": []}]}, "malformed embeddings payload"),
+                           ({"data": [{"embedding": [1, "2"]}]}, "malformed embeddings")]:
+        path.write_text(f'{{"k1": "one"}}\n{json.dumps({"k2": value})}\n', encoding="utf-8")
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}:2: .*{problem}"):
+            ResponseCache(path)
     for vector, problem in [("", "holds 0 bytes"), ("AAAA", "holds 3 bytes"),
                             ("AAAAAAAAAAA", "not base64"), ("A!AA", "not base64"),
                             (5, "not base64"),
                             (base64.b64encode(struct.pack("<d", -math.inf)).decode(), "non-finite")]:
-        path.write_text(f'{{"k1": 1}}\n{json.dumps({"k2": {"f64": vector}})}\n', encoding="utf-8")
+        path.write_text(f'{{"k1": "one"}}\n{json.dumps({"k2": {"f64": vector}})}\n',
+                        encoding="utf-8")
         with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}:2: .*{problem}"):
             ResponseCache(path)
 
@@ -796,12 +805,12 @@ def test_cache_put_refuses_none(tmp_path):
     # line would fail the next load.
     path = tmp_path / "cache.jsonl"
     cache = ResponseCache(path)
-    cache.put("k1", {"v": 1})
+    cache.put("k1", "one")
     with pytest.raises(ValueError, match="None"):
         cache.put("k2", None)
     assert cache.get("k2") is None
-    assert _cache_lines(path) == [{"k1": {"v": 1}}]
-    assert ResponseCache(path).get("k1") == {"v": 1}
+    assert _cache_lines(path) == [{"k1": "one"}]
+    assert ResponseCache(path).get("k1") == "one"
 
 
 # -- request bodies and keys, rendered from each lane's constants --------------------------
@@ -864,16 +873,17 @@ def test_sessions_sharing_a_gateway_decode_each_cached_reply_once(model_stub, mo
     decoded = count_decodes(monkeypatch)
 
     def caches():
-        """Each cache to serve from, and how many replies its hits decode.
-        The cache holds decoded values, and a file of new records loads
-        them: a hit decodes nothing. A file of old records, each the whole
-        reply, is decoded once per key, on its first hit from any view."""
-        yield cold.cache, 0
-        yield ResponseCache(path), 0
+        """Each cache to serve from: the cold one, a file of new records,
+        which loads their values, and a file of old records, each the whole
+        reply, which its load decodes once per key."""
+        yield cold.cache
+        yield ResponseCache(path)
         as_old_records(path)
-        yield ResponseCache(path), len(ROUND)
+        yield ResponseCache(path)
 
-    for cache, decodes in caches():
+    loads = []
+    for cache in caches():
+        loads.append(len(decoded))
         decoded.clear()
         with remote_gateway(endpoint) as warm:
             warm.cache = cache
@@ -881,7 +891,8 @@ def test_sessions_sharing_a_gateway_decode_each_cached_reply_once(model_stub, mo
                 assert view.gather(ROUND, bundle) == view.gather(ROUND, bundle) == expected
                 view.caption(3, bundle)
                 view.embed("a question", bundle)
-        assert len(decoded) == decodes
+        assert decoded == []  # a hit decodes nothing
+    assert loads == [0, 0, len(ROUND)]
     assert len(state.requests) == sent
 
 
@@ -902,6 +913,32 @@ def test_a_kept_vector_of_another_dimension_raises_on_every_hit(model_stub):
     assert len(state.requests) == 1
 
 
+def test_a_cached_value_of_the_other_lanes_form_raises_on_every_hit(model_stub, tmp_path):
+    # A key hashes its lane's provider, so only an edit can put a vector under
+    # a caption key or a text under an embed key.
+    endpoint, state = model_stub
+    bundle = make_bundle(total_frames=20, dim=8)
+    path = tmp_path / "cache.jsonl"
+    with remote_gateway(endpoint) as cold:
+        cold.cache = ResponseCache(path)
+        cold.caption(3, bundle)
+        cold.embed(3, bundle)
+    (caption_key, text), (embed_key, vector) = [(*record.items(),)[0]
+                                                for record in _cache_lines(path)]
+    path.write_text(f"{json.dumps({caption_key: vector})}\n{json.dumps({embed_key: text})}\n",
+                    encoding="utf-8")
+    with remote_gateway(endpoint) as warm:
+        warm.cache = ResponseCache(path)
+        for _ in range(2):
+            for lane, key in [("caption", caption_key), ("embed", embed_key)]:
+                problem = f"^cache record {key} holds a value of the wrong form for its lane$"
+                with pytest.raises(DataFormatError, match=problem):
+                    warm.gather([(lane, 3)], bundle)
+                with pytest.raises(DataFormatError, match=problem):
+                    getattr(warm, lane)(3, bundle)
+    assert len(state.requests) == 2
+
+
 DOUBLES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, sys.float_info.max,
      -sys.float_info.max])
@@ -920,3 +957,52 @@ def test_a_cached_vector_is_its_little_endian_doubles_and_loads_back_exactly(val
         loaded = ResponseCache(path).get("k")
     assert type(loaded) is Embedding
     assert struct.pack(f"<{len(loaded)}d", *loaded) == exact
+
+
+def exact(value):
+    """A cache value in a form that tells every double apart, -0.0 from 0.0."""
+    if isinstance(value, Embedding):
+        return "vector", struct.pack(f"<{len(value)}d", *value)
+    return "text", value
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(texts | st.text() | st.lists(DOUBLES, min_size=1, max_size=8).map(Embedding),
+                min_size=1, max_size=6))
+def test_every_text_and_finite_vector_that_put_writes_reloads_equal(values):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cache.jsonl"
+        cache = ResponseCache(path)
+        for index, value in enumerate(values):
+            cache.put(f"k{index}", value)
+        loaded = ResponseCache(path)
+    for index, value in enumerate(values):
+        assert type(loaded.get(f"k{index}")) is type(value)
+        assert exact(loaded.get(f"k{index}")) == exact(value)
+
+
+def with_value(extra):
+    return lambda values: Embedding([*values, extra])
+
+
+# What a load would reject: anything but a text or a nonempty vector of finite doubles.
+NOT_CACHEABLE = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.binary(max_size=4),
+    st.lists(DOUBLES, max_size=3), st.tuples(DOUBLES), st.lists(st.text(max_size=3), max_size=2),
+    st.dictionaries(st.text(max_size=4), st.text(max_size=4), max_size=2),
+    st.just({"choices": [{"message": {"content": "a reply"}}]}), st.just(Embedding(())),
+    st.lists(DOUBLES, max_size=3).map(with_value(math.nan)),
+    st.lists(DOUBLES, max_size=3).map(with_value(-math.inf)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(NOT_CACHEABLE)
+def test_cache_put_refuses_anything_but_a_text_or_a_finite_vector(value):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cache.jsonl"
+        cache = ResponseCache(path)
+        with pytest.raises(ValueError, match="^cannot cache .* not a text or a nonempty, finite"):
+            cache.put("k", value)
+        assert cache.get("k") is None
+        assert not path.exists()

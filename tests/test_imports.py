@@ -1,8 +1,9 @@
 """Every package module uses each name it imports, each private name it
-defines at top level and each private member its classes define or its
-methods set on `self`, and every test module each name it imports, so a
-removal leaves no stale import, helper or attribute behind. `__init__.py`
-is exempt from the import check: it imports to re-export."""
+defines at top level, each private member its classes define or its
+methods set on `self` and each field of its private dataclasses, and every
+test module each name it imports, so a removal leaves no stale import,
+helper, attribute or field behind. `__init__.py` is exempt from the import
+check: it imports to re-export."""
 
 from __future__ import annotations
 
@@ -76,10 +77,31 @@ def unread_members(source: str) -> list[str]:
         elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
               and isinstance(node.value, ast.Name) and node.value.id == "self"):
             defined.add(node.attr)
-    read = {node.attr for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
-    return sorted(private - read)
+    return sorted(private - attributes_read(tree))
+
+
+def attributes_read(tree: ast.AST) -> set[str]:
+    """The attribute names that `tree` reads anywhere, as in `x.name`."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def unread_fields(source: str) -> list[str]:
+    """The fields, as `Class.field`, of the private (`_Name`) dataclasses
+    that `source` defines but never reads as an attribute."""
+    tree = ast.parse(source)
+    read = attributes_read(tree)
+    unread = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ClassDef) and node.name.startswith("_")):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if "dataclass" in {getattr(d, "id", getattr(d, "attr", None)) for d in decorators}:
+            unread += [f"{node.name}.{member.target.id}" for member in node.body
+                       if isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name)
+                       and member.target.id not in read]
+    return sorted(unread)
 
 
 def test_modules_exist():
@@ -154,3 +176,33 @@ def test_check_finds_an_unread_private_member():
         "        self._grow()\n"
     )
     assert unread_members(source) == ["_old", "_stale", "_unused"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_reads_every_field_of_its_private_dataclasses(module):
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    assert unread_fields(source) == []
+
+
+def test_check_finds_an_unread_dataclass_field():
+    source = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass, field\n"
+        "@dataclass(frozen=True)\n"
+        "class _Wire:\n"
+        "    host: str\n"
+        "    lane: str\n"
+        "    port: int = field(default=80)\n"
+        "@dataclasses.dataclass\n"
+        "class _Plain:\n"
+        "    stale: int\n"
+        "    LIMIT = 3\n"
+        "@dataclass\n"
+        "class Public:\n"
+        "    ignored: int\n"
+        "class _NotData:\n"
+        "    ignored: int\n"
+        "def address(wire: _Wire, plain: _Plain) -> str:\n"
+        "    return f'{wire.host}:{wire.port}'\n"
+    )
+    assert unread_fields(source) == ["_Plain.stale", "_Wire.lane"]

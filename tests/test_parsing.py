@@ -241,6 +241,27 @@ def test_lexicon_sets_disjoint_enforced(set_a, set_b):
     assert str(info.value) == f"lexicon sets {set_a} and {set_b} overlap: ['grow', 'shout']"
 
 
+@pytest.mark.parametrize("name", [*PREDICATE_SETS, "type_gazetteer"])
+def test_lexicon_word_that_is_not_lowercase_is_rejected(name):
+    # Lemmas are looked up lowercased, so such a word would never match: a
+    # spatial "On" left "the cup on the table" with no triple.
+    sets = {"spatial_preps": frozenset(), "interaction_verbs": frozenset(),
+            "action_verbs": frozenset(), "state_verbs": {}, "type_gazetteer": {}}
+    words = ["near", "Shout", "GROW"]
+    sets[name] = {"state_verbs": dict.fromkeys(words, "*"),
+                  "type_gazetteer": dict.fromkeys(words, EntityType.OBJECT)}.get(
+                      name, frozenset(words))
+    with pytest.raises(LexiconError) as info:
+        Lexicon(**sets)
+    assert str(info.value) == \
+        f"lexicon set {name} holds words that are not lowercase: ['GROW', 'Shout']"
+    with pytest.raises(LexiconError, match="spatial_preps holds words that are not lowercase"):
+        Lexicon(frozenset({"On"}), frozenset(), frozenset(), {}, {})
+    with pytest.raises(LexiconError, match=r"^lexicon set state_verbs labels holds words that "
+                                            r"are not lowercase: \['Happy'\]$"):
+        Lexicon(frozenset(), frozenset(), frozenset(), {"smile": "Happy", "open": "*"}, {})
+
+
 def test_gazetteer_word_with_a_role_is_both_a_mention_and_a_predicate(lex):
     grown = Lexicon(
         spatial_preps=lex.spatial_preps,
