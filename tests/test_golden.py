@@ -1,6 +1,7 @@
-"""Golden outputs: `eval`, `graph --out` and `extract` on the committed
-inputs under `data/golden` write the committed `report.json`,
-`transcripts.jsonl`, `graph.json` and `extract.jsonl` byte for byte.
+"""Golden outputs: `eval`, `graph` and `extract` on the committed inputs
+under `data/golden` write the committed `report.json`, `transcripts.jsonl`,
+`graph.json`, `graph.txt` (the `graph` command's printout) and
+`extract.jsonl` byte for byte.
 
 The inputs are three bundles with captions and 8-dim embeddings, twelve QA
 items, a chat script and a config whose embed lane takes frame vectors from
@@ -11,6 +12,7 @@ To regenerate the outputs after an intended behaviour change, run from
 
     graphvqa eval --qa qa.jsonl --bundle bundles --config config.json --out OUT
     graphvqa graph --bundle bundles/kitchen --config config.json --out OUT
+    graphvqa graph --bundle bundles/kitchen --config config.json > graph.txt
     for v in hall kitchen short; do graphvqa extract --bundle bundles/$v; done > extract.jsonl
 """
 
@@ -66,6 +68,12 @@ def test_graph_writes_golden_graph(in_golden, tmp_path, capsys):
     assert main(["graph", "--bundle", "bundles/kitchen", "--config", "config.json",
                  "--out", str(out)]) == 0
     assert (out / "graph.json").read_bytes() == (GOLDEN / "graph.json").read_bytes()
+
+
+def test_graph_prints_golden_summary(in_golden, capsys):
+    # without --out, whose line names the output directory
+    assert main(["graph", "--bundle", "bundles/kitchen", "--config", "config.json"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "graph.txt").read_text(encoding="utf-8")
 
 
 def test_extract_writes_golden_parses(in_golden, capsys):
