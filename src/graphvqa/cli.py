@@ -92,13 +92,25 @@ def _build_parser() -> _Parser:
 # Config plumbing
 # ---------------------------------------------------------------------------
 
+_CONFIG_KEYS = ("agent", "selector", "graph", "providers", "lexicon_dir", "cache_path")
+
+
 def load_config(path: Optional[str]) -> dict:
+    """The config file's object, whose every top-level key is one of
+    `_CONFIG_KEYS`, so a misspelled key is refused rather than ignored."""
     if not path:
         return {}
     config_path = Path(path)
     if not config_path.is_file():
         raise CliUsageError(f"config file not found: {path}")
     config = parse_object(config_path.read_bytes(), f"bad config: {path}", CliUsageError)
+    unknown = sorted(set(config) - set(_CONFIG_KEYS))
+    if unknown:
+        raise CliUsageError(f"bad config: unknown key {', '.join(map(repr, unknown))} "
+                            f"(keys: {', '.join(_CONFIG_KEYS)})")
+    for key in ("agent", "selector", "graph"):
+        if not isinstance(config.get(key, {}), dict):
+            raise CliUsageError(f"bad config: {key} must be an object, got {config[key]!r}")
     providers = config.get("providers", {})
     if not isinstance(providers, dict) or not all(isinstance(b, dict) for b in providers.values()):
         raise CliUsageError("bad config: providers must map each name to an object")

@@ -14,6 +14,10 @@ or previously merged alias), then by embedding similarity: a new lemma whose
 embedding has cosine similarity >= merge_similarity with an existing node of
 the same type merges into the most similar such node.
 
+`VideoGraph.summarize` writes one line per entity, relation and state
+trail, in one form at any budget: a list longer than `LIST_LIMIT` keeps
+only its ends and its count. The budget picks which whole lines show.
+
 Every vector is an `Embedding`, made once where it enters the program and
 shared from then on: it never changes, and it computes its norm at most once.
 """
@@ -33,6 +37,12 @@ from .errors import DimensionError, check_field_types
 from .parsing import CaptionParse, EntityType, Mention, QueryParse, RelationCategory
 
 NEUTRAL_STATE = "neutral"
+# A frame list or state trail of more than this many items prints as its
+# first two, `…` and its last; no session graph lists as many frames.
+LIST_LIMIT = 100
+# What each summary section lists, and what it says when the graph has none.
+_SECTIONS = (("entities", "(no entities tracked yet)"), ("relations", "(no relations observed yet)"),
+             ("state trails", "(no state changes recorded yet)"))
 
 
 @dataclass
@@ -344,32 +354,17 @@ class VideoGraph:
     def summarize(self, query: Optional[QueryParse], char_budget: int) -> tuple[str, str, str]:
         """Render (entity_summary, relation_summary, temporal_summary).
 
-        Entities sort by query overlap, then appearance count, then lemma.
-        Total length stays within char_budget by dropping the lowest-ranked
-        lines first, never cutting mid-line. A line that could not fit even
-        beside the other two sections' placeholders shows only the first two
-        and the last of its frames, with their count; if it still cannot
-        fit, it alone is dropped.
+        Entities sort by query overlap, then appearance count, then lemma;
+        relations and state trails follow the same ranks. A line's text does
+        not depend on the budget: a frame list or state trail of more than
+        LIST_LIMIT items shows its first two, `…`, its last and its count.
+        The budget only picks whole lines, dropping the worst-ranked first,
+        so a larger budget shows a superset of the lines. A section whose
+        lines all dropped says how many it left out; a "(no … yet)" line
+        means the graph holds nothing of that kind.
         """
         if char_budget < 256:
             raise ValueError(f"char_budget must be >= 256, got {char_budget}")
-        placeholders = (
-            "(no entities tracked yet)",
-            "(no relations observed yet)",
-            "(no state changes recorded yet)",
-        )
-        if not self.nodes:
-            return placeholders
-        spare = char_budget - sum(map(len, placeholders))
-        caps = [spare + len(placeholder) for placeholder in placeholders]
-
-        def fit(head: str, frames: list[int], tail: str, cap: int) -> str:
-            line = f"{head}{frames}{tail}"
-            if len(line) > cap and len(frames) > 3:
-                line = (f"{head}[{frames[0]}, {frames[1]}, …, {frames[-1]}] "
-                        f"({len(frames)} sightings){tail}")
-            return line
-
         query_lemmas = {m.lemma for m in query.entities} if query else set()
 
         def node_overlap(node: EntityNode) -> int:
@@ -384,10 +379,8 @@ class VideoGraph:
         for node in ranked_nodes:
             state = node.effective_state(self.processed_frames[-1]) if self.processed_frames else NEUTRAL_STATE
             suffix = f", state: {state}" if state != NEUTRAL_STATE else ""
-            entity_lines.append(fit(
-                f"{node.canonical_lemma} ({node.entity_type.value}) frames ",
-                node.frame_indices, suffix, caps[0],
-            ))
+            entity_lines.append(f"{node.canonical_lemma} ({node.entity_type.value}) frames "
+                                f"{_frame_list(node.frame_indices)}{suffix}")
 
         def edge_overlap(edge: RelationEdge) -> int:
             return max(node_overlap(self.nodes[edge.src]), node_overlap(self.nodes[edge.dst]))
@@ -403,11 +396,8 @@ class VideoGraph:
             ),
         )
         relation_lines = [
-            fit(
-                f"{self.nodes[e.src].canonical_lemma} —{e.predicate}→ "
-                f"{self.nodes[e.dst].canonical_lemma} @ frames ",
-                e.frame_indices, "", caps[1],
-            )
+            f"{self.nodes[e.src].canonical_lemma} —{e.predicate}→ "
+            f"{self.nodes[e.dst].canonical_lemma} @ frames {_frame_list(e.frame_indices)}"
             for e in ranked_edges
         ]
 
@@ -418,30 +408,36 @@ class VideoGraph:
             first_frame = node.frame_indices[0]
             trail = [(first_frame, NEUTRAL_STATE)] if node.state_history[0][0] > first_frame else []
             trail.extend(node.state_history)
-            steps = " → ".join(f"{label}@{frame}" for frame, label in trail)
-            temporal_lines.append(f"{node.canonical_lemma}: {steps}")
+            temporal_lines.append(f"{node.canonical_lemma}: {_steps(trail)}")
 
-        sections = [
-            [line for line in lines if len(line) <= cap]
-            for lines, cap in zip((entity_lines, relation_lines, temporal_lines), caps)
-        ]
-        total = sum(len(self._render_section(lines, placeholder))
-                    for lines, placeholder in zip(sections, placeholders))
+        sections = [entity_lines, relation_lines, temporal_lines]
+        empty = [f"({kind} left out: {len(lines)})" if lines else none
+                 for lines, (kind, none) in zip(sections, _SECTIONS)]
+        total = sum(len("\n".join(lines) or text) for lines, text in zip(sections, empty))
         # Global rank interleaves sections so each keeps its top lines; the
-        # worst-ranked line goes first when the budget is tight. Every line
-        # fits beside two placeholders, so some line remains to drop while
-        # the total is over budget.
+        # worst-ranked line goes first when the budget is tight. With every
+        # line dropped only the three short `empty` texts remain, which fit
+        # any budget, so some line remains to drop while the total is over.
         while total > char_budget:
             _, si = max((len(lines) - 1, si) for si, lines in enumerate(sections) if lines)
             lines = sections[si]
             line = lines.pop()
-            total -= len(line) + 1 if lines else len(line) - len(placeholders[si])
+            total -= len(line) + 1 if lines else len(line) - len(empty[si])
 
-        return tuple(
-            self._render_section(lines, placeholder)
-            for lines, placeholder in zip(sections, placeholders)
-        )
+        return tuple("\n".join(lines) or text for lines, text in zip(sections, empty))
 
-    @staticmethod
-    def _render_section(lines: list[str], placeholder: str) -> str:
-        return "\n".join(lines) if lines else placeholder
+
+def _frame_list(frames: list[int]) -> str:
+    """`frames`, or beyond LIST_LIMIT of them their ends and their count."""
+    if len(frames) <= LIST_LIMIT:
+        return f"{frames}"
+    return f"[{frames[0]}, {frames[1]}, …, {frames[-1]}] ({len(frames)} sightings)"
+
+
+def _steps(trail: list[tuple[int, str]]) -> str:
+    """(frame, label) steps as `label@frame → …`, or beyond LIST_LIMIT of them
+    their ends and their count."""
+    if len(trail) <= LIST_LIMIT:
+        return " → ".join(f"{label}@{frame}" for frame, label in trail)
+    (f0, l0), (f1, l1), (fn, ln) = trail[0], trail[1], trail[-1]
+    return f"{l0}@{f0} → {l1}@{f1} → … → {ln}@{fn} ({len(trail)} steps)"

@@ -613,10 +613,14 @@ def test_endpoint_that_is_no_http_url_is_config_error(tmp_path, suite, capsys, c
     {"providers": {"default": 5}},
     {"lexicon_dir": 5},
     {"cache_path": 5},
+    {"agent": 5},
+    {"selector": [1]},
+    {"graph": "x"},
 ], ids=["list", "string", "not-utf8", "providers", "provider-block", "lexicon_dir",
-        "cache_path"])
+        "cache_path", "agent", "selector", "graph"])
 def test_config_of_the_wrong_shape_is_bad_config(tmp_path, suite, capsys, changes):
-    """`changes` is a whole config file's bytes or keys to set in the suite's."""
+    """`changes` is a whole config file's bytes or keys to set in the suite's;
+    a key of the wrong shape is named."""
     if isinstance(changes, dict):
         config_path = write_config(tmp_path, suite, **changes)
     else:
@@ -624,6 +628,22 @@ def test_config_of_the_wrong_shape_is_bad_config(tmp_path, suite, capsys, change
         config_path.write_bytes(changes)
     err = rejected_before_any_item(tmp_path, suite, capsys, "run", config_path)
     assert "usage error: bad config" in err
+    if isinstance(changes, dict):
+        assert f"usage error: bad config: {next(iter(changes))} must " in err
+
+
+@pytest.mark.parametrize("command", ["run", "eval"])
+@pytest.mark.parametrize("key", ["cache_pth", "graphh"])
+def test_unknown_top_level_key_is_bad_config(tmp_path, suite, capsys, command, key):
+    # Both used to be ignored: the command ran with no persistent cache, or
+    # with the default graph settings.
+    cache = tmp_path / "c.jsonl"
+    value = str(cache) if key == "cache_pth" else {"merge_similarity": 0.5}
+    config_path = write_config(tmp_path, suite, **{key: value})
+    err = rejected_before_any_item(tmp_path, suite, capsys, command, config_path)
+    assert f"usage error: bad config: unknown key {key!r} (keys: agent, selector, graph, " \
+           "providers, lexicon_dir, cache_path)" in err
+    assert not cache.exists()
 
 
 # argparse keeps the last value given, so these override the suite's arguments

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import random
@@ -15,6 +16,7 @@ from conftest import record_norms
 from graphvqa import cli as cli_module
 from graphvqa.errors import DimensionError
 from graphvqa.graph import (
+    LIST_LIMIT,
     Embedding,
     EntityNode,
     GraphConfig,
@@ -314,9 +316,10 @@ def test_summarize_budget_truncates_whole_lines():
 
 
 def reference_summarize(graph, query, char_budget):
-    """`VideoGraph.summarize` as it was before long lines were elided, which
-    re-rendered every section after each dropped line. Graphs whose lines
-    all fit must still render exactly like this."""
+    """`VideoGraph.summarize` as it was before long lists were shortened,
+    which re-rendered every section after each dropped line. A section whose
+    lines all dropped states their count. Graphs whose lists all hold at
+    most LIST_LIMIT items must still render exactly like this."""
     placeholders = (
         "(no entities tracked yet)",
         "(no relations observed yet)",
@@ -368,6 +371,11 @@ def reference_summarize(graph, query, char_budget):
         temporal_lines.append(f"{node.canonical_lemma}: {steps}")
 
     sections = [entity_lines, relation_lines, temporal_lines]
+    placeholders = [
+        f"({kind} left out: {len(lines)})" if lines else placeholder
+        for lines, kind, placeholder in zip(sections, ("entities", "relations", "state trails"),
+                                            placeholders)
+    ]
 
     def render(lines, placeholder):
         return "\n".join(lines) if lines else placeholder
@@ -399,8 +407,8 @@ def long_sighting_graph(sightings=2500, stride=8):
 def test_summarize_elides_a_line_too_long_for_the_budget():
     graph = long_sighting_graph()
     assert reference_summarize(graph, None, 4096) == (  # every line was dropped
-        "(no entities tracked yet)",
-        "(no relations observed yet)",
+        "(entities left out: 2)",
+        "(relations left out: 1)",
         "(no state changes recorded yet)",
     )
     sections = graph.summarize(None, 4096)
@@ -421,14 +429,30 @@ def test_summarize_keeps_long_lines_within_every_budget(budget):
     assert "person (Person)" in sections[0]
 
 
-def test_summarize_drops_only_a_line_that_cannot_fit_even_elided():
+def test_summarize_drops_a_line_too_long_with_the_lines_ranked_after_it():
     graph = long_sighting_graph(sightings=40)
     person = graph.node_for_lemma("person")
-    person.canonical_lemma = "p" * 300  # no frame list can make this line fit
+    person.canonical_lemma = "p" * 300  # this line, ranked first, cannot fit
     graph._rebuild_indexes()
-    entities, relations, _ = graph.summarize(None, 256)
-    assert entities == "cup (Object) frames [9, 17]"
-    assert relations == "(no relations observed yet)"  # its line names the long lemma too
+    # the cup's line and the relation rank below it, so they drop first
+    assert graph.summarize(None, 256) == (
+        "(entities left out: 2)",
+        "(relations left out: 1)",
+        "(no state changes recorded yet)",
+    )
+    assert graph.summarize(None, 1024)[1] == f"{'p' * 300} —hold→ cup @ frames [17]"
+
+
+def test_summarize_shortens_a_long_state_trail_rather_than_hide_it():
+    # A trail was never shortened: one too long for the budget dropped, and
+    # its section said that the graph recorded no state changes.
+    graph = ingest(VideoGraph(), {f: f"the dog becomes {('happy', 'angry')[f % 8 // 4]}"
+                                  for f in range(0, 1200, 4)})
+    assert graph.summarize(None, 1024) == (
+        "dog (Object) frames [0, 4, …, 1196] (300 sightings), state: angry",
+        "(no relations observed yet)",
+        "dog: happy@0 → angry@4 → … → angry@1196 (300 steps)",
+    )
 
 
 def test_summarize_rejects_tiny_budget():
@@ -582,10 +606,58 @@ def test_save_load_round_trips_property(batch, split):
 def test_summarize_of_small_graphs_matches_reference_property(batch, budget, asked):
     graph = VideoGraph().update_graph(batch_inputs(batch))
     query = parse_question(f"where is the {asked}?", [], LEX) if asked else None
-    # every line of these graphs fits beside two placeholders
-    full = graph.summarize(query, 100_000)
-    assert max(len(line) for section in full for line in section.splitlines()) <= 256 - 83
+    # no list of these graphs is long enough to be shortened
+    assert max(len(node.frame_indices) for node in graph.nodes.values()) <= LIST_LIMIT
     assert graph.summarize(query, budget) == reference_summarize(graph, query, budget)
+
+
+SUMMARY_PLACEHOLDERS = (
+    "(no entities tracked yet)",
+    "(no relations observed yet)",
+    "(no state changes recorded yet)",
+)
+LONG_VERBS = ["holds", "watches", "becomes happy near", "becomes angry near"]
+
+
+@st.composite
+def long_graphs(draw):
+    """A graph of 50-600 frames, each captioned with one of a few drawn
+    captions, so that many of its frame lists and state trails are longer
+    than LIST_LIMIT."""
+    captions = draw(st.lists(st.builds("the {} {} the {}".format, st.sampled_from(NOUNS),
+                                       st.sampled_from(LONG_VERBS), st.sampled_from(NOUNS)),
+                             min_size=1, max_size=5))
+    parses = {text: parse_caption(text, 0, LEX) for text in captions}
+    rng = draw(st.randoms(use_true_random=False))
+    frames = range(draw(st.integers(min_value=50, max_value=600)))
+    return VideoGraph().update_graph(
+        [(dataclasses.replace(parses[rng.choice(captions)], frame_index=f), None) for f in frames])
+
+
+def shown_lines(sections):
+    """Each section's graph lines, leaving out what an empty section says."""
+    return [[] if section.startswith("(") else section.splitlines() for section in sections]
+
+
+@settings(max_examples=40, deadline=None)
+@given(long_graphs(), st.lists(st.integers(min_value=256, max_value=8000), min_size=2,
+                               max_size=2).map(sorted))
+def test_summarize_of_long_graphs_property(graph, budgets):
+    has = (graph.nodes, graph.edges, any(n.state_history for n in graph.nodes.values()))
+    full = shown_lines(graph.summarize(None, 100_000))
+    shown = []
+    for budget in budgets:
+        sections = graph.summarize(None, budget)
+        assert sum(map(len, sections)) <= budget
+        for section, placeholder, kind, lines in zip(sections, SUMMARY_PLACEHOLDERS, has, full):
+            # a placeholder only over nothing of its kind; an emptied section counts its lines
+            assert (section == placeholder) == (not kind)
+            if kind and section.startswith("("):
+                assert section.endswith(f" left out: {len(lines)})")
+        shown.append(shown_lines(sections))
+    # a larger budget shows a superset of the lines, and every line as the full summary does
+    for smaller, larger, lines in zip(*shown, full):
+        assert set(smaller) <= set(larger) <= set(lines)
 
 
 def test_new_ids_continue_after_the_largest_id_of_a_loaded_graph():
