@@ -3,19 +3,21 @@
 The pipeline is deliberately model-free so extraction is deterministic and
 auditable: every decision traces back to a lexicon file or a rule below.
 
-One pass over the text tokenizes on word boundaries, keeping character
-offsets; lemmatizes each token with a small suffix table (-ies, -es, -s,
--ing, -ed), preferring candidates that land on a known lexicon word; looks
-the lemma up once in the one word-role table, `Lexicon.roles`, so each token
-carries its role; and decides once whether the token is a noun: listed in
-the type gazetteer, or neither a stopword nor a word with a role. Every step
-below reads that one token list, never the lexicon's predicate sets.
+One pass over the text yields its sentences (the runs between the breaks
+. ! ? ;), each a list of tokens. It tokenizes on word boundaries, keeping
+character offsets into the whole text; lemmatizes each token with a small
+suffix table (-ies, -es, -s, -ing, -ed), preferring candidates that land on
+a known lexicon word; looks the lemma up once in the one word-role table,
+`Lexicon.roles`, so each token carries its role; and decides once whether
+the token is a noun: listed in the type gazetteer, or neither a stopword nor
+a word with a role. Every step below reads those sentences one at a time,
+never the lexicon's predicate sets, so no fact spans a sentence break.
 
 1. Mentions = the noun tokens, typed from the gazetteer when they are made
    (a lemma it does not list is an Object). Duplicate lemmas in one text
    collapse to the first occurrence.
 2. Triples = (subject, predicate, object) where the predicate token sits
-   strictly between the two nearest noun occurrences in the same sentence.
+   strictly between the two nearest noun occurrences in its sentence.
    A spatial preposition whose nearest preceding content token is an
    interaction/action verb is treated as that verb's particle ("plays with",
    "barks at") and emits no triple of its own.
@@ -102,7 +104,7 @@ _COMPLEMENT_SKIP = frozenset(
 _COORDINATORS = frozenset({"and", "but", "then", "or", "so", "while"})
 
 _TOKEN_RE = re.compile(r"[^\W\d_]+(?:['’-][^\W\d_]+)*", re.UNICODE)
-_SENTENCE_BREAK_RE = re.compile(r"[.!?;]")
+_SENTENCE_RE = re.compile(r"[^.!?;]+")
 
 
 @dataclass(frozen=True)
@@ -272,7 +274,6 @@ class _Token:
     lemma: str
     start: int
     end: int
-    sentence: int
     comma_before: bool
     is_noun: bool
     role: Optional[Role]
@@ -318,165 +319,138 @@ def lemmatize(token: str, vocabulary: AbstractSet[str] = frozenset()) -> str:
     return candidates[0] if candidates else token
 
 
-def _analyze(text: str, lex: Lexicon) -> list[_Token]:
-    """The one pass over a text that every extraction step reads."""
+def _analyze(text: str, lex: Lexicon) -> list[list[_Token]]:
+    """The one pass over a text that every extraction step reads: its
+    sentences (the runs between breaks), each a list of tokens whose spans
+    are offsets into `text`."""
     vocab, roles = lex.vocabulary, lex.roles
-    breaks = [m.start() for m in _SENTENCE_BREAK_RE.finditer(text)]
-    tokens = []
-    sentence = 0
-    previous_end = 0
-    for match in _TOKEN_RE.finditer(text):
-        while sentence < len(breaks) and match.start() > breaks[sentence]:
-            sentence += 1
-        word = match.group()
-        lower = word.lower()
-        # a match ends in a letter, so the only suffix to strip is a possessive 's
-        if lower.endswith(("'s", "’s")):
-            word, lower = word[:-2], lower[:-2]
-        lemma = lemmatize(lower, vocab)
-        role = roles.get(lemma)
-        # a noun: listed in the gazetteer, or neither a stopword nor a predicate word
-        is_noun = lemma in lex.type_gazetteer or not (
-            lower in STOPWORDS or lemma in STOPWORDS or role is not None
-        )
-        tokens.append(_Token(
-            word, lower, lemma, match.start(), match.start() + len(word), sentence,
-            "," in text[previous_end:match.start()], is_noun, role,
-            role is not None and role is not RelationCategory.SPATIAL,
-        ))
-        previous_end = match.end()
-    return tokens
+    sentences = []
+    for run in _SENTENCE_RE.finditer(text):
+        tokens = []
+        previous_end = run.start()
+        for match in _TOKEN_RE.finditer(text, run.start(), run.end()):
+            word = match.group()
+            lower = word.lower()
+            # a match ends in a letter, so the only suffix to strip is a possessive 's
+            if lower.endswith(("'s", "’s")):
+                word, lower = word[:-2], lower[:-2]
+            lemma = lemmatize(lower, vocab)
+            role = roles.get(lemma)
+            # a noun: listed in the gazetteer, or neither a stopword nor a predicate word
+            is_noun = lemma in lex.type_gazetteer or not (
+                lower in STOPWORDS or lemma in STOPWORDS or role is not None
+            )
+            tokens.append(_Token(
+                word, lower, lemma, match.start(), match.start() + len(word),
+                "," in text[previous_end:match.start()], is_noun, role,
+                role is not None and role is not RelationCategory.SPATIAL,
+            ))
+            previous_end = match.end()
+        sentences.append(tokens)
+    return sentences
 
 
 # ---------------------------------------------------------------------------
 # Extraction operations
 # ---------------------------------------------------------------------------
 
-def _mentions(tokens: Sequence[_Token], lex: Lexicon) -> dict[str, Mention]:
+def _mentions(sentences: Sequence[Sequence[_Token]], lex: Lexicon) -> dict[str, Mention]:
     """One typed mention per noun lemma, at its first occurrence."""
     by_lemma: dict[str, Mention] = {}
-    for token in tokens:
-        if token.is_noun and token.lemma not in by_lemma:
-            by_lemma[token.lemma] = Mention(
-                surface=token.text,
-                lemma=token.lemma,
-                entity_type=lex.type_gazetteer.get(token.lemma, EntityType.OBJECT),
-                char_span=(token.start, token.end),
-            )
+    for sentence in sentences:
+        for token in sentence:
+            if token.is_noun and token.lemma not in by_lemma:
+                by_lemma[token.lemma] = Mention(
+                    surface=token.text,
+                    lemma=token.lemma,
+                    entity_type=lex.type_gazetteer.get(token.lemma, EntityType.OBJECT),
+                    char_span=(token.start, token.end),
+                )
     return by_lemma
 
 
-def _absorbed_by_verb(tokens: Sequence[_Token], index: int) -> bool:
-    """True if the spatial prep at `index` rides on a preceding verb.
-
-    Scans left within the sentence, skipping stopwords; a hit on an
-    interaction/action verb means the prep is the verb's particle.
-    """
-    sentence = tokens[index].sentence
-    for j in range(index - 1, -1, -1):
-        tok = tokens[j]
-        if tok.sentence != sentence:
-            return False
+def _absorbed_by_verb(before: Sequence[_Token]) -> bool:
+    """True if a spatial prep rides on a preceding verb: the nearest of
+    `before`, its sentence's tokens left of it, that is not a stopword is an
+    interaction/action verb, so the prep is the verb's particle."""
+    for tok in reversed(before):
         if tok.lower in STOPWORDS and tok.role is None:
             continue
         return tok.role is RelationCategory.INTERACTION or tok.role is RelationCategory.ACTION
     return False
 
 
-def _nearest_noun(tokens: Sequence[_Token], index: int, step: int) -> Optional[_Token]:
-    """The first noun from `index` in direction `step` (-1 or 1), within its sentence."""
-    sentence = tokens[index].sentence
-    j = index + step
-    while 0 <= j < len(tokens) and tokens[j].sentence == sentence:
-        if tokens[j].is_noun:
-            return tokens[j]
-        j += step
-    return None
-
-
-def _triples(tokens: Sequence[_Token], by_lemma: Mapping[str, Mention]) -> list[ExtractedTriple]:
+def _triples(sentences: Sequence[Sequence[_Token]], by_lemma: Mapping[str, Mention]
+             ) -> list[ExtractedTriple]:
     """Relation triples linking mention pairs through lexicon predicates.
 
     Subject is the nearest noun left of the predicate, object the nearest on
     the right, both within the predicate's sentence. Output is ordered by
     predicate position; exact duplicates are collapsed.
     """
-    triples: list[ExtractedTriple] = []
-    emitted: set[tuple[str, str, str]] = set()
-    for i, tok in enumerate(tokens):
-        if not isinstance(tok.role, RelationCategory):
-            continue
-        if tok.role is RelationCategory.SPATIAL and _absorbed_by_verb(tokens, i):
-            continue
-        left = _nearest_noun(tokens, i, -1)
-        right = _nearest_noun(tokens, i, 1)
-        if left is None or right is None or left.lemma == right.lemma:
-            continue
-        key = (left.lemma, tok.lemma, right.lemma)
-        if key in emitted:
-            continue
-        emitted.add(key)
-        triples.append(ExtractedTriple(by_lemma[left.lemma], tok.lemma, tok.role, by_lemma[right.lemma]))
-    return triples
+    triples: dict[tuple[str, str, str], ExtractedTriple] = {}
+    for sentence in sentences:
+        for i, tok in enumerate(sentence):
+            if not isinstance(tok.role, RelationCategory):
+                continue
+            before = sentence[:i]
+            if tok.role is RelationCategory.SPATIAL and _absorbed_by_verb(before):
+                continue
+            left = next((t for t in reversed(before) if t.is_noun), None)
+            right = next((t for t in sentence[i + 1:] if t.is_noun), None)
+            if left is None or right is None or left.lemma == right.lemma:
+                continue
+            key = (left.lemma, tok.lemma, right.lemma)
+            if key not in triples:
+                triples[key] = ExtractedTriple(
+                    by_lemma[left.lemma], tok.lemma, tok.role, by_lemma[right.lemma])
+    return list(triples.values())
 
 
-def _state_label(tokens: Sequence[_Token], index: int) -> Optional[str]:
-    """Resolve the label for the state verb at `index`, or None to skip."""
-    mapped = tokens[index].role
-    if mapped != COMPLEMENT_LABEL:
-        return mapped
-    sentence = tokens[index].sentence
-    for tok in tokens[index + 1:]:
-        if tok.sentence != sentence:
-            return None
+def _state_label(role: str, after: Sequence[_Token]) -> Optional[str]:
+    """The label of a state verb with `role`, given `after`, its sentence's
+    tokens right of it; None to skip."""
+    if role != COMPLEMENT_LABEL:
+        return role
+    for tok in after:
         if tok.lower in _COMPLEMENT_SKIP:
             continue
         # a noun complement ("gets the toy") is an object, not a state
-        if tok.is_noun:
-            return None
-        return tok.lower
+        return None if tok.is_noun else tok.lower
     return None
 
 
-def _state_events(tokens: Sequence[_Token], by_lemma: Mapping[str, Mention]
+def _state_events(sentences: Sequence[Sequence[_Token]], by_lemma: Mapping[str, Mention]
                   ) -> list[tuple[Mention, str]]:
     """Clause-subject tracking: the first mention before any verb owns the
     clause; a coordinator followed by a verb continues it, followed by a
-    mention starts a fresh clause."""
-    events: list[tuple[Mention, str]] = []
-    seen: set[tuple[str, str]] = set()
-    subject: Optional[Mention] = None
-    seen_verb = False
-    sentence = -1
-    for i, tok in enumerate(tokens):
-        if tok.sentence != sentence:
-            sentence = tok.sentence
-            subject, seen_verb = None, False
-        elif tok.comma_before and tok.lower not in _COORDINATORS and not tok.is_verb:
-            subject, seen_verb = None, False
-        if tok.lower in _COORDINATORS:
-            nxt = next(
-                (t for t in tokens[i + 1:] if t.sentence == sentence and t.lower not in STOPWORDS),
-                None,
-            )
-            if nxt is not None and not nxt.is_verb:
+    mention starts a fresh clause. Each sentence starts a fresh clause."""
+    events: dict[tuple[str, str], tuple[Mention, str]] = {}
+    for sentence in sentences:
+        subject: Optional[Mention] = None
+        seen_verb = False
+        for i, tok in enumerate(sentence):
+            if tok.comma_before and tok.lower not in _COORDINATORS and not tok.is_verb:
                 subject, seen_verb = None, False
-            continue
-        if tok.is_noun:
-            if not seen_verb:
-                subject = by_lemma[tok.lemma]
-            continue
-        if tok.role is None:
-            continue
-        seen_verb = True
-        # a state verb's role is its label, not a RelationCategory
-        if subject is None or isinstance(tok.role, RelationCategory):
-            continue
-        label = _state_label(tokens, i)
-        if label and (subject.lemma, label) not in seen:
-            seen.add((subject.lemma, label))
-            events.append((subject, label))
-    return events
+            if tok.lower in _COORDINATORS:
+                nxt = next((t for t in sentence[i + 1:] if t.lower not in STOPWORDS), None)
+                if nxt is not None and not nxt.is_verb:
+                    subject, seen_verb = None, False
+                continue
+            if tok.is_noun:
+                if not seen_verb:
+                    subject = by_lemma[tok.lemma]
+                continue
+            if tok.role is None:
+                continue
+            seen_verb = True
+            # a state verb's role is its label, not a RelationCategory
+            if subject is None or isinstance(tok.role, RelationCategory):
+                continue
+            label = _state_label(tok.role, sentence[i + 1:])
+            if label:
+                events.setdefault((subject.lemma, label), (subject, label))
+    return list(events.values())
 
 
 def parse_caption(caption: str, frame_index: int, lex: Optional[Lexicon] = None) -> CaptionParse:
@@ -484,13 +458,13 @@ def parse_caption(caption: str, frame_index: int, lex: Optional[Lexicon] = None)
     if frame_index < 0:
         raise ValueError(f"frame_index must be >= 0, got {frame_index}")
     lex = lex or default_lexicon()
-    tokens = _analyze(caption, lex)
-    by_lemma = _mentions(tokens, lex)
+    sentences = _analyze(caption, lex)
+    by_lemma = _mentions(sentences, lex)
     return CaptionParse(
         frame_index=frame_index,
         mentions=tuple(by_lemma.values()),
-        triples=tuple(_triples(tokens, by_lemma)),
-        state_events=tuple(_state_events(tokens, by_lemma)),
+        triples=tuple(_triples(sentences, by_lemma)),
+        state_events=tuple(_state_events(sentences, by_lemma)),
     )
 
 
