@@ -355,8 +355,9 @@ class VideoGraph:
         """Render (entity_summary, relation_summary, temporal_summary).
 
         Entities sort by query overlap, then appearance count, then lemma;
-        relations and state trails follow the same ranks. A line's text does
-        not depend on the budget: a frame list or state trail of more than
+        relations and state trails follow the same ranks. A state trail
+        shows a step only where the label differs from the step before. A
+        line's text does not depend on the budget: a frame list or state trail of more than
         LIST_LIMIT items shows its first two, `…`, its last and its count.
         The budget only picks whole lines, dropping the worst-ranked first,
         so a larger budget shows a superset of the lines. A section whose
@@ -407,7 +408,10 @@ class VideoGraph:
                 continue
             first_frame = node.frame_indices[0]
             trail = [(first_frame, NEUTRAL_STATE)] if node.state_history[0][0] > first_frame else []
-            trail.extend(node.state_history)
+            # a step shows only where the label changes
+            for step in node.state_history:
+                if not trail or step[1] != trail[-1][1]:
+                    trail.append(step)
             temporal_lines.append(f"{node.canonical_lemma}: {_steps(trail)}")
 
         sections = [entity_lines, relation_lines, temporal_lines]

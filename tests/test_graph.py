@@ -301,6 +301,20 @@ def test_summarize_temporal_transitions():
     assert temporal.splitlines() == ["dog: neutral@1 → angry@3"]
 
 
+def test_summarize_trail_steps_only_where_the_label_changes():
+    graph = ingest(VideoGraph(), {
+        1: "the dog sits",
+        3: "the dog becomes angry",
+        5: "the dog becomes angry",
+        7: "the dog becomes happy",
+        9: "the dog becomes angry",
+    })
+    _, _, temporal = graph.summarize(None, 2048)
+    assert temporal.splitlines() == ["dog: neutral@1 → angry@3 → happy@7 → angry@9"]
+    # the graph keeps every event
+    assert [label for _, label in graph.nodes[0].state_history] == ["angry"] * 2 + ["happy", "angry"]
+
+
 def test_summarize_budget_truncates_whole_lines():
     graph = VideoGraph()
     ingest(graph, {f: f"the boy{f} holds the toy{f}" for f in range(30)})
@@ -366,7 +380,9 @@ def reference_summarize(graph, query, char_budget):
             continue
         first_frame = node.frame_indices[0]
         trail = [(first_frame, "neutral")] if node.state_history[0][0] > first_frame else []
-        trail.extend(node.state_history)
+        for frame, label in node.state_history:
+            if not trail or label != trail[-1][1]:
+                trail.append((frame, label))
         steps = " → ".join(f"{label}@{frame}" for frame, label in trail)
         temporal_lines.append(f"{node.canonical_lemma}: {steps}")
 
@@ -658,6 +674,17 @@ def test_summarize_of_long_graphs_property(graph, budgets):
     # a larger budget shows a superset of the lines, and every line as the full summary does
     for smaller, larger, lines in zip(*shown, full):
         assert set(smaller) <= set(larger) <= set(lines)
+
+
+@settings(max_examples=40, deadline=None)
+@given(long_graphs())
+def test_summarize_trail_never_shows_one_label_twice_in_a_row_property(graph):
+    for line in shown_lines(graph.summarize(None, 100_000))[2]:
+        trail = line.split(": ", 1)[1].split(" (")[0]
+        # steps either side of an elided `…` are not adjacent
+        for run in trail.split(" → … → "):
+            labels = [step.rsplit("@", 1)[0] for step in run.split(" → ")]
+            assert all(a != b for a, b in zip(labels, labels[1:])), line
 
 
 def test_new_ids_continue_after_the_largest_id_of_a_loaded_graph():
