@@ -28,7 +28,7 @@ from .errors import (
     GraphVQAError,
     LexiconError,
 )
-from .gateway import ModelGateway, ProviderConfig, ResponseCache
+from .gateway import SCRIPTED, ModelGateway, ProviderConfig, ResponseCache
 from .graph import GraphConfig, VideoGraph
 from .harness import run_eval
 from .lines import Log, parse_object
@@ -58,26 +58,32 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="graphvqa", description=__doc__.partition("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    flags = {
+        "--provider": {"help": "named provider block from the config"},
+        "--seed": {"type": int, "help": "override the seed of Scripted lanes"},
+        "--out": {"help": "output directory"},
+    }
+
+    def common(p, *names):
+        """`--config`, and those of `flags` the subcommand reads."""
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--provider", help="named provider block from the config")
-        p.add_argument("--seed", type=int, help="override the scripted-embedding seed")
-        p.add_argument("--out", help="output directory")
+        for name in names:
+            p.add_argument(name, **flags[name])
 
     p_run = sub.add_parser("run", help="answer one question about one bundle")
-    common(p_run)
+    common(p_run, *flags)
     p_run.add_argument("--bundle", required=True, help="bundle directory")
     p_run.add_argument("--question", required=True)
     p_run.add_argument("--options", nargs="+", default=[], help="answer options (up to 5)")
 
     p_eval = sub.add_parser("eval", help="batch-evaluate a QA file")
-    common(p_eval)
+    common(p_eval, *flags)
     p_eval.add_argument("--qa", required=True, help="QA file (one JSON record per line)")
     p_eval.add_argument("--bundle", required=True, help="root directory of bundles")
     p_eval.add_argument("--parallel", type=int, default=1)
 
     p_graph = sub.add_parser("graph", help="build and dump a bundle's graph")
-    common(p_graph)
+    common(p_graph, "--out")
     p_graph.add_argument("--bundle", required=True, help="bundle directory")
 
     p_extract = sub.add_parser("extract", help="parse captions without the agent")
@@ -169,7 +175,8 @@ _LANES = ("chat", "caption", "embed")
 def build_gateway(config: dict, provider_name: Optional[str],
                   seed: Optional[int]) -> ModelGateway:
     """The gateway of the chosen provider block, whose keys must be lanes:
-    `chat` and `caption` are required, `embed` is optional."""
+    `chat` and `caption` are required, `embed` is optional. `seed`, if
+    given, replaces the seed of its Scripted lanes."""
     block = _provider_block(config, provider_name)
     unknown = sorted(set(block) - set(_LANES))
     if unknown:
@@ -187,7 +194,8 @@ def build_gateway(config: dict, provider_name: Optional[str],
             cfg = ProviderConfig(**spec)
         except TypeError as exc:
             raise GatewayConfigError(f"bad {lane} provider config: {exc}") from exc
-        if seed is not None:
+        # a remote lane's cache keys name its seed, which its replies ignore
+        if seed is not None and cfg.kind == SCRIPTED:
             cfg.seed = seed
         return cfg
 

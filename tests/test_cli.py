@@ -195,6 +195,62 @@ def test_seed_flag_changes_scripted_embeddings(suite):
     assert gw1.embed("dog") != gw2.embed("dog")
 
 
+def test_seed_flag_sets_the_seed_of_scripted_embeddings(suite, monkeypatch):
+    from graphvqa import gateway
+
+    seeds = []
+    pseudo_embedding = gateway.pseudo_embedding
+
+    def recording(token, dim, seed):
+        seeds.append(seed)
+        return pseudo_embedding(token, dim, seed)
+
+    monkeypatch.setattr(gateway, "pseudo_embedding", recording)
+    argv = ["run", "--bundle", str(suite["bundle_dir"]), "--config", str(suite["config"]),
+            "--question", "what does the dog hold?"]
+    for extra, seed in [([], 1), (["--seed", "5"], 5)]:
+        seeds.clear()
+        assert main([*argv, *extra]) == 0
+        assert seeds and set(seeds) == {seed}
+
+
+def test_seed_flag_leaves_the_cache_keys_of_remote_lanes(suite, model_stub):
+    # The flag's seed only reaches Scripted lanes, so a rerun over a warm
+    # cache with another --seed is served from the cache.
+    endpoint, state = model_stub
+    config_path = suite["tmp"] / "remote.json"
+    config_path.write_text(json.dumps({"cache_path": str(suite["tmp"] / "cache.jsonl"),
+                                       "providers": {"default": remote_lanes(endpoint)}}),
+                           encoding="utf-8")
+
+    def evaluate(out, *extra):
+        return main(["eval", "--qa", str(suite["qa"]), "--bundle", str(suite["bundle_root"]),
+                     "--config", str(config_path), "--out", str(suite["tmp"] / out), *extra])
+
+    assert evaluate("cold") == 0
+    sent = len(state.requests)
+    assert sent > 0
+    assert evaluate("seeded", "--seed", "5") == 0
+    assert len(state.requests) == sent
+    assert (suite["tmp"] / "seeded" / "transcripts.jsonl").read_bytes() == \
+        (suite["tmp"] / "cold" / "transcripts.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("graph", "--provider", "default"),
+    ("graph", "--seed", "5"),
+    ("extract", "--provider", "default"),
+    ("extract", "--seed", "5"),
+    ("extract", "--out", "out"),
+])
+def test_flag_the_command_does_not_read_is_usage_error(suite, capsys, command, flag, value):
+    source = ["--bundle", str(suite["bundle_dir"])]
+    assert main([command, *source, flag, value]) == 1
+    captured = capsys.readouterr()
+    assert "usage error" in captured.err and flag in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("graph_section", [
     {"nope": 1},
     {"merge_similarity": 7.0},
