@@ -402,6 +402,22 @@ def test_lexicon_caption_properties(caption):
         assert membership == [triple.category]
 
 
+def sentence_facts(text):
+    """The lemma triples and (subject, label) state events of `text`."""
+    parse = parse_caption(text, 0, default_lexicon())
+    return (triple_tuples(parse.triples),
+            [(subject.lemma, label) for subject, label in parse.state_events])
+
+
+@settings(max_examples=300, deadline=None)
+@given(lexicon_captions, lexicon_captions)
+def test_no_fact_crosses_a_sentence_break_property(a, b):
+    # particles, complements and clause subjects all stop at the break too
+    for joined, of_a, of_b in zip(sentence_facts(a + ". " + b), sentence_facts(a),
+                                  sentence_facts(b)):
+        assert joined == list(dict.fromkeys(of_a + of_b))
+
+
 def test_triple_closure_predicates_in_exactly_one_set(lex):
     captions = [
         "the person takes the toy from the dog",
