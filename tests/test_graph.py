@@ -312,7 +312,8 @@ def test_summarize_trail_steps_only_where_the_label_changes():
     _, _, temporal = graph.summarize(None, 2048)
     assert temporal.splitlines() == ["dog: neutral@1 → angry@3 → happy@7 → angry@9"]
     # the graph keeps every event
-    assert [label for _, label in graph.nodes[0].state_history] == ["angry"] * 2 + ["happy", "angry"]
+    history = graph.nodes[0].state_history
+    assert [label for _, label in history] == ["angry", "angry", "happy", "angry"]
 
 
 def test_summarize_budget_truncates_whole_lines():
