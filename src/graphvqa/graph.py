@@ -357,8 +357,9 @@ class VideoGraph:
         Entities sort by query overlap, then appearance count, then lemma;
         relations and state trails follow the same ranks. A state trail
         shows a step only where the label differs from the step before. A
-        line's text does not depend on the budget: a frame list or state trail of more than
-        LIST_LIMIT items shows its first two, `…`, its last and its count.
+        line's text does not depend on the budget: a frame list or state
+        trail of more than LIST_LIMIT items shows its first two, `…`, its
+        last and its count.
         The budget only picks whole lines, dropping the worst-ranked first,
         so a larger budget shows a superset of the lines. A section whose
         lines all dropped says how many it left out; a "(no … yet)" line
@@ -408,7 +409,6 @@ class VideoGraph:
                 continue
             first_frame = node.frame_indices[0]
             trail = [(first_frame, NEUTRAL_STATE)] if node.state_history[0][0] > first_frame else []
-            # a step shows only where the label changes
             for step in node.state_history:
                 if not trail or step[1] != trail[-1][1]:
                     trail.append(step)
